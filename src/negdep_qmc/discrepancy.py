@@ -1,18 +1,22 @@
 """Local, star, covered, and weighted star discrepancy.
 
-The exact star discrepancy enumerates the critical grid spanned by the point
-coordinates plus 1 along each axis. At each grid node x two candidates are
-evaluated: the deficiency of the half-open box [0, x) (volume of the closed
-box minus the strictly-dominated point fraction) and the excess of the closed
-box [0, x] (weakly-dominated fraction minus its volume, the right-limit over
-shrinking half-open boxes). The maximum over nodes and sides is exact.
+One padded cumulative histogram serves exact, cover and weighted star
+discrepancy: over a product grid it counts the points strictly below each
+node, in O(grid cells) after an O(N log N) binning per axis. Budgets charge
+those cells, summed over the projections of the weighted variant.
 
-Counting uses a padded d-dimensional cumulative histogram, so the cost is
-O(number of grid nodes) after an O(N log N) sort per axis.
+Exact enumerates the critical grid spanned by the point coordinates plus 1
+along each axis. At each grid node x two candidates are evaluated: the
+deficiency of the half-open box [0, x) (volume of the closed box minus the
+strictly-dominated point fraction) and the excess of the closed box [0, x]
+(weakly-dominated fraction minus its volume, the right-limit over shrinking
+half-open boxes). The maximum over nodes and sides is exact. Cover evaluates
+the delta-cover grid instead, which brackets D* to within delta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -21,7 +25,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .geometry import build_delta_cover, contains_points, volume
+from .geometry import contains_points, delta_cover_axis, volume
 from .samplers import PointSet
 
 __all__ = [
@@ -104,37 +108,39 @@ def _axis_candidates(pts: np.ndarray) -> list[np.ndarray]:
     return [np.unique(np.concatenate([pts[:, a], [1.0]])) for a in range(pts.shape[1])]
 
 
+def _cum_hist(pts: np.ndarray, axis_values: list[np.ndarray], budget: int) -> np.ndarray:
+    """Padded cumulative histogram H with H[i] = #{p : p_a < axis_values[a][i_a] for all a}.
+
+    Axis a has len(axis_values[a]) + 1 slots; the last one counts every point.
+    """
+    cells = math.prod(v.size + 1 for v in axis_values)
+    limit = min(budget, _NODE_CAP)
+    if cells > limit:
+        raise BudgetExceededError(f"discrepancy needs {cells} histogram cells; limit is {limit}")
+    hist = np.zeros([v.size + 1 for v in axis_values], dtype=np.int32)
+    idx = tuple(np.searchsorted(v, pts[:, a], side="right") for a, v in enumerate(axis_values))
+    np.add.at(hist, idx, 1)
+    for a in range(hist.ndim):
+        np.cumsum(hist, axis=a, out=hist)
+    return hist
+
+
 def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> DiscrepancyResult:
     """Exact star discrepancy by critical-grid enumeration.
 
-    Work is N * prod(axis candidate counts) box-point tests, at most
-    N*(N+1)^d; a BudgetExceededError is raised above `budget`.
+    Work and memory are the histogram's prod(s_a + 1) cells, s_a counting the
+    distinct coordinates on axis a plus 1; BudgetExceededError above `budget`.
     """
     pts = ps.data
     n, d = pts.shape
     if d < 1:
         raise ValidationError("point set must have dimension >= 1")
     cands = _axis_candidates(pts)
-    sizes = [c.size for c in cands]
-    nodes = int(np.prod([np.float64(s) for s in sizes]))
-    padded = int(np.prod([np.float64(s + 1) for s in sizes]))
-    if n * nodes > budget or padded > _NODE_CAP:
-        raise BudgetExceededError(
-            f"exact star discrepancy needs {n * nodes} box-point tests "
-            f"({padded} grid cells); budget is {budget}"
-        )
-    hist = np.zeros([s + 1 for s in sizes], dtype=np.int32)
-    idx = tuple(np.searchsorted(cands[a], pts[:, a]) + 1 for a in range(d))
-    np.add.at(hist, idx, 1)
-    for a in range(d):
-        np.cumsum(hist, axis=a, out=hist)
-    # hist[i_1, ..., i_d] = #points with coordinate index < i_a on every axis
+    hist = _cum_hist(pts, cands, budget)
     vols_rest = reduce(np.multiply, np.ix_(*cands[1:]), np.float64(1.0))
     inner_strict = (slice(0, -1),) * (d - 1)
     inner_closed = (slice(1, None),) * (d - 1)
-    best = -1.0
-    best_node = None
-    best_side = None
+    best, best_node, best_side = -1.0, None, None
     for i0, x0 in enumerate(cands[0]):
         strict = np.asarray(hist[i0][inner_strict], dtype=float)
         closed = np.asarray(hist[i0 + 1][inner_closed], dtype=float)
@@ -159,38 +165,31 @@ def star_discrepancy_cover(
     """Bracket the star discrepancy through a delta-cover.
 
     Returns (lower, lower + delta): the max local discrepancy over the cover
-    grid is a lower bound and underestimates by at most delta.
+    grid is a lower bound and underestimates by at most delta. Work and memory
+    are the histogram's (m+1)^d cells; BudgetExceededError above `budget`.
     """
-    cover = build_delta_cover(ps.d, delta)
-    grid = cover.all_points()
-    if ps.n * len(grid) > budget:
-        raise BudgetExceededError(
-            f"cover evaluation needs {ps.n * len(grid)} box-point tests; budget is {budget}"
-        )
-    lower = 0.0
-    pts = ps.data
-    step = max(1, int(2_000_000 // max(1, ps.n)))
-    for s in range(0, len(grid), step):
-        chunk = grid[s : s + step]
-        counts = np.sum(np.all(pts[None, :, :] < chunk[:, None, :], axis=2), axis=1)
-        local = np.abs(counts / ps.n - np.prod(chunk, axis=1))
-        lower = max(lower, float(local.max()))
+    vals = [delta_cover_axis(ps.d, delta)] * ps.d
+    counts = _cum_hist(ps.data, vals, budget)[(slice(0, -1),) * ps.d]
+    lower = float(np.max(np.abs(counts / ps.n - reduce(np.multiply, np.ix_(*vals)))))
     return lower, lower + float(delta)
 
 
 def weighted_star_discrepancy(
     ps: PointSet, weights: Weights, budget: int = DEFAULT_BUDGET
 ) -> float:
-    """max over nonempty coordinate subsets u of gamma_u * D*(projection onto u)."""
+    """max over nonempty coordinate subsets u of gamma_u * D*(projection onto u).
+
+    `budget` covers the whole call: the histogram cells of every
+    nonzero-weight projection are summed and checked before any is evaluated.
+    """
     d = ps.d
     if isinstance(weights, ProductWeights) and weights.gamma.size != d:
         raise ValidationError("product weight vector length must equal dimension")
-    best = 0.0
-    for size in range(1, d + 1):
-        for u in combinations(range(d), size):
-            gamma = weight_of(weights, u)
-            if gamma == 0.0:
-                continue
-            proj = PointSet(ps.data[:, list(u)])
-            best = max(best, gamma * star_discrepancy_exact(proj, budget).value)
-    return best
+    subsets = [u for size in range(1, d + 1) for u in combinations(range(d), size)]
+    terms = [(g, list(u)) for u in subsets if (g := weight_of(weights, u)) != 0.0]
+    sizes = [c.size for c in _axis_candidates(ps.data)]
+    cells = sum(math.prod(sizes[a] + 1 for a in u) for _, u in terms)
+    if cells > budget:
+        raise BudgetExceededError(f"projections need {cells} histogram cells; budget is {budget}")
+    values = (g * star_discrepancy_exact(PointSet(ps.data[:, u]), budget).value for g, u in terms)
+    return max(values, default=0.0)

@@ -33,6 +33,7 @@ __all__ = [
     "contains_points",
     "describe_box",
     "build_delta_cover",
+    "delta_cover_axis",
     "validate_delta_cover",
     "cover_cardinality_bound",
     "split_box_difference",
@@ -270,19 +271,26 @@ class CoverValidation:
     message: str = ""
 
 
-def build_delta_cover(d: int, delta: float) -> DeltaCover:
-    """Construct a delta-cover of anchored boxes in dimension d.
+def delta_cover_axis(d: int, delta: float) -> np.ndarray:
+    """Per-axis node values {1/m, ..., 1} of the delta-cover grid in dimension d.
 
-    d = 1 uses the exact minimal grid {1/m, ..., 1} with m = ceil(1/delta).
-    d > 1 uses the product grid with per-axis resolution m = ceil(d/delta),
-    whose floor/ceil brackets have volume gap at most d/m <= delta.
+    d = 1 uses the exact minimal grid with m = ceil(1/delta). d > 1 uses
+    m = ceil(d/delta), whose floor/ceil brackets in the product grid have
+    volume gap at most d/m <= delta.
     """
     if d < 1:
         raise ValidationError("dimension must be >= 1")
     if not (0.0 < delta <= 1.0):
         raise ValidationError("delta must lie in (0, 1]")
     m = math.ceil(1.0 / delta) if d == 1 else math.ceil(d / delta)
-    vals = np.arange(1, m + 1, dtype=float) / m
+    return np.arange(1, m + 1, dtype=float) / m
+
+
+def build_delta_cover(d: int, delta: float) -> DeltaCover:
+    """Construct a delta-cover of anchored boxes in dimension d: the d-fold
+    product grid of `delta_cover_axis(d, delta)`."""
+    vals = delta_cover_axis(d, delta)
+    m = vals.size
     if d == 1:
         grid = vals[:, None]
     else:

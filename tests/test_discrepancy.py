@@ -1,8 +1,13 @@
 """Exact star discrepancy, cover brackets, weighted variant, and budgets."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import negdep_qmc.discrepancy as discrepancy_module
 from negdep_qmc import (
     BudgetExceededError,
     CornerBox0,
@@ -12,6 +17,7 @@ from negdep_qmc import (
     ProductWeights,
     RngStream,
     ValidationError,
+    build_delta_cover,
     local_discrepancy,
     net_points,
     sample,
@@ -194,9 +200,80 @@ def test_exact_budget_guard_raises():
     ps = sample(MonteCarlo(), 40, 3, RngStream(73))
     with pytest.raises(BudgetExceededError):
         star_discrepancy_exact(ps, budget=1000)
+    # 40 distinct coordinates plus 1.0 per axis: a padded histogram of 42^3 cells.
+    star_discrepancy_exact(ps, budget=42**3)
+    with pytest.raises(BudgetExceededError):
+        star_discrepancy_exact(ps, budget=42**3 - 1)
 
 
 def test_cover_budget_guard_raises():
     ps = sample(MonteCarlo(), 50, 2, RngStream(79))
     with pytest.raises(BudgetExceededError):
         star_discrepancy_cover(ps, 0.01, budget=10_000)
+    # delta = 0.01 in 2-d: 200 cover values per axis, 201^2 cells.
+    star_discrepancy_cover(ps, 0.01, budget=201**2)
+    with pytest.raises(BudgetExceededError):
+        star_discrepancy_cover(ps, 0.01, budget=201**2 - 1)
+
+
+def test_weighted_budget_covers_all_projections(monkeypatch):
+    # 8 distinct coordinates per axis: projection histograms of 10, 10 and 100 cells.
+    ps = sample(MonteCarlo(), 8, 2, RngStream(83))
+    for u in ([0], [1], [0, 1]):
+        star_discrepancy_exact(PointSet(ps.data[:, u]), budget=100)
+    w = ProductWeights((1.0, 1.0))
+    assert weighted_star_discrepancy(ps, w, budget=120) >= star_discrepancy_exact(ps).value
+    zero_pair = {frozenset({0}): 1.0, frozenset({1}): 1.0, frozenset({0, 1}): 0.0}
+    weighted_star_discrepancy(ps, ExplicitWeights(zero_pair), budget=20)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a projection was evaluated before the budget check")
+
+    monkeypatch.setattr(discrepancy_module, "star_discrepancy_exact", no_work)
+    with pytest.raises(BudgetExceededError):
+        weighted_star_discrepancy(ps, w, budget=119)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force references
+
+
+def brute_cover_lower(ps: PointSet, delta: float) -> float:
+    """Every point tested against every cover node: O(n * |grid|)."""
+    grid = build_delta_cover(ps.d, delta).all_points()
+    counts = np.sum(np.all(ps.data[None, :, :] < grid[:, None, :], axis=2), axis=1)
+    return float(np.max(np.abs(counts / ps.n - np.prod(grid, axis=1))))
+
+
+def brute_exact(ps: PointSet) -> float:
+    """Max over every critical box [0, y) and [0, y] of its local discrepancy."""
+    pts, n = ps.data, ps.n
+    axes = [np.unique(np.append(pts[:, a], 1.0)) for a in range(ps.d)]
+    nodes = np.array(list(product(*axes)))
+    strict = np.sum(np.all(pts[None, :, :] < nodes[:, None, :], axis=2), axis=1)
+    closed = np.sum(np.all(pts[None, :, :] <= nodes[:, None, :], axis=2), axis=1)
+    vols = nodes[:, 0] * np.prod(nodes[:, 1:], axis=1)
+    return float(max(np.max(vols - strict / n), np.max(closed / n - vols)))
+
+
+@st.composite
+def point_sets_and_deltas(draw):
+    d = draw(st.integers(1, 3))
+    delta = draw(st.sampled_from([0.5, 0.3, 0.1]))
+    m = build_delta_cover(d, delta).resolution
+    coord = st.one_of(
+        st.sampled_from([k / m for k in range(m)]),  # exactly on cover values
+        st.sampled_from([0.0, 0.25, 0.5]),  # shared across points and axes
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    return PointSet(np.array(rows)), delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets_and_deltas())
+def test_histogram_matches_brute_force(case):
+    ps, delta = case
+    assert star_discrepancy_cover(ps, delta)[0] == brute_cover_lower(ps, delta)
+    assert star_discrepancy_exact(ps).value == brute_exact(ps)
