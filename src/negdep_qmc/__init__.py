@@ -14,247 +14,21 @@ All randomness flows through `RngStream`; identical seeds give identical
 results regardless of thread count.
 """
 
-from .errors import BudgetExceededError, ValidationError
-from .geometry import (
-    BoxDiff,
-    CornerBox0,
-    CornerBox1,
-    CoverValidation,
-    DeltaCover,
-    ElementaryInterval,
-    Interval,
-    ProductRegion,
-    build_delta_cover,
-    clip_convex_to_box,
-    contains,
-    contains_points,
-    cover_cardinality_bound,
-    describe_box,
-    is_net,
-    polygon_area,
-    split_box_difference,
-    validate_delta_cover,
-    volume,
-)
-from .samplers import (
-    FourSlot,
-    GeneralizedStratified,
-    LatinHypercube,
-    LatticeCells,
-    MinCopula,
-    Mixed,
-    MonteCarlo,
-    PointSet,
-    RngStream,
-    RsjLattice,
-    SchemeSpec,
-    ScrambledNet,
-    SimpleStratified,
-    StrataSpec,
-    Stripes,
-    SwapScheme,
-    concat,
-    describe_scheme,
-    is_prime,
-    load_pointset,
-    net_points,
-    sample,
-    sample_batch,
-    save_pointset,
-    strata_count,
-    stratum_corner_overlap,
-    stratum_index,
-)
-from .discrepancy import (
-    DEFAULT_BUDGET,
-    DiscrepancyResult,
-    ExplicitWeights,
-    ProductWeights,
-    Weights,
-    local_discrepancy,
-    star_discrepancy_cover,
-    star_discrepancy_exact,
-    weight_of,
-    weighted_star_discrepancy,
-)
-from .integrate import (
-    CornerIndicator,
-    NegProduct,
-    ProductCoords,
-    QuasimonotoneScan,
-    SimplexMaxResult,
-    SumCoords,
-    TestFunction,
-    UserFunction,
-    VarianceStudy,
-    describe_function,
-    elementary_symmetric,
-    is_quasimonotone_scan,
-    quasivolume,
-    rqmc_estimate,
-    simplex_max_check,
-    variance_study,
-)
-from .negdep import (
-    DEFAULT_CONFIDENCE,
-    FACTOR_CSV_COLUMNS,
-    REPORT_CSV_COLUMNS,
-    CiNqdResult,
-    DependenceReport,
-    FactorizationCheck,
-    analytic_pair_prob,
-    corner_cells,
-    falling_factorial,
-    gss_anchored_prob_exact,
-    lhs_anchored_prob_exact,
-    min_copula_cdf,
-    min_copula_rect_prob,
-    mixed_anchored_prob_exact,
-    rsj_small_prob,
-    check_ci_nqd,
-    check_conditional_nqd,
-    check_lower_nd,
-    check_pairwise_nd,
-    check_upper_nd,
-    wilson_interval,
-)
-from .bounds import (
-    BoundParams,
-    BoundResult,
-    boxdiff_bound,
-    boxdiff_bound_theta,
-    corner_bound,
-    corner_bound_theta,
-    corner_eta,
-    corner_eta_consistent,
-    hoeffding_tail,
-    mixed_bound_theta,
-    weighted_bound,
-    weighted_bound_theta,
-)
-from .acceptance import DEFAULT_SEED, ALL_CRITERIA, CriterionResult, run_all
+from . import acceptance, bounds, discrepancy, errors, geometry, integrate, negdep, samplers
+from .errors import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .samplers import *  # noqa: F401,F403
+from .discrepancy import *  # noqa: F401,F403
+from .integrate import *  # noqa: F401,F403
+from .negdep import *  # noqa: F401,F403
+from .bounds import *  # noqa: F401,F403
+from .acceptance import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ValidationError",
-    "BudgetExceededError",
-    # geometry
-    "CornerBox0",
-    "CornerBox1",
-    "Interval",
-    "BoxDiff",
-    "ElementaryInterval",
-    "ProductRegion",
-    "DeltaCover",
-    "CoverValidation",
-    "volume",
-    "contains",
-    "contains_points",
-    "describe_box",
-    "build_delta_cover",
-    "validate_delta_cover",
-    "cover_cardinality_bound",
-    "split_box_difference",
-    "is_net",
-    "clip_convex_to_box",
-    "polygon_area",
-    # samplers
-    "PointSet",
-    "RngStream",
-    "MonteCarlo",
-    "SimpleStratified",
-    "GeneralizedStratified",
-    "RsjLattice",
-    "LatinHypercube",
-    "ScrambledNet",
-    "Mixed",
-    "MinCopula",
-    "FourSlot",
-    "SwapScheme",
-    "SchemeSpec",
-    "Stripes",
-    "LatticeCells",
-    "StrataSpec",
-    "sample",
-    "sample_batch",
-    "net_points",
-    "concat",
-    "save_pointset",
-    "load_pointset",
-    "describe_scheme",
-    "strata_count",
-    "stratum_index",
-    "stratum_corner_overlap",
-    "is_prime",
-    # discrepancy
-    "ProductWeights",
-    "ExplicitWeights",
-    "Weights",
-    "DiscrepancyResult",
-    "local_discrepancy",
-    "star_discrepancy_exact",
-    "star_discrepancy_cover",
-    "weighted_star_discrepancy",
-    "weight_of",
-    "DEFAULT_BUDGET",
-    # integrate
-    "ProductCoords",
-    "SumCoords",
-    "CornerIndicator",
-    "NegProduct",
-    "UserFunction",
-    "TestFunction",
-    "describe_function",
-    "rqmc_estimate",
-    "quasivolume",
-    "is_quasimonotone_scan",
-    "QuasimonotoneScan",
-    "variance_study",
-    "VarianceStudy",
-    "simplex_max_check",
-    "SimplexMaxResult",
-    "elementary_symmetric",
-    # negdep
-    "DependenceReport",
-    "FactorizationCheck",
-    "CiNqdResult",
-    "REPORT_CSV_COLUMNS",
-    "FACTOR_CSV_COLUMNS",
-    "wilson_interval",
-    "check_upper_nd",
-    "check_lower_nd",
-    "check_pairwise_nd",
-    "check_conditional_nqd",
-    "check_ci_nqd",
-    "lhs_anchored_prob_exact",
-    "gss_anchored_prob_exact",
-    "mixed_anchored_prob_exact",
-    "rsj_small_prob",
-    "corner_cells",
-    "min_copula_cdf",
-    "min_copula_rect_prob",
-    "analytic_pair_prob",
-    "falling_factorial",
-    "DEFAULT_CONFIDENCE",
-    # bounds
-    "BoundParams",
-    "BoundResult",
-    "hoeffding_tail",
-    "boxdiff_bound",
-    "boxdiff_bound_theta",
-    "mixed_bound_theta",
-    "corner_bound",
-    "corner_bound_theta",
-    "corner_eta",
-    "corner_eta_consistent",
-    "weighted_bound",
-    "weighted_bound_theta",
-    # acceptance
-    "DEFAULT_SEED",
-    "ALL_CRITERIA",
-    "CriterionResult",
-    "run_all",
+# the public names are those each module lists in its own __all__
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, geometry, samplers, discrepancy, integrate, negdep, bounds, acceptance)
+    for name in module.__all__
 ]

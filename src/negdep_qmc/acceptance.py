@@ -26,7 +26,6 @@ from .integrate import CornerIndicator, ProductCoords, simplex_max_check, varian
 from .negdep import (
     corner_cells,
     lhs_anchored_prob_exact,
-    min_copula_cdf,
     min_copula_rect_prob,
     mixed_anchored_prob_exact,
     rsj_small_prob,
@@ -47,6 +46,7 @@ from .samplers import (
     ScrambledNet,
     SwapScheme,
     is_prime,
+    min_copula_cdf,
     net_points,
     sample,
     sample_batch,

@@ -2,17 +2,23 @@
 
 One subcommand per workflow: sample | discrepancy | negdep | bounds |
 variance | net-check | report. Each takes a single JSON configuration file
-(unknown keys are rejected) plus --seed / --threads / --out overrides, and
-writes CSV with a stable, documented column order. When writing to a file, a
-sidecar <out>.schema.json records the subcommand, package version, and column
-names. Outputs contain no timestamps: identical configuration, seed, and
-thread count of 1 give byte-identical files, and multithreaded runs of the
-statistical commands reproduce the same counts because replication streams
-are keyed by chunk index, not by thread.
+plus --seed / --threads / --out overrides, and writes CSV with a stable,
+documented column order. When writing to a file, a sidecar <out>.schema.json
+records the subcommand, package version, and column names. Outputs contain
+no timestamps: identical configuration, seed, and thread count of 1 give
+byte-identical files, and multithreaded runs of the statistical commands
+reproduce the same counts because replication streams are keyed by chunk
+index, not by thread.
 
-Exit codes: 0 success, 2 validation error, 3 budget exceeded, 4 acceptance
-failure (a failed report criterion, or a "violated" verdict under
---expect-holds).
+Configs are read strictly: unknown keys are rejected, and every value must
+have its JSON type (integers are JSON integers, numbers any JSON number,
+flags JSON booleans, vectors lists of numbers, tables objects). Schemes,
+strata, boxes, weights and functions are built from their dataclass fields,
+looked up by "kind" (`samplers.SCHEMES` for schemes).
+
+Exit codes: 0 success, 2 validation error (a malformed config value
+included), 3 budget exceeded, 4 acceptance failure (a failed report
+criterion, or a "violated" verdict under --expect-holds).
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
+from dataclasses import fields
 from itertools import product
 
 import numpy as np
@@ -54,14 +62,12 @@ from .integrate import (
     NegProduct,
     ProductCoords,
     SumCoords,
+    VarianceStudy,
     variance_study,
 )
 from .negdep import (
     FACTOR_CSV_COLUMNS,
     REPORT_CSV_COLUMNS,
-    gss_anchored_prob_exact,
-    lhs_anchored_prob_exact,
-    mixed_anchored_prob_exact,
     check_ci_nqd,
     check_conditional_nqd,
     check_lower_nd,
@@ -69,19 +75,10 @@ from .negdep import (
     check_upper_nd,
 )
 from .samplers import (
-    FourSlot,
-    GeneralizedStratified,
-    LatinHypercube,
-    LatticeCells,
-    Mixed,
-    MinCopula,
-    MonteCarlo,
+    SCHEMES,
+    STRATA,
     RngStream,
-    RsjLattice,
     ScrambledNet,
-    SimpleStratified,
-    Stripes,
-    SwapScheme,
     load_pointset,
     net_points,
     sample,
@@ -92,7 +89,7 @@ THREADS_ENV = "NEGDEP_QMC_THREADS"
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Config plumbing: one typed reader
 
 
 def _check_keys(cfg: dict, allowed, where: str) -> None:
@@ -105,6 +102,45 @@ def _need(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ValidationError(f"missing required key '{key}' in {where}")
     return cfg[key]
+
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+          dict: "a JSON object"}
+
+
+def _typed(value, kind, what: str):
+    """Check one JSON value against `kind` and return it as Python data.
+
+    int is a JSON integer (not a boolean), float any JSON number (returned as
+    a float), bool a JSON boolean, str a string, dict an object, and [kind]
+    a list of such values (returned as a tuple). Anything else raises
+    ValidationError naming `what`.
+    """
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValidationError(f"{what} must be a list, got {json.dumps(value)}")
+        return tuple(_typed(x, kind[0], f"{what}[{k}]") for k, x in enumerate(value))
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ValidationError(f"{what} must be {_KINDS[kind]}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
+
+
+_REQUIRED = object()
+
+
+def _get(cfg: dict, key: str, kind, where: str, default=_REQUIRED):
+    """cfg[key] read as `kind`; a missing key gives `default`, if there is one."""
+    if key not in cfg and default is not _REQUIRED:
+        return default
+    return _typed(_need(cfg, key, where), kind, f"'{key}' in {where}")
+
+
+def _grid(cfg: dict, key: str, kind, where: str, default=_REQUIRED) -> tuple:
+    """A sweep axis: one `kind` value or a list of them."""
+    if not isinstance(cfg.get(key, []), list):
+        cfg = {key: [cfg[key]]}
+    return _get(cfg, key, [kind], where, default)
 
 
 def _load_config(path) -> dict:
@@ -122,140 +158,97 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _weight_table(value, what: str) -> dict:
+    table = {}
+    for key, val in _typed(value, dict, what).items():
+        try:
+            coords = frozenset(int(tok) - 1 for tok in key.split(","))
+        except ValueError as exc:
+            raise ValidationError(
+                f"explicit weight key '{key}' must be comma-separated 1-based coordinates"
+            ) from exc
+        if any(c < 0 for c in coords):
+            raise ValidationError("explicit weight coordinates are 1-based")
+        table[coords] = _typed(val, float, f"{what}['{key}']")
+    return table
+
+
+# readers of dataclass fields, by annotation
+_FIELDS = {
+    "int": lambda v, what: _typed(v, int, what),
+    "tuple[int, int]": lambda v, what: _typed(v, [int], what),
+    "np.ndarray": lambda v, what: _typed(v, [float], what),
+    "Mapping[frozenset, float]": _weight_table,
+    "SchemeSpec": lambda v, what: parse_scheme(v),
+    "StrataSpec": lambda v, what: _parse_kind(v, STRATA, "strata"),
+}
+
+
+def _parse_kind(cfg, table: dict, what: str):
+    """Build table[cfg["kind"]] from cfg, reading each dataclass field by its type."""
+    cfg = _typed(cfg, dict, what)
+    kind = _get(cfg, "kind", str, what)
+    if kind not in table:
+        raise ValidationError(f"unknown {what} kind '{kind}'")
+    where = f"{what} '{kind}'"
+    params = fields(table[kind])
+    _check_keys(cfg, {"kind"} | {f.name for f in params}, where)
+    return table[kind](
+        *(_FIELDS[f.type](_need(cfg, f.name, where), f"'{f.name}' in {where}") for f in params)
+    )
+
+
 def parse_scheme(cfg) -> object:
-    if not isinstance(cfg, dict):
-        raise ValidationError("scheme must be a JSON object")
-    kind = _need(cfg, "kind", "scheme")
-    simple = {
-        "mc": MonteCarlo,
-        "sss": SimpleStratified,
-        "lhs": LatinHypercube,
-        "rsj": RsjLattice,
-        "mincopula": MinCopula,
-        "fourslot": FourSlot,
-        "swap": SwapScheme,
-    }
-    if kind in simple:
-        _check_keys(cfg, {"kind"}, f"scheme '{kind}'")
-        return simple[kind]()
-    if kind == "gss":
-        _check_keys(cfg, {"kind", "beta", "strata"}, "scheme 'gss'")
-        strata_cfg = _need(cfg, "strata", "scheme 'gss'")
-        skind = _need(strata_cfg, "kind", "strata")
-        if skind == "stripes":
-            _check_keys(strata_cfg, {"kind", "count"}, "strata 'stripes'")
-            strata = Stripes(int(_need(strata_cfg, "count", "strata 'stripes'")))
-        elif skind == "cells":
-            _check_keys(strata_cfg, {"kind", "g", "n"}, "strata 'cells'")
-            g = _need(strata_cfg, "g", "strata 'cells'")
-            strata = LatticeCells(tuple(int(x) for x in g), int(_need(strata_cfg, "n", "strata 'cells'")))
-        else:
-            raise ValidationError(f"unknown strata kind '{skind}'")
-        return GeneralizedStratified(int(_need(cfg, "beta", "scheme 'gss'")), strata)
-    if kind == "net":
-        _check_keys(cfg, {"kind", "b", "m", "s"}, "scheme 'net'")
-        return ScrambledNet(
-            int(_need(cfg, "b", "scheme 'net'")),
-            int(_need(cfg, "m", "scheme 'net'")),
-            int(_need(cfg, "s", "scheme 'net'")),
-        )
-    if kind == "mixed":
-        _check_keys(cfg, {"kind", "left", "d_left", "right", "d_right"}, "scheme 'mixed'")
-        return Mixed(
-            parse_scheme(_need(cfg, "left", "scheme 'mixed'")),
-            int(_need(cfg, "d_left", "scheme 'mixed'")),
-            parse_scheme(_need(cfg, "right", "scheme 'mixed'")),
-            int(_need(cfg, "d_right", "scheme 'mixed'")),
-        )
-    raise ValidationError(f"unknown scheme kind '{kind}'")
+    return _parse_kind(cfg, SCHEMES, "scheme")
 
 
 def parse_box(cfg):
-    if not isinstance(cfg, dict):
-        raise ValidationError("box must be a JSON object")
-    kind = _need(cfg, "kind", "box")
-    if kind == "corner0":
-        _check_keys(cfg, {"kind", "upper"}, "box 'corner0'")
-        return CornerBox0(tuple(float(x) for x in _need(cfg, "upper", "box 'corner0'")))
-    if kind == "corner1":
-        _check_keys(cfg, {"kind", "lower"}, "box 'corner1'")
-        return CornerBox1(tuple(float(x) for x in _need(cfg, "lower", "box 'corner1'")))
-    if kind == "interval":
-        _check_keys(cfg, {"kind", "a", "b"}, "box 'interval'")
-        return Interval(
-            tuple(float(x) for x in _need(cfg, "a", "box 'interval'")),
-            tuple(float(x) for x in _need(cfg, "b", "box 'interval'")),
-        )
-    raise ValidationError(f"unknown box kind '{kind}'")
+    boxes = {"corner0": CornerBox0, "corner1": CornerBox1, "interval": Interval}
+    return _parse_kind(cfg, boxes, "box")
 
 
 def parse_weights(cfg):
-    if not isinstance(cfg, dict):
-        raise ValidationError("weights must be a JSON object")
-    kind = _need(cfg, "kind", "weights")
-    if kind == "product":
-        _check_keys(cfg, {"kind", "gamma"}, "weights 'product'")
-        return ProductWeights(tuple(float(x) for x in _need(cfg, "gamma", "weights 'product'")))
-    if kind == "explicit":
-        _check_keys(cfg, {"kind", "table"}, "weights 'explicit'")
-        table = {}
-        for key, val in _need(cfg, "table", "weights 'explicit'").items():
-            try:
-                coords = frozenset(int(tok) - 1 for tok in key.split(","))
-            except ValueError as exc:
-                raise ValidationError(
-                    f"explicit weight key '{key}' must be comma-separated 1-based coordinates"
-                ) from exc
-            if any(c < 0 for c in coords):
-                raise ValidationError("explicit weight coordinates are 1-based")
-            table[coords] = float(val)
-        return ExplicitWeights(table)
-    raise ValidationError(f"unknown weights kind '{kind}'")
+    return _parse_kind(cfg, {"product": ProductWeights, "explicit": ExplicitWeights}, "weights")
 
 
 def parse_function(cfg):
-    if not isinstance(cfg, dict):
-        raise ValidationError("function must be a JSON object")
-    kind = _need(cfg, "kind", "function")
-    if kind == "product_coords":
-        _check_keys(cfg, {"kind"}, "function")
-        return ProductCoords()
-    if kind == "sum_coords":
-        _check_keys(cfg, {"kind"}, "function")
-        return SumCoords()
-    if kind == "neg_product":
-        _check_keys(cfg, {"kind"}, "function")
-        return NegProduct()
-    if kind == "corner_indicator":
-        _check_keys(cfg, {"kind", "a"}, "function")
-        return CornerIndicator(tuple(float(x) for x in _need(cfg, "a", "function")))
-    raise ValidationError(f"unknown function kind '{kind}'")
+    return _parse_kind(
+        cfg,
+        {"product_coords": ProductCoords, "sum_coords": SumCoords, "neg_product": NegProduct,
+         "corner_indicator": CornerIndicator},
+        "function",
+    )
 
 
-def _resolve_threads(args, cfg) -> int:
+def _resolve_threads(args, cfg, where: str) -> int:
     if args.threads is not None:
-        return max(1, int(args.threads))
-    if "threads" in cfg:
-        return max(1, int(cfg["threads"]))
-    env = os.environ.get(THREADS_ENV)
-    if env:
+        threads, source = args.threads, "--threads"
+    elif "threads" in cfg:
+        threads, source = _get(cfg, "threads", int, where), f"'threads' in {where}"
+    else:
         try:
-            return max(1, int(env))
+            threads, source = int(os.environ.get(THREADS_ENV) or 1), THREADS_ENV
         except ValueError as exc:
             raise ValidationError(f"{THREADS_ENV} must be an integer") from exc
-    return 1
+    if threads < 1:
+        raise ValidationError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
-def _resolve_seed(args, cfg) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    return 0
+def _open(args, keys, where: str, seed_default: int = 0):
+    """Load the config, reject unknown keys, and resolve the common settings.
 
-
-def _resolve_out(args, cfg):
-    return args.out if args.out is not None else cfg.get("out")
+    Returns (cfg, seed, threads, out); --seed, --threads and --out override
+    the config, and the thread count falls back to $NEGDEP_QMC_THREADS, then 1.
+    """
+    cfg = _load_config(args.config)
+    _check_keys(cfg, set(keys) | {"seed", "threads", "out"}, where)
+    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, where, seed_default)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    threads = _resolve_threads(args, cfg, where)
+    out = args.out if args.out is not None else _get(cfg, "out", str, where, None)
+    return cfg, seed, threads, out
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +267,12 @@ def _fmt(value) -> str:
 
 def _write_csv(out, subcommand: str, columns, rows) -> None:
     """Write rows to `out` (or stdout when None); files get a schema sidecar."""
-    if out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        return
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", newline="") if out is not None else nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    if out is None:
+        return
     schema = {
         "subcommand": subcommand,
         "version": __version__,
@@ -299,24 +287,27 @@ def _write_csv(out, subcommand: str, columns, rows) -> None:
 # Subcommands
 
 
+def _read_points(cfg, where: str):
+    path = _get(cfg, "points", str, where)
+    try:
+        return load_pointset(path)
+    except (OSError, ValueError) as exc:  # ValueError: undecodable or non-numeric text
+        raise ValidationError(f"cannot read points file: {exc}") from exc
+
+
 def _load_or_sample_points(cfg, seed: int, where: str):
     if "points" in cfg:
-        return load_pointset(cfg["points"])
+        return _read_points(cfg, where)
     scheme = parse_scheme(_need(cfg, "scheme", where))
-    n = int(_need(cfg, "n", where))
-    d = int(_need(cfg, "d", where))
+    n = _get(cfg, "n", int, where)
+    d = _get(cfg, "d", int, where)
     return sample(scheme, n, d, RngStream(seed))
 
 
 def cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"scheme", "n", "d", "seed", "threads", "out"}, "sample config")
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
-    scheme = parse_scheme(_need(cfg, "scheme", "sample config"))
-    n = int(_need(cfg, "n", "sample config"))
-    d = int(_need(cfg, "d", "sample config"))
-    ps = sample(scheme, n, d, RngStream(seed))
+    where = "sample config"
+    cfg, seed, _, out = _open(args, {"scheme", "n", "d"}, where)
+    ps = _load_or_sample_points(cfg, seed, where)
     if out is None:
         sys.stdout.write(f"{ps.d} {ps.n}\n")
         for row in ps.data:
@@ -332,25 +323,19 @@ _DISC_COLUMNS = (
 
 
 def cmd_discrepancy(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        {"points", "scheme", "n", "d", "seed", "threads", "out", "exact", "delta",
-         "weights", "budget"},
-        "discrepancy config",
+    where = "discrepancy config"
+    cfg, seed, _, out = _open(
+        args, {"points", "scheme", "n", "d", "exact", "delta", "weights", "budget"}, where
     )
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
-    budget = int(cfg.get("budget", DEFAULT_BUDGET))
-    ps = _load_or_sample_points(cfg, seed, "discrepancy config")
+    budget = _get(cfg, "budget", int, where, DEFAULT_BUDGET)
+    ps = _load_or_sample_points(cfg, seed, where)
     rows = []
-    want_exact = bool(cfg.get("exact", "delta" not in cfg and "weights" not in cfg))
-    if want_exact:
+    if _get(cfg, "exact", bool, where, "delta" not in cfg and "weights" not in cfg):
         res = star_discrepancy_exact(ps, budget)
         witness = "" if res.witness is None else " ".join(f"{x:.17g}" for x in res.witness)
         rows.append(["exact", ps.n, ps.d, res.value, "", "", "", witness, res.witness_side or ""])
     if "delta" in cfg:
-        delta = float(cfg["delta"])
+        delta = _get(cfg, "delta", float, where)
         lower, upper = star_discrepancy_cover(ps, delta, budget)
         rows.append(["cover", ps.n, ps.d, "", lower, upper, delta, "", ""])
     if "weights" in cfg:
@@ -360,117 +345,65 @@ def cmd_discrepancy(args) -> int:
     return 0
 
 
-def _as_list(value):
-    return value if isinstance(value, list) else [value]
-
-
-def _oracle_value(cfg_scheme, scheme, notion, box, n, t):
-    """Exact anchored-box probability where a closed form exists, else ''."""
-    if notion != "upper_nd" or not isinstance(box, CornerBox0):
-        return ""
-    if isinstance(scheme, LatinHypercube):
-        return lhs_anchored_prob_exact(n, box.upper, t)
-    if isinstance(scheme, GeneralizedStratified):
-        return gss_anchored_prob_exact(scheme.beta, scheme.strata, box, n, t)
-    if (
-        isinstance(scheme, Mixed)
-        and isinstance(scheme.left, LatinHypercube)
-        and isinstance(scheme.right, LatinHypercube)
-    ):
-        return mixed_anchored_prob_exact(
-            n, box.upper[: scheme.d_left], box.upper[scheme.d_left:], t
-        )
-    return ""
-
-
 _NEGDEP_COLUMNS = REPORT_CSV_COLUMNS + ("oracle",)
 _FACTOR_COLUMNS = ("scheme", "n", "d") + FACTOR_CSV_COLUMNS
 
 
 def cmd_negdep(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        {"scheme", "n", "d", "test", "reps", "seed", "threads", "out", "confidence",
-         "gamma", "anchors", "t_values", "q_anchors", "r_anchors", "i", "a_box",
-         "b_box", "alphas", "betas", "q_values", "r_values", "expect_holds", "oracle"},
-        "negdep config",
+    where = "negdep config"
+    cfg, seed, threads, out = _open(
+        args,
+        {"scheme", "n", "d", "test", "reps", "confidence", "gamma", "anchors", "t_values",
+         "q_anchors", "r_anchors", "i", "a_box", "b_box", "alphas", "betas", "q_values",
+         "r_values", "expect_holds", "oracle"},
+        where,
     )
-    seed = _resolve_seed(args, cfg)
-    threads = _resolve_threads(args, cfg)
-    out = _resolve_out(args, cfg)
-    scheme_cfg = _need(cfg, "scheme", "negdep config")
-    scheme = parse_scheme(scheme_cfg)
-    n = int(_need(cfg, "n", "negdep config"))
-    d = int(_need(cfg, "d", "negdep config"))
-    test = _need(cfg, "test", "negdep config")
-    reps = int(cfg.get("reps", 10_000))
-    confidence = float(cfg.get("confidence", 0.99))
-    gamma = float(cfg.get("gamma", 1.0))
-    want_oracle = bool(cfg.get("oracle", False)) or args.oracle
-    expect_holds = bool(cfg.get("expect_holds", False)) or args.expect_holds
+    scheme = parse_scheme(_need(cfg, "scheme", where))
+    n = _get(cfg, "n", int, where)
+    d = _get(cfg, "d", int, where)
+    test = _get(cfg, "test", str, where)
+    reps = _get(cfg, "reps", int, where, 10_000)
+    confidence = _get(cfg, "confidence", float, where, 0.99)
+    gamma = _get(cfg, "gamma", float, where, 1.0)
+    want_oracle = _get(cfg, "oracle", bool, where, False) or args.oracle
+    expect_holds = _get(cfg, "expect_holds", bool, where, False) or args.expect_holds
     rng = RngStream(seed)
-    reports = []
+    reports = []  # (report, oracle value or "")
     factor_rows = []
 
     if test in ("upper", "lower"):
-        anchors = _need(cfg, "anchors", "negdep config")
-        t_values = [int(t) for t in _as_list(_need(cfg, "t_values", "negdep config"))]
         fn = check_upper_nd if test == "upper" else check_lower_nd
-        notion = "upper_nd" if test == "upper" else "lower_nd"
-        k = 0
-        for anchor in anchors:
-            box = CornerBox0(tuple(float(x) for x in anchor))
-            for t in t_values:
-                rep = fn(scheme, n, d, box, t, reps, rng.split(k), gamma, confidence, threads)
-                oracle = _oracle_value(scheme_cfg, scheme, notion, box, n, t) if want_oracle else ""
-                reports.append((rep, oracle))
-                k += 1
+        anchors = _get(cfg, "anchors", [[float]], where)
+        for k, (anchor, t) in enumerate(product(anchors, _grid(cfg, "t_values", int, where))):
+            box = CornerBox0(anchor)
+            rep = fn(scheme, n, d, box, t, reps, rng.split(k), gamma, confidence, threads)
+            oracle = scheme.anchored_prob(n, box, t) if want_oracle and test == "upper" else None
+            reports.append((rep, "" if oracle is None else oracle))
     elif test == "pairwise":
-        q_anchors = _need(cfg, "q_anchors", "negdep config")
-        r_anchors = _need(cfg, "r_anchors", "negdep config")
-        k = 0
-        for qa in q_anchors:
-            for ra in r_anchors:
-                pair = check_pairwise_nd(
-                    scheme, n, d,
-                    CornerBox1(tuple(float(x) for x in qa)),
-                    CornerBox1(tuple(float(x) for x in ra)),
-                    reps, rng.split(k), confidence, threads,
-                )
-                reports.extend((rep, "") for rep in pair)
-                k += 1
+        anchors = product(_get(cfg, "q_anchors", [[float]], where),
+                          _get(cfg, "r_anchors", [[float]], where))
+        for k, (qa, ra) in enumerate(anchors):
+            pair = check_pairwise_nd(scheme, n, d, CornerBox1(qa), CornerBox1(ra), reps,
+                                     rng.split(k), confidence, threads)
+            reports.extend((rep, "") for rep in pair)
     elif test == "conditional":
-        i = int(_need(cfg, "i", "negdep config"))
-        a_box = parse_box(cfg["a_box"]) if cfg.get("a_box") is not None else None
-        b_box = parse_box(cfg["b_box"]) if cfg.get("b_box") is not None else None
-        alphas = [float(x) for x in _as_list(_need(cfg, "alphas", "negdep config"))]
-        betas = [float(x) for x in _as_list(_need(cfg, "betas", "negdep config"))]
-        k = 0
-        for alpha in alphas:
-            for beta in betas:
-                rep = check_conditional_nqd(
-                    scheme, n, d, i, a_box, b_box, alpha, beta, reps,
-                    rng.split(k), confidence, threads,
-                )
-                reports.append((rep, ""))
-                k += 1
+        i = _get(cfg, "i", int, where)
+        a_box, b_box = (
+            parse_box(cfg[key]) if cfg.get(key) is not None else None for key in ("a_box", "b_box")
+        )
+        levels = product(_grid(cfg, "alphas", float, where), _grid(cfg, "betas", float, where))
+        for k, (alpha, beta) in enumerate(levels):
+            rep = check_conditional_nqd(scheme, n, d, i, a_box, b_box, alpha, beta, reps,
+                                        rng.split(k), confidence, threads)
+            reports.append((rep, ""))
     elif test == "ci":
-        i = int(_need(cfg, "i", "negdep config"))
-        q_values = [float(x) for x in _as_list(_need(cfg, "q_values", "negdep config"))]
-        r_values = [float(x) for x in _as_list(_need(cfg, "r_values", "negdep config"))]
-        k = 0
-        for q in q_values:
-            for r in r_values:
-                res = check_ci_nqd(
-                    scheme, n, d, i, q, r, reps, rng.split(k), confidence, threads
-                )
-                reports.append((res.primary, ""))
-                for check in res.factorization:
-                    factor_rows.append(
-                        [res.primary.scheme, n, d] + check.to_csv_row()
-                    )
-                k += 1
+        i = _get(cfg, "i", int, where)
+        levels = product(_grid(cfg, "q_values", float, where),
+                         _grid(cfg, "r_values", float, where))
+        for k, (q, r) in enumerate(levels):
+            res = check_ci_nqd(scheme, n, d, i, q, r, reps, rng.split(k), confidence, threads)
+            reports.append((res.primary, ""))
+            factor_rows += [[res.primary.scheme, n, d] + c.to_csv_row() for c in res.factorization]
     else:
         raise ValidationError(f"unknown negdep test '{test}'")
 
@@ -505,74 +438,54 @@ _BOUNDS_COLUMNS = (
 
 
 def cmd_bounds(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg, {"formula", "grid", "weights", "gamma", "seed", "threads", "out"},
-        "bounds config",
-    )
-    out = _resolve_out(args, cfg)
-    formula = _need(cfg, "formula", "bounds config")
-    grid = _need(cfg, "grid", "bounds config")
+    where = "bounds config"
+    cfg, _, _, out = _open(args, {"formula", "grid", "weights", "gamma"}, where)
+    formula = _get(cfg, "formula", str, where)
+    grid = _get(cfg, "grid", dict, where)
     _check_keys(grid, {"n", "d", "rho", "c", "theta", "t"}, "bounds grid")
-    n_list = [int(x) for x in _as_list(_need(grid, "n", "bounds grid"))]
-    gamma = float(cfg.get("gamma", 1.0))
+    n_list = _grid(grid, "n", int, "bounds grid")
+    gamma = _get(cfg, "gamma", float, where, 1.0)
     rows = []
     if formula == "hoeffding":
-        t_list = [float(x) for x in _as_list(_need(grid, "t", "bounds grid"))]
-        for n, t in product(n_list, t_list):
+        for n, t in product(n_list, _grid(grid, "t", float, "bounds grid")):
             value = hoeffding_tail(n, t, gamma)
             rows.append(["hoeffding", n, "", "", "", "", t, gamma, value,
                          "", "", "", "", "", ""])
-        _write_csv(out, "bounds", _BOUNDS_COLUMNS, rows)
-        return 0
-    if formula not in _BOUND_FNS:
+    elif formula not in _BOUND_FNS:
         raise ValidationError(f"unknown bound formula '{formula}'")
-    fn, free = _BOUND_FNS[formula]
-    d_list = [int(x) for x in _as_list(_need(grid, "d", "bounds grid"))]
-    rho_list = [float(x) for x in _as_list(grid.get("rho", [0.0]))]
-    free_list = [float(x) for x in _as_list(_need(grid, free, "bounds grid"))]
-    weights = parse_weights(cfg["weights"]) if "weights" in cfg else None
-    if formula.startswith("weighted") and weights is None:
-        raise ValidationError("weighted bounds need a 'weights' entry")
-    for n, d, rho, x in product(n_list, d_list, rho_list, free_list):
-        params = BoundParams(n=n, d=d, rho=rho, **{free: x})
-        res = fn(params, weights) if formula.startswith("weighted") else fn(params)
-        detail = dict(res.details)
-        rows.append([
-            res.formula, n, d, rho,
-            x if free == "c" else "", x if free == "theta" else "", "", "",
-            res.bound_value, res.success_prob, res.clamped, res.raw_success_prob,
-            detail.get("xi", ""), detail.get("eta", ""), detail.get("c_effective", ""),
-        ])
+    else:
+        fn, free = _BOUND_FNS[formula]
+        d_list = _grid(grid, "d", int, "bounds grid")
+        rho_list = _grid(grid, "rho", float, "bounds grid", (0.0,))
+        free_list = _grid(grid, free, float, "bounds grid")
+        weights = parse_weights(cfg["weights"]) if "weights" in cfg else None
+        if formula.startswith("weighted") and weights is None:
+            raise ValidationError("weighted bounds need a 'weights' entry")
+        for n, d, rho, x in product(n_list, d_list, rho_list, free_list):
+            params = BoundParams(n=n, d=d, rho=rho, **{free: x})
+            res = fn(params, weights) if formula.startswith("weighted") else fn(params)
+            detail = dict(res.details)
+            rows.append([
+                res.formula, n, d, rho,
+                x if free == "c" else "", x if free == "theta" else "", "", "",
+                res.bound_value, res.success_prob, res.clamped, res.raw_success_prob,
+                detail.get("xi", ""), detail.get("eta", ""), detail.get("c_effective", ""),
+            ])
     _write_csv(out, "bounds", _BOUNDS_COLUMNS, rows)
     return 0
 
 
-_VARIANCE_COLUMNS = (
-    "scheme", "function", "n", "d", "replications", "var_scheme", "var_mc",
-    "ratio", "ratio_stderr",
-)
-
-
 def cmd_variance(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg, {"scheme", "function", "n", "d", "reps", "seed", "threads", "out"},
-        "variance config",
-    )
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
-    scheme = parse_scheme(_need(cfg, "scheme", "variance config"))
-    f = parse_function(_need(cfg, "function", "variance config"))
-    n = int(_need(cfg, "n", "variance config"))
-    d = int(_need(cfg, "d", "variance config"))
-    reps = int(cfg.get("reps", 1000))
+    where = "variance config"
+    cfg, seed, _, out = _open(args, {"scheme", "function", "n", "d", "reps"}, where)
+    scheme = parse_scheme(_need(cfg, "scheme", where))
+    f = parse_function(_need(cfg, "function", where))
+    n = _get(cfg, "n", int, where)
+    d = _get(cfg, "d", int, where)
+    reps = _get(cfg, "reps", int, where, 1000)
     study = variance_study(scheme, f, n, d, reps, RngStream(seed))
-    rows = [[
-        study.scheme, study.function, study.n, study.d, study.replications,
-        study.var_scheme, study.var_mc, study.ratio, study.ratio_stderr,
-    ]]
-    _write_csv(out, "variance", _VARIANCE_COLUMNS, rows)
+    columns = tuple(field.name for field in fields(VarianceStudy))
+    _write_csv(out, "variance", columns, [[getattr(study, c) for c in columns]])
     return 0
 
 
@@ -580,21 +493,16 @@ _NET_COLUMNS = ("source", "b", "m", "s", "t", "n", "is_net")
 
 
 def cmd_net_check(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg, {"points", "b", "m", "s", "t", "scramble", "seed", "threads", "out"},
-        "net-check config",
-    )
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
-    b = int(_need(cfg, "b", "net-check config"))
-    m = int(_need(cfg, "m", "net-check config"))
-    s = int(_need(cfg, "s", "net-check config"))
-    t = int(cfg.get("t", 0))
+    where = "net-check config"
+    cfg, seed, _, out = _open(args, {"points", "b", "m", "s", "t", "scramble"}, where)
+    b = _get(cfg, "b", int, where)
+    m = _get(cfg, "m", int, where)
+    s = _get(cfg, "s", int, where)
+    t = _get(cfg, "t", int, where, 0)
     if "points" in cfg:
-        ps = load_pointset(cfg["points"])
+        ps = _read_points(cfg, where)
         source = "file"
-    elif cfg.get("scramble", False):
+    elif _get(cfg, "scramble", bool, where, False):
         ps = sample(ScrambledNet(b, m, s), b**m, s, RngStream(seed))
         source = "scrambled"
     else:
@@ -606,13 +514,12 @@ def cmd_net_check(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"out_dir", "seed", "threads", "criteria", "out"}, "report config")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
-    out_dir = args.out if args.out is not None else cfg.get("out_dir")
+    where = "report config"
+    cfg, seed, _, _ = _open(args, {"out_dir", "criteria"}, where, DEFAULT_SEED)
+    out_dir = args.out if args.out is not None else _get(cfg, "out_dir", str, where, None)
     criteria = cfg.get("criteria")
     if criteria is not None:
-        criteria = [int(c) for c in criteria]
+        criteria = _typed(criteria, [int], f"'criteria' in {where}")
         bad = [c for c in criteria if not 1 <= c <= 12]
         if bad:
             raise ValidationError(f"criterion ids must lie in 1..12, got {bad}")

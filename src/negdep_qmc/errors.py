@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["ValidationError", "BudgetExceededError"]
+
 
 class ValidationError(ValueError):
     """Bad parameters, malformed config, or an unsupported combination."""

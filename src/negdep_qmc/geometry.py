@@ -1,8 +1,9 @@
 """Axis-parallel regions of the half-open unit cube [0,1)^d.
 
-Box types (anchored corner boxes, intervals, box differences, base-b elementary
-intervals), volume and membership, delta-covers with bracketing-number bounds,
-the two-piece split of a box difference, and an exact (t,m,s)-net checker.
+Region types (anchored corner boxes, intervals, box differences, products of
+two regions), each owning its volume, membership, label and per-axis ranges;
+delta-covers with bracketing-number bounds, the two-piece split of a box
+difference, and an exact (t,m,s)-net checker.
 
 Membership is half-open throughout: lower edges closed, upper edges open.
 Comparisons are exact floating point; no epsilons except where documented.
@@ -24,12 +25,10 @@ __all__ = [
     "CornerBox1",
     "Interval",
     "BoxDiff",
-    "ElementaryInterval",
     "ProductRegion",
     "DeltaCover",
     "CoverValidation",
     "volume",
-    "contains",
     "contains_points",
     "describe_box",
     "build_delta_cover",
@@ -55,8 +54,22 @@ def _unit_vector(x, name, closed_top=True):
     return arr
 
 
+def _fmt(v) -> str:
+    return "(" + ",".join(f"{x:g}" for x in np.atleast_1d(v)) + ")"
+
+
+class _Region:
+    """What every region type owns: its Lebesgue `volume()`, vectorized
+    membership `contains(pts)` over the last axis of `pts`, a short `label()`
+    for reports, and `axes()`, its per-axis (lo, hi) ranges when it is a
+    plain rectangle (else None)."""
+
+    def axes(self):
+        return None
+
+
 @dataclass(frozen=True)
-class CornerBox0:
+class CornerBox0(_Region):
     """Half-open box [0, upper) anchored at the origin."""
 
     upper: np.ndarray
@@ -68,9 +81,21 @@ class CornerBox0:
     def d(self) -> int:
         return self.upper.size
 
+    def volume(self) -> float:
+        return float(np.prod(self.upper))
+
+    def contains(self, pts):
+        return np.all(pts < self.upper, axis=-1)
+
+    def label(self) -> str:
+        return f"[0,{_fmt(self.upper)})"
+
+    def axes(self):
+        return [(0.0, float(u)) for u in self.upper]
+
 
 @dataclass(frozen=True)
-class CornerBox1:
+class CornerBox1(_Region):
     """Half-open box [lower, 1) anchored at the upper corner."""
 
     lower: np.ndarray
@@ -82,9 +107,21 @@ class CornerBox1:
     def d(self) -> int:
         return self.lower.size
 
+    def volume(self) -> float:
+        return float(np.prod(1.0 - self.lower))
+
+    def contains(self, pts):
+        return np.all(pts >= self.lower, axis=-1)
+
+    def label(self) -> str:
+        return f"[{_fmt(self.lower)},1)"
+
+    def axes(self):
+        return [(float(lo), 1.0) for lo in self.lower]
+
 
 @dataclass(frozen=True)
-class Interval:
+class Interval(_Region):
     """Half-open axis-parallel box [a, b)."""
 
     a: np.ndarray
@@ -104,9 +141,21 @@ class Interval:
     def d(self) -> int:
         return self.a.size
 
+    def volume(self) -> float:
+        return float(np.prod(self.b - self.a))
+
+    def contains(self, pts):
+        return np.all(pts >= self.a, axis=-1) & np.all(pts < self.b, axis=-1)
+
+    def label(self) -> str:
+        return f"[{_fmt(self.a)},{_fmt(self.b)})"
+
+    def axes(self):
+        return [(float(a), float(b)) for a, b in zip(self.a, self.b)]
+
 
 @dataclass(frozen=True)
-class BoxDiff:
+class BoxDiff(_Region):
     """Set difference outer \\ inner of two nested origin-anchored boxes."""
 
     outer: CornerBox0
@@ -122,39 +171,20 @@ class BoxDiff:
     def d(self) -> int:
         return self.outer.d
 
+    def volume(self) -> float:
+        return self.outer.volume() - self.inner.volume()
 
-@dataclass(frozen=True)
-class ElementaryInterval:
-    """Base-b elementary interval: product of [k_l/b^j_l, (k_l+1)/b^j_l)."""
+    def contains(self, pts):
+        return self.outer.contains(pts) & ~self.inner.contains(pts)
 
-    base: int
-    j: np.ndarray
-    k: np.ndarray
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValidationError("base must be >= 2")
-        j = np.atleast_1d(np.asarray(self.j, dtype=int))
-        k = np.atleast_1d(np.asarray(self.k, dtype=int))
-        if j.size != k.size or j.ndim != 1:
-            raise ValidationError("j and k must be integer vectors of equal length")
-        if np.any(j < 0):
-            raise ValidationError("digit depths j must be nonnegative")
-        if np.any(k < 0) or np.any(k >= self.base ** j.astype(object)):
-            raise ValidationError("cell indices k must satisfy 0 <= k < b^j")
-        j.setflags(write=False)
-        k.setflags(write=False)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "k", k)
-
-    @property
-    def d(self) -> int:
-        return self.j.size
+    def label(self) -> str:
+        return f"{self.outer.label()}\\{self.inner.label()}"
 
 
 @dataclass(frozen=True)
-class ProductRegion:
-    """Cartesian product of two box-like factors on complementary coordinate blocks."""
+class ProductRegion(_Region):
+    """Cartesian product of two box-like factors on complementary coordinate
+    blocks; a rectangle when both factors are."""
 
     left: object
     right: object
@@ -163,77 +193,45 @@ class ProductRegion:
     def d(self) -> int:
         return self.left.d + self.right.d
 
+    def volume(self) -> float:
+        return self.left.volume() * self.right.volume()
+
+    def contains(self, pts):
+        dl = self.left.d
+        return self.left.contains(pts[..., :dl]) & self.right.contains(pts[..., dl:])
+
+    def label(self) -> str:
+        return f"{self.left.label()}x{self.right.label()}"
+
+    def axes(self):
+        left, right = self.left.axes(), self.right.axes()
+        return None if left is None or right is None else left + right
+
+
+def _region(box) -> _Region:
+    if not isinstance(box, _Region):
+        raise ValidationError(f"unsupported region type: {type(box).__name__}")
+    return box
+
 
 def volume(box) -> float:
     """Lebesgue measure of a box-like region."""
-    if isinstance(box, CornerBox0):
-        return float(np.prod(box.upper))
-    if isinstance(box, CornerBox1):
-        return float(np.prod(1.0 - box.lower))
-    if isinstance(box, Interval):
-        return float(np.prod(box.b - box.a))
-    if isinstance(box, BoxDiff):
-        return volume(box.outer) - volume(box.inner)
-    if isinstance(box, ElementaryInterval):
-        return float(box.base) ** (-int(box.j.sum()))
-    if isinstance(box, ProductRegion):
-        return volume(box.left) * volume(box.right)
-    raise ValidationError(f"unsupported region type: {type(box).__name__}")
+    return _region(box).volume()
 
 
 def contains_points(box, pts) -> np.ndarray:
     """Vectorized membership: pts has shape (..., d), result has shape (...)."""
     pts = np.asarray(pts, dtype=float)
-    if pts.shape[-1] != box.d:
+    if pts.shape[-1] != _region(box).d:
         raise ValidationError(
             f"point dimension {pts.shape[-1]} does not match region dimension {box.d}"
         )
-    if isinstance(box, CornerBox0):
-        return np.all(pts < box.upper, axis=-1)
-    if isinstance(box, CornerBox1):
-        return np.all(pts >= box.lower, axis=-1)
-    if isinstance(box, Interval):
-        return np.all(pts >= box.a, axis=-1) & np.all(pts < box.b, axis=-1)
-    if isinstance(box, BoxDiff):
-        return contains_points(box.outer, pts) & ~contains_points(box.inner, pts)
-    if isinstance(box, ElementaryInterval):
-        scale = box.base ** box.j.astype(float)
-        lo = box.k / scale
-        hi = (box.k + 1) / scale
-        return np.all(pts >= lo, axis=-1) & np.all(pts < hi, axis=-1)
-    if isinstance(box, ProductRegion):
-        dl = box.left.d
-        return contains_points(box.left, pts[..., :dl]) & contains_points(
-            box.right, pts[..., dl:]
-        )
-    raise ValidationError(f"unsupported region type: {type(box).__name__}")
-
-
-def contains(box, p) -> bool:
-    """Scalar membership test for a single point."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return bool(contains_points(box, p))
+    return box.contains(pts)
 
 
 def describe_box(box) -> str:
     """Short human-readable label used in reports."""
-
-    def fmt(v):
-        return "(" + ",".join(f"{x:g}" for x in np.atleast_1d(v)) + ")"
-
-    if isinstance(box, CornerBox0):
-        return f"[0,{fmt(box.upper)})"
-    if isinstance(box, CornerBox1):
-        return f"[{fmt(box.lower)},1)"
-    if isinstance(box, Interval):
-        return f"[{fmt(box.a)},{fmt(box.b)})"
-    if isinstance(box, BoxDiff):
-        return f"{describe_box(box.outer)}\\{describe_box(box.inner)}"
-    if isinstance(box, ElementaryInterval):
-        return f"elem(b={box.base},j={fmt(box.j)},k={fmt(box.k)})"
-    if isinstance(box, ProductRegion):
-        return f"{describe_box(box.left)}x{describe_box(box.right)}"
-    return repr(box)
+    return box.label() if isinstance(box, _Region) else repr(box)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +288,12 @@ def build_delta_cover(d: int, delta: float) -> DeltaCover:
     """Construct a delta-cover of anchored boxes in dimension d: the d-fold
     product grid of `delta_cover_axis(d, delta)`."""
     vals = delta_cover_axis(d, delta)
-    m = vals.size
-    if d == 1:
-        grid = vals[:, None]
-    else:
-        mesh = np.meshgrid(*([vals] * d), indexing="ij")
-        grid = np.stack(mesh, axis=-1).reshape(-1, d)
+    grid = np.stack(np.meshgrid(*([vals] * d), indexing="ij"), axis=-1).reshape(-1, d)
     interior = np.all(grid < 1.0, axis=1)
     return DeltaCover(
         delta=float(delta),
         d=d,
-        resolution=m,
+        resolution=vals.size,
         points=grid[interior],
         upper_witnesses=grid[~interior],
     )

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import Interval
-from .samplers import MonteCarlo, RngStream, SchemeSpec, describe_scheme, sample_batch
+from .samplers import MonteCarlo, RngStream, SchemeSpec, describe_scheme, map_chunks, sample_batch
 
 __all__ = [
     "ProductCoords",
@@ -42,6 +43,7 @@ __all__ = [
 class ProductCoords:
     """f(x) = prod_i x_i; integral 2^-d; quasimonotone and monotone."""
 
+    label = "product_coords"
     quasimonotone = True
     monotone = True
 
@@ -56,6 +58,7 @@ class ProductCoords:
 class SumCoords:
     """f(x) = sum_i x_i; integral d/2; quasivolumes vanish for d >= 2."""
 
+    label = "sum_coords"
     quasimonotone = True
     monotone = True
 
@@ -81,6 +84,10 @@ class CornerIndicator:
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 
+    @property
+    def label(self) -> str:
+        return "corner_indicator(" + ",".join(f"{x:g}" for x in self.a) + ")"
+
     def evaluate(self, pts):
         return np.all(np.asarray(pts, dtype=float) >= self.a, axis=-1).astype(float)
 
@@ -94,6 +101,7 @@ class CornerIndicator:
 class NegProduct:
     """f(x) = -prod_i x_i; monotone decreasing, not quasimonotone for d >= 1."""
 
+    label = "neg_product"
     quasimonotone = False
     monotone = True
 
@@ -128,17 +136,8 @@ TestFunction = Union[ProductCoords, SumCoords, CornerIndicator, NegProduct, User
 
 
 def describe_function(f) -> str:
-    if isinstance(f, ProductCoords):
-        return "product_coords"
-    if isinstance(f, SumCoords):
-        return "sum_coords"
-    if isinstance(f, CornerIndicator):
-        return "corner_indicator(" + ",".join(f"{x:g}" for x in f.a) + ")"
-    if isinstance(f, NegProduct):
-        return "neg_product"
-    if isinstance(f, UserFunction):
-        return f.label
-    return type(f).__name__
+    """The integrand's label, as written to the CSV `function` column."""
+    return getattr(f, "label", type(f).__name__)
 
 
 def rqmc_estimate(spec: SchemeSpec, f, n: int, d: int, rng: RngStream) -> float:
@@ -203,21 +202,9 @@ def is_quasimonotone_scan(
         consider(Interval(a[i], b[i]))
     levels = np.linspace(0.0, 1.0, 5 if d <= 3 else 3)
     pairs = [(x, y) for x in levels for y in levels if x < y]
-    idx = [0] * d
-    while True:
-        consider(
-            Interval(
-                [pairs[i][0] for i in idx],
-                [pairs[i][1] for i in idx],
-            )
-        )
-        for pos in range(d):
-            idx[pos] += 1
-            if idx[pos] < len(pairs):
-                break
-            idx[pos] = 0
-        else:
-            break
+    for combo in product(pairs, repeat=d):
+        combo = combo[::-1]  # the first coordinate varies fastest
+        consider(Interval([p[0] for p in combo], [p[1] for p in combo]))
     return QuasimonotoneScan(witness is None, worst, witness, checked)
 
 
@@ -239,17 +226,7 @@ class VarianceStudy:
 
 
 def _estimator_values(spec, f, n, d, reps, rng: RngStream) -> np.ndarray:
-    vals = np.empty(reps)
-    chunk = max(1, int(4_000_000 // max(1, n * d)))
-    pos = 0
-    child = 0
-    while pos < reps:
-        size = min(chunk, reps - pos)
-        batch = sample_batch(spec, n, d, size, rng.split(child))
-        vals[pos : pos + size] = f.evaluate(batch).mean(axis=1)
-        pos += size
-        child += 1
-    return vals
+    return np.concatenate(map_chunks(spec, n, d, reps, rng, lambda b: f.evaluate(b).mean(axis=1)))
 
 
 def _var_of_sample_variance(x: np.ndarray) -> float:
@@ -311,12 +288,7 @@ def elementary_symmetric(x, t: int) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not (0 <= t <= x.size):
         raise ValidationError("need 0 <= t <= len(x)")
-    e = np.zeros(t + 1)
-    e[0] = 1.0
-    for xi in x:
-        for j in range(min(t, x.size), 0, -1):
-            e[j] += xi * e[j - 1]
-    return float(e[t])
+    return float(_esp_batch(x[None, :], t)[0])
 
 
 def _esp_batch(x: np.ndarray, t: int) -> np.ndarray:

@@ -1,46 +1,40 @@
 """Certification of negative-dependence properties of sampling schemes.
 
-Empirical testers estimate joint event probabilities over many independent
-replications and compare them against product reference values with a Wilson
-confidence interval, returning a three-valued verdict: "violated" only when
-lhs - ci > rhs, "holds" only when lhs + ci <= rhs, else "inconclusive".
-Schemes with closed-form two-point laws (the min-copula pair, the four-slot
-pair, and the swap pair) are dispatched to exact oracles with a zero-width
-interval. Exact anchored-box oracles for stratified-permutation sampling,
-generalized stratified sampling, and small rank-1 lattices live here too.
+Each tester states its events once, as boxes for points 1, 2, ...: the
+points fall each in its box (or, for the lower-orthant test, all outside
+one box). One evaluator serves them all. When the scheme has a closed-form
+two-point law (the min-copula pair, the four-slot pair and the swap pair) and
+every box is a rectangle, the probabilities are exact and the interval has
+zero width. Otherwise the events are counted over many independent
+replications, drawn in chunks, and compared against product reference values
+with a Wilson confidence interval. The verdict is three-valued: "violated"
+only when lhs - ci > rhs, "holds" only when lhs + ci <= rhs, else
+"inconclusive". Exact anchored-box oracles for stratified-permutation
+sampling, generalized stratified sampling, and small rank-1 lattices live
+here too.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.stats import norm
 
 from .errors import ValidationError
-from .geometry import (
-    CornerBox0,
-    CornerBox1,
-    Interval,
-    contains_points,
-    describe_box,
-    volume,
-)
+from .geometry import CornerBox0, CornerBox1, ProductRegion, contains_points, describe_box, volume
 from .integrate import elementary_symmetric
 from .samplers import (
-    _FOURSLOT_TABLE,
-    FourSlot,
-    MinCopula,
     RngStream,
     SchemeSpec,
     StrataSpec,
-    SwapScheme,
     describe_scheme,
     is_prime,
-    sample_batch,
+    map_chunks,
+    min_copula_cdf,
+    sample_batch,  # noqa: F401  (negdep.sample_batch stays importable)
     strata_count,
     stratum_corner_overlap,
 )
@@ -62,7 +56,6 @@ __all__ = [
     "mixed_anchored_prob_exact",
     "rsj_small_prob",
     "corner_cells",
-    "min_copula_cdf",
     "min_copula_rect_prob",
     "analytic_pair_prob",
     "falling_factorial",
@@ -71,11 +64,14 @@ __all__ = [
 
 DEFAULT_CONFIDENCE = 0.99
 _MIN_CONDITION_HITS = 100
-_CHUNK_SCALARS = 4_000_000
 
 
 # ---------------------------------------------------------------------------
 # Reports
+
+
+def _csv_row(self) -> list:
+    return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass(frozen=True)
@@ -101,56 +97,7 @@ class DependenceReport:
     confidence: float = DEFAULT_CONFIDENCE
     method: str = "empirical"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "notion": self.notion,
-            "scheme": self.scheme,
-            "n": self.n,
-            "d": self.d,
-            "event": self.event,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ci_halfwidth": self.ci_halfwidth,
-            "verdict": self.verdict,
-            "replications": self.replications,
-            "gamma": self.gamma,
-            "confidence": self.confidence,
-            "method": self.method,
-        }
-
-    def to_csv_row(self) -> list:
-        return [
-            self.notion,
-            self.scheme,
-            self.n,
-            self.d,
-            self.event,
-            self.lhs,
-            self.rhs,
-            self.ci_halfwidth,
-            self.verdict,
-            self.replications,
-            self.gamma,
-            self.confidence,
-            self.method,
-        ]
-
-
-REPORT_CSV_COLUMNS = (
-    "notion",
-    "scheme",
-    "n",
-    "d",
-    "event",
-    "lhs",
-    "rhs",
-    "ci_halfwidth",
-    "verdict",
-    "replications",
-    "gamma",
-    "confidence",
-    "method",
-)
+    to_csv_row = _csv_row
 
 
 @dataclass(frozen=True)
@@ -170,35 +117,11 @@ class FactorizationCheck:
     halfwidth: float
     consistent: bool
 
-    def to_csv_row(self) -> list:
-        return [
-            self.coord_i,
-            self.coord_j,
-            self.q,
-            self.r,
-            self.s,
-            self.t2,
-            self.joint,
-            self.product,
-            self.deviation,
-            self.halfwidth,
-            self.consistent,
-        ]
+    to_csv_row = _csv_row
 
 
-FACTOR_CSV_COLUMNS = (
-    "coord_i",
-    "coord_j",
-    "q",
-    "r",
-    "s",
-    "t2",
-    "joint",
-    "product",
-    "deviation",
-    "halfwidth",
-    "consistent",
-)
+REPORT_CSV_COLUMNS = tuple(f.name for f in fields(DependenceReport))
+FACTOR_CSV_COLUMNS = tuple(f.name for f in fields(FactorizationCheck))
 
 
 @dataclass(frozen=True)
@@ -250,51 +173,7 @@ def _verdict(lhs: float, ci: float, rhs: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Replicated event counting
-
-
-def _count_events(spec, n, d, reps, rng: RngStream, event_fn, n_events, threads=1):
-    """Sum event indicator counts over `reps` scheme draws, in chunks.
-
-    event_fn maps a (chunk, n, d) batch to a tuple of boolean (chunk,) arrays.
-    Chunk boundaries and per-chunk streams depend only on the chunk index, so
-    totals are identical for any thread count.
-    """
-    if reps < 1:
-        raise ValidationError("need at least one replication")
-    chunk = max(1, _CHUNK_SCALARS // max(1, n * d))
-    tasks = []
-    pos = 0
-    while pos < reps:
-        size = min(chunk, reps - pos)
-        tasks.append((len(tasks), size))
-        pos += size
-
-    def run(task):
-        idx, size = task
-        batch = sample_batch(spec, n, d, size, rng.split(idx))
-        events = event_fn(batch)
-        return [int(np.sum(e)) for e in events]
-
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, tasks))
-    else:
-        parts = [run(t) for t in tasks]
-    totals = [0] * n_events
-    for part in parts:
-        for i, v in enumerate(part):
-            totals[i] += v
-    return totals
-
-
-# ---------------------------------------------------------------------------
 # Exact two-point laws (min-copula, four-slot, swap)
-
-
-def min_copula_cdf(x: float, y: float) -> float:
-    """Joint CDF of the dependent uniform pair: min(x, y, (x^2 + y^2)/2)."""
-    return min(x, y, 0.5 * (x * x + y * y))
 
 
 def min_copula_rect_prob(u, which: str) -> float:
@@ -313,66 +192,6 @@ def min_copula_rect_prob(u, which: str) -> float:
     raise ValidationError('which must be "lower" or "upper"')
 
 
-def _overlap(a, b) -> float:
-    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
-
-
-def _rect_axes(box, d: int):
-    """Per-axis (lo, hi) ranges for plain rectangular boxes, else None."""
-    if box is None:
-        return [(0.0, 1.0)] * d
-    if getattr(box, "d", None) != d:
-        return None
-    if isinstance(box, CornerBox0):
-        return [(0.0, float(u)) for u in box.upper]
-    if isinstance(box, CornerBox1):
-        return [(float(lo), 1.0) for lo in box.lower]
-    if isinstance(box, Interval):
-        return [(float(a), float(b)) for a, b in zip(box.a, box.b)]
-    return None
-
-
-_SLOT_X = [(0.0, 0.5), (0.5, 1.0), (0.0, 0.5), (0.5, 1.0)]
-_SLOT_Y = [(0.0, 0.5), (0.0, 0.5), (0.5, 1.0), (0.5, 1.0)]
-
-
-def _fourslot_weights(rect) -> np.ndarray:
-    # P(point in rect | slot i) = area(rect intersect slot_i) / (1/4)
-    return np.array(
-        [4.0 * _overlap(rect[0], _SLOT_X[i]) * _overlap(rect[1], _SLOT_Y[i]) for i in range(4)]
-    )
-
-
-def _fourslot_pair(rect1, rect2) -> float:
-    w1 = _fourslot_weights(rect1)
-    w2 = _fourslot_weights(rect2)
-    return float(sum(p * w1[i] * w2[j] for (i, j), p in _FOURSLOT_TABLE.items()))
-
-
-def _swap_pair(rect1, rect2) -> float:
-    # p1 = (X, Y), p2 = (Y, X): X must fall in rect1_x intersect rect2_y, Y in rect1_y intersect rect2_x
-    return _overlap(rect1[0], rect2[1]) * _overlap(rect1[1], rect2[0])
-
-
-def _mincopula_pair(rect1, rect2) -> float:
-    a1, b1 = rect1[0]
-    a2, b2 = rect2[0]
-    return (
-        min_copula_cdf(b1, b2)
-        - min_copula_cdf(a1, b2)
-        - min_copula_cdf(b1, a2)
-        + min_copula_cdf(a1, a2)
-    )
-
-
-def _analytic_dim(spec) -> Optional[int]:
-    if isinstance(spec, MinCopula):
-        return 1
-    if isinstance(spec, (FourSlot, SwapScheme)):
-        return 2
-    return None
-
-
 def analytic_pair_prob(spec, box1, box2) -> float:
     """Exact P(p1 in box1, p2 in box2) for the analytic two-point schemes.
 
@@ -380,50 +199,80 @@ def analytic_pair_prob(spec, box1, box2) -> float:
     dimension (1 for the min-copula pair, 2 for four-slot and swap); None
     means the full cube.
     """
-    d = _analytic_dim(spec)
-    if d is None:
+    dim = getattr(spec, "pair_dim", None)
+    if dim is None:
         raise ValidationError(f"{describe_scheme(spec)} has no closed-form two-point law here")
-    r1 = _rect_axes(box1, d)
-    r2 = _rect_axes(box2, d)
-    if r1 is None or r2 is None:
+    rects = [
+        [(0.0, 1.0)] * dim if box is None else box.axes() if box.d == dim else None
+        for box in (box1, box2)
+    ]
+    if None in rects:
         raise ValidationError("analytic pair probabilities need rectangular boxes")
-    if isinstance(spec, MinCopula):
-        return _mincopula_pair(r1, r2)
-    if isinstance(spec, FourSlot):
-        return _fourslot_pair(r1, r2)
-    return _swap_pair(r1, r2)
-
-
-def _analytic_joint_in(spec, box, t: int, complement: bool) -> float:
-    """Exact P(first t points all in box) or all outside it, for n = 2 pairs."""
-    d = _analytic_dim(spec)
-    vol = volume(box)
-    if t == 1:
-        return (1.0 - vol) if complement else vol
-    both = analytic_pair_prob(spec, box, box)
-    if complement:
-        # inclusion-exclusion with uniform marginals
-        return 1.0 - 2.0 * vol + both
-    return both
-
-
-def _is_analytic(spec) -> bool:
-    return _analytic_dim(spec) is not None
-
-
-def _check_analytic_shape(spec, n: int, d: int) -> None:
-    ad = _analytic_dim(spec)
-    if n != 2 or d != ad:
-        raise ValidationError(
-            f"{describe_scheme(spec)} is a two-point scheme in dimension {ad}; got n={n}, d={d}"
-        )
+    return spec.pair_prob(*rects)
 
 
 # ---------------------------------------------------------------------------
-# Joint orthant testers
+# Event evaluation: exact through the scheme's pair law, else counted over draws
 
 
-def _report(notion, spec, n, d, event, lhs, rhs, ci, reps, gamma, conf, method):
+def _exact_prob(spec, boxes, outside: bool) -> float:
+    vol = volume(boxes[0])
+    if len(boxes) == 1:
+        return (1.0 - vol) if outside else vol
+    both = spec.pair_prob(*(box.axes() for box in boxes))
+    # all outside one box: inclusion-exclusion with uniform marginals
+    return 1.0 - 2.0 * vol + both if outside else both
+
+
+@dataclass(frozen=True)
+class _Tally:
+    """Event values of one test: exact probabilities (reps = 0), or event
+    counts over `reps` replications."""
+
+    values: list
+    reps: int
+    confidence: float
+
+    @property
+    def exact(self) -> bool:
+        return self.reps == 0
+
+    def share(self, k: int) -> float:
+        return self.values[k] if self.exact else self.values[k] / self.reps
+
+    def halfwidth(self, k: int, trials: Optional[int] = None) -> float:
+        if self.exact:
+            return 0.0
+        return _halfwidth(self.values[k], self.reps if trials is None else trials, self.confidence)
+
+
+def _tally(spec, n, d, events, reps, rng: RngStream, confidence, threads) -> _Tally:
+    """Evaluate events, each a pair (boxes, outside): points 1..len(boxes)
+    fall each in its box, or with `outside` all outside the one box.
+
+    A scheme with a pair law gets exact probabilities when every box is a
+    rectangle; otherwise the events are counted over `reps` chunked draws.
+    """
+    if getattr(spec, "pair_dim", None) is not None and all(
+        box.axes() is not None for boxes, _ in events for box in boxes
+    ):
+        spec.validate(n, d)
+        return _Tally([_exact_prob(spec, *event) for event in events], 0, confidence)
+
+    def counts(batch):
+        return [
+            int(np.sum(np.all(
+                [contains_points(box, batch[:, j, :]) != outside for j, box in enumerate(boxes)],
+                axis=0,
+            )))
+            for boxes, outside in events
+        ]
+
+    parts = map_chunks(spec, n, d, reps, rng, counts, threads)
+    return _Tally([sum(col) for col in zip(*parts)], reps, confidence)
+
+
+def _report(notion, spec, n, d, event, lhs, rhs, ci, tally: _Tally, gamma=1.0):
     return DependenceReport(
         notion=notion,
         scheme=describe_scheme(spec),
@@ -434,11 +283,15 @@ def _report(notion, spec, n, d, event, lhs, rhs, ci, reps, gamma, conf, method):
         rhs=float(rhs),
         ci_halfwidth=float(ci),
         verdict=_verdict(lhs, ci, rhs),
-        replications=reps,
+        replications=tally.reps,
         gamma=gamma,
-        confidence=conf,
-        method=method,
+        confidence=tally.confidence,
+        method="exact" if tally.exact else "empirical",
     )
+
+
+# ---------------------------------------------------------------------------
+# Joint orthant testers
 
 
 def _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, threads, complement):
@@ -454,20 +307,9 @@ def _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, threads, co
     rhs = gamma * marginal**t
     side = "outside" if complement else "in"
     event = f"points 1..{t} all {side} {describe_box(box)}"
-    if _is_analytic(spec) and _rect_axes(box, d) is not None:
-        _check_analytic_shape(spec, n, d)
-        lhs = _analytic_joint_in(spec, box, t, complement)
-        return _report(notion, spec, n, d, event, lhs, rhs, 0.0, 0, gamma, confidence, "exact")
-
-    def events(batch):
-        inside = contains_points(box, batch[:, :t, :])
-        hit = ~inside if complement else inside
-        return (np.all(hit, axis=1),)
-
-    (count,) = _count_events(spec, n, d, reps, rng, events, 1, threads)
-    lhs = count / reps
-    ci = _halfwidth(count, reps, confidence)
-    return _report(notion, spec, n, d, event, lhs, rhs, ci, reps, gamma, confidence, "empirical")
+    tally = _tally(spec, n, d, [((box,) * t, complement)], reps, rng, confidence, threads)
+    lhs, ci = tally.share(0), tally.halfwidth(0)
+    return _report(notion, spec, n, d, event, lhs, rhs, ci, tally, gamma)
 
 
 def check_upper_nd(
@@ -530,55 +372,37 @@ def check_pairwise_nd(
         raise ValidationError("pairwise boxes must be anchored at the upper corner")
     if q_box.d != d or r_box.d != d:
         raise ValidationError("box dimension must equal d")
-    q0 = CornerBox0(q_box.lower)
-    r0 = CornerBox0(r_box.lower)
-    rhs1 = volume(q_box) * volume(r_box)
-    rhs0 = volume(q0) * volume(r0)
-    ev1 = f"p1 in {describe_box(q_box)}, p2 in {describe_box(r_box)}"
-    ev0 = f"p1 in {describe_box(q0)}, p2 in {describe_box(r0)}"
-    if _is_analytic(spec):
-        _check_analytic_shape(spec, n, d)
-        lhs1 = analytic_pair_prob(spec, q_box, r_box)
-        lhs0 = analytic_pair_prob(spec, q0, r0)
-        return (
-            _report("pairwise_nd", spec, n, d, ev1, lhs1, rhs1, 0.0, 0, 1.0, confidence, "exact"),
-            _report("pairwise_nd", spec, n, d, ev0, lhs0, rhs0, 0.0, 0, 1.0, confidence, "exact"),
+    pairs = [(q_box, r_box), (CornerBox0(q_box.lower), CornerBox0(r_box.lower))]
+    tally = _tally(spec, n, d, [(pair, False) for pair in pairs], reps, rng, confidence, threads)
+    return tuple(
+        _report(
+            "pairwise_nd", spec, n, d, f"p1 in {describe_box(q)}, p2 in {describe_box(r)}",
+            tally.share(k), volume(q) * volume(r), tally.halfwidth(k), tally,
         )
-
-    def events(batch):
-        p1, p2 = batch[:, 0, :], batch[:, 1, :]
-        e1 = contains_points(q_box, p1) & contains_points(r_box, p2)
-        e0 = contains_points(q0, p1) & contains_points(r0, p2)
-        return (e1, e0)
-
-    c1, c0 = _count_events(spec, n, d, reps, rng, events, 2, threads)
-    rep1 = _report(
-        "pairwise_nd", spec, n, d, ev1, c1 / reps, rhs1,
-        _halfwidth(c1, reps, confidence), reps, 1.0, confidence, "empirical",
+        for k, (q, r) in enumerate(pairs)
     )
-    rep0 = _report(
-        "pairwise_nd", spec, n, d, ev0, c0 / reps, rhs0,
-        _halfwidth(c0, reps, confidence), reps, 1.0, confidence, "empirical",
-    )
-    return rep1, rep0
 
 
 # ---------------------------------------------------------------------------
 # Conditional and coordinatewise NQD
 
 
-def _conditional_rects(d, i, a_box, b_box, alpha, beta):
-    """Rectangles (per point) for conditioning, joint, and marginal events."""
-    axes_a = _rect_axes(a_box, i - 1) if i > 1 else []
-    axes_b = _rect_axes(b_box, i - 1) if i > 1 else []
-    if axes_a is None or axes_b is None:
-        raise ValidationError("conditioning sets must be rectangular boxes")
-    full = [(0.0, 1.0)] * (d - i)
-    cond1 = axes_a + [(0.0, 1.0)] + full
-    cond2 = axes_b + [(0.0, 1.0)] + full
-    thr1 = axes_a + [(alpha, 1.0)] + full
-    thr2 = axes_b + [(beta, 1.0)] + full
-    return cond1, cond2, thr1, thr2
+def _check_pair_test(n: int, d: int, i: int, *levels: float) -> None:
+    if n < 2:
+        raise ValidationError("pair tests need n >= 2")
+    if not (1 <= i <= d):
+        raise ValidationError("coordinate index i must satisfy 1 <= i <= d")
+    if not all(0.0 <= level < 1.0 for level in levels):
+        raise ValidationError("thresholds must lie in [0, 1)")
+
+
+def _coordinate_box(d: int, i: int, level: float, head=None):
+    """Coordinate i (1-based) at least `level`, coordinates 1..i-1 in `head`
+    (a box in dimension i-1; None leaves them free), the rest free."""
+    tail = CornerBox1((level,) + (0.0,) * (d - i))
+    if i == 1:
+        return tail
+    return ProductRegion(CornerBox1((0.0,) * (i - 1)) if head is None else head, tail)
 
 
 def check_conditional_nqd(
@@ -606,91 +430,42 @@ def check_conditional_nqd(
     is a conservative first-order halfwidth on lhs - rhs: the joint's Wilson
     halfwidth plus each marginal estimate times the other's halfwidth.
     """
-    if n < 2:
-        raise ValidationError("conditional tests need n >= 2")
-    if not (1 <= i <= d):
-        raise ValidationError("coordinate index i must satisfy 1 <= i <= d")
+    _check_pair_test(n, d, i, alpha, beta)
     if i == 1 and (a_box is not None or b_box is not None):
         raise ValidationError("i = 1 is unconditional; conditioning boxes must be None")
     if i > 1:
         for name, box in (("a_box", a_box), ("b_box", b_box)):
             if box is not None and box.d != i - 1:
                 raise ValidationError(f"{name} must live in dimension i-1 = {i - 1}")
-    if not (0.0 <= alpha < 1.0 and 0.0 <= beta < 1.0):
-        raise ValidationError("thresholds must lie in [0, 1)")
     cond_desc = "unconditioned" if i == 1 else (
         f"p1[1:{i - 1}] in {describe_box(a_box) if a_box is not None else 'full'}, "
         f"p2[1:{i - 1}] in {describe_box(b_box) if b_box is not None else 'full'}"
     )
     event = f"coord {i}: p1 >= {alpha:g} and p2 >= {beta:g} | {cond_desc}"
-
-    if _is_analytic(spec):
-        _check_analytic_shape(spec, n, d)
-        c1, c2, t1, t2 = _conditional_rects(d, i, a_box, b_box, alpha, beta)
-        pair = {
-            MinCopula: _mincopula_pair,
-            FourSlot: _fourslot_pair,
-            SwapScheme: _swap_pair,
-        }[type(spec)]
-        cond = pair(c1, c2)
-        if cond <= 0.0:
+    c1, c2 = _coordinate_box(d, i, 0.0, a_box), _coordinate_box(d, i, 0.0, b_box)
+    t1, t2 = _coordinate_box(d, i, alpha, a_box), _coordinate_box(d, i, beta, b_box)
+    events = [((c1, c2), False), ((t1, t2), False), ((t1, c2), False), ((c1, t2), False)]
+    tally = _tally(spec, n, d, events, reps, rng, confidence, threads)
+    hits, joint, m1, m2 = tally.values
+    if tally.exact:
+        if hits <= 0.0:
             raise ValidationError("conditioning event has probability zero")
-        lhs = pair(t1, t2) / cond
-        rhs = (pair(t1, c2) / cond) * (pair(c1, t2) / cond)
+    elif hits < max(1, min_hits):
         return _report(
-            "conditional_nqd", spec, n, d, event, lhs, rhs, 0.0, 0, 1.0, confidence, "exact"
+            "conditional_nqd", spec, n, d, event + f" [only {hits} conditioning hits]",
+            0.0, 0.0, 1.0, tally,
         )
-
-    def events(batch):
-        p1, p2 = batch[:, 0, :], batch[:, 1, :]
-        if i == 1:
-            cond = np.ones(batch.shape[0], dtype=bool)
-        else:
-            in_a = (
-                contains_points(a_box, p1[:, : i - 1])
-                if a_box is not None
-                else np.ones(batch.shape[0], dtype=bool)
-            )
-            in_b = (
-                contains_points(b_box, p2[:, : i - 1])
-                if b_box is not None
-                else np.ones(batch.shape[0], dtype=bool)
-            )
-            cond = in_a & in_b
-        h1 = p1[:, i - 1] >= alpha
-        h2 = p2[:, i - 1] >= beta
-        return (cond, cond & h1 & h2, cond & h1, cond & h2)
-
-    hits, joint, m1, m2 = _count_events(spec, n, d, reps, rng, events, 4, threads)
-    if hits < max(1, min_hits):
-        return DependenceReport(
-            notion="conditional_nqd",
-            scheme=describe_scheme(spec),
-            n=n,
-            d=d,
-            event=event + f" [only {hits} conditioning hits]",
-            lhs=0.0,
-            rhs=0.0,
-            ci_halfwidth=1.0,
-            verdict="inconclusive",
-            replications=reps,
-            gamma=1.0,
-            confidence=confidence,
-            method="empirical",
-        )
+    else:
+        event += f" [{hits} hits]"
     lhs = joint / hits
     p1hat = m1 / hits
     p2hat = m2 / hits
-    rhs = p1hat * p2hat
     ci = (
-        _halfwidth(joint, hits, confidence)
-        + p1hat * _halfwidth(m2, hits, confidence)
-        + p2hat * _halfwidth(m1, hits, confidence)
+        tally.halfwidth(1, hits)
+        + p1hat * tally.halfwidth(3, hits)
+        + p2hat * tally.halfwidth(2, hits)
     )
-    return _report(
-        "conditional_nqd", spec, n, d, event + f" [{hits} hits]",
-        lhs, rhs, ci, reps, 1.0, confidence, "empirical",
-    )
+    return _report("conditional_nqd", spec, n, d, event, lhs, p1hat * p2hat, ci, tally)
 
 
 def check_ci_nqd(
@@ -712,80 +487,38 @@ def check_ci_nqd(
     being exact by uniform marginals. For every other coordinate j and each
     level g in factor_grid, the probe compares P(p1_i >= q, p2_i >= r,
     p1_j >= g, p2_j >= g) against the product of the two per-coordinate pair
-    probabilities, with a conservative first-order halfwidth. Probes are a
-    necessary condition for cross-coordinate independence only, so the result
-    is flagged partial.
+    probabilities, with a conservative first-order halfwidth (zero for exact
+    schemes, whose probes must agree to 1e-15). Probes are a necessary
+    condition for cross-coordinate independence only, so the result is
+    flagged partial.
     """
-    if n < 2:
-        raise ValidationError("pair tests need n >= 2")
-    if not (1 <= i <= d):
-        raise ValidationError("coordinate index i must satisfy 1 <= i <= d")
-    if not (0.0 <= q < 1.0 and 0.0 <= r < 1.0):
-        raise ValidationError("thresholds must lie in [0, 1)")
+    _check_pair_test(n, d, i, q, r)
     rhs = (1.0 - q) * (1.0 - r)
     event = f"coord {i}: p1 >= {q:g} and p2 >= {r:g}"
-    others = [j for j in range(1, d + 1) if j != i]
-    probes = [(j, float(g)) for j in others for g in factor_grid]
+    probes = [(j, float(g)) for j in range(1, d + 1) if j != i for g in factor_grid]
 
-    if _is_analytic(spec):
-        _check_analytic_shape(spec, n, d)
+    def pair(levels1, levels2):
+        # p1 and p2 at least the given levels on the given coordinates (1-based)
+        lowers = ([lv.get(k, 0.0) for k in range(1, d + 1)] for lv in (levels1, levels2))
+        return tuple(CornerBox1(lower) for lower in lowers), False
 
-        def rect(thresholds):
-            # thresholds: dict coord (1-based) -> lower threshold
-            return [(thresholds.get(k, 0.0), 1.0) for k in range(1, d + 1)]
-
-        pair = {
-            MinCopula: _mincopula_pair,
-            FourSlot: _fourslot_pair,
-            SwapScheme: _swap_pair,
-        }[type(spec)]
-        lhs = pair(rect({i: q}), rect({i: r}))
-        primary = _report(
-            "ci_nqd", spec, n, d, event, lhs, rhs, 0.0, 0, 1.0, confidence, "exact"
-        )
-        checks = []
-        for j, g in probes:
-            joint = pair(rect({i: q, j: g}), rect({i: r, j: g}))
-            pj = pair(rect({j: g}), rect({j: g}))
-            dev = joint - lhs * pj
-            checks.append(
-                FactorizationCheck(i, j, q, r, g, g, joint, lhs * pj, dev, 0.0, abs(dev) <= 1e-15)
-            )
-        return CiNqdResult(primary, tuple(checks))
-
-    def events(batch):
-        p1, p2 = batch[:, 0, :], batch[:, 1, :]
-        base = (p1[:, i - 1] >= q) & (p2[:, i - 1] >= r)
-        out = [base]
-        for j, g in probes:
-            pairj = (p1[:, j - 1] >= g) & (p2[:, j - 1] >= g)
-            out.append(base & pairj)
-            out.append(pairj)
-        return tuple(out)
-
-    counts = _count_events(spec, n, d, reps, rng, events, 1 + 2 * len(probes), threads)
-    base_count = counts[0]
-    lhs = base_count / reps
-    primary = _report(
-        "ci_nqd", spec, n, d, event, lhs, rhs,
-        _halfwidth(base_count, reps, confidence), reps, 1.0, confidence, "empirical",
-    )
+    events = [pair({i: q}, {i: r})]
+    for j, g in probes:
+        events += [pair({i: q, j: g}, {i: r, j: g}), pair({j: g}, {j: g})]
+    tally = _tally(spec, n, d, events, reps, rng, confidence, threads)
+    lhs = tally.share(0)
+    hw_i = tally.halfwidth(0)
+    primary = _report("ci_nqd", spec, n, d, event, lhs, rhs, hw_i, tally)
     checks = []
-    hw_i = _halfwidth(base_count, reps, confidence)
     for k, (j, g) in enumerate(probes):
-        joint_c = counts[1 + 2 * k]
-        pj_c = counts[2 + 2 * k]
-        joint = joint_c / reps
-        pj = pj_c / reps
+        joint = tally.share(1 + 2 * k)
+        pj = tally.share(2 + 2 * k)
         product = lhs * pj
         dev = joint - product
-        hw = (
-            _halfwidth(joint_c, reps, confidence)
-            + lhs * _halfwidth(pj_c, reps, confidence)
-            + pj * hw_i
-        )
+        hw = tally.halfwidth(1 + 2 * k) + lhs * tally.halfwidth(2 + 2 * k) + pj * hw_i
+        tolerance = 1e-15 if tally.exact else hw
         checks.append(
-            FactorizationCheck(i, j, q, r, g, g, joint, product, dev, hw, abs(dev) <= hw)
+            FactorizationCheck(i, j, q, r, g, g, joint, product, dev, hw, abs(dev) <= tolerance)
         )
     return CiNqdResult(primary, tuple(checks))
 

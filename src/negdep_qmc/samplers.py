@@ -2,8 +2,12 @@
 
 Every samplable scheme here produces N points with uniform marginals whose
 rows are exchangeable, either by construction or through a final row shuffle.
-`sample_batch` draws many independent replications at once as an (R, N, d)
-array; `sample` is the single-draw wrapper returning a PointSet.
+Each scheme is a dataclass deriving from SchemeSpec that owns what is known
+about it (JSON kind, label, validation, batch sampler, and where one exists
+its closed-form pair law and anchored-box oracle); SCHEMES maps each JSON kind
+to its class. `sample_batch` draws many independent replications at once as
+an (R, N, d) array, `map_chunks` applies a function to chunked batches, and
+`sample` is the single-draw wrapper returning a PointSet.
 
 All randomness flows through RngStream, a splittable deterministic stream:
 the same seed and call sequence reproduce the same output bit for bit, and
@@ -13,8 +17,9 @@ the same seed and call sequence reproduce the same output bit for bit, and
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -35,13 +40,15 @@ __all__ = [
     "FourSlot",
     "SwapScheme",
     "SchemeSpec",
+    "SCHEMES",
     "Stripes",
     "LatticeCells",
     "StrataSpec",
+    "STRATA",
     "sample",
     "sample_batch",
+    "map_chunks",
     "net_points",
-    "concat",
     "save_pointset",
     "load_pointset",
     "describe_scheme",
@@ -49,6 +56,7 @@ __all__ = [
     "stratum_index",
     "stratum_corner_overlap",
     "is_prime",
+    "min_copula_cdf",
 ]
 
 
@@ -137,29 +145,8 @@ def load_pointset(path) -> PointSet:
     return PointSet(np.asarray(rows, dtype=float).reshape(n, d))
 
 
-def concat(left: PointSet, right: PointSet) -> PointSet:
-    """Row-wise concatenation of coordinates: row i becomes (x_i, y_i)."""
-    if left.n != right.n:
-        raise ValidationError("point sets must have the same number of rows")
-    if right.d == 0:
-        return left
-    if left.d == 0:
-        return right
-    return PointSet(np.hstack([left.data, right.data]))
-
-
 # ---------------------------------------------------------------------------
-# Scheme and strata specifications
-
-
-@dataclass(frozen=True)
-class MonteCarlo:
-    """Independent uniform points."""
-
-
-@dataclass(frozen=True)
-class SimpleStratified:
-    """One uniform point per stratum [(j-1)/N, j/N), order randomized; d = 1."""
+# Strata
 
 
 @dataclass(frozen=True)
@@ -167,6 +154,7 @@ class Stripes:
     """Partition of [0,1)^d into `count` vertical stripes along coordinate 1."""
 
     count: int
+    kind = "stripes"
 
 
 @dataclass(frozen=True)
@@ -176,85 +164,11 @@ class LatticeCells:
 
     g: tuple[int, int]
     n: int
+    kind = "cells"
 
 
 StrataSpec = Union[Stripes, LatticeCells]
-
-
-@dataclass(frozen=True)
-class GeneralizedStratified:
-    """Points placed in a uniformly chosen N-subset of beta equal-measure strata."""
-
-    beta: int
-    strata: StrataSpec
-
-
-@dataclass(frozen=True)
-class RsjLattice:
-    """Rank-1 lattice with random generator, random digital shift, and jitter.
-
-    N must be prime. N = 2 is accepted: the generator group degenerates to a
-    single element, which keeps the construction valid but trivial.
-    """
-
-
-@dataclass(frozen=True)
-class LatinHypercube:
-    """Coordinatewise independent stratified permutations."""
-
-
-@dataclass(frozen=True)
-class ScrambledNet:
-    """Base-b digital net (b prime, s <= b), nested uniform scrambling to depth
-    m plus uniform jitter below b^-m, rows shuffled."""
-
-    b: int
-    m: int
-    s: int
-
-
-@dataclass(frozen=True)
-class Mixed:
-    """Independent concatenation: left scheme on the first d_left coordinates,
-    right scheme on the remaining d_right."""
-
-    left: "SchemeSpec"
-    d_left: int
-    right: "SchemeSpec"
-    d_right: int
-
-
-@dataclass(frozen=True)
-class MinCopula:
-    """Two-point analytic scheme on [0,1) with joint CDF min(x, y, (x^2+y^2)/2).
-
-    Probability-only: it has closed-form orthant probabilities but no sampler.
-    """
-
-
-@dataclass(frozen=True)
-class FourSlot:
-    """Two-point analytic scheme on [0,1)^2: quadrant slots with a fixed joint
-    slot table, uniform within slots."""
-
-
-@dataclass(frozen=True)
-class SwapScheme:
-    """Two-point analytic scheme on [0,1)^2: p1 = (X, Y), p2 = (Y, X)."""
-
-
-SchemeSpec = Union[
-    MonteCarlo,
-    SimpleStratified,
-    GeneralizedStratified,
-    RsjLattice,
-    LatinHypercube,
-    ScrambledNet,
-    Mixed,
-    MinCopula,
-    FourSlot,
-    SwapScheme,
-]
+STRATA = {cls.kind: cls for cls in (Stripes, LatticeCells)}
 
 
 def is_prime(n: int) -> bool:
@@ -270,39 +184,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def describe_scheme(spec) -> str:
-    if isinstance(spec, MonteCarlo):
-        return "mc"
-    if isinstance(spec, SimpleStratified):
-        return "sss"
-    if isinstance(spec, GeneralizedStratified):
-        if isinstance(spec.strata, Stripes):
-            return f"gss(beta={spec.beta},stripes)"
-        return f"gss(beta={spec.beta},cells(g={spec.strata.g},n={spec.strata.n}))"
-    if isinstance(spec, RsjLattice):
-        return "rsj"
-    if isinstance(spec, LatinHypercube):
-        return "lhs"
-    if isinstance(spec, ScrambledNet):
-        return f"net(b={spec.b},m={spec.m},s={spec.s})"
-    if isinstance(spec, Mixed):
-        return (
-            f"mixed({describe_scheme(spec.left)}|{spec.d_left}"
-            f"+{describe_scheme(spec.right)}|{spec.d_right})"
-        )
-    if isinstance(spec, MinCopula):
-        return "mincopula"
-    if isinstance(spec, FourSlot):
-        return "fourslot"
-    if isinstance(spec, SwapScheme):
-        return "swap"
-    raise ValidationError(f"unknown scheme: {type(spec).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Strata operations
 
 
 def strata_count(strata: StrataSpec) -> int:
@@ -321,6 +202,8 @@ def _validate_strata(strata: StrataSpec, d: int) -> None:
     if isinstance(strata, LatticeCells):
         if d != 2:
             raise ValidationError("lattice-cell strata are 2-d only")
+        if len(strata.g) != 2:
+            raise ValidationError("lattice generator g must have exactly two entries")
         n = strata.n
         if not is_prime(n):
             raise ValidationError("lattice-cell count n must be prime")
@@ -408,7 +291,41 @@ def stratum_corner_overlap(strata: StrataSpec, upper, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batch samplers
+# Schemes
+
+
+class SchemeSpec:
+    """Base of the scheme dataclasses; a new scheme is one subclass plus one
+    `SCHEMES` entry.
+
+    A scheme owns its JSON `kind`, its `label()` (the CSV `scheme` column),
+    `validate(n, d)`, and `batch(n, d, reps, rng)`, which draws (reps, n, d)
+    replications once `validate` has passed. Two-point analytic schemes set
+    `pair_dim` and give `pair_prob(rect1, rect2)`, the exact P(p1 in rect1,
+    p2 in rect2) for rectangles given as per-axis (lo, hi) ranges. Schemes
+    with an exact anchored-box oracle give `anchored_prob(n, box, t)`, the
+    probability that points 1..t all fall in the origin-anchored box; the
+    others return None.
+    """
+
+    kind: ClassVar[str]
+    pair_dim: ClassVar[Optional[int]] = None
+
+    def label(self) -> str:
+        return self.kind
+
+    def validate(self, n: int, d: int) -> None:
+        pass
+
+    def anchored_prob(self, n: int, box, t: int) -> Optional[float]:
+        return None
+
+
+def _oracles():
+    # the anchored-box oracles live in negdep, which imports this module
+    from . import negdep
+
+    return negdep
 
 
 def _row_perms(g: np.random.Generator, reps: int, n: int) -> np.ndarray:
@@ -416,54 +333,338 @@ def _row_perms(g: np.random.Generator, reps: int, n: int) -> np.ndarray:
     return np.argsort(g.random((reps, n)), axis=1)
 
 
-def _batch_mc(n, d, reps, g):
-    return g.random((reps, n, d))
+@dataclass(frozen=True)
+class MonteCarlo(SchemeSpec):
+    """Independent uniform points."""
+
+    kind = "mc"
+
+    def batch(self, n, d, reps, rng):
+        return rng.gen.random((reps, n, d))
 
 
-def _batch_sss(n, reps, g):
-    perm = _row_perms(g, reps, n)
-    u = g.random((reps, n))
-    # (pi(j) - U_j)/n with U_j = 1 - u in (0,1] collapses to (perm + u)/n
-    return ((perm + u) / n)[:, :, None]
+@dataclass(frozen=True)
+class SimpleStratified(SchemeSpec):
+    """One uniform point per stratum [(j-1)/N, j/N), order randomized; d = 1."""
+
+    kind = "sss"
+
+    def validate(self, n, d):
+        if d != 1:
+            raise ValidationError("simple stratified sampling is 1-d only")
+
+    def batch(self, n, d, reps, rng):
+        g = rng.gen
+        perm = _row_perms(g, reps, n)
+        u = g.random((reps, n))
+        # (pi(j) - U_j)/n with U_j = 1 - u in (0,1] collapses to (perm + u)/n
+        return ((perm + u) / n)[:, :, None]
 
 
-def _batch_lhs(n, d, reps, g):
-    perm = np.argsort(g.random((reps, d, n)), axis=2)
-    u = g.random((reps, d, n))
-    return np.swapaxes((perm + u) / n, 1, 2)
+@dataclass(frozen=True)
+class GeneralizedStratified(SchemeSpec):
+    """Points placed in a uniformly chosen N-subset of beta equal-measure strata."""
+
+    beta: int
+    strata: StrataSpec
+    kind = "gss"
+
+    def label(self):
+        if isinstance(self.strata, Stripes):
+            return f"gss(beta={self.beta},stripes)"
+        return f"gss(beta={self.beta},cells(g={self.strata.g},n={self.strata.n}))"
+
+    def validate(self, n, d):
+        _validate_strata(self.strata, d)
+        if self.beta != strata_count(self.strata):
+            raise ValidationError("beta must equal the number of strata")
+        if self.beta < n:
+            raise ValidationError("need beta >= n strata")
+
+    def batch(self, n, d, reps, rng):
+        g, beta = rng.gen, self.beta
+        chosen = np.argsort(g.random((reps, beta)), axis=1)[:, :n]
+        if isinstance(self.strata, Stripes):
+            u1 = g.random((reps, n))
+            first = (chosen + u1) / beta
+            if d == 1:
+                return first[:, :, None]
+            rest = g.random((reps, n, d - 1))
+            return np.concatenate([first[:, :, None], rest], axis=2)
+        # lattice cells, d = 2
+        strata = self.strata
+        v1, v2 = _lattice_basis(strata)
+        b1, b2 = v1 / strata.n, v2 / strata.n
+        y = np.stack(
+            [(chosen * strata.g[0]) % strata.n, (chosen * strata.g[1]) % strata.n], axis=-1
+        ) / strata.n
+        u = g.random((reps, n, 1))
+        w = g.random((reps, n, 1))
+        pts = np.mod(y + u * b1 + w * b2, 1.0)
+        pts[pts >= 1.0] = 0.0  # fp guard: mod of a tiny negative can round to 1.0
+        return pts
+
+    def anchored_prob(self, n, box, t):
+        return _oracles().gss_anchored_prob_exact(self.beta, self.strata, box, n, t)
 
 
-def _batch_rsj(n, d, reps, g):
-    gvec = g.integers(1, n, size=(reps, 1, d)) if n > 2 else np.ones((reps, 1, d), dtype=np.int64)
-    shift = g.integers(0, n, size=(reps, 1, d))
-    perm = _row_perms(g, reps, n)[:, :, None]
-    jitter = g.random((reps, n, d))
-    cell = (perm * gvec + shift) % n
-    return (cell + jitter) / n
+@dataclass(frozen=True)
+class RsjLattice(SchemeSpec):
+    """Rank-1 lattice with random generator, random digital shift, and jitter.
+
+    N must be prime. N = 2 is accepted: the generator group degenerates to a
+    single element, which keeps the construction valid but trivial.
+    """
+
+    kind = "rsj"
+
+    def validate(self, n, d):
+        if not is_prime(n):
+            raise ValidationError("rank-1 lattice point count must be prime")
+
+    def batch(self, n, d, reps, rng):
+        g = rng.gen
+        gvec = g.integers(1, n, size=(reps, 1, d)) if n > 2 else np.ones((reps, 1, d), dtype=np.int64)
+        shift = g.integers(0, n, size=(reps, 1, d))
+        perm = _row_perms(g, reps, n)[:, :, None]
+        jitter = g.random((reps, n, d))
+        cell = (perm * gvec + shift) % n
+        return (cell + jitter) / n
 
 
-def _batch_gss(spec: GeneralizedStratified, n, d, reps, g):
-    beta = spec.beta
-    chosen = np.argsort(g.random((reps, beta)), axis=1)[:, :n]
-    if isinstance(spec.strata, Stripes):
-        u1 = g.random((reps, n))
-        first = (chosen + u1) / beta
-        if d == 1:
-            return first[:, :, None]
-        rest = g.random((reps, n, d - 1))
-        return np.concatenate([first[:, :, None], rest], axis=2)
-    # lattice cells, d = 2
-    strata = spec.strata
-    v1, v2 = _lattice_basis(strata)
-    b1, b2 = v1 / strata.n, v2 / strata.n
-    y = np.stack(
-        [(chosen * strata.g[0]) % strata.n, (chosen * strata.g[1]) % strata.n], axis=-1
-    ) / strata.n
-    u = g.random((reps, n, 1))
-    w = g.random((reps, n, 1))
-    pts = np.mod(y + u * b1 + w * b2, 1.0)
-    pts[pts >= 1.0] = 0.0  # fp guard: mod of a tiny negative can round to 1.0
-    return pts
+@dataclass(frozen=True)
+class LatinHypercube(SchemeSpec):
+    """Coordinatewise independent stratified permutations."""
+
+    kind = "lhs"
+
+    def batch(self, n, d, reps, rng):
+        g = rng.gen
+        perm = np.argsort(g.random((reps, d, n)), axis=2)
+        u = g.random((reps, d, n))
+        return np.swapaxes((perm + u) / n, 1, 2)
+
+    def anchored_prob(self, n, box, t):
+        return _oracles().lhs_anchored_prob_exact(n, box.upper, t)
+
+
+@dataclass(frozen=True)
+class ScrambledNet(SchemeSpec):
+    """Base-b digital net (b prime, s <= b), nested uniform scrambling to depth
+    m plus uniform jitter below b^-m, rows shuffled."""
+
+    b: int
+    m: int
+    s: int
+    kind = "net"
+
+    def label(self):
+        return f"net(b={self.b},m={self.m},s={self.s})"
+
+    def validate(self, n, d):
+        if not is_prime(self.b):
+            raise ValidationError("net base must be prime")
+        if not (1 <= self.s <= self.b):
+            raise ValidationError("net dimension s must satisfy 1 <= s <= b")
+        if self.m < 1:
+            raise ValidationError("net digit depth m must be >= 1")
+        if n != self.b**self.m:
+            raise ValidationError(f"net point count must be b^m = {self.b ** self.m}")
+        if d != self.s:
+            raise ValidationError("net dimension mismatch: d must equal s")
+
+    def batch(self, n, d, reps, rng):
+        b, m, s = self.b, self.m, self.s
+        g = rng.gen
+        base = _net_base_digits(b, m, s)
+        weights = b ** -(np.arange(m, dtype=float) + 1)
+        out = np.empty((reps, n, s))
+        rows = np.arange(reps)[:, None]
+        for l in range(s):
+            digits = np.broadcast_to(base[:, l, :], (reps, n, m)).copy()
+            prefix = np.zeros(n, dtype=np.int64)
+            for r in range(m):
+                for pid in np.unique(prefix):
+                    members = np.nonzero(prefix == pid)[0]
+                    perms = np.argsort(g.random((reps, b)), axis=1)
+                    digits[:, members, r] = perms[rows, base[members, l, r][None, :]]
+                prefix = prefix * b + base[:, l, r]
+            out[:, :, l] = digits @ weights + g.random((reps, n)) * b ** (-m)
+        rp = _row_perms(g, reps, n)
+        return np.take_along_axis(out, rp[:, :, None], axis=1)
+
+
+@dataclass(frozen=True)
+class Mixed(SchemeSpec):
+    """Independent concatenation: left scheme on the first d_left coordinates,
+    right scheme on the remaining d_right."""
+
+    left: SchemeSpec
+    d_left: int
+    right: SchemeSpec
+    d_right: int
+    kind = "mixed"
+
+    def label(self):
+        return f"mixed({self.left.label()}|{self.d_left}+{self.right.label()}|{self.d_right})"
+
+    def validate(self, n, d):
+        if self.d_left < 1 or self.d_right < 1:
+            raise ValidationError("mixed factors must have dimension >= 1")
+        if d != self.d_left + self.d_right:
+            raise ValidationError("mixed dimension must equal d_left + d_right")
+        _validate(self.left, n, self.d_left)
+        _validate(self.right, n, self.d_right)
+
+    def batch(self, n, d, reps, rng):
+        left = sample_batch(self.left, n, self.d_left, reps, rng.split(0))
+        right = sample_batch(self.right, n, self.d_right, reps, rng.split(1))
+        return np.concatenate([left, right], axis=2)
+
+    def anchored_prob(self, n, box, t):
+        if not (isinstance(self.left, LatinHypercube) and isinstance(self.right, LatinHypercube)):
+            return None
+        q = box.upper
+        return _oracles().mixed_anchored_prob_exact(n, q[: self.d_left], q[self.d_left:], t)
+
+
+# ---------------------------------------------------------------------------
+# Two-point analytic schemes
+
+
+def _overlap(a, b) -> float:
+    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+
+
+class _TwoPoint(SchemeSpec):
+    """A pair of points in dimension `pair_dim` with a closed-form joint law."""
+
+    pair_dim: ClassVar[int]
+
+    def validate(self, n, d):
+        if n != 2 or d != self.pair_dim:
+            raise ValidationError(
+                f"{self.label()} is a two-point scheme in dimension {self.pair_dim}; "
+                f"got n={n}, d={d}"
+            )
+
+
+def min_copula_cdf(x: float, y: float) -> float:
+    """Joint CDF of the dependent uniform pair: min(x, y, (x^2 + y^2)/2)."""
+    return min(x, y, 0.5 * (x * x + y * y))
+
+
+@dataclass(frozen=True)
+class MinCopula(_TwoPoint):
+    """Two-point analytic scheme on [0,1) with joint CDF min(x, y, (x^2+y^2)/2).
+
+    Probability-only: it has closed-form orthant probabilities but no sampler.
+    """
+
+    kind = "mincopula"
+    pair_dim = 1
+
+    def batch(self, n, d, reps, rng):
+        raise ValidationError("the min-copula scheme has no sampler; use its probability oracle")
+
+    def pair_prob(self, rect1, rect2):
+        a1, b1 = rect1[0]
+        a2, b2 = rect2[0]
+        return (
+            min_copula_cdf(b1, b2)
+            - min_copula_cdf(a1, b2)
+            - min_copula_cdf(b1, a2)
+            + min_copula_cdf(a1, a2)
+        )
+
+
+_FOURSLOT_LOWER = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+
+# joint slot probabilities, symmetric, rows/columns sum to 1/4; unlisted pairs are 0
+_FOURSLOT_TABLE = {
+    (0, 0): 1 / 16, (1, 1): 1 / 16, (2, 2): 1 / 16, (3, 3): 1 / 16,
+    (0, 2): 1 / 32, (2, 0): 1 / 32, (1, 3): 1 / 32, (3, 1): 1 / 32,
+    (0, 3): 5 / 32, (3, 0): 5 / 32, (1, 2): 5 / 32, (2, 1): 5 / 32,
+}
+
+
+def _fourslot_weights(rect) -> np.ndarray:
+    # P(point in rect | slot i) = area(rect intersect slot_i) / (1/4)
+    return np.array([
+        4.0 * _overlap(rect[0], (x, x + 0.5)) * _overlap(rect[1], (y, y + 0.5))
+        for x, y in _FOURSLOT_LOWER.tolist()
+    ])
+
+
+@dataclass(frozen=True)
+class FourSlot(_TwoPoint):
+    """Two-point analytic scheme on [0,1)^2: quadrant slots with a fixed joint
+    slot table, uniform within slots."""
+
+    kind = "fourslot"
+    pair_dim = 2
+
+    def batch(self, n, d, reps, rng):
+        g = rng.gen
+        pairs = sorted(_FOURSLOT_TABLE)
+        probs = np.array([_FOURSLOT_TABLE[p] for p in pairs])
+        pick = g.choice(len(pairs), size=reps, p=probs)
+        slot = np.array(pairs)[pick]  # (reps, 2)
+        u = g.random((reps, 2, 2)) * 0.5
+        return _FOURSLOT_LOWER[slot] + u
+
+    def pair_prob(self, rect1, rect2):
+        w1 = _fourslot_weights(rect1)
+        w2 = _fourslot_weights(rect2)
+        return float(sum(p * w1[i] * w2[j] for (i, j), p in _FOURSLOT_TABLE.items()))
+
+
+@dataclass(frozen=True)
+class SwapScheme(_TwoPoint):
+    """Two-point analytic scheme on [0,1)^2: p1 = (X, Y), p2 = (Y, X)."""
+
+    kind = "swap"
+    pair_dim = 2
+
+    def batch(self, n, d, reps, rng):
+        g = rng.gen
+        x = g.random(reps)
+        y = g.random(reps)
+        return np.stack([np.stack([x, y], axis=1), np.stack([y, x], axis=1)], axis=1)
+
+    def pair_prob(self, rect1, rect2):
+        # X must fall in rect1_x intersect rect2_y, Y in rect1_y intersect rect2_x
+        return _overlap(rect1[0], rect2[1]) * _overlap(rect1[1], rect2[0])
+
+
+SCHEMES = {
+    cls.kind: cls
+    for cls in (
+        MonteCarlo, SimpleStratified, GeneralizedStratified, RsjLattice, LatinHypercube,
+        ScrambledNet, Mixed, MinCopula, FourSlot, SwapScheme,
+    )
+}
+
+
+def _scheme(spec) -> SchemeSpec:
+    if not isinstance(spec, SchemeSpec):
+        raise ValidationError(f"unknown scheme: {type(spec).__name__}")
+    return spec
+
+
+def describe_scheme(spec) -> str:
+    """The scheme's label, as written to the CSV `scheme` column."""
+    return _scheme(spec).label()
+
+
+def _validate(spec, n: int, d: int) -> None:
+    if n < 1 or d < 1:
+        raise ValidationError("need n >= 1 and d >= 1")
+    _scheme(spec).validate(n, d)
+
+
+# ---------------------------------------------------------------------------
+# Digital nets
 
 
 def _pascal_matrix_powers(b: int, m: int, s: int) -> list[np.ndarray]:
@@ -500,135 +701,35 @@ def net_points(b: int, m: int, s: int) -> PointSet:
     return PointSet(digits @ weights)
 
 
-def _batch_scrambled_net(spec: ScrambledNet, reps, g):
-    b, m, s = spec.b, spec.m, spec.s
-    n = b**m
-    base = _net_base_digits(b, m, s)
-    weights = b ** -(np.arange(m, dtype=float) + 1)
-    out = np.empty((reps, n, s))
-    rows = np.arange(reps)[:, None]
-    for l in range(s):
-        digits = np.broadcast_to(base[:, l, :], (reps, n, m)).copy()
-        prefix = np.zeros(n, dtype=np.int64)
-        for r in range(m):
-            for pid in np.unique(prefix):
-                members = np.nonzero(prefix == pid)[0]
-                perms = np.argsort(g.random((reps, b)), axis=1)
-                digits[:, members, r] = perms[rows, base[members, l, r][None, :]]
-            prefix = prefix * b + base[:, l, r]
-        out[:, :, l] = digits @ weights + g.random((reps, n)) * b ** (-m)
-    rp = _row_perms(g, reps, n)
-    return np.take_along_axis(out, rp[:, :, None], axis=1)
-
-
-_FOURSLOT_LOWER = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
-
-# joint slot probabilities, symmetric, rows/columns sum to 1/4; unlisted pairs are 0
-_FOURSLOT_TABLE = {
-    (0, 0): 1 / 16, (1, 1): 1 / 16, (2, 2): 1 / 16, (3, 3): 1 / 16,
-    (0, 2): 1 / 32, (2, 0): 1 / 32, (1, 3): 1 / 32, (3, 1): 1 / 32,
-    (0, 3): 5 / 32, (3, 0): 5 / 32, (1, 2): 5 / 32, (2, 1): 5 / 32,
-}
-
-
-def _batch_fourslot(reps, g):
-    pairs = sorted(_FOURSLOT_TABLE)
-    probs = np.array([_FOURSLOT_TABLE[p] for p in pairs])
-    pick = g.choice(len(pairs), size=reps, p=probs)
-    slot = np.array(pairs)[pick]  # (reps, 2)
-    u = g.random((reps, 2, 2)) * 0.5
-    return _FOURSLOT_LOWER[slot] + u
-
-
-def _batch_swap(reps, g):
-    x = g.random(reps)
-    y = g.random(reps)
-    out = np.empty((reps, 2, 2))
-    out[:, 0, 0] = x
-    out[:, 0, 1] = y
-    out[:, 1, 0] = y
-    out[:, 1, 1] = x
-    return out
-
-
-def _validate(spec, n: int, d: int) -> None:
-    if n < 1 or d < 1:
-        raise ValidationError("need n >= 1 and d >= 1")
-    if isinstance(spec, (MonteCarlo, LatinHypercube)):
-        return
-    if isinstance(spec, SimpleStratified):
-        if d != 1:
-            raise ValidationError("simple stratified sampling is 1-d only")
-        return
-    if isinstance(spec, GeneralizedStratified):
-        _validate_strata(spec.strata, d)
-        if spec.beta != strata_count(spec.strata):
-            raise ValidationError("beta must equal the number of strata")
-        if spec.beta < n:
-            raise ValidationError("need beta >= n strata")
-        return
-    if isinstance(spec, RsjLattice):
-        if not is_prime(n):
-            raise ValidationError("rank-1 lattice point count must be prime")
-        return
-    if isinstance(spec, ScrambledNet):
-        if not is_prime(spec.b):
-            raise ValidationError("net base must be prime")
-        if not (1 <= spec.s <= spec.b):
-            raise ValidationError("net dimension s must satisfy 1 <= s <= b")
-        if spec.m < 1:
-            raise ValidationError("net digit depth m must be >= 1")
-        if n != spec.b**spec.m:
-            raise ValidationError(f"net point count must be b^m = {spec.b ** spec.m}")
-        if d != spec.s:
-            raise ValidationError("net dimension mismatch: d must equal s")
-        return
-    if isinstance(spec, Mixed):
-        if spec.d_left < 1 or spec.d_right < 1:
-            raise ValidationError("mixed factors must have dimension >= 1")
-        if d != spec.d_left + spec.d_right:
-            raise ValidationError("mixed dimension must equal d_left + d_right")
-        _validate(spec.left, n, spec.d_left)
-        _validate(spec.right, n, spec.d_right)
-        return
-    if isinstance(spec, MinCopula):
-        raise ValidationError(
-            "the min-copula scheme has no sampler; use its probability oracle"
-        )
-    if isinstance(spec, (FourSlot, SwapScheme)):
-        if n != 2 or d != 2:
-            raise ValidationError("analytic two-point schemes require n = 2, d = 2")
-        return
-    raise ValidationError(f"unknown scheme: {type(spec).__name__}")
-
-
 def sample_batch(spec: SchemeSpec, n: int, d: int, reps: int, rng: RngStream) -> np.ndarray:
     """Draw `reps` independent replications of the scheme: shape (reps, n, d)."""
     if reps < 1:
         raise ValidationError("need reps >= 1")
     _validate(spec, n, d)
-    g = rng.gen
-    if isinstance(spec, MonteCarlo):
-        return _batch_mc(n, d, reps, g)
-    if isinstance(spec, SimpleStratified):
-        return _batch_sss(n, reps, g)
-    if isinstance(spec, LatinHypercube):
-        return _batch_lhs(n, d, reps, g)
-    if isinstance(spec, RsjLattice):
-        return _batch_rsj(n, d, reps, g)
-    if isinstance(spec, GeneralizedStratified):
-        return _batch_gss(spec, n, d, reps, g)
-    if isinstance(spec, ScrambledNet):
-        return _batch_scrambled_net(spec, reps, g)
-    if isinstance(spec, Mixed):
-        left = sample_batch(spec.left, n, spec.d_left, reps, rng.split(0))
-        right = sample_batch(spec.right, n, spec.d_right, reps, rng.split(1))
-        return np.concatenate([left, right], axis=2)
-    if isinstance(spec, FourSlot):
-        return _batch_fourslot(reps, g)
-    if isinstance(spec, SwapScheme):
-        return _batch_swap(reps, g)
-    raise ValidationError(f"unknown scheme: {type(spec).__name__}")
+    return spec.batch(n, d, reps, rng)
+
+
+_CHUNK_SCALARS = 4_000_000
+
+
+def map_chunks(spec: SchemeSpec, n: int, d: int, reps: int, rng: RngStream, fn, threads: int = 1):
+    """Apply fn to `reps` replications of the scheme drawn in chunks.
+
+    A chunk holds about 4e6 scalars, and chunk k draws from rng.split(k), so
+    the results, returned in chunk order, are the same for any thread count.
+    """
+    if reps < 1:
+        raise ValidationError("need at least one replication")
+    chunk = max(1, _CHUNK_SCALARS // max(1, n * d))
+    sizes = [min(chunk, reps - pos) for pos in range(0, reps, chunk)]
+
+    def run(k):
+        return fn(sample_batch(spec, n, d, sizes[k], rng.split(k)))
+
+    if threads > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(len(sizes))))
+    return [run(k) for k in range(len(sizes))]
 
 
 def sample(spec: SchemeSpec, n: int, d: int, rng: RngStream) -> PointSet:

@@ -2,12 +2,13 @@
 and byte-level determinism."""
 
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from negdep_qmc import load_pointset, star_discrepancy_exact
-from negdep_qmc.cli import main
+from negdep_qmc import SCHEMES, describe_scheme, load_pointset, star_discrepancy_exact
+from negdep_qmc.cli import main, parse_scheme
 
 
 def write_json(path, payload):
@@ -238,6 +239,103 @@ def test_scheme_validation_error_exit_code(tmp_path, capsys):
     cfg = write_json(tmp_path / "c.json", {"scheme": {"kind": "rsj"}, "n": 6, "d": 2, "seed": 1})
     code, _, err = run(["sample", cfg], capsys)  # 6 is not prime
     assert code == 2
+
+
+_SAMPLE = {"scheme": {"kind": "mc"}, "n": 4, "d": 2}
+_DISC = {"scheme": {"kind": "mc"}, "n": 8, "d": 2}
+_UPPER = {"scheme": {"kind": "lhs"}, "n": 4, "d": 2, "test": "upper",
+          "anchors": [[0.5, 0.5]], "t_values": [1], "reps": 100}
+_COND = {"scheme": {"kind": "lhs"}, "n": 4, "d": 2, "test": "conditional", "i": 2,
+         "alphas": [0.5], "betas": [0.5], "reps": 100}
+_CELLS_G3 = {"kind": "gss", "beta": 31, "strata": {"kind": "cells", "g": [1, 2, 3], "n": 31}}
+
+MALFORMED = [
+    # values that used to crash with a traceback
+    pytest.param("sample", {**_SAMPLE, "scheme": _CELLS_G3, "n": 5}, [], id="cells-g-3-entries"),
+    pytest.param("sample", {**_SAMPLE, "n": "abc"}, [], id="n-string"),
+    pytest.param("negdep", {**_UPPER, "anchors": [0.5, 0.5]}, [], id="anchors-flat"),
+    pytest.param("negdep", {**_COND, "a_box": {"kind": "corner0", "upper": 0.5}}, [],
+                 id="box-upper-scalar"),
+    pytest.param("discrepancy", {**_DISC, "weights": {"kind": "explicit", "table": [1, 2]}}, [],
+                 id="weights-table-list"),
+    pytest.param("discrepancy", {**_DISC, "weights": {"kind": "explicit", "table": {"1": "x"}}},
+                 [], id="weights-table-string-value"),
+    pytest.param("discrepancy", {"points": "no-such-dir/points.txt"}, [], id="points-missing"),
+    pytest.param("sample", _SAMPLE, ["--seed", "-1"], id="seed-flag-negative"),
+    # values that used to be coerced silently
+    pytest.param("sample", {**_SAMPLE, "n": 2.7}, [], id="n-fraction"),
+    pytest.param("sample", {**_SAMPLE, "n": True}, [], id="n-boolean"),
+    pytest.param("sample", {**_SAMPLE, "seed": 1.9}, [], id="seed-fraction"),
+    pytest.param("discrepancy", {**_DISC, "exact": "false", "delta": 0.1}, [],
+                 id="exact-string"),
+    pytest.param("negdep", {**_UPPER, "oracle": "no"}, [], id="oracle-string"),
+    pytest.param("negdep", {**_UPPER, "threads": 0}, [], id="threads-zero"),
+    pytest.param("discrepancy", {**_DISC, "delta": "0.1"}, [], id="delta-string"),
+    pytest.param("discrepancy", {**_DISC, "budget": 1.5}, [], id="budget-fraction"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, argv", MALFORMED)
+def test_malformed_config_value_exits_2(tmp_path, capsys, command, cfg, argv):
+    code, _, err = run([command, write_json(tmp_path / "c.json", cfg), *argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, env", [(["--threads", "0"], None), ([], "0")],
+                         ids=["flag", "environment"])
+def test_thread_count_below_one_exits_2(tmp_path, capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("NEGDEP_QMC_THREADS", env)
+    code, _, err = run(["negdep", write_json(tmp_path / "c.json", _UPPER), *argv], capsys)
+    assert code == 2
+    assert "must be >= 1" in err
+
+
+def test_float_fields_accept_json_integers(tmp_path, capsys):
+    grid = {"n": 64, "d": 2, "c": [1]}  # integers where numbers are expected
+    cfg = write_json(tmp_path / "b.json", {"formula": "corner", "grid": grid})
+    code, text, _ = run(["bounds", cfg], capsys)
+    assert code == 0
+    assert len(text.strip().split("\n")) == 2
+
+
+# one config per registered scheme kind, with its label (the CSV scheme column)
+SCHEME_EXAMPLES = {
+    "mc": ({"kind": "mc"}, "mc"),
+    "sss": ({"kind": "sss"}, "sss"),
+    "lhs": ({"kind": "lhs"}, "lhs"),
+    "rsj": ({"kind": "rsj"}, "rsj"),
+    "gss": ({"kind": "gss", "beta": 31, "strata": {"kind": "cells", "g": [1, 5], "n": 31}},
+            "gss(beta=31,cells(g=(1, 5),n=31))"),
+    "net": ({"kind": "net", "b": 5, "m": 2, "s": 2}, "net(b=5,m=2,s=2)"),
+    "mixed": ({"kind": "mixed", "left": {"kind": "lhs"}, "d_left": 2,
+               "right": {"kind": "gss", "beta": 8, "strata": {"kind": "stripes", "count": 8}},
+               "d_right": 1},
+              "mixed(lhs|2+gss(beta=8,stripes)|1)"),
+    "mincopula": ({"kind": "mincopula"}, "mincopula"),
+    "fourslot": ({"kind": "fourslot"}, "fourslot"),
+    "swap": ({"kind": "swap"}, "swap"),
+}
+
+
+def _to_config(spec):
+    cfg = {"kind": spec.kind}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        cfg[f.name] = _to_config(value) if is_dataclass(value) else (
+            list(value) if isinstance(value, tuple) else value)
+    return cfg
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMES))
+def test_parse_scheme_round_trip(kind):
+    cfg, label = SCHEME_EXAMPLES[kind]  # a new kind needs an example here
+    spec = parse_scheme(cfg)
+    assert type(spec) is SCHEMES[kind]
+    assert describe_scheme(spec) == label
+    assert _to_config(spec) == cfg
+    assert parse_scheme(_to_config(spec)) == spec
 
 
 def test_report_subset_runs_and_writes(tmp_path, capsys):

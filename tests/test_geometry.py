@@ -9,13 +9,11 @@ from negdep_qmc import (
     BoxDiff,
     CornerBox0,
     CornerBox1,
-    ElementaryInterval,
     Interval,
     RngStream,
     ValidationError,
     build_delta_cover,
     clip_convex_to_box,
-    contains,
     contains_points,
     cover_cardinality_bound,
     describe_box,
@@ -44,14 +42,13 @@ def test_volume_of_each_box_kind():
 
 def test_membership_half_open_semantics():
     box = CornerBox0((0.5, 0.5))
-    assert contains(box, (0.0, 0.0))
-    assert not contains(box, (0.5, 0.25))
+    assert contains_points(box, [(0.0, 0.0), (0.5, 0.25)]).tolist() == [True, False]
     up = CornerBox1((0.5, 0.5))
-    assert contains(up, (0.5, 0.5))
-    assert contains(up, (0.999, 0.5))
-    assert not contains(up, (0.4999, 0.9))
+    assert contains_points(up, [(0.5, 0.5), (0.999, 0.5), (0.4999, 0.9)]).tolist() == [
+        True, True, False,
+    ]
     iv = Interval((0.2,), (0.8,))
-    assert contains(iv, (0.2,)) and not contains(iv, (0.8,))
+    assert contains_points(iv, [(0.2,), (0.8,)]).tolist() == [True, False]
 
 
 def test_membership_frequency_matches_volume():
@@ -167,14 +164,7 @@ def test_split_box_difference_pieces_are_disjoint_and_exhaustive():
 
 
 # ---------------------------------------------------------------------------
-# Nets and elementary intervals
-
-
-def test_elementary_interval_validation():
-    with pytest.raises(ValidationError):
-        ElementaryInterval(1, np.array([1]), np.array([0]))
-    with pytest.raises(ValidationError):
-        ElementaryInterval(2, np.array([1]), np.array([2]))  # k must be < b^j
+# Nets
 
 
 def test_raw_net_has_net_property():

@@ -22,7 +22,6 @@ from negdep_qmc import (
     Stripes,
     SwapScheme,
     ValidationError,
-    concat,
     describe_scheme,
     is_net,
     is_prime,
@@ -71,16 +70,6 @@ def test_pointset_save_load_roundtrip(tmp_path):
     back = load_pointset(path)
     assert back.n == ps.n and back.d == ps.d
     assert np.array_equal(back.data, ps.data)
-
-
-def test_concat_joins_coordinates_rowwise():
-    a = PointSet(np.array([[0.1], [0.2]]))
-    b = PointSet(np.array([[0.3, 0.4], [0.5, 0.6]]))
-    c = concat(a, b)
-    assert c.n == 2 and c.d == 3
-    assert np.allclose(c.data[1], [0.2, 0.5, 0.6])
-    with pytest.raises(ValidationError):
-        concat(a, PointSet(np.array([[0.1]])[:0]))  # row mismatch via empty set
 
 
 def test_rng_stream_split_is_deterministic_and_disjoint():
@@ -314,6 +303,24 @@ def test_describe_scheme_labels():
     assert describe_scheme(LatinHypercube()) == "lhs"
     assert describe_scheme(GeneralizedStratified(4, Stripes(4))) == "gss(beta=4,stripes)"
     assert "mixed" in describe_scheme(Mixed(LatinHypercube(), 1, MonteCarlo(), 1))
+    # these strings are the CSV `scheme` column
+    assert describe_scheme(SimpleStratified()) == "sss"
+    assert describe_scheme(RsjLattice()) == "rsj"
+    assert (
+        describe_scheme(GeneralizedStratified(31, LatticeCells((1, 5), 31)))
+        == "gss(beta=31,cells(g=(1, 5),n=31))"
+    )
+    assert describe_scheme(ScrambledNet(5, 2, 2)) == "net(b=5,m=2,s=2)"
+    assert describe_scheme(Mixed(LatinHypercube(), 2, LatinHypercube(), 1)) == "mixed(lhs|2+lhs|1)"
+    assert describe_scheme(MinCopula()) == "mincopula"
+    assert describe_scheme(FourSlot()) == "fourslot"
+    assert describe_scheme(SwapScheme()) == "swap"
+
+
+def test_lattice_cells_need_a_two_entry_generator():
+    spec = GeneralizedStratified(31, LatticeCells((1, 2, 3), 31))
+    with pytest.raises(ValidationError, match="two entries"):
+        sample_batch(spec, 5, 2, 1, RngStream(0))
 
 
 def test_validation_rejects_nonpositive_sizes():
