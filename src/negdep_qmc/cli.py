@@ -2,13 +2,10 @@
 
 One subcommand per workflow: sample | discrepancy | negdep | bounds |
 variance | net-check | report. Each takes a single JSON configuration file
-plus --seed / --threads / --out overrides, and writes CSV with a stable,
-documented column order. When writing to a file, a sidecar <out>.schema.json
-records the subcommand, package version, and column names. Outputs contain
-no timestamps: identical configuration, seed, and thread count of 1 give
-byte-identical files, and multithreaded runs of the statistical commands
-reproduce the same counts because replication streams are keyed by chunk
-index, not by thread.
+plus --seed / --out overrides, and writes CSV with a stable, documented
+column order. When writing to a file, a sidecar <out>.schema.json records the
+subcommand, package version, and column names. Outputs contain no
+timestamps: identical configuration and seed give byte-identical files.
 
 Configs are read strictly: unknown keys are rejected, and every value must
 have its JSON type (integers are JSON integers, numbers any JSON number,
@@ -26,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -85,9 +81,6 @@ from .samplers import (
     save_pointset,
 )
 
-THREADS_ENV = "NEGDEP_QMC_THREADS"
-
-
 # ---------------------------------------------------------------------------
 # Config plumbing: one typed reader
 
@@ -95,7 +88,10 @@ THREADS_ENV = "NEGDEP_QMC_THREADS"
 def _check_keys(cfg: dict, allowed, where: str) -> None:
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:
-        raise ValidationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        raise ValidationError(
+            f"unknown key(s) in {where}: {', '.join(unknown)} "
+            f"(known keys: {', '.join(sorted(allowed))})"
+        )
 
 
 def _need(cfg: dict, key: str, where: str):
@@ -220,35 +216,19 @@ def parse_function(cfg):
     )
 
 
-def _resolve_threads(args, cfg, where: str) -> int:
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
-    elif "threads" in cfg:
-        threads, source = _get(cfg, "threads", int, where), f"'threads' in {where}"
-    else:
-        try:
-            threads, source = int(os.environ.get(THREADS_ENV) or 1), THREADS_ENV
-        except ValueError as exc:
-            raise ValidationError(f"{THREADS_ENV} must be an integer") from exc
-    if threads < 1:
-        raise ValidationError(f"{source} must be >= 1, got {threads}")
-    return threads
-
-
-def _open(args, keys, where: str, seed_default: int = 0):
+def _open(args, keys, where: str, seed_default: int = 0, out_key: str = "out"):
     """Load the config, reject unknown keys, and resolve the common settings.
 
-    Returns (cfg, seed, threads, out); --seed, --threads and --out override
-    the config, and the thread count falls back to $NEGDEP_QMC_THREADS, then 1.
+    Returns (cfg, seed, out); --seed and --out override the config keys
+    "seed" and `out_key`.
     """
     cfg = _load_config(args.config)
-    _check_keys(cfg, set(keys) | {"seed", "threads", "out"}, where)
+    _check_keys(cfg, set(keys) | {"seed", out_key}, where)
     seed = args.seed if args.seed is not None else _get(cfg, "seed", int, where, seed_default)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    threads = _resolve_threads(args, cfg, where)
-    out = args.out if args.out is not None else _get(cfg, "out", str, where, None)
-    return cfg, seed, threads, out
+    out = args.out if args.out is not None else _get(cfg, out_key, str, where, None)
+    return cfg, seed, out
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +286,7 @@ def _load_or_sample_points(cfg, seed: int, where: str):
 
 def cmd_sample(args) -> int:
     where = "sample config"
-    cfg, seed, _, out = _open(args, {"scheme", "n", "d"}, where)
+    cfg, seed, out = _open(args, {"scheme", "n", "d"}, where)
     ps = _load_or_sample_points(cfg, seed, where)
     if out is None:
         sys.stdout.write(f"{ps.d} {ps.n}\n")
@@ -324,7 +304,7 @@ _DISC_COLUMNS = (
 
 def cmd_discrepancy(args) -> int:
     where = "discrepancy config"
-    cfg, seed, _, out = _open(
+    cfg, seed, out = _open(
         args, {"points", "scheme", "n", "d", "exact", "delta", "weights", "budget"}, where
     )
     budget = _get(cfg, "budget", int, where, DEFAULT_BUDGET)
@@ -351,7 +331,7 @@ _FACTOR_COLUMNS = ("scheme", "n", "d") + FACTOR_CSV_COLUMNS
 
 def cmd_negdep(args) -> int:
     where = "negdep config"
-    cfg, seed, threads, out = _open(
+    cfg, seed, out = _open(
         args,
         {"scheme", "n", "d", "test", "reps", "confidence", "gamma", "anchors", "t_values",
          "q_anchors", "r_anchors", "i", "a_box", "b_box", "alphas", "betas", "q_values",
@@ -376,7 +356,7 @@ def cmd_negdep(args) -> int:
         anchors = _get(cfg, "anchors", [[float]], where)
         for k, (anchor, t) in enumerate(product(anchors, _grid(cfg, "t_values", int, where))):
             box = CornerBox0(anchor)
-            rep = fn(scheme, n, d, box, t, reps, rng.split(k), gamma, confidence, threads)
+            rep = fn(scheme, n, d, box, t, reps, rng.split(k), gamma, confidence)
             oracle = scheme.anchored_prob(n, box, t) if want_oracle and test == "upper" else None
             reports.append((rep, "" if oracle is None else oracle))
     elif test == "pairwise":
@@ -384,7 +364,7 @@ def cmd_negdep(args) -> int:
                           _get(cfg, "r_anchors", [[float]], where))
         for k, (qa, ra) in enumerate(anchors):
             pair = check_pairwise_nd(scheme, n, d, CornerBox1(qa), CornerBox1(ra), reps,
-                                     rng.split(k), confidence, threads)
+                                     rng.split(k), confidence)
             reports.extend((rep, "") for rep in pair)
     elif test == "conditional":
         i = _get(cfg, "i", int, where)
@@ -394,14 +374,14 @@ def cmd_negdep(args) -> int:
         levels = product(_grid(cfg, "alphas", float, where), _grid(cfg, "betas", float, where))
         for k, (alpha, beta) in enumerate(levels):
             rep = check_conditional_nqd(scheme, n, d, i, a_box, b_box, alpha, beta, reps,
-                                        rng.split(k), confidence, threads)
+                                        rng.split(k), confidence)
             reports.append((rep, ""))
     elif test == "ci":
         i = _get(cfg, "i", int, where)
         levels = product(_grid(cfg, "q_values", float, where),
                          _grid(cfg, "r_values", float, where))
         for k, (q, r) in enumerate(levels):
-            res = check_ci_nqd(scheme, n, d, i, q, r, reps, rng.split(k), confidence, threads)
+            res = check_ci_nqd(scheme, n, d, i, q, r, reps, rng.split(k), confidence)
             reports.append((res.primary, ""))
             factor_rows += [[res.primary.scheme, n, d] + c.to_csv_row() for c in res.factorization]
     else:
@@ -439,7 +419,7 @@ _BOUNDS_COLUMNS = (
 
 def cmd_bounds(args) -> int:
     where = "bounds config"
-    cfg, _, _, out = _open(args, {"formula", "grid", "weights", "gamma"}, where)
+    cfg, _, out = _open(args, {"formula", "grid", "weights", "gamma"}, where)
     formula = _get(cfg, "formula", str, where)
     grid = _get(cfg, "grid", dict, where)
     _check_keys(grid, {"n", "d", "rho", "c", "theta", "t"}, "bounds grid")
@@ -477,7 +457,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_variance(args) -> int:
     where = "variance config"
-    cfg, seed, _, out = _open(args, {"scheme", "function", "n", "d", "reps"}, where)
+    cfg, seed, out = _open(args, {"scheme", "function", "n", "d", "reps"}, where)
     scheme = parse_scheme(_need(cfg, "scheme", where))
     f = parse_function(_need(cfg, "function", where))
     n = _get(cfg, "n", int, where)
@@ -494,7 +474,7 @@ _NET_COLUMNS = ("source", "b", "m", "s", "t", "n", "is_net")
 
 def cmd_net_check(args) -> int:
     where = "net-check config"
-    cfg, seed, _, out = _open(args, {"points", "b", "m", "s", "t", "scramble"}, where)
+    cfg, seed, out = _open(args, {"points", "b", "m", "s", "t", "scramble"}, where)
     b = _get(cfg, "b", int, where)
     m = _get(cfg, "m", int, where)
     s = _get(cfg, "s", int, where)
@@ -515,8 +495,7 @@ def cmd_net_check(args) -> int:
 
 def cmd_report(args) -> int:
     where = "report config"
-    cfg, seed, _, _ = _open(args, {"out_dir", "criteria"}, where, DEFAULT_SEED)
-    out_dir = args.out if args.out is not None else _get(cfg, "out_dir", str, where, None)
+    cfg, seed, out_dir = _open(args, {"criteria"}, where, DEFAULT_SEED, out_key="out_dir")
     criteria = cfg.get("criteria")
     if criteria is not None:
         criteria = _typed(criteria, [int], f"'criteria' in {where}")
@@ -555,8 +534,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", nargs="?", default=None, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: config, then ${THREADS_ENV}, then 1)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         if name == "negdep":
             p.add_argument("--expect-holds", action="store_true",

@@ -246,12 +246,13 @@ class _Tally:
         return _halfwidth(self.values[k], self.reps if trials is None else trials, self.confidence)
 
 
-def _tally(spec, n, d, events, reps, rng: RngStream, confidence, threads) -> _Tally:
+def _tally(spec, n, d, events, reps, rng: RngStream, confidence) -> _Tally:
     """Evaluate events, each a pair (boxes, outside): points 1..len(boxes)
     fall each in its box, or with `outside` all outside the one box.
 
     A scheme with a pair law gets exact probabilities when every box is a
-    rectangle; otherwise the events are counted over `reps` chunked draws.
+    rectangle; otherwise the events are counted over `reps` chunked draws of
+    the rows they read.
     """
     if getattr(spec, "pair_dim", None) is not None and all(
         box.axes() is not None for boxes, _ in events for box in boxes
@@ -268,7 +269,8 @@ def _tally(spec, n, d, events, reps, rng: RngStream, confidence, threads) -> _Ta
             for boxes, outside in events
         ]
 
-    parts = map_chunks(spec, n, d, reps, rng, counts, threads)
+    rows = max(len(boxes) for boxes, _ in events)
+    parts = map_chunks(spec, n, d, reps, rng, counts, rows)
     return _Tally([sum(col) for col in zip(*parts)], reps, confidence)
 
 
@@ -294,7 +296,7 @@ def _report(notion, spec, n, d, event, lhs, rhs, ci, tally: _Tally, gamma=1.0):
 # Joint orthant testers
 
 
-def _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, threads, complement):
+def _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, complement):
     if not (1 <= t <= n):
         raise ValidationError("need 1 <= t <= n")
     if box.d != d:
@@ -307,7 +309,7 @@ def _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, threads, co
     rhs = gamma * marginal**t
     side = "outside" if complement else "in"
     event = f"points 1..{t} all {side} {describe_box(box)}"
-    tally = _tally(spec, n, d, [((box,) * t, complement)], reps, rng, confidence, threads)
+    tally = _tally(spec, n, d, [((box,) * t, complement)], reps, rng, confidence)
     lhs, ci = tally.share(0), tally.halfwidth(0)
     return _report(notion, spec, n, d, event, lhs, rhs, ci, tally, gamma)
 
@@ -322,14 +324,14 @@ def check_upper_nd(
     rng: RngStream,
     gamma: float = 1.0,
     confidence: float = DEFAULT_CONFIDENCE,
-    threads: int = 1,
 ) -> DependenceReport:
     """Test P(points 1..t all in box) <= gamma * vol(box)^t.
 
     Exchangeability of the schemes makes the first t rows representative of
-    any t rows. Analytic two-point schemes are evaluated exactly.
+    any t rows, so only those are drawn where the scheme has a prefix
+    sampler. Analytic two-point schemes are evaluated exactly.
     """
-    return _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, threads, False)
+    return _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, False)
 
 
 def check_lower_nd(
@@ -342,10 +344,9 @@ def check_lower_nd(
     rng: RngStream,
     gamma: float = 1.0,
     confidence: float = DEFAULT_CONFIDENCE,
-    threads: int = 1,
 ) -> DependenceReport:
     """Test P(points 1..t all outside box) <= gamma * (1 - vol(box))^t."""
-    return _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, threads, True)
+    return _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, True)
 
 
 def check_pairwise_nd(
@@ -357,7 +358,6 @@ def check_pairwise_nd(
     reps: int,
     rng: RngStream,
     confidence: float = DEFAULT_CONFIDENCE,
-    threads: int = 1,
 ):
     """Test the two-point inequality P(p1 in Q, p2 in R) <= vol(Q) vol(R).
 
@@ -373,7 +373,7 @@ def check_pairwise_nd(
     if q_box.d != d or r_box.d != d:
         raise ValidationError("box dimension must equal d")
     pairs = [(q_box, r_box), (CornerBox0(q_box.lower), CornerBox0(r_box.lower))]
-    tally = _tally(spec, n, d, [(pair, False) for pair in pairs], reps, rng, confidence, threads)
+    tally = _tally(spec, n, d, [(pair, False) for pair in pairs], reps, rng, confidence)
     return tuple(
         _report(
             "pairwise_nd", spec, n, d, f"p1 in {describe_box(q)}, p2 in {describe_box(r)}",
@@ -417,7 +417,6 @@ def check_conditional_nqd(
     reps: int,
     rng: RngStream,
     confidence: float = DEFAULT_CONFIDENCE,
-    threads: int = 1,
     min_hits: int = _MIN_CONDITION_HITS,
 ) -> DependenceReport:
     """Conditional quadrant test on coordinate i (1-based).
@@ -445,7 +444,7 @@ def check_conditional_nqd(
     c1, c2 = _coordinate_box(d, i, 0.0, a_box), _coordinate_box(d, i, 0.0, b_box)
     t1, t2 = _coordinate_box(d, i, alpha, a_box), _coordinate_box(d, i, beta, b_box)
     events = [((c1, c2), False), ((t1, t2), False), ((t1, c2), False), ((c1, t2), False)]
-    tally = _tally(spec, n, d, events, reps, rng, confidence, threads)
+    tally = _tally(spec, n, d, events, reps, rng, confidence)
     hits, joint, m1, m2 = tally.values
     if tally.exact:
         if hits <= 0.0:
@@ -478,7 +477,6 @@ def check_ci_nqd(
     reps: int,
     rng: RngStream,
     confidence: float = DEFAULT_CONFIDENCE,
-    threads: int = 1,
     factor_grid: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> CiNqdResult:
     """Per-coordinate quadrant test plus cross-coordinate factorization probes.
@@ -505,7 +503,7 @@ def check_ci_nqd(
     events = [pair({i: q}, {i: r})]
     for j, g in probes:
         events += [pair({i: q, j: g}, {i: r, j: g}), pair({j: g}, {j: g})]
-    tally = _tally(spec, n, d, events, reps, rng, confidence, threads)
+    tally = _tally(spec, n, d, events, reps, rng, confidence)
     lhs = tally.share(0)
     hw_i = tally.halfwidth(0)
     primary = _report("ci_nqd", spec, n, d, event, lhs, rhs, hw_i, tally)
@@ -604,21 +602,17 @@ def _cells_mask(n: int, qcells) -> np.ndarray:
     return mask
 
 
-def _np_falling(arr: np.ndarray, t: int) -> np.ndarray:
-    out = np.ones(arr.shape, dtype=float)
-    for k in range(t):
-        out *= arr - k
-    return out
-
-
 def rsj_small_prob(n: int, qcells, t: int) -> float:
     """Exact P(points 1..t of the jittered random rank-1 lattice all in Q).
 
     Q is a union of cells of the n x n grid; the jitter never crosses cell
     boundaries and the row order is exchangeable, so conditioning on the
     generator and shift gives (K)_t / (n)_t with K the number of lattice
-    cells inside Q. Enumerates all (n-1)^2 generators and n^2 shifts; n must
-    be prime and at most 31.
+    cells inside Q. For prime n the lattice of generator (a, b) is the line
+    of slope c = b/a mod n, so the (n-1)^2 generators reduce to the n-1
+    slopes, each taken n-1 times; every slope and all n^2 shifts are
+    enumerated, and the falling factorials are summed as exact integers. n
+    must be prime and at most 31.
     """
     if not is_prime(n):
         raise ValidationError("n must be prime")
@@ -626,15 +620,14 @@ def rsj_small_prob(n: int, qcells, t: int) -> float:
         raise ValidationError("exact lattice enumeration is capped at n = 31")
     if not (1 <= t <= n):
         raise ValidationError("need 1 <= t <= n")
-    mask = _cells_mask(n, qcells).astype(np.int64)
-    denom = float(falling_factorial(n, t))
-    gens = range(1, n) if n > 2 else [1]
-    total = 0.0
-    for a in gens:
-        for b in gens:
-            hits = np.zeros((n, n), dtype=np.int64)
-            for j in range(n):
-                hits += np.roll(mask, shift=(-(j * a) % n, -(j * b) % n), axis=(0, 1))
-            total += float(np.sum(_np_falling(hits, t))) / denom
-    n_gen = len(list(gens))
-    return total / (n_gen * n_gen * n * n)
+    mask = _cells_mask(n, qcells)
+    k = np.arange(n)
+    x = (k[:, None, None] + k[None, None, :]) % n  # shift x, step k
+    slopes = range(1, n)  # for n = 2 the only generator is (1, 1)
+    # hist[K]: number of (slope, shift) pairs whose line has K cells in Q
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for c in slopes:
+        y = (k[None, :, None] + c * k[None, None, :]) % n  # shift y, step k
+        hist += np.bincount(mask[x, y].sum(axis=2).ravel(), minlength=n + 1)
+    total = sum(int(h) * falling_factorial(K, t) for K, h in enumerate(hist))
+    return total / (len(slopes) * n * n * falling_factorial(n, t))

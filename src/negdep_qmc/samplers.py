@@ -6,8 +6,9 @@ Each scheme is a dataclass deriving from SchemeSpec that owns what is known
 about it (JSON kind, label, validation, batch sampler, and where one exists
 its closed-form pair law and anchored-box oracle); SCHEMES maps each JSON kind
 to its class. `sample_batch` draws many independent replications at once as
-an (R, N, d) array, `map_chunks` applies a function to chunked batches, and
-`sample` is the single-draw wrapper returning a PointSet.
+an (R, N, d) array, or only their first rows where the scheme has a prefix
+sampler; `map_chunks` applies a function to chunked batches, and `sample` is
+the single-draw wrapper returning a PointSet.
 
 All randomness flows through RngStream, a splittable deterministic stream:
 the same seed and call sequence reproduce the same output bit for bit, and
@@ -17,7 +18,6 @@ the same seed and call sequence reproduce the same output bit for bit, and
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
@@ -300,12 +300,14 @@ class SchemeSpec:
 
     A scheme owns its JSON `kind`, its `label()` (the CSV `scheme` column),
     `validate(n, d)`, and `batch(n, d, reps, rng)`, which draws (reps, n, d)
-    replications once `validate` has passed. Two-point analytic schemes set
-    `pair_dim` and give `pair_prob(rect1, rect2)`, the exact P(p1 in rect1,
-    p2 in rect2) for rectangles given as per-axis (lo, hi) ranges. Schemes
-    with an exact anchored-box oracle give `anchored_prob(n, box, t)`, the
-    probability that points 1..t all fall in the origin-anchored box; the
-    others return None.
+    replications once `validate` has passed. `prefix(n, d, rows, reps, rng)`
+    draws points 1..rows of each replication with the same joint law; the
+    default draws all n rows, and `prefix_rows` says how many come back.
+    Two-point analytic schemes set `pair_dim` and give `pair_prob(rect1,
+    rect2)`, the exact P(p1 in rect1, p2 in rect2) for rectangles given as
+    per-axis (lo, hi) ranges. Schemes with an exact anchored-box oracle give
+    `anchored_prob(n, box, t)`, the probability that points 1..t all fall in
+    the origin-anchored box; the others return None.
     """
 
     kind: ClassVar[str]
@@ -320,6 +322,13 @@ class SchemeSpec:
     def anchored_prob(self, n: int, box, t: int) -> Optional[float]:
         return None
 
+    def prefix(self, n: int, d: int, rows: int, reps: int, rng: "RngStream") -> np.ndarray:
+        return self.batch(n, d, reps, rng)
+
+    def prefix_rows(self, n: int, rows: int) -> int:
+        # a scheme that overrides `prefix` returns exactly `rows` rows
+        return n if type(self).prefix is SchemeSpec.prefix else rows
+
 
 def _oracles():
     # the anchored-box oracles live in negdep, which imports this module
@@ -333,6 +342,26 @@ def _row_perms(g: np.random.Generator, reps: int, n: int) -> np.ndarray:
     return np.argsort(g.random((reps, n)), axis=1)
 
 
+def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int) -> np.ndarray:
+    """(reps, rows) array: the first `rows` entries of independent uniform
+    permutations of 0..n-1.
+
+    Entry k is drawn uniformly from the n - k values not yet taken: an index
+    into them is drawn, then raised past each taken value, in ascending
+    order, that it reaches. That is O(rows^2) per replication, so when
+    rows^2 > n the whole permutation is drawn by argsort instead.
+    """
+    if rows * rows > n:
+        return _row_perms(g, reps, n)[:, :rows]
+    out = np.empty((reps, rows), dtype=np.int64)
+    for k in range(rows):
+        v = g.integers(0, n - k, size=reps)
+        for taken in np.sort(out[:, :k], axis=1).T:
+            v += taken <= v
+        out[:, k] = v
+    return out
+
+
 @dataclass(frozen=True)
 class MonteCarlo(SchemeSpec):
     """Independent uniform points."""
@@ -341,6 +370,9 @@ class MonteCarlo(SchemeSpec):
 
     def batch(self, n, d, reps, rng):
         return rng.gen.random((reps, n, d))
+
+    def prefix(self, n, d, rows, reps, rng):
+        return self.batch(rows, d, reps, rng)
 
 
 @dataclass(frozen=True)
@@ -382,14 +414,18 @@ class GeneralizedStratified(SchemeSpec):
             raise ValidationError("need beta >= n strata")
 
     def batch(self, n, d, reps, rng):
-        g, beta = rng.gen, self.beta
-        chosen = np.argsort(g.random((reps, beta)), axis=1)[:, :n]
+        return self._place(_row_perms(rng.gen, reps, self.beta)[:, :n], d, rng.gen)
+
+    def prefix(self, n, d, rows, reps, rng):
+        return self._place(_perm_prefix(rng.gen, reps, self.beta, rows), d, rng.gen)
+
+    def _place(self, chosen, d, g):
+        """One uniform point in each chosen stratum; chosen has shape (reps, rows)."""
         if isinstance(self.strata, Stripes):
-            u1 = g.random((reps, n))
-            first = (chosen + u1) / beta
+            first = (chosen + g.random(chosen.shape)) / self.beta
             if d == 1:
                 return first[:, :, None]
-            rest = g.random((reps, n, d - 1))
+            rest = g.random(chosen.shape + (d - 1,))
             return np.concatenate([first[:, :, None], rest], axis=2)
         # lattice cells, d = 2
         strata = self.strata
@@ -398,8 +434,8 @@ class GeneralizedStratified(SchemeSpec):
         y = np.stack(
             [(chosen * strata.g[0]) % strata.n, (chosen * strata.g[1]) % strata.n], axis=-1
         ) / strata.n
-        u = g.random((reps, n, 1))
-        w = g.random((reps, n, 1))
+        u = g.random(chosen.shape + (1,))
+        w = g.random(chosen.shape + (1,))
         pts = np.mod(y + u * b1 + w * b2, 1.0)
         pts[pts >= 1.0] = 0.0  # fp guard: mod of a tiny negative can round to 1.0
         return pts
@@ -423,11 +459,15 @@ class RsjLattice(SchemeSpec):
             raise ValidationError("rank-1 lattice point count must be prime")
 
     def batch(self, n, d, reps, rng):
+        # n is prime, so n^2 > n and _perm_prefix draws whole permutations
+        return self.prefix(n, d, n, reps, rng)
+
+    def prefix(self, n, d, rows, reps, rng):
         g = rng.gen
         gvec = g.integers(1, n, size=(reps, 1, d)) if n > 2 else np.ones((reps, 1, d), dtype=np.int64)
         shift = g.integers(0, n, size=(reps, 1, d))
-        perm = _row_perms(g, reps, n)[:, :, None]
-        jitter = g.random((reps, n, d))
+        perm = _perm_prefix(g, reps, n, rows)[:, :, None]
+        jitter = g.random((reps, rows, d))
         cell = (perm * gvec + shift) % n
         return (cell + jitter) / n
 
@@ -439,10 +479,16 @@ class LatinHypercube(SchemeSpec):
     kind = "lhs"
 
     def batch(self, n, d, reps, rng):
-        g = rng.gen
-        perm = np.argsort(g.random((reps, d, n)), axis=2)
-        u = g.random((reps, d, n))
-        return np.swapaxes((perm + u) / n, 1, 2)
+        return self._place(n, _row_perms(rng.gen, reps * d, n).reshape(reps, d, n), rng.gen)
+
+    def prefix(self, n, d, rows, reps, rng):
+        return self._place(n, _perm_prefix(rng.gen, reps * d, n, rows).reshape(reps, d, rows),
+                           rng.gen)
+
+    @staticmethod
+    def _place(n, perm, g):
+        """Jitter each point within its strata; perm has shape (reps, d, rows)."""
+        return np.swapaxes((perm + g.random(perm.shape)) / n, 1, 2)
 
     def anchored_prob(self, n, box, t):
         return _oracles().lhs_anchored_prob_exact(n, box.upper, t)
@@ -479,15 +525,15 @@ class ScrambledNet(SchemeSpec):
         base = _net_base_digits(b, m, s)
         weights = b ** -(np.arange(m, dtype=float) + 1)
         out = np.empty((reps, n, s))
-        rows = np.arange(reps)[:, None]
+        digits = np.empty((reps, n, m), dtype=np.int64)
         for l in range(s):
-            digits = np.broadcast_to(base[:, l, :], (reps, n, m)).copy()
             prefix = np.zeros(n, dtype=np.int64)
             for r in range(m):
-                for pid in np.unique(prefix):
-                    members = np.nonzero(prefix == pid)[0]
-                    perms = np.argsort(g.random((reps, b)), axis=1)
-                    digits[:, members, r] = perms[rows, base[members, l, r][None, :]]
+                # one permutation of the b digits per prefix and replication. The
+                # generating matrices are unit upper triangular, so all b^r
+                # prefixes occur at level r and are drawn in ascending order.
+                perms = np.argsort(g.random((b**r, reps, b)), axis=2)
+                digits[:, :, r] = perms[prefix, :, base[:, l, r]].T
                 prefix = prefix * b + base[:, l, r]
             out[:, :, l] = digits @ weights + g.random((reps, n)) * b ** (-m)
         rp = _row_perms(g, reps, n)
@@ -517,9 +563,16 @@ class Mixed(SchemeSpec):
         _validate(self.right, n, self.d_right)
 
     def batch(self, n, d, reps, rng):
-        left = sample_batch(self.left, n, self.d_left, reps, rng.split(0))
-        right = sample_batch(self.right, n, self.d_right, reps, rng.split(1))
+        return self.prefix(n, d, n, reps, rng)
+
+    def prefix(self, n, d, rows, reps, rng):
+        rows = self.prefix_rows(n, rows)
+        left = sample_batch(self.left, n, self.d_left, reps, rng.split(0), rows)
+        right = sample_batch(self.right, n, self.d_right, reps, rng.split(1), rows)
         return np.concatenate([left, right], axis=2)
+
+    def prefix_rows(self, n, rows):
+        return max(self.left.prefix_rows(n, rows), self.right.prefix_rows(n, rows))
 
     def anchored_prob(self, n, box, t):
         if not (isinstance(self.left, LatinHypercube) and isinstance(self.right, LatinHypercube)):
@@ -701,35 +754,44 @@ def net_points(b: int, m: int, s: int) -> PointSet:
     return PointSet(digits @ weights)
 
 
-def sample_batch(spec: SchemeSpec, n: int, d: int, reps: int, rng: RngStream) -> np.ndarray:
-    """Draw `reps` independent replications of the scheme: shape (reps, n, d)."""
+def sample_batch(
+    spec: SchemeSpec, n: int, d: int, reps: int, rng: RngStream, rows: Optional[int] = None
+) -> np.ndarray:
+    """Draw `reps` independent replications of the scheme: shape (reps, n, d).
+
+    With `rows` < n, only points 1..rows of each replication are needed:
+    schemes with a prefix sampler draw exactly those (shape (reps, rows, d)),
+    the others all n. With `rows` None or >= n the draw is `spec.batch`.
+    """
     if reps < 1:
         raise ValidationError("need reps >= 1")
     _validate(spec, n, d)
-    return spec.batch(n, d, reps, rng)
+    if rows is None or rows >= n:
+        return spec.batch(n, d, reps, rng)
+    if rows < 1:
+        raise ValidationError("need rows >= 1")
+    return spec.prefix(n, d, rows, reps, rng)
 
 
 _CHUNK_SCALARS = 4_000_000
 
 
-def map_chunks(spec: SchemeSpec, n: int, d: int, reps: int, rng: RngStream, fn, threads: int = 1):
+def map_chunks(spec: SchemeSpec, n: int, d: int, reps: int, rng: RngStream, fn,
+               rows: Optional[int] = None):
     """Apply fn to `reps` replications of the scheme drawn in chunks.
 
-    A chunk holds about 4e6 scalars, and chunk k draws from rng.split(k), so
-    the results, returned in chunk order, are the same for any thread count.
+    `rows` is passed on to `sample_batch`. A chunk holds about 4e6 scalars of
+    the rows really drawn, and chunk k draws from rng.split(k); the results
+    are returned in chunk order.
     """
     if reps < 1:
         raise ValidationError("need at least one replication")
-    chunk = max(1, _CHUNK_SCALARS // max(1, n * d))
-    sizes = [min(chunk, reps - pos) for pos in range(0, reps, chunk)]
-
-    def run(k):
-        return fn(sample_batch(spec, n, d, sizes[k], rng.split(k)))
-
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(len(sizes))))
-    return [run(k) for k in range(len(sizes))]
+    drawn = n if rows is None or rows >= n else _scheme(spec).prefix_rows(n, rows)
+    chunk = max(1, _CHUNK_SCALARS // max(1, drawn * d))
+    return [
+        fn(sample_batch(spec, n, d, min(chunk, reps - pos), rng.split(k), rows))
+        for k, pos in enumerate(range(0, reps, chunk))
+    ]
 
 
 def sample(spec: SchemeSpec, n: int, d: int, rng: RngStream) -> PointSet:

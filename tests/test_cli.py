@@ -269,7 +269,7 @@ MALFORMED = [
     pytest.param("discrepancy", {**_DISC, "exact": "false", "delta": 0.1}, [],
                  id="exact-string"),
     pytest.param("negdep", {**_UPPER, "oracle": "no"}, [], id="oracle-string"),
-    pytest.param("negdep", {**_UPPER, "threads": 0}, [], id="threads-zero"),
+    pytest.param("negdep", {**_UPPER, "threads": 2}, [], id="threads-unknown-key"),
     pytest.param("discrepancy", {**_DISC, "delta": "0.1"}, [], id="delta-string"),
     pytest.param("discrepancy", {**_DISC, "budget": 1.5}, [], id="budget-fraction"),
 ]
@@ -280,16 +280,6 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, cfg, argv):
     code, _, err = run([command, write_json(tmp_path / "c.json", cfg), *argv], capsys)
     assert code == 2
     assert err.startswith("error: ")
-
-
-@pytest.mark.parametrize("argv, env", [(["--threads", "0"], None), ([], "0")],
-                         ids=["flag", "environment"])
-def test_thread_count_below_one_exits_2(tmp_path, capsys, monkeypatch, argv, env):
-    if env is not None:
-        monkeypatch.setenv("NEGDEP_QMC_THREADS", env)
-    code, _, err = run(["negdep", write_json(tmp_path / "c.json", _UPPER), *argv], capsys)
-    assert code == 2
-    assert "must be >= 1" in err
 
 
 def test_float_fields_accept_json_integers(tmp_path, capsys):
@@ -354,6 +344,16 @@ def test_report_rejects_bad_criterion_ids(tmp_path, capsys):
     cfg = write_json(tmp_path / "r.json", {"criteria": [0, 13]})
     code, _, err = run(["report", cfg], capsys)
     assert code == 2
+
+
+def test_report_rejects_the_out_key(tmp_path, capsys, monkeypatch):
+    # report writes a directory, named by out_dir or --out; "out" used to be ignored
+    monkeypatch.chdir(tmp_path)
+    cfg = write_json(tmp_path / "r.json", {"criteria": [1], "out": "x.csv"})
+    code, text, err = run(["report", cfg], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "out_dir" in err
+    assert text == "" and not (tmp_path / "x.csv").exists()
 
 
 def test_version_flag(capsys):

@@ -2,6 +2,7 @@
 closed-form probability oracles, and the Wilson interval machinery."""
 
 import math
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -14,6 +15,7 @@ from negdep_qmc import (
     GeneralizedStratified,
     Interval,
     LatinHypercube,
+    LatticeCells,
     MinCopula,
     Mixed,
     MonteCarlo,
@@ -24,6 +26,7 @@ from negdep_qmc import (
     ValidationError,
     analytic_pair_prob,
     corner_cells,
+    describe_scheme,
     falling_factorial,
     gss_anchored_prob_exact,
     lhs_anchored_prob_exact,
@@ -215,6 +218,87 @@ def test_rsj_small_prob_validation():
         rsj_small_prob(5, corner_cells(5, (2, 2)), 6)  # t > n
 
 
+def _rsj_small_prob_loop(n, qcells, t):
+    """rsj_small_prob as a float sum over every generator pair (a, b): the
+    reference for the enumeration by slopes."""
+    mask = np.asarray(qcells).astype(np.int64)
+    denom = float(falling_factorial(n, t))
+    gens = range(1, n) if n > 2 else [1]
+    total = 0.0
+    for a in gens:
+        for b in gens:
+            hits = np.zeros((n, n), dtype=np.int64)
+            for j in range(n):
+                hits += np.roll(mask, shift=(-(j * a) % n, -(j * b) % n), axis=(0, 1))
+            falling = np.ones(hits.shape, dtype=float)
+            for k in range(t):
+                falling *= hits - k
+            total += float(np.sum(falling)) / denom
+    n_gen = len(list(gens))
+    return total / (n_gen * n_gen * n * n)
+
+
+def _rsj_small_prob_fraction(n, qcells):
+    """The same enumeration over every generator pair, as exact fractions:
+    a function of t."""
+    mask = np.asarray(qcells).astype(np.int64)
+    gens = range(1, n) if n > 2 else [1]
+    hist = np.zeros(n + 1, dtype=np.int64)  # lattice cells in Q -> (generator, shift) pairs
+    for a in gens:
+        for b in gens:
+            hits = sum(np.roll(mask, shift=(-(j * a) % n, -(j * b) % n), axis=(0, 1))
+                       for j in range(n))
+            hist += np.bincount(hits.ravel(), minlength=n + 1)
+    return lambda t: Fraction(
+        sum(int(h) * math.perm(k, t) for k, h in enumerate(hist)),
+        len(gens) ** 2 * n * n * math.perm(n, t),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 31])
+def test_rsj_small_prob_matches_the_generator_enumeration(n):
+    rng = np.random.default_rng(n)
+    for _ in range(1 if n == 31 else 3):
+        mask = rng.random((n, n)) < rng.uniform(0.2, 0.9)
+        exact = _rsj_small_prob_fraction(n, mask)
+        for t in range(1, min(n, 3) + 1):
+            p = rsj_small_prob(n, mask, t)
+            assert abs(Fraction(p) - exact(t)) <= Fraction(1e-13) * exact(t)
+            assert p == pytest.approx(_rsj_small_prob_loop(n, mask, t), rel=1e-13, abs=0.0)
+
+
+# Bonferroni family error rate of each statistical test below
+FAMILY_ALPHA = 1e-6
+
+
+def test_prefix_draws_match_the_exact_oracles():
+    # t^2 <= n draws the prefix one row at a time, t^2 > n by argsort
+    cases = [
+        (LatinHypercube(), 16, 2, (0.55, 0.8)),
+        (LatinHypercube(), 5, 3, (0.5, 0.7, 0.9)),
+        (GeneralizedStratified(31, Stripes(31)), 12, 2, (0.6, 0.7)),
+        (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 12, 2, (0.6, 0.7)),
+        (Mixed(LatinHypercube(), 2, LatinHypercube(), 1), 6, 3, (0.6, 0.7, 0.8)),
+        (RsjLattice(), 11, 2, (6, 8)),  # cells of the 11 x 11 grid
+        (RsjLattice(), 5, 2, (3, 4)),
+    ]
+    checks = [(case, t) for case in cases for t in (1, 2, 3)]
+    confidence = 1.0 - FAMILY_ALPHA / len(checks)
+    reps = 100_000
+    for k, ((spec, n, d, corner), t) in enumerate(checks):
+        if isinstance(spec, RsjLattice):
+            upper = tuple(c / n for c in corner)
+            oracle = rsj_small_prob(n, corner_cells(n, corner), t)
+        else:
+            upper = corner
+            oracle = spec.anchored_prob(n, CornerBox0(upper), t)
+        batch = sample_batch(spec, n, d, reps, RngStream(4100 + k), rows=t)
+        assert batch.shape == (reps, t, d)
+        count = int(np.sum(np.all(batch < np.array(upper), axis=(1, 2))))
+        lo, hi = wilson_interval(count, reps, confidence)
+        assert lo <= oracle <= hi, (describe_scheme(spec), t, count / reps, oracle)
+
+
 def test_corner_cells_mask_shape():
     mask = corner_cells(5, (2, 3))
     assert mask.shape == (5, 5) and mask.dtype == bool
@@ -376,16 +460,6 @@ def test_gamma_scales_the_benchmark_side():
     assert loose.rhs == pytest.approx(4.0 * tight.rhs)
     assert loose.gamma == 4.0
     assert loose.verdict == "holds"
-
-
-def test_thread_count_does_not_change_results():
-    # Chunk streams are keyed by chunk index, so totals are bit-identical.
-    n, d = 100, 20
-    box = CornerBox0((0.9,) * d)
-    seq = check_upper_nd(MonteCarlo(), n, d, box, 1, 5_000, RngStream(317), threads=1)
-    par = check_upper_nd(MonteCarlo(), n, d, box, 1, 5_000, RngStream(317), threads=4)
-    assert seq.lhs == par.lhs
-    assert seq.ci_halfwidth == par.ci_halfwidth
 
 
 def test_pairwise_empirical_shares_draws_between_reports():

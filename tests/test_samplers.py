@@ -2,6 +2,8 @@
 every sampling scheme: marginals, stratification, exchangeability,
 determinism."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -26,6 +28,7 @@ from negdep_qmc import (
     is_net,
     is_prime,
     load_pointset,
+    map_chunks,
     net_points,
     sample,
     sample_batch,
@@ -34,6 +37,7 @@ from negdep_qmc import (
     stratum_corner_overlap,
     stratum_index,
 )
+from negdep_qmc.samplers import _net_base_digits, _perm_prefix
 
 ALL_SAMPLERS = [
     (MonteCarlo(), 8, 2),
@@ -330,3 +334,107 @@ def test_validation_rejects_nonpositive_sizes():
         sample_batch(MonteCarlo(), 4, 0, 1, RngStream(0))
     with pytest.raises(ValidationError):
         sample_batch(MonteCarlo(), 4, 2, 0, RngStream(0))
+
+
+# ---------------------------------------------------------------------------
+# Prefix draws
+
+# Bonferroni family error rate of each statistical test below
+FAMILY_ALPHA = 1e-6
+
+
+@pytest.mark.parametrize("n, t", [(5, 2), (5, 3)], ids=["sequential", "argsort"])
+def test_perm_prefix_is_uniform_over_ordered_tuples(n, t):
+    # t^2 <= n draws without replacement one entry at a time, t^2 > n by argsort
+    reps = 60_000
+    heads = _perm_prefix(np.random.default_rng(4001), reps, n, t)
+    assert heads.shape == (reps, t)
+    assert np.all((heads >= 0) & (heads < n))
+    assert np.all(np.diff(np.sort(heads, axis=1), axis=1) > 0)  # distinct within a row
+    codes = heads @ n ** np.arange(t)
+    tuples = [sum(v * n**k for k, v in enumerate(p)) for p in permutations(range(n), t)]
+    counts = np.bincount(codes, minlength=n**t)[tuples]
+    assert counts.sum() == reps  # every draw is an ordered tuple of distinct values
+    assert chisquare(counts).pvalue > FAMILY_ALPHA / 2
+
+
+PREFIX_SCHEMES = [
+    (LatinHypercube(), 16, 3),
+    (RsjLattice(), 11, 2),
+    (GeneralizedStratified(31, Stripes(31)), 12, 2),
+    (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 12, 2),
+    (MonteCarlo(), 9, 2),
+    (Mixed(LatinHypercube(), 2, RsjLattice(), 1), 7, 3),
+]
+FULL_SCHEMES = [
+    (ScrambledNet(3, 2, 2), 9, 2),
+    (Mixed(LatinHypercube(), 1, ScrambledNet(3, 2, 2), 2), 9, 3),
+    (FourSlot(), 2, 2),
+    (SwapScheme(), 2, 2),
+]
+
+
+@pytest.mark.parametrize("spec, n, d", PREFIX_SCHEMES + FULL_SCHEMES,
+                         ids=lambda v: describe_scheme(v) if hasattr(v, "kind") else None)
+def test_sample_batch_rows_shape_contract(spec, n, d):
+    full = spec in [s for s, _, _ in FULL_SCHEMES]
+    for rows in range(1, n):
+        batch = sample_batch(spec, n, d, 6, RngStream(61), rows=rows)
+        assert batch.shape == (6, n if full else rows, d)
+        assert np.all((batch >= 0.0) & (batch < 1.0))
+    with pytest.raises(ValidationError, match="rows"):
+        sample_batch(spec, n, d, 6, RngStream(61), rows=0)
+
+
+@pytest.mark.parametrize("spec, n, d", ALL_SAMPLERS + PREFIX_SCHEMES + FULL_SCHEMES,
+                         ids=lambda v: describe_scheme(v) if hasattr(v, "kind") else None)
+def test_sample_batch_whole_rows_is_the_batch_stream(spec, n, d):
+    reference = spec.batch(n, d, 5, RngStream(67))
+    for rows in (None, n, n + 3):
+        assert np.array_equal(sample_batch(spec, n, d, 5, RngStream(67), rows=rows), reference)
+
+
+def test_map_chunks_sizes_chunks_by_the_rows_drawn():
+    def shape(batch):
+        return batch.shape
+
+    # a prefix sampler draws 2 rows, so 10^5 replications fit one chunk
+    assert map_chunks(LatinHypercube(), 4096, 2, 100_000, RngStream(71), shape, rows=2) == [
+        (100_000, 2, 2)
+    ]
+    # the net has none and draws all 4096 rows: chunks stay near 4e6 scalars
+    shapes = map_chunks(ScrambledNet(2, 12, 2), 4096, 2, 1_000, RngStream(71), shape, rows=2)
+    assert sum(s[0] for s in shapes) == 1_000
+    assert all(s[1] == 4096 and s[0] * s[1] * s[2] <= 4_000_000 for s in shapes)
+
+
+def _net_batch_loop(spec, n, reps, rng):
+    """ScrambledNet.batch as one permutation draw per digit prefix: the
+    reference for the vectorized sampler."""
+    b, m, s = spec.b, spec.m, spec.s
+    g = rng.gen
+    base = _net_base_digits(b, m, s)
+    weights = b ** -(np.arange(m, dtype=float) + 1)
+    out = np.empty((reps, n, s))
+    rows = np.arange(reps)[:, None]
+    for l in range(s):
+        digits = np.broadcast_to(base[:, l, :], (reps, n, m)).copy()
+        prefix = np.zeros(n, dtype=np.int64)
+        for r in range(m):
+            for pid in np.unique(prefix):
+                members = np.nonzero(prefix == pid)[0]
+                perms = np.argsort(g.random((reps, b)), axis=1)
+                digits[:, members, r] = perms[rows, base[members, l, r][None, :]]
+            prefix = prefix * b + base[:, l, r]
+        out[:, :, l] = digits @ weights + g.random((reps, n)) * b ** (-m)
+    rp = np.argsort(g.random((reps, n)), axis=1)
+    return np.take_along_axis(out, rp[:, :, None], axis=1)
+
+
+@pytest.mark.parametrize("b, m, s", [(2, 1, 1), (2, 3, 1), (2, 5, 2), (3, 2, 2), (3, 3, 3),
+                                     (5, 2, 2), (5, 2, 5), (2, 12, 2)])
+@pytest.mark.parametrize("reps", [1, 7])
+def test_net_scrambling_matches_the_per_prefix_loop(b, m, s, reps):
+    spec = ScrambledNet(b, m, s)
+    expected = _net_batch_loop(spec, b**m, reps, RngStream(73))
+    assert np.array_equal(sample_batch(spec, b**m, s, reps, RngStream(73)), expected)
