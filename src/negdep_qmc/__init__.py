@@ -11,7 +11,7 @@ The package covers four workflows:
   studies for integration (`integrate`).
 
 All randomness flows through `RngStream`; identical seeds give identical
-results regardless of thread count.
+results.
 """
 
 from . import acceptance, bounds, discrepancy, errors, geometry, integrate, negdep, samplers

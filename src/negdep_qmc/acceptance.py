@@ -26,7 +26,6 @@ from .integrate import CornerIndicator, ProductCoords, simplex_max_check, varian
 from .negdep import (
     corner_cells,
     lhs_anchored_prob_exact,
-    min_copula_rect_prob,
     mixed_anchored_prob_exact,
     rsj_small_prob,
     check_conditional_nqd,
@@ -77,7 +76,7 @@ def criterion_01(seed: int = DEFAULT_SEED) -> CriterionResult:
     tol = 1e-15
     checks = []
     f34 = min_copula_cdf(0.75, 0.25)
-    upper = min_copula_rect_prob((0.75, 0.25), "upper")
+    upper = MinCopula().pair_prob([(0.75, 1.0)], [(0.25, 1.0)])  # P(p1 >= 3/4, p2 >= 1/4)
     rhs = 0.25 * 0.75
     checks.append(abs(f34 - 0.25) <= tol)
     checks.append(abs(upper - 0.25) <= tol)

@@ -374,12 +374,15 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def is_net(points, b: int, m: int, s: int, t: int = 0, snap: float = 1e-9) -> bool:
+_NET_SNAP = 1e-9
+
+
+def is_net(points, b: int, m: int, s: int, t: int = 0) -> bool:
     """Check the (t,m,s)-net property in base b exactly.
 
     Every elementary interval of volume b^(t-m) must contain exactly b^t of
     the b^m points. `points` is an (N, s) array or anything with a `.data`
-    attribute holding one. Digit extraction adds `snap` before flooring so
+    attribute holding one. Digit extraction adds _NET_SNAP before flooring so
     that raw net coordinates sitting exactly on cell boundaries (not binary-
     representable for odd b) are classified consistently; desk-scale safe.
     """
@@ -398,7 +401,7 @@ def is_net(points, b: int, m: int, s: int, t: int = 0, snap: float = 1e-9) -> bo
     for j in _compositions(q, s):
         dims = [b**jl for jl in j]
         cells = [
-            np.floor(pts[:, l] * dims[l] + snap).astype(np.int64) for l in range(s)
+            np.floor(pts[:, l] * dims[l] + _NET_SNAP).astype(np.int64) for l in range(s)
         ]
         ids = np.ravel_multi_index(cells, dims)
         counts = np.bincount(ids, minlength=b**q)

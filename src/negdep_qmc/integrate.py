@@ -38,14 +38,16 @@ __all__ = [
     "elementary_symmetric",
 ]
 
+_QUASIVOLUME_TOL = 1e-12  # quasivolumes down to -1e-12 count as rounding
+_CENTROID_RTOL = 1e-12  # relative slack of the simplex samples over the centroid value
+
 
 @dataclass(frozen=True)
 class ProductCoords:
-    """f(x) = prod_i x_i; integral 2^-d; quasimonotone and monotone."""
+    """f(x) = prod_i x_i; integral 2^-d; quasimonotone."""
 
     label = "product_coords"
     quasimonotone = True
-    monotone = True
 
     def evaluate(self, pts):
         return np.prod(pts, axis=-1)
@@ -60,7 +62,6 @@ class SumCoords:
 
     label = "sum_coords"
     quasimonotone = True
-    monotone = True
 
     def evaluate(self, pts):
         return np.sum(pts, axis=-1)
@@ -75,7 +76,6 @@ class CornerIndicator:
 
     a: np.ndarray
     quasimonotone = True
-    monotone = True
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.a, dtype=float))
@@ -103,7 +103,6 @@ class NegProduct:
 
     label = "neg_product"
     quasimonotone = False
-    monotone = True
 
     def evaluate(self, pts):
         return -np.prod(pts, axis=-1)
@@ -122,7 +121,6 @@ class UserFunction:
 
     fn: Callable[[np.ndarray], np.ndarray]
     quasimonotone: Optional[bool] = None
-    monotone: Optional[bool] = None
     label: str = "user"
 
     def evaluate(self, pts):
@@ -173,13 +171,11 @@ class QuasimonotoneScan:
     checked: int
 
 
-def is_quasimonotone_scan(
-    f, d: int, trials: int, rng: RngStream, tol: float = 1e-12
-) -> QuasimonotoneScan:
+def is_quasimonotone_scan(f, d: int, trials: int, rng: RngStream) -> QuasimonotoneScan:
     """Scan random and dyadic intervals for a negative quasivolume.
 
     Returns the worst value seen and a violating interval if one was found
-    (quasivolume < -tol).
+    (quasivolume < -1e-12).
     """
     g = rng.gen
     worst = math.inf
@@ -192,7 +188,7 @@ def is_quasimonotone_scan(
         checked += 1
         if val < worst:
             worst = val
-            if val < -tol:
+            if val < -_QUASIVOLUME_TOL:
                 witness = interval
 
     lo = g.random((trials, d))
@@ -314,7 +310,7 @@ class SimplexMaxResult:
 
 
 def simplex_max_check(
-    n_vars: int, t: int, xi: float, trials: int, rng: RngStream, rtol: float = 1e-12
+    n_vars: int, t: int, xi: float, trials: int, rng: RngStream
 ) -> SimplexMaxResult:
     """Check that e_t on the scaled simplex {x >= 0, sum x = xi} is maximized
     at the centroid, by random simplex sampling (normalized exponentials)."""
@@ -331,7 +327,7 @@ def simplex_max_check(
     centroid = math.comb(n_vars, t) * (xi / n_vars) ** t
     max_obs = float(vals.max())
     return SimplexMaxResult(
-        passes=max_obs <= centroid * (1.0 + rtol),
+        passes=max_obs <= centroid * (1.0 + _CENTROID_RTOL),
         n_vars=n_vars,
         t=t,
         xi=float(xi),

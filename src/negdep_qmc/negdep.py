@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from statistics import NormalDist
+from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ValidationError
 from .geometry import CornerBox0, CornerBox1, ProductRegion, contains_points, describe_box, volume
@@ -33,7 +33,6 @@ from .samplers import (
     describe_scheme,
     is_prime,
     map_chunks,
-    min_copula_cdf,
     sample_batch,  # noqa: F401  (negdep.sample_batch stays importable)
     strata_count,
     stratum_corner_overlap,
@@ -56,14 +55,13 @@ __all__ = [
     "mixed_anchored_prob_exact",
     "rsj_small_prob",
     "corner_cells",
-    "min_copula_rect_prob",
-    "analytic_pair_prob",
     "falling_factorial",
     "DEFAULT_CONFIDENCE",
 ]
 
 DEFAULT_CONFIDENCE = 0.99
 _MIN_CONDITION_HITS = 100
+_FACTOR_GRID = (0.25, 0.5, 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +143,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CON
         raise ValidationError("wilson interval needs at least one trial")
     if not (0.0 < confidence < 1.0):
         raise ValidationError("confidence must lie in (0, 1)")
-    z = float(norm.ppf(0.5 * (1.0 + confidence)))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + confidence))
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -170,45 +168,6 @@ def _verdict(lhs: float, ci: float, rhs: float) -> str:
     if lhs + ci <= rhs:
         return "holds"
     return "inconclusive"
-
-
-# ---------------------------------------------------------------------------
-# Exact two-point laws (min-copula, four-slot, swap)
-
-
-def min_copula_rect_prob(u, which: str) -> float:
-    """Orthant probabilities of the min-copula pair at anchor u = (u1, u2).
-
-    "lower" is P(p1 < u1, p2 < u2) = F(u1, u2); "upper" is
-    P(p1 >= u1, p2 >= u2) = 1 - F(u1, 1) - F(1, u2) + F(u1, u2).
-    """
-    u1, u2 = float(u[0]), float(u[1])
-    if not (0.0 <= u1 <= 1.0 and 0.0 <= u2 <= 1.0):
-        raise ValidationError("anchor must lie in [0,1]^2")
-    if which == "lower":
-        return min_copula_cdf(u1, u2)
-    if which == "upper":
-        return 1.0 - min_copula_cdf(u1, 1.0) - min_copula_cdf(1.0, u2) + min_copula_cdf(u1, u2)
-    raise ValidationError('which must be "lower" or "upper"')
-
-
-def analytic_pair_prob(spec, box1, box2) -> float:
-    """Exact P(p1 in box1, p2 in box2) for the analytic two-point schemes.
-
-    box arguments may be CornerBox0, CornerBox1, or Interval of the scheme's
-    dimension (1 for the min-copula pair, 2 for four-slot and swap); None
-    means the full cube.
-    """
-    dim = getattr(spec, "pair_dim", None)
-    if dim is None:
-        raise ValidationError(f"{describe_scheme(spec)} has no closed-form two-point law here")
-    rects = [
-        [(0.0, 1.0)] * dim if box is None else box.axes() if box.d == dim else None
-        for box in (box1, box2)
-    ]
-    if None in rects:
-        raise ValidationError("analytic pair probabilities need rectangular boxes")
-    return spec.pair_prob(*rects)
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +376,14 @@ def check_conditional_nqd(
     reps: int,
     rng: RngStream,
     confidence: float = DEFAULT_CONFIDENCE,
-    min_hits: int = _MIN_CONDITION_HITS,
 ) -> DependenceReport:
     """Conditional quadrant test on coordinate i (1-based).
 
     Conditioning on p1's first i-1 coordinates in a_box and p2's in b_box,
     tests P(p1_i >= alpha, p2_i >= beta | cond) <= P(p1_i >= alpha | cond)
     * P(p2_i >= beta | cond). i = 1 runs the unconditional per-coordinate
-    test (a_box and b_box must be None). Empirical runs with fewer than
-    `min_hits` conditioning hits return "inconclusive". The reported interval
+    test (a_box and b_box must be None). Empirical runs with fewer than 100
+    conditioning hits return "inconclusive". The reported interval
     is a conservative first-order halfwidth on lhs - rhs: the joint's Wilson
     halfwidth plus each marginal estimate times the other's halfwidth.
     """
@@ -449,7 +407,7 @@ def check_conditional_nqd(
     if tally.exact:
         if hits <= 0.0:
             raise ValidationError("conditioning event has probability zero")
-    elif hits < max(1, min_hits):
+    elif hits < _MIN_CONDITION_HITS:
         return _report(
             "conditional_nqd", spec, n, d, event + f" [only {hits} conditioning hits]",
             0.0, 0.0, 1.0, tally,
@@ -477,13 +435,12 @@ def check_ci_nqd(
     reps: int,
     rng: RngStream,
     confidence: float = DEFAULT_CONFIDENCE,
-    factor_grid: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> CiNqdResult:
     """Per-coordinate quadrant test plus cross-coordinate factorization probes.
 
     Primary inequality: P(p1_i >= q, p2_i >= r) <= (1-q)(1-r), the reference
     being exact by uniform marginals. For every other coordinate j and each
-    level g in factor_grid, the probe compares P(p1_i >= q, p2_i >= r,
+    level g in 0.25, 0.5 and 0.75, the probe compares P(p1_i >= q, p2_i >= r,
     p1_j >= g, p2_j >= g) against the product of the two per-coordinate pair
     probabilities, with a conservative first-order halfwidth (zero for exact
     schemes, whose probes must agree to 1e-15). Probes are a necessary
@@ -493,7 +450,7 @@ def check_ci_nqd(
     _check_pair_test(n, d, i, q, r)
     rhs = (1.0 - q) * (1.0 - r)
     event = f"coord {i}: p1 >= {q:g} and p2 >= {r:g}"
-    probes = [(j, float(g)) for j in range(1, d + 1) if j != i for g in factor_grid]
+    probes = [(j, g) for j in range(1, d + 1) if j != i for g in _FACTOR_GRID]
 
     def pair(levels1, levels2):
         # p1 and p2 at least the given levels on the given coordinates (1-based)

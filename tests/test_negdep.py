@@ -24,14 +24,12 @@ from negdep_qmc import (
     Stripes,
     SwapScheme,
     ValidationError,
-    analytic_pair_prob,
     corner_cells,
     describe_scheme,
     falling_factorial,
     gss_anchored_prob_exact,
     lhs_anchored_prob_exact,
     min_copula_cdf,
-    min_copula_rect_prob,
     mixed_anchored_prob_exact,
     rsj_small_prob,
     sample_batch,
@@ -325,7 +323,7 @@ def test_four_slot_pair_probabilities_match_table():
     }
     total = 0.0
     for i, j in product(range(4), repeat=2):
-        p = analytic_pair_prob(FourSlot(), slots[i], slots[j])
+        p = FourSlot().pair_prob(slots[i].axes(), slots[j].axes())
         total += p
         assert p == pytest.approx(expected.get((i, j), 0.0), abs=1e-15)
     assert total == pytest.approx(1.0, abs=1e-12)
@@ -347,7 +345,7 @@ def test_four_slot_sampler_matches_analytic_pair_probs():
 def test_swap_pair_probability_closed_form():
     # P(p1 >= (u1, u2), p2 >= (v1, v2)) = (1 - max(u1, v2))(1 - max(u2, v1))
     u, v = (0.3, 0.6), (0.5, 0.2)
-    p = analytic_pair_prob(SwapScheme(), CornerBox1(u), CornerBox1(v))
+    p = SwapScheme().pair_prob(CornerBox1(u).axes(), CornerBox1(v).axes())
     assert p == pytest.approx((1 - max(0.3, 0.2)) * (1 - max(0.6, 0.5)), abs=1e-15)
 
 
@@ -371,10 +369,9 @@ def test_min_copula_rect_mass_is_nonnegative_everywhere():
 
 
 def test_min_copula_rect_prob_orientations():
-    u = (0.75, 0.25)
-    upper = min_copula_rect_prob(u, "upper")
+    upper = MinCopula().pair_prob(CornerBox1((0.75,)).axes(), CornerBox1((0.25,)).axes())
     assert upper == pytest.approx(1 - 0.75 - 0.25 + min_copula_cdf(0.75, 0.25), abs=1e-15)
-    lower = min_copula_rect_prob(u, "lower")
+    lower = MinCopula().pair_prob(CornerBox0((0.75,)).axes(), CornerBox0((0.25,)).axes())
     assert lower == pytest.approx(min_copula_cdf(0.75, 0.25), abs=1e-15)
 
 
