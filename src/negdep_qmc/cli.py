@@ -329,23 +329,31 @@ _NEGDEP_COLUMNS = REPORT_CSV_COLUMNS + ("oracle",)
 _FACTOR_COLUMNS = ("scheme", "n", "d") + FACTOR_CSV_COLUMNS
 
 
+# the keys each negdep test reads, besides _NEGDEP_COMMON
+_NEGDEP_KEYS = {
+    "upper": {"anchors", "t_values", "gamma", "oracle"},
+    "lower": {"anchors", "t_values", "gamma"},
+    "pairwise": {"q_anchors", "r_anchors"},
+    "conditional": {"i", "a_box", "b_box", "alphas", "betas"},
+    "ci": {"i", "q_values", "r_values"},
+}
+_NEGDEP_COMMON = {"scheme", "n", "d", "test", "reps", "confidence", "expect_holds", "seed", "out"}
+
+
 def cmd_negdep(args) -> int:
     where = "negdep config"
-    cfg, seed, out = _open(
-        args,
-        {"scheme", "n", "d", "test", "reps", "confidence", "gamma", "anchors", "t_values",
-         "q_anchors", "r_anchors", "i", "a_box", "b_box", "alphas", "betas", "q_values",
-         "r_values", "expect_holds", "oracle"},
-        where,
-    )
+    cfg, seed, out = _open(args, set().union(*_NEGDEP_KEYS.values()) | _NEGDEP_COMMON, where)
+    test = _get(cfg, "test", str, where)
+    if test not in _NEGDEP_KEYS:
+        raise ValidationError(f"unknown negdep test '{test}'")
+    _check_keys(cfg, _NEGDEP_KEYS[test] | _NEGDEP_COMMON, f"negdep '{test}' config")
+    if args.oracle and test != "upper":
+        raise ValidationError("--oracle applies to the 'upper' test only")
     scheme = parse_scheme(_need(cfg, "scheme", where))
     n = _get(cfg, "n", int, where)
     d = _get(cfg, "d", int, where)
-    test = _get(cfg, "test", str, where)
     reps = _get(cfg, "reps", int, where, 10_000)
     confidence = _get(cfg, "confidence", float, where, 0.99)
-    gamma = _get(cfg, "gamma", float, where, 1.0)
-    want_oracle = _get(cfg, "oracle", bool, where, False) or args.oracle
     expect_holds = _get(cfg, "expect_holds", bool, where, False) or args.expect_holds
     rng = RngStream(seed)
     reports = []  # (report, oracle value or "")
@@ -353,11 +361,13 @@ def cmd_negdep(args) -> int:
 
     if test in ("upper", "lower"):
         fn = check_upper_nd if test == "upper" else check_lower_nd
+        gamma = _get(cfg, "gamma", float, where, 1.0)
+        want_oracle = _get(cfg, "oracle", bool, where, False) or args.oracle
         anchors = _get(cfg, "anchors", [[float]], where)
         for k, (anchor, t) in enumerate(product(anchors, _grid(cfg, "t_values", int, where))):
             box = CornerBox0(anchor)
             rep = fn(scheme, n, d, box, t, reps, rng.split(k), gamma, confidence)
-            oracle = scheme.anchored_prob(n, box, t) if want_oracle and test == "upper" else None
+            oracle = scheme.anchored_prob(n, box, t) if want_oracle else None
             reports.append((rep, "" if oracle is None else oracle))
     elif test == "pairwise":
         anchors = product(_get(cfg, "q_anchors", [[float]], where),
@@ -376,7 +386,7 @@ def cmd_negdep(args) -> int:
             rep = check_conditional_nqd(scheme, n, d, i, a_box, b_box, alpha, beta, reps,
                                         rng.split(k), confidence)
             reports.append((rep, ""))
-    elif test == "ci":
+    else:  # "ci"
         i = _get(cfg, "i", int, where)
         levels = product(_grid(cfg, "q_values", float, where),
                          _grid(cfg, "r_values", float, where))
@@ -384,8 +394,6 @@ def cmd_negdep(args) -> int:
             res = check_ci_nqd(scheme, n, d, i, q, r, reps, rng.split(k), confidence)
             reports.append((res.primary, ""))
             factor_rows += [[res.primary.scheme, n, d] + c.to_csv_row() for c in res.factorization]
-    else:
-        raise ValidationError(f"unknown negdep test '{test}'")
 
     rows = [rep.to_csv_row() + [oracle] for rep, oracle in reports]
     _write_csv(out, "negdep", _NEGDEP_COLUMNS, rows)
@@ -421,29 +429,33 @@ def cmd_bounds(args) -> int:
     where = "bounds config"
     cfg, _, out = _open(args, {"formula", "grid", "weights", "gamma"}, where)
     formula = _get(cfg, "formula", str, where)
+    if formula == "hoeffding":
+        extra, axes = {"gamma"}, {"n", "t"}
+    elif formula in _BOUND_FNS:
+        fn, free = _BOUND_FNS[formula]
+        weighted = formula.startswith("weighted")
+        extra, axes = {"weights"} if weighted else set(), {"n", "d", "rho", free}
+    else:
+        raise ValidationError(f"unknown bound formula '{formula}'")
+    _check_keys(cfg, {"formula", "grid", "seed", "out"} | extra, f"bounds '{formula}' config")
     grid = _get(cfg, "grid", dict, where)
-    _check_keys(grid, {"n", "d", "rho", "c", "theta", "t"}, "bounds grid")
+    _check_keys(grid, axes, f"bounds '{formula}' grid")
     n_list = _grid(grid, "n", int, "bounds grid")
-    gamma = _get(cfg, "gamma", float, where, 1.0)
     rows = []
     if formula == "hoeffding":
+        gamma = _get(cfg, "gamma", float, where, 1.0)
         for n, t in product(n_list, _grid(grid, "t", float, "bounds grid")):
             value = hoeffding_tail(n, t, gamma)
             rows.append(["hoeffding", n, "", "", "", "", t, gamma, value,
                          "", "", "", "", "", ""])
-    elif formula not in _BOUND_FNS:
-        raise ValidationError(f"unknown bound formula '{formula}'")
     else:
-        fn, free = _BOUND_FNS[formula]
         d_list = _grid(grid, "d", int, "bounds grid")
         rho_list = _grid(grid, "rho", float, "bounds grid", (0.0,))
         free_list = _grid(grid, free, float, "bounds grid")
-        weights = parse_weights(cfg["weights"]) if "weights" in cfg else None
-        if formula.startswith("weighted") and weights is None:
-            raise ValidationError("weighted bounds need a 'weights' entry")
+        weights = parse_weights(_need(cfg, "weights", where)) if weighted else None
         for n, d, rho, x in product(n_list, d_list, rho_list, free_list):
             params = BoundParams(n=n, d=d, rho=rho, **{free: x})
-            res = fn(params, weights) if formula.startswith("weighted") else fn(params)
+            res = fn(params, weights) if weighted else fn(params)
             detail = dict(res.details)
             rows.append([
                 res.formula, n, d, rho,
@@ -496,12 +508,9 @@ def cmd_net_check(args) -> int:
 def cmd_report(args) -> int:
     where = "report config"
     cfg, seed, out_dir = _open(args, {"criteria"}, where, DEFAULT_SEED, out_key="out_dir")
-    criteria = cfg.get("criteria")
-    if criteria is not None:
-        criteria = _typed(criteria, [int], f"'criteria' in {where}")
-        bad = [c for c in criteria if not 1 <= c <= 12]
-        if bad:
-            raise ValidationError(f"criterion ids must lie in 1..12, got {bad}")
+    criteria = _get(cfg, "criteria", [int], where, None)
+    if criteria is not None and not (criteria and all(1 <= c <= 12 for c in criteria)):
+        raise ValidationError(f"'criteria' must list ids in 1..12, got {list(criteria)}")
     results = run_all(seed=seed, out_dir=out_dir, criteria=criteria)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

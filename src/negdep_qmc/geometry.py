@@ -2,8 +2,7 @@
 
 Region types (anchored corner boxes, intervals, box differences, products of
 two regions), each owning its volume, membership, label and per-axis ranges;
-delta-covers with bracketing-number bounds, the two-piece split of a box
-difference, and an exact (t,m,s)-net checker.
+the delta-cover grid, and an exact (t,m,s)-net checker.
 
 Membership is half-open throughout: lower edges closed, upper edges open.
 Comparisons are exact floating point; no epsilons except where documented.
@@ -13,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product as _cartesian
 
 import numpy as np
 
@@ -26,16 +23,11 @@ __all__ = [
     "Interval",
     "BoxDiff",
     "ProductRegion",
-    "DeltaCover",
-    "CoverValidation",
     "volume",
     "contains_points",
     "describe_box",
     "build_delta_cover",
     "delta_cover_axis",
-    "validate_delta_cover",
-    "cover_cardinality_bound",
-    "split_box_difference",
     "is_net",
     "clip_convex_to_box",
     "polygon_area",
@@ -238,37 +230,6 @@ def describe_box(box) -> str:
 # Delta-covers
 
 
-@dataclass(frozen=True)
-class DeltaCover:
-    """Finite grid bracketing every anchored box to volume resolution delta.
-
-    Stored points live in [0,1)^d; grid nodes with any coordinate equal to 1
-    are kept apart in `upper_witnesses` so that all regular points remain in
-    the half-open cube.
-    """
-
-    delta: float
-    d: int
-    resolution: int
-    points: np.ndarray
-    upper_witnesses: np.ndarray
-
-    def cardinality(self) -> int:
-        return len(self.points) + len(self.upper_witnesses)
-
-    def all_points(self) -> np.ndarray:
-        """Points and upper witnesses stacked, for sup-style evaluation."""
-        return np.vstack([self.points, self.upper_witnesses])
-
-
-@dataclass(frozen=True)
-class CoverValidation:
-    ok: bool
-    max_gap: float
-    checked: int
-    message: str = ""
-
-
 def delta_cover_axis(d: int, delta: float) -> np.ndarray:
     """Per-axis node values {1/m, ..., 1} of the delta-cover grid in dimension d.
 
@@ -284,81 +245,11 @@ def delta_cover_axis(d: int, delta: float) -> np.ndarray:
     return np.arange(1, m + 1, dtype=float) / m
 
 
-def build_delta_cover(d: int, delta: float) -> DeltaCover:
-    """Construct a delta-cover of anchored boxes in dimension d: the d-fold
-    product grid of `delta_cover_axis(d, delta)`."""
+def build_delta_cover(d: int, delta: float) -> np.ndarray:
+    """The delta-cover of anchored boxes in dimension d: the (m^d, d) array of
+    nodes of the d-fold product grid of `delta_cover_axis(d, delta)`."""
     vals = delta_cover_axis(d, delta)
-    grid = np.stack(np.meshgrid(*([vals] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    interior = np.all(grid < 1.0, axis=1)
-    return DeltaCover(
-        delta=float(delta),
-        d=d,
-        resolution=vals.size,
-        points=grid[interior],
-        upper_witnesses=grid[~interior],
-    )
-
-
-def validate_delta_cover(cover: DeltaCover, n_samples: int, rng) -> CoverValidation:
-    """Spot-check the bracketing property on random targets.
-
-    For each y drawn uniformly from [0,1)^d, exhibits grid nodes x <= y <= z
-    (x may be the origin) and checks the anchored-volume gap is at most delta.
-    """
-    m = cover.resolution
-    y = rng.random((n_samples, cover.d))
-    lo_idx = np.floor(y * m)
-    hi = (lo_idx + 1) / m
-    lo = lo_idx / m
-    if not (np.all(lo <= y) and np.all(y < hi) and np.all(hi <= 1.0)):
-        return CoverValidation(False, math.inf, n_samples, "bracketing witnesses invalid")
-    vol_hi = np.prod(hi, axis=1)
-    vol_lo = np.where(np.any(lo_idx == 0, axis=1), 0.0, np.prod(lo, axis=1))
-    gaps = vol_hi - vol_lo
-    max_gap = float(gaps.max())
-    ok = max_gap <= cover.delta + 1e-12
-    msg = "" if ok else f"volume gap {max_gap} exceeds delta={cover.delta}"
-    return CoverValidation(ok, max_gap, n_samples, msg)
-
-
-def cover_cardinality_bound(d: int, delta: float) -> int:
-    """Upper bound on the minimal delta-cover cardinality.
-
-    d = 1: exactly ceil(1/delta). d > 1: ceil(2^d (d^d/d!) (1/delta + 1)^d),
-    evaluated in exact rational arithmetic so large d cannot overflow.
-    """
-    if d < 1:
-        raise ValidationError("dimension must be >= 1")
-    if not (0.0 < delta <= 1.0):
-        raise ValidationError("delta must lie in (0, 1]")
-    if d == 1:
-        return math.ceil(1.0 / delta)
-    if d > 10_000:
-        raise ValidationError("d too large for exact bound evaluation")
-    q = Fraction(1, 1) / Fraction(delta) + 1
-    val = Fraction(2**d * d**d, math.factorial(d)) * q**d
-    return math.ceil(val)
-
-
-# ---------------------------------------------------------------------------
-# Box-difference split
-
-
-def split_box_difference(diff: BoxDiff, d_left: int) -> tuple[ProductRegion, ProductRegion]:
-    """Split outer\\inner into two disjoint product pieces along a coordinate cut.
-
-    Piece 1 is (outer'\\inner') x outer'' and piece 2 is inner' x (outer''\\inner''),
-    where ' and '' denote the first d_left and remaining coordinates. Volumes
-    add up to the volume of the difference.
-    """
-    d = diff.d
-    if not (1 <= d_left < d):
-        raise ValidationError("cut position must satisfy 1 <= d_left < d")
-    b1, a1 = diff.outer.upper[:d_left], diff.inner.upper[:d_left]
-    b2, a2 = diff.outer.upper[d_left:], diff.inner.upper[d_left:]
-    piece1 = ProductRegion(BoxDiff(CornerBox0(b1), CornerBox0(a1)), CornerBox0(b2))
-    piece2 = ProductRegion(CornerBox0(a1), BoxDiff(CornerBox0(b2), CornerBox0(a2)))
-    return piece1, piece2
+    return np.stack(np.meshgrid(*([vals] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import Interval
-from .samplers import MonteCarlo, RngStream, SchemeSpec, describe_scheme, map_chunks, sample_batch
+from .samplers import MonteCarlo, RngStream, SchemeSpec, describe_scheme, map_chunks
 
 __all__ = [
     "ProductCoords",
@@ -25,9 +25,7 @@ __all__ = [
     "CornerIndicator",
     "NegProduct",
     "UserFunction",
-    "TestFunction",
     "describe_function",
-    "rqmc_estimate",
     "quasivolume",
     "is_quasimonotone_scan",
     "QuasimonotoneScan",
@@ -130,18 +128,9 @@ class UserFunction:
         return None
 
 
-TestFunction = Union[ProductCoords, SumCoords, CornerIndicator, NegProduct, UserFunction]
-
-
 def describe_function(f) -> str:
     """The integrand's label, as written to the CSV `function` column."""
     return getattr(f, "label", type(f).__name__)
-
-
-def rqmc_estimate(spec: SchemeSpec, f, n: int, d: int, rng: RngStream) -> float:
-    """Equal-weight estimate (1/n) sum f(p_j) from one draw of the scheme."""
-    pts = sample_batch(spec, n, d, 1, rng)[0]
-    return float(np.mean(f.evaluate(pts)))
 
 
 # ---------------------------------------------------------------------------

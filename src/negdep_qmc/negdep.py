@@ -546,23 +546,11 @@ def corner_cells(n: int, counts) -> np.ndarray:
     return mask
 
 
-def _cells_mask(n: int, qcells) -> np.ndarray:
-    arr = np.asarray(qcells)
-    if arr.dtype == bool and arr.shape == (n, n):
-        return arr
-    mask = np.zeros((n, n), dtype=bool)
-    for cell in qcells:
-        x, y = int(cell[0]), int(cell[1])
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValidationError("cell index out of range")
-        mask[x, y] = True
-    return mask
-
-
 def rsj_small_prob(n: int, qcells, t: int) -> float:
     """Exact P(points 1..t of the jittered random rank-1 lattice all in Q).
 
-    Q is a union of cells of the n x n grid; the jitter never crosses cell
+    Q is a union of cells of the n x n grid, given as a boolean (n, n) mask
+    such as `corner_cells` returns; the jitter never crosses cell
     boundaries and the row order is exchangeable, so conditioning on the
     generator and shift gives (K)_t / (n)_t with K the number of lattice
     cells inside Q. For prime n the lattice of generator (a, b) is the line
@@ -577,7 +565,9 @@ def rsj_small_prob(n: int, qcells, t: int) -> float:
         raise ValidationError("exact lattice enumeration is capped at n = 31")
     if not (1 <= t <= n):
         raise ValidationError("need 1 <= t <= n")
-    mask = _cells_mask(n, qcells)
+    mask = np.asarray(qcells)
+    if mask.dtype != bool or mask.shape != (n, n):
+        raise ValidationError(f"cells must be a boolean ({n}, {n}) mask")
     k = np.arange(n)
     x = (k[:, None, None] + k[None, None, :]) % n  # shift x, step k
     slopes = range(1, n)  # for n = 2 the only generator is (1, 1)

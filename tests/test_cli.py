@@ -247,6 +247,9 @@ _UPPER = {"scheme": {"kind": "lhs"}, "n": 4, "d": 2, "test": "upper",
           "anchors": [[0.5, 0.5]], "t_values": [1], "reps": 100}
 _COND = {"scheme": {"kind": "lhs"}, "n": 4, "d": 2, "test": "conditional", "i": 2,
          "alphas": [0.5], "betas": [0.5], "reps": 100}
+_PAIR = {"scheme": {"kind": "lhs"}, "n": 4, "d": 2, "test": "pairwise",
+         "q_anchors": [[0.5, 0.5]], "r_anchors": [[0.5, 0.5]], "reps": 100}
+_CORNER = {"formula": "corner", "grid": {"n": 64, "d": 2, "c": 1}}
 _CELLS_G3 = {"kind": "gss", "beta": 31, "strata": {"kind": "cells", "g": [1, 2, 3], "n": 31}}
 
 MALFORMED = [
@@ -272,6 +275,23 @@ MALFORMED = [
     pytest.param("negdep", {**_UPPER, "threads": 2}, [], id="threads-unknown-key"),
     pytest.param("discrepancy", {**_DISC, "delta": "0.1"}, [], id="delta-string"),
     pytest.param("discrepancy", {**_DISC, "budget": 1.5}, [], id="budget-fraction"),
+    # keys that the chosen test or formula does not read, which used to be ignored
+    pytest.param("negdep", {**_PAIR, "gamma": 7}, [], id="pairwise-gamma"),
+    pytest.param("negdep", {**_PAIR, "alphas": [0.5]}, [], id="pairwise-alphas"),
+    pytest.param("negdep", {**_PAIR, "t_values": [2]}, [], id="pairwise-t-values"),
+    pytest.param("negdep", {**_PAIR, "oracle": True}, [], id="pairwise-oracle-key"),
+    pytest.param("negdep", _PAIR, ["--oracle"], id="pairwise-oracle-flag"),
+    pytest.param("negdep", {**_UPPER, "test": "lower", "oracle": True}, [], id="lower-oracle-key"),
+    pytest.param("bounds", {**_CORNER, "grid": {**_CORNER["grid"], "theta": [0.9]}}, [],
+                 id="corner-grid-theta"),
+    pytest.param("bounds", {**_CORNER, "grid": {**_CORNER["grid"], "t": [0.1]}}, [],
+                 id="corner-grid-t"),
+    pytest.param("bounds", {**_CORNER, "gamma": 2.0}, [], id="corner-gamma"),
+    pytest.param("bounds", {**_CORNER, "weights": {"kind": "product", "gamma": [1.0, 1.0]}}, [],
+                 id="corner-weights"),
+    pytest.param("bounds", {"formula": "hoeffding", "grid": {"n": 64, "t": 0.1, "d": 2}}, [],
+                 id="hoeffding-grid-d"),
+    pytest.param("report", {"criteria": []}, [], id="report-no-criteria"),
 ]
 
 

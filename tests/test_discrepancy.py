@@ -18,6 +18,7 @@ from negdep_qmc import (
     RngStream,
     ValidationError,
     build_delta_cover,
+    delta_cover_axis,
     local_discrepancy,
     net_points,
     sample,
@@ -240,7 +241,7 @@ def test_weighted_budget_covers_all_projections(monkeypatch):
 
 def brute_cover_lower(ps: PointSet, delta: float) -> float:
     """Every point tested against every cover node: O(n * |grid|)."""
-    grid = build_delta_cover(ps.d, delta).all_points()
+    grid = build_delta_cover(ps.d, delta)
     counts = np.sum(np.all(ps.data[None, :, :] < grid[:, None, :], axis=2), axis=1)
     return float(np.max(np.abs(counts / ps.n - np.prod(grid, axis=1))))
 
@@ -260,7 +261,7 @@ def brute_exact(ps: PointSet) -> float:
 def point_sets_and_deltas(draw):
     d = draw(st.integers(1, 3))
     delta = draw(st.sampled_from([0.5, 0.3, 0.1]))
-    m = build_delta_cover(d, delta).resolution
+    m = delta_cover_axis(d, delta).size
     coord = st.one_of(
         st.sampled_from([k / m for k in range(m)]),  # exactly on cover values
         st.sampled_from([0.0, 0.25, 0.5]),  # shared across points and axes

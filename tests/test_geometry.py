@@ -1,4 +1,4 @@
-"""Boxes, delta covers, box-difference splitting, and the net property."""
+"""Boxes, delta covers, and the net property."""
 
 import math
 
@@ -15,14 +15,11 @@ from negdep_qmc import (
     build_delta_cover,
     clip_convex_to_box,
     contains_points,
-    cover_cardinality_bound,
     describe_box,
     is_net,
     net_points,
     polygon_area,
     sample,
-    split_box_difference,
-    validate_delta_cover,
     volume,
     MonteCarlo,
 )
@@ -92,19 +89,9 @@ def test_describe_box_labels():
 def test_one_dimensional_cover_is_minimal_grid():
     for delta, m in [(1.0, 1), (0.5, 2), (0.3, 4), (0.25, 4), (0.1, 10), (0.07, 15)]:
         cover = build_delta_cover(1, delta)
-        assert cover.cardinality() == m == math.ceil(1 / delta)
-        nodes = np.sort(cover.all_points()[:, 0])
+        assert cover.shape == (m, 1) and m == math.ceil(1 / delta)
+        nodes = np.sort(cover[:, 0])
         assert np.allclose(nodes, np.arange(1, m + 1) / m)
-
-
-def test_cover_brackets_random_boxes():
-    rng = np.random.default_rng(7)
-    for d in (1, 2, 3):
-        for delta in (0.5, 0.2):
-            cover = build_delta_cover(d, delta)
-            check = validate_delta_cover(cover, 500, rng)
-            assert check.ok, check.message
-            assert check.max_gap <= delta + 1e-12
 
 
 def test_cover_sandwich_brackets_exact_discrepancy():
@@ -123,44 +110,10 @@ def test_cover_sandwich_brackets_exact_discrepancy():
         assert upper == pytest.approx(lower + delta)
 
 
-def test_cover_cardinality_bound_dominates_construction_in_1d():
-    for delta in (1.0, 0.5, 0.25, 0.1):
-        assert build_delta_cover(1, delta).cardinality() <= cover_cardinality_bound(1, delta)
-
-
-def test_cover_cardinality_bound_is_exact_rational():
-    # Large d must not overflow floating point.
-    big = cover_cardinality_bound(40, 0.01)
-    assert isinstance(big, int) and big > 10**40
-
-
 def test_cover_rejects_bad_delta():
     for delta in (0.0, -0.1, 1.5):
         with pytest.raises(ValidationError):
             build_delta_cover(2, delta)
-
-
-# ---------------------------------------------------------------------------
-# Box-difference splitting
-
-
-def test_split_box_difference_volumes_add_up():
-    diff = BoxDiff(CornerBox0((0.9, 0.8, 0.7)), CornerBox0((0.5, 0.4, 0.3)))
-    for d_left in (1, 2):
-        p1, p2 = split_box_difference(diff, d_left)
-        assert volume(p1) + volume(p2) == pytest.approx(volume(diff))
-
-
-def test_split_box_difference_pieces_are_disjoint_and_exhaustive():
-    diff = BoxDiff(CornerBox0((0.9, 0.8)), CornerBox0((0.5, 0.4)))
-    p1, p2 = split_box_difference(diff, 1)
-    rng = RngStream(3)
-    pts = sample(MonteCarlo(), 5000, 2, rng).data
-    in_diff = contains_points(diff, pts)
-    in1 = contains_points(p1, pts)
-    in2 = contains_points(p2, pts)
-    assert not np.any(in1 & in2)
-    assert np.array_equal(in_diff, in1 | in2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from negdep_qmc import (
     elementary_symmetric,
     is_quasimonotone_scan,
     quasivolume,
-    rqmc_estimate,
     sample_batch,
     simplex_max_check,
     variance_study,

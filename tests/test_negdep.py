@@ -214,6 +214,10 @@ def test_rsj_small_prob_validation():
         rsj_small_prob(37, corner_cells(37, (2, 2)), 1)  # above the cap
     with pytest.raises(ValidationError):
         rsj_small_prob(5, corner_cells(5, (2, 2)), 6)  # t > n
+    with pytest.raises(ValidationError):
+        rsj_small_prob(7, corner_cells(5, (2, 2)), 1)  # a 5 x 5 mask at n = 7
+    with pytest.raises(ValidationError):
+        rsj_small_prob(5, corner_cells(5, (2, 2)).astype(int), 1)  # a 0/1 integer mask
 
 
 def _rsj_small_prob_loop(n, qcells, t):
