@@ -19,8 +19,9 @@ from itertools import product
 
 import numpy as np
 
-from .bounds import BoundParams, corner_bound_theta, hoeffding_tail
+from .bounds import corner_bound_theta, hoeffding_tail
 from .discrepancy import star_discrepancy_cover, star_discrepancy_exact
+from .errors import ValidationError
 from .geometry import CornerBox0, CornerBox1, Interval, build_delta_cover, is_net
 from .integrate import CornerIndicator, ProductCoords, simplex_max_check, variance_study
 from .negdep import (
@@ -195,7 +196,7 @@ def criterion_06(seed: int = DEFAULT_SEED) -> CriterionResult:
     theta = 0.9 bound must cover the exact star discrepancy in at least 90%
     of 500 replications, for Latin hypercube and for Monte Carlo."""
     t0 = time.perf_counter()
-    bound = corner_bound_theta(BoundParams(n=256, d=2, rho=0.0, theta=0.9)).bound_value
+    bound = corner_bound_theta(256, 2, 0.9).bound_value
     rng = RngStream(seed).split(6)
     checks = []
     fracs = []
@@ -392,14 +393,15 @@ ALL_CRITERIA = (
 
 
 def run_all(seed: int = DEFAULT_SEED, out_dir=None, criteria=None):
-    """Run the selected criteria (default: all twelve) and optionally write
-    acceptance.csv and acceptance.json into out_dir. Output files contain no
-    timestamps, so identical inputs give identical bytes."""
-    chosen = sorted(set(criteria)) if criteria else list(range(1, 13))
-    for cid in chosen:
-        if not (1 <= cid <= 12):
-            raise ValueError(f"unknown criterion id {cid}")
-    results = [ALL_CRITERIA[cid - 1](seed) for cid in chosen]
+    """Run the selected criteria (None: all twelve) and optionally write
+    acceptance.csv and acceptance.json into out_dir. An empty selection or an
+    id outside 1..12 raises ValidationError before any criterion runs. Output
+    files contain no timestamps, so identical inputs give identical bytes."""
+    if criteria is None:
+        criteria = range(1, 13)
+    elif not (criteria and all(1 <= c <= 12 for c in criteria)):
+        raise ValidationError(f"'criteria' must list ids in 1..12, got {list(criteria)}")
+    results = [ALL_CRITERIA[cid - 1](seed) for cid in sorted(set(criteria))]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "acceptance.csv"), "w", newline="") as fh:

@@ -7,16 +7,16 @@ the raw value preserved in the result. Two parameterizations exist for most
 bounds: a free-constant form (parameter c) whose success probability is a
 formula in c, and a target-confidence form (parameter theta) whose value is
 solved so the success probability is exactly theta. Which parameters a
-formula needs is validated strictly: supplying an unused parameter is an
-error, as is omitting a required one.
+formula needs is fixed by its signature: each takes exactly its parameters
+as arguments, and checks their ranges (n, d >= 1, rho >= 0, c > 0,
+0 < theta < 1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .discrepancy import ExplicitWeights, ProductWeights, Weights, weight_of
 from .errors import ValidationError
 
 __all__ = [
-    "BoundParams",
     "BoundResult",
     "hoeffding_tail",
     "boxdiff_bound",
@@ -40,49 +39,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BoundParams:
-    """Inputs shared by the discrepancy bounds.
-
-    n: number of points; d: dimension; rho: dependence-growth rate, the
-    certified multiplier being exp(rho * d); c: free constant of the
-    c-parameterized bounds; theta: target success probability of the
-    theta-parameterized bounds. Exactly the parameters required by the
-    queried formula may be set.
-    """
-
-    n: int
-    d: int
-    rho: float = 0.0
-    theta: Optional[float] = None
-    c: Optional[float] = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("n must be at least 1")
-        if self.d < 1:
-            raise ValidationError("d must be at least 1")
-        if not (self.rho >= 0.0):
-            raise ValidationError("rho must be nonnegative")
-        if self.theta is not None and not (0.0 < self.theta < 1.0):
-            raise ValidationError("theta must lie strictly inside (0, 1)")
-        if self.c is not None and not (self.c > 0.0):
-            raise ValidationError("c must be positive")
-
-
-@dataclass(frozen=True)
 class BoundResult:
+    """A formula's value and success probability; `details` maps the name of
+    its auxiliary constant (xi, eta, c_effective or base_value) to its value."""
+
     formula: str
     bound_value: float
     success_prob: float
     clamped: bool
     raw_success_prob: float
-    details: tuple = ()
-
-    def detail(self, key: str) -> float:
-        for k, v in self.details:
-            if k == key:
-                return v
-        raise KeyError(key)
+    details: dict = field(default_factory=dict)
 
 
 def _exp(x: float) -> float:
@@ -92,7 +58,7 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _clamped(formula, value, raw_success, details=()) -> BoundResult:
+def _clamped(formula, value, raw_success, **details) -> BoundResult:
     clipped = min(1.0, max(0.0, raw_success))
     return BoundResult(
         formula=formula,
@@ -100,19 +66,23 @@ def _clamped(formula, value, raw_success, details=()) -> BoundResult:
         success_prob=float(clipped),
         clamped=bool(clipped != raw_success),
         raw_success_prob=float(raw_success),
-        details=tuple(details),
+        details=details,
     )
 
 
-def _require(params: BoundParams, formula: str, need_c: bool, need_theta: bool) -> None:
-    if need_c and params.c is None:
-        raise ValidationError(f"{formula} requires the constant c")
-    if not need_c and params.c is not None:
-        raise ValidationError(f"{formula} does not take c")
-    if need_theta and params.theta is None:
-        raise ValidationError(f"{formula} requires the target probability theta")
-    if not need_theta and params.theta is not None:
-        raise ValidationError(f"{formula} does not take theta")
+def _check_ranges(n: int, d: int, rho: float, c=None, theta=None) -> None:
+    """n and d at least 1, rho nonnegative, and the free parameter in range:
+    c positive, or theta strictly inside (0, 1)."""
+    if n < 1:
+        raise ValidationError("n must be at least 1")
+    if d < 1:
+        raise ValidationError("d must be at least 1")
+    if not (rho >= 0.0):
+        raise ValidationError("rho must be nonnegative")
+    if theta is not None and not (0.0 < theta < 1.0):
+        raise ValidationError("theta must lie strictly inside (0, 1)")
+    if c is not None and not (c > 0.0):
+        raise ValidationError("c must be positive")
 
 
 def hoeffding_tail(n: int, t: float, gamma: float = 1.0) -> float:
@@ -127,52 +97,42 @@ def hoeffding_tail(n: int, t: float, gamma: float = 1.0) -> float:
     return 2.0 * gamma * _exp(-2.0 * t * t / n)
 
 
-def boxdiff_bound(params: BoundParams) -> BoundResult:
+def boxdiff_bound(n: int, d: int, c: float, rho: float = 0.0) -> BoundResult:
     """Discrepancy <= c sqrt(d/n) with success probability
     1 - exp(-(1.6741 c^2 - 10.7042 - rho) d), for box-difference-certified
     schemes with multiplier exp(rho d)."""
-    _require(params, "boxdiff_bound", need_c=True, need_theta=False)
-    c = params.c
-    value = c * math.sqrt(params.d / params.n)
-    raw = 1.0 - _exp(-(1.6741 * c * c - 10.7042 - params.rho) * params.d)
+    _check_ranges(n, d, rho, c=c)
+    value = c * math.sqrt(d / n)
+    raw = 1.0 - _exp(-(1.6741 * c * c - 10.7042 - rho) * d)
     return _clamped("boxdiff_c", value, raw)
 
 
-def boxdiff_bound_theta(params: BoundParams) -> BoundResult:
+def boxdiff_bound_theta(n: int, d: int, theta: float, rho: float = 0.0) -> BoundResult:
     """The box-difference bound solved for a target success probability:
     value 0.7729 sqrt(10.7042 + rho + ln(1/(1-theta))/d) * sqrt(d/n)."""
-    _require(params, "boxdiff_bound_theta", need_c=False, need_theta=True)
-    inner = 10.7042 + params.rho + math.log(1.0 / (1.0 - params.theta)) / params.d
-    value = 0.7729 * math.sqrt(inner) * math.sqrt(params.d / params.n)
-    return _clamped("boxdiff_theta", value, params.theta)
+    _check_ranges(n, d, rho, theta=theta)
+    inner = 10.7042 + rho + math.log(1.0 / (1.0 - theta)) / d
+    value = 0.7729 * math.sqrt(inner) * math.sqrt(d / n)
+    return _clamped("boxdiff_theta", value, theta)
 
 
-def mixed_bound_theta(params: BoundParams) -> BoundResult:
+def mixed_bound_theta(n: int, d: int, theta: float, rho: float = 0.0) -> BoundResult:
     """Bound for a concatenation of two certified factors: exactly twice the
     box-difference theta-form value at the same parameters."""
-    base = boxdiff_bound_theta(
-        BoundParams(n=params.n, d=params.d, rho=params.rho, theta=params.theta)
-    )
-    _require(params, "mixed_bound_theta", need_c=False, need_theta=True)
-    return _clamped(
-        "mixed_theta",
-        2.0 * base.bound_value,
-        params.theta,
-        details=(("base_value", base.bound_value),),
-    )
+    base = boxdiff_bound_theta(n, d, theta, rho)
+    return _clamped("mixed_theta", 2.0 * base.bound_value, theta, base_value=base.bound_value)
 
 
-def corner_bound(params: BoundParams) -> BoundResult:
+def corner_bound(n: int, d: int, c: float, rho: float = 0.0) -> BoundResult:
     """Discrepancy <= c sqrt(d xi / n) with xi = max(1, ln(n/d)), success
     probability 1 - 2 exp((-(1/2)(c^2 - 1) xi + rho + ln(2e(2/c + 1))) d),
     for schemes certified on corner boxes alone."""
-    _require(params, "corner_bound", need_c=True, need_theta=False)
-    c = params.c
-    xi = max(1.0, math.log(params.n / params.d))
-    value = c * math.sqrt(params.d * xi / params.n)
-    expo = (-0.5 * (c * c - 1.0) * xi + params.rho + math.log(2.0 * math.e * (2.0 / c + 1.0)))
-    raw = 1.0 - 2.0 * _exp(expo * params.d)
-    return _clamped("corner_c", value, raw, details=(("xi", xi),))
+    _check_ranges(n, d, rho, c=c)
+    xi = max(1.0, math.log(n / d))
+    value = c * math.sqrt(d * xi / n)
+    expo = (-0.5 * (c * c - 1.0) * xi + rho + math.log(2.0 * math.e * (2.0 / c + 1.0)))
+    raw = 1.0 - 2.0 * _exp(expo * d)
+    return _clamped("corner_c", value, raw, xi=xi)
 
 
 def corner_eta(n: int, d: int) -> float:
@@ -189,18 +149,14 @@ def corner_eta_consistent(n: int, d: int) -> bool:
     return (eta / (2.0 * math.e) - 1.0) * math.sqrt(math.log(eta)) >= math.sqrt(2.0 * n / d)
 
 
-def corner_bound_theta(params: BoundParams) -> BoundResult:
+def corner_bound_theta(n: int, d: int, theta: float, rho: float = 0.0) -> BoundResult:
     """The corner-box bound solved for a target success probability:
     value sqrt(2/n) sqrt(d ln(eta) + rho d + ln(2/(1-theta)))."""
-    _require(params, "corner_bound_theta", need_c=False, need_theta=True)
-    eta = corner_eta(params.n, params.d)
-    inner = (
-        params.d * math.log(eta)
-        + params.rho * params.d
-        + math.log(2.0 / (1.0 - params.theta))
-    )
-    value = math.sqrt(2.0 / params.n) * math.sqrt(inner)
-    return _clamped("corner_theta", value, params.theta, details=(("eta", eta),))
+    _check_ranges(n, d, rho, theta=theta)
+    eta = corner_eta(n, d)
+    inner = d * math.log(eta) + rho * d + math.log(2.0 / (1.0 - theta))
+    value = math.sqrt(2.0 / n) * math.sqrt(inner)
+    return _clamped("corner_theta", value, theta, eta=eta)
 
 
 def _weighted_max(scale: float, weights: Weights, d: int, n: int) -> float:
@@ -233,26 +189,25 @@ def _weighted_max(scale: float, weights: Weights, d: int, n: int) -> float:
     raise ValidationError("unknown weight specification")
 
 
-def weighted_bound(params: BoundParams, weights: Weights) -> BoundResult:
+def weighted_bound(n: int, d: int, c: float, weights: Weights, rho: float = 0.0) -> BoundResult:
     """Weighted discrepancy <= max_u c weight(u) sqrt(|u|/n) with success
     probability 2 - (1 + exp(-(1.674 c^2 - 10.7042 - rho)))^d."""
-    _require(params, "weighted_bound", need_c=True, need_theta=False)
-    c = params.c
-    value = _weighted_max(c, weights, params.d, params.n)
-    raw = 2.0 - (1.0 + _exp(-(1.674 * c * c - 10.7042 - params.rho))) ** params.d
+    _check_ranges(n, d, rho, c=c)
+    value = _weighted_max(c, weights, d, n)
+    raw = 2.0 - (1.0 + _exp(-(1.674 * c * c - 10.7042 - rho))) ** d
     return _clamped("weighted_c", value, raw)
 
 
-def weighted_bound_theta(params: BoundParams, weights: Weights) -> BoundResult:
+def weighted_bound_theta(
+    n: int, d: int, theta: float, weights: Weights, rho: float = 0.0
+) -> BoundResult:
     """The weighted bound solved for a target success probability: c is
     replaced by sqrt(|rho + 10.7 + ln((2 - theta)^(1/d) - 1)| / 1.674), with
     the absolute value kept exactly as printed."""
-    _require(params, "weighted_bound_theta", need_c=False, need_theta=True)
-    inner = (2.0 - params.theta) ** (1.0 / params.d) - 1.0
+    _check_ranges(n, d, rho, theta=theta)
+    inner = (2.0 - theta) ** (1.0 / d) - 1.0
     if inner <= 0.0:
         raise ValidationError("theta is too close to 1 for the weighted bound")
-    c_eff = math.sqrt(abs(params.rho + 10.7 + math.log(inner)) / 1.674)
-    value = _weighted_max(c_eff, weights, params.d, params.n)
-    return _clamped(
-        "weighted_theta", value, params.theta, details=(("c_effective", c_eff),)
-    )
+    c_eff = math.sqrt(abs(rho + 10.7 + math.log(inner)) / 1.674)
+    value = _weighted_max(c_eff, weights, d, n)
+    return _clamped("weighted_theta", value, theta, c_effective=c_eff)

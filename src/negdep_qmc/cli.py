@@ -33,7 +33,6 @@ import numpy as np
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_all
 from .bounds import (
-    BoundParams,
     boxdiff_bound,
     boxdiff_bound_theta,
     corner_bound,
@@ -267,7 +266,10 @@ def _write_csv(out, subcommand: str, columns, rows) -> None:
 # Subcommands
 
 
-def _read_points(cfg, where: str):
+def _read_points(cfg, keys, where: str):
+    """Load the "points" file. Besides it, the config may set only `keys` and
+    the common settings: the keys that describe a set to draw are unknown."""
+    _check_keys(cfg, {"points", "seed", "out"} | keys, f"{where} with 'points'")
     path = _get(cfg, "points", str, where)
     try:
         return load_pointset(path)
@@ -275,9 +277,7 @@ def _read_points(cfg, where: str):
         raise ValidationError(f"cannot read points file: {exc}") from exc
 
 
-def _load_or_sample_points(cfg, seed: int, where: str):
-    if "points" in cfg:
-        return _read_points(cfg, where)
+def _sample_points(cfg, seed: int, where: str):
     scheme = parse_scheme(_need(cfg, "scheme", where))
     n = _get(cfg, "n", int, where)
     d = _get(cfg, "d", int, where)
@@ -287,7 +287,7 @@ def _load_or_sample_points(cfg, seed: int, where: str):
 def cmd_sample(args) -> int:
     where = "sample config"
     cfg, seed, out = _open(args, {"scheme", "n", "d"}, where)
-    ps = _load_or_sample_points(cfg, seed, where)
+    ps = _sample_points(cfg, seed, where)
     if out is None:
         sys.stdout.write(f"{ps.d} {ps.n}\n")
         for row in ps.data:
@@ -300,15 +300,17 @@ def cmd_sample(args) -> int:
 _DISC_COLUMNS = (
     "quantity", "n", "d", "value", "lower", "upper", "delta", "witness", "witness_side",
 )
+_DISC_KEYS = {"exact", "delta", "weights", "budget"}
 
 
 def cmd_discrepancy(args) -> int:
     where = "discrepancy config"
-    cfg, seed, out = _open(
-        args, {"points", "scheme", "n", "d", "exact", "delta", "weights", "budget"}, where
-    )
+    cfg, seed, out = _open(args, _DISC_KEYS | {"points", "scheme", "n", "d"}, where)
     budget = _get(cfg, "budget", int, where, DEFAULT_BUDGET)
-    ps = _load_or_sample_points(cfg, seed, where)
+    if "points" in cfg:
+        ps = _read_points(cfg, _DISC_KEYS, where)
+    else:
+        ps = _sample_points(cfg, seed, where)
     rows = []
     if _get(cfg, "exact", bool, where, "delta" not in cfg and "weights" not in cfg):
         res = star_discrepancy_exact(ps, budget)
@@ -454,14 +456,13 @@ def cmd_bounds(args) -> int:
         free_list = _grid(grid, free, float, "bounds grid")
         weights = parse_weights(_need(cfg, "weights", where)) if weighted else None
         for n, d, rho, x in product(n_list, d_list, rho_list, free_list):
-            params = BoundParams(n=n, d=d, rho=rho, **{free: x})
-            res = fn(params, weights) if weighted else fn(params)
-            detail = dict(res.details)
+            res = fn(n, d, x, weights, rho=rho) if weighted else fn(n, d, x, rho=rho)
             rows.append([
                 res.formula, n, d, rho,
                 x if free == "c" else "", x if free == "theta" else "", "", "",
                 res.bound_value, res.success_prob, res.clamped, res.raw_success_prob,
-                detail.get("xi", ""), detail.get("eta", ""), detail.get("c_effective", ""),
+                res.details.get("xi", ""), res.details.get("eta", ""),
+                res.details.get("c_effective", ""),
             ])
     _write_csv(out, "bounds", _BOUNDS_COLUMNS, rows)
     return 0
@@ -482,17 +483,18 @@ def cmd_variance(args) -> int:
 
 
 _NET_COLUMNS = ("source", "b", "m", "s", "t", "n", "is_net")
+_NET_KEYS = {"b", "m", "s", "t"}
 
 
 def cmd_net_check(args) -> int:
     where = "net-check config"
-    cfg, seed, out = _open(args, {"points", "b", "m", "s", "t", "scramble"}, where)
+    cfg, seed, out = _open(args, _NET_KEYS | {"points", "scramble"}, where)
     b = _get(cfg, "b", int, where)
     m = _get(cfg, "m", int, where)
     s = _get(cfg, "s", int, where)
     t = _get(cfg, "t", int, where, 0)
     if "points" in cfg:
-        ps = _read_points(cfg, where)
+        ps = _read_points(cfg, _NET_KEYS, where)
         source = "file"
     elif _get(cfg, "scramble", bool, where, False):
         ps = sample(ScrambledNet(b, m, s), b**m, s, RngStream(seed))
@@ -509,8 +511,6 @@ def cmd_report(args) -> int:
     where = "report config"
     cfg, seed, out_dir = _open(args, {"criteria"}, where, DEFAULT_SEED, out_key="out_dir")
     criteria = _get(cfg, "criteria", [int], where, None)
-    if criteria is not None and not (criteria and all(1 <= c <= 12 for c in criteria)):
-        raise ValidationError(f"'criteria' must list ids in 1..12, got {list(criteria)}")
     results = run_all(seed=seed, out_dir=out_dir, criteria=criteria)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -45,7 +45,6 @@ class ProductCoords:
     """f(x) = prod_i x_i; integral 2^-d; quasimonotone."""
 
     label = "product_coords"
-    quasimonotone = True
 
     def evaluate(self, pts):
         return np.prod(pts, axis=-1)
@@ -56,10 +55,10 @@ class ProductCoords:
 
 @dataclass(frozen=True)
 class SumCoords:
-    """f(x) = sum_i x_i; integral d/2; quasivolumes vanish for d >= 2."""
+    """f(x) = sum_i x_i; integral d/2; quasimonotone (quasivolumes vanish
+    for d >= 2)."""
 
     label = "sum_coords"
-    quasimonotone = True
 
     def evaluate(self, pts):
         return np.sum(pts, axis=-1)
@@ -70,10 +69,9 @@ class SumCoords:
 
 @dataclass(frozen=True)
 class CornerIndicator:
-    """f(x) = 1 if x >= a componentwise; integral prod(1 - a_i)."""
+    """f(x) = 1 if x >= a componentwise; integral prod(1 - a_i); quasimonotone."""
 
     a: np.ndarray
-    quasimonotone = True
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.a, dtype=float))
@@ -100,7 +98,6 @@ class NegProduct:
     """f(x) = -prod_i x_i; monotone decreasing, not quasimonotone for d >= 1."""
 
     label = "neg_product"
-    quasimonotone = False
 
     def evaluate(self, pts):
         return -np.prod(pts, axis=-1)
@@ -229,8 +226,9 @@ def variance_study(
     """Compare the scheme's estimator variance against Monte Carlo.
 
     Runs `reps` independent replications of each; the ratio's standard error
-    comes from the delta method on two independent sample variances. Declared
-    quasimonotonicity of f is validated by a quick scan first.
+    comes from the delta method on two independent sample variances. A
+    `UserFunction` declared quasimonotone is validated by a quick scan first;
+    the built-in integrands' shapes are theorems and are not re-checked.
     """
     if reps < 30:
         raise ValidationError("variance study needs at least 30 replications")

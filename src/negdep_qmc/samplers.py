@@ -376,24 +376,6 @@ class MonteCarlo(SchemeSpec):
 
 
 @dataclass(frozen=True)
-class SimpleStratified(SchemeSpec):
-    """One uniform point per stratum [(j-1)/N, j/N), order randomized; d = 1."""
-
-    kind = "sss"
-
-    def validate(self, n, d):
-        if d != 1:
-            raise ValidationError("simple stratified sampling is 1-d only")
-
-    def batch(self, n, d, reps, rng):
-        g = rng.gen
-        perm = _row_perms(g, reps, n)
-        u = g.random((reps, n))
-        # (pi(j) - U_j)/n with U_j = 1 - u in (0,1] collapses to (perm + u)/n
-        return ((perm + u) / n)[:, :, None]
-
-
-@dataclass(frozen=True)
 class GeneralizedStratified(SchemeSpec):
     """Points placed in a uniformly chosen N-subset of beta equal-measure strata."""
 
@@ -492,6 +474,18 @@ class LatinHypercube(SchemeSpec):
 
     def anchored_prob(self, n, box, t):
         return _oracles().lhs_anchored_prob_exact(n, box.upper, t)
+
+
+@dataclass(frozen=True)
+class SimpleStratified(LatinHypercube):
+    """One uniform point per stratum [(j-1)/N, j/N), order randomized: the
+    Latin hypercube in d = 1, with its prefix draw and exact oracle."""
+
+    kind = "sss"
+
+    def validate(self, n, d):
+        if d != 1:
+            raise ValidationError("simple stratified sampling is 1-d only")
 
 
 @dataclass(frozen=True)

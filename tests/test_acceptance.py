@@ -10,6 +10,7 @@ to see the lines; `negdep-qmc report` produces the same results as CSV/JSON.
 
 import pytest
 
+from negdep_qmc import ValidationError, acceptance
 from negdep_qmc.acceptance import ALL_CRITERIA, DEFAULT_SEED, CriterionResult
 
 CRITERIA = {i + 1: fn for i, fn in enumerate(ALL_CRITERIA)}
@@ -81,3 +82,11 @@ def test_acceptance_11_digital_net_scrambling_and_pairwise_sweep():
 def test_acceptance_12_symmetric_function_simplex_maximum():
     result = _run(12)
     assert result.passed, result.details
+
+
+@pytest.mark.parametrize("criteria", [[], [0], [1, 13]], ids=["empty", "zero", "thirteen"])
+def test_run_all_rejects_bad_selection_before_running(criteria, monkeypatch):
+    # an empty list used to run all twelve criteria; no criterion may start here
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", ())
+    with pytest.raises(ValidationError):
+        acceptance.run_all(criteria=criteria)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from negdep_qmc import (
-    BoundParams,
     ExplicitWeights,
     ProductWeights,
     ValidationError,
@@ -31,28 +30,17 @@ from negdep_qmc import (
 
 def test_params_validate_ranges():
     with pytest.raises(ValidationError):
-        BoundParams(n=0, d=2)
+        boxdiff_bound(0, 2, 3.0)
     with pytest.raises(ValidationError):
-        BoundParams(n=4, d=0)
+        corner_bound(4, 0, 3.0)
     with pytest.raises(ValidationError):
-        BoundParams(n=4, d=2, rho=-0.1)
+        boxdiff_bound_theta(4, 2, 0.5, rho=-0.1)
     with pytest.raises(ValidationError):
-        BoundParams(n=4, d=2, theta=1.0)
+        corner_bound_theta(4, 2, 1.0)
     with pytest.raises(ValidationError):
-        BoundParams(n=4, d=2, theta=0.0)
+        mixed_bound_theta(4, 2, 0.0)
     with pytest.raises(ValidationError):
-        BoundParams(n=4, d=2, c=0.0)
-
-
-def test_each_formula_requires_exactly_its_parameters():
-    with pytest.raises(ValidationError):
-        boxdiff_bound(BoundParams(n=16, d=2))  # missing c
-    with pytest.raises(ValidationError):
-        boxdiff_bound(BoundParams(n=16, d=2, c=3.0, theta=0.5))  # stray theta
-    with pytest.raises(ValidationError):
-        corner_bound_theta(BoundParams(n=16, d=2))  # missing theta
-    with pytest.raises(ValidationError):
-        corner_bound_theta(BoundParams(n=16, d=2, theta=0.5, c=1.0))  # stray c
+        weighted_bound(4, 2, 0.0, ProductWeights((1.0, 1.0)))
 
 
 def test_hoeffding_tail_values_and_monotonicity():
@@ -70,48 +58,45 @@ def test_hoeffding_tail_values_and_monotonicity():
 
 
 def test_bound_values_scale_as_inverse_sqrt_n():
-    p1 = BoundParams(n=100, d=3, c=4.0)
-    p2 = BoundParams(n=400, d=3, c=4.0)
-    assert boxdiff_bound(p2).bound_value == pytest.approx(boxdiff_bound(p1).bound_value / 2)
-    t1 = BoundParams(n=100, d=3, theta=0.9)
-    t2 = BoundParams(n=400, d=3, theta=0.9)
-    assert boxdiff_bound_theta(t2).bound_value == pytest.approx(
-        boxdiff_bound_theta(t1).bound_value / 2
+    assert boxdiff_bound(400, 3, 4.0).bound_value == pytest.approx(
+        boxdiff_bound(100, 3, 4.0).bound_value / 2
+    )
+    assert boxdiff_bound_theta(400, 3, 0.9).bound_value == pytest.approx(
+        boxdiff_bound_theta(100, 3, 0.9).bound_value / 2
     )
 
 
 def test_success_probability_increases_with_c():
-    lo = boxdiff_bound(BoundParams(n=64, d=2, c=2.7)).success_prob
-    hi = boxdiff_bound(BoundParams(n=64, d=2, c=6.0)).success_prob
+    lo = boxdiff_bound(64, 2, 2.7).success_prob
+    hi = boxdiff_bound(64, 2, 6.0).success_prob
     assert hi >= lo
 
 
 def test_theta_bounds_grow_with_rho_and_theta():
-    base = corner_bound_theta(BoundParams(n=256, d=2, theta=0.9)).bound_value
-    more_dep = corner_bound_theta(BoundParams(n=256, d=2, rho=1.0, theta=0.9)).bound_value
-    more_conf = corner_bound_theta(BoundParams(n=256, d=2, theta=0.99)).bound_value
+    base = corner_bound_theta(256, 2, 0.9).bound_value
+    more_dep = corner_bound_theta(256, 2, 0.9, rho=1.0).bound_value
+    more_conf = corner_bound_theta(256, 2, 0.99).bound_value
     assert more_dep > base
     assert more_conf > base
 
 
 def test_theta_bound_success_probability_is_theta():
     for fn in (boxdiff_bound_theta, corner_bound_theta):
-        res = fn(BoundParams(n=128, d=2, theta=0.75))
+        res = fn(128, 2, 0.75)
         assert res.success_prob == pytest.approx(0.75)
         assert not res.clamped
 
 
 def test_mixed_bound_is_twice_the_single_block_bound():
-    params = BoundParams(n=128, d=4, rho=0.3, theta=0.8)
-    single = boxdiff_bound_theta(params)
-    double = mixed_bound_theta(params)
+    single = boxdiff_bound_theta(128, 4, 0.8, rho=0.3)
+    double = mixed_bound_theta(128, 4, 0.8, rho=0.3)
     assert double.bound_value == pytest.approx(2 * single.bound_value)
-    assert double.detail("base_value") == pytest.approx(single.bound_value)
+    assert double.details["base_value"] == pytest.approx(single.bound_value)
 
 
 def test_clamping_flags_low_c_and_preserves_raw():
     # c small enough makes the raw success probability negative: clamp to 0.
-    res = boxdiff_bound(BoundParams(n=64, d=2, c=0.5))
+    res = boxdiff_bound(64, 2, 0.5)
     assert res.clamped
     assert res.success_prob == 0.0
     assert res.raw_success_prob < 0.0
@@ -119,8 +104,8 @@ def test_clamping_flags_low_c_and_preserves_raw():
 
 
 def test_corner_bound_reports_xi():
-    res = corner_bound(BoundParams(n=1000, d=2, c=3.0))
-    xi = res.detail("xi")
+    res = corner_bound(1000, 2, 3.0)
+    xi = res.details["xi"]
     assert xi == pytest.approx(max(1.0, math.log(1000 / 2)))
     assert res.bound_value == pytest.approx(3.0 * math.sqrt(2 * xi / 1000))
 
@@ -133,8 +118,8 @@ def test_corner_eta_consistency_grid():
 
 
 def test_corner_theta_bound_reports_eta():
-    res = corner_bound_theta(BoundParams(n=256, d=2, theta=0.9))
-    assert res.detail("eta") == pytest.approx(corner_eta(256, 2))
+    res = corner_bound_theta(256, 2, 0.9)
+    assert res.details["eta"] == pytest.approx(corner_eta(256, 2))
     assert res.bound_value == pytest.approx(0.3024827250254695, rel=1e-12)
 
 
@@ -145,9 +130,7 @@ def test_corner_theta_bound_reports_eta():
 def test_weighted_bound_product_weights_picks_best_subset():
     # gamma = (2, 0.1): the singleton {0} scaled by sqrt(1/n) beats both the
     # other singleton and the pair; check against explicit enumeration.
-    params = BoundParams(n=100, d=2, c=3.0)
-    w = ProductWeights((2.0, 0.1))
-    res = weighted_bound(params, w)
+    res = weighted_bound(100, 2, 3.0, ProductWeights((2.0, 0.1)))
     scale = 3.0 / math.sqrt(100)
     candidates = [2.0 * scale * math.sqrt(1), 0.1 * scale * math.sqrt(1),
                   0.2 * scale * math.sqrt(2)]
@@ -161,47 +144,48 @@ def test_weighted_bound_product_matches_explicit_enumeration():
         gammas = rng.random(d) * 2
         n = int(rng.integers(10, 1000))
         c = float(rng.random() * 5 + 0.5)
-        params = BoundParams(n=n, d=d, c=c)
-        prod_res = weighted_bound(params, ProductWeights(tuple(gammas)))
+        prod_res = weighted_bound(n, d, c, ProductWeights(tuple(gammas)))
         table = {}
         for size in range(1, d + 1):
             for u in combinations(range(d), size):
                 table[frozenset(u)] = float(np.prod(gammas[list(u)]))
-        expl_res = weighted_bound(params, ExplicitWeights(table))
+        expl_res = weighted_bound(n, d, c, ExplicitWeights(table))
         assert prod_res.bound_value == pytest.approx(expl_res.bound_value, rel=1e-12)
 
 
 def test_weighted_theta_reports_effective_c():
-    params = BoundParams(n=100, d=3, theta=0.5)
-    res = weighted_bound_theta(params, ProductWeights((1.0, 1.0, 1.0)))
-    c_eff = res.detail("c_effective")
+    res = weighted_bound_theta(100, 3, 0.5, ProductWeights((1.0, 1.0, 1.0)))
+    c_eff = res.details["c_effective"]
     assert c_eff > 0
     # the value equals the c-form value evaluated at c_effective
-    same = weighted_bound(BoundParams(n=100, d=3, c=c_eff), ProductWeights((1.0, 1.0, 1.0)))
+    same = weighted_bound(100, 3, c_eff, ProductWeights((1.0, 1.0, 1.0)))
     assert res.bound_value == pytest.approx(same.bound_value, rel=1e-12)
 
 
 def test_weighted_theta_rejects_theta_too_close_to_one():
     # (2 - theta)^(1/d) - 1 <= 0 cannot happen for theta < 1... but the guard
     # also rejects underflow to a nonpositive inner term at extreme theta.
-    params = BoundParams(n=100, d=3, theta=1 - 1e-16)
     with pytest.raises(ValidationError):
-        weighted_bound_theta(params, ProductWeights((1.0, 1.0, 1.0)))
+        weighted_bound_theta(100, 3, 1 - 1e-16, ProductWeights((1.0, 1.0, 1.0)))
 
 
 def test_weighted_explicit_requires_every_subset():
-    params = BoundParams(n=100, d=2, c=3.0)
     with pytest.raises(ValidationError):
-        weighted_bound(params, ExplicitWeights({frozenset({0}): 1.0}))
+        weighted_bound(100, 2, 3.0, ExplicitWeights({frozenset({0}): 1.0}))
 
 
 def test_weighted_bound_dimension_cap_for_explicit_enumeration():
-    params = BoundParams(n=100, d=21, c=3.0)
     with pytest.raises(ValidationError):
-        weighted_bound(params, ExplicitWeights({frozenset({0}): 1.0}))
+        weighted_bound(100, 21, 3.0, ExplicitWeights({frozenset({0}): 1.0}))
 
 
-def test_bound_result_detail_missing_key():
-    res = corner_bound(BoundParams(n=100, d=2, c=3.0))
-    with pytest.raises(KeyError):
-        res.detail("eta")
+def test_bound_result_details_name_each_formulas_extras():
+    # cli.cmd_bounds reads these keys by name into its xi/eta/c_effective columns
+    w = ProductWeights((1.0, 1.0))
+    assert boxdiff_bound(100, 2, 3.0).details == {}
+    assert boxdiff_bound_theta(100, 2, 0.9).details == {}
+    assert weighted_bound(100, 2, 3.0, w).details == {}
+    assert set(corner_bound(100, 2, 3.0).details) == {"xi"}
+    assert set(corner_bound_theta(100, 2, 0.9).details) == {"eta"}
+    assert set(mixed_bound_theta(100, 2, 0.9).details) == {"base_value"}
+    assert set(weighted_bound_theta(100, 2, 0.9, w).details) == {"c_effective"}

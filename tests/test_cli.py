@@ -7,7 +7,14 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
-from negdep_qmc import SCHEMES, describe_scheme, load_pointset, star_discrepancy_exact
+from negdep_qmc import (
+    SCHEMES,
+    describe_scheme,
+    load_pointset,
+    net_points,
+    save_pointset,
+    star_discrepancy_exact,
+)
 from negdep_qmc.cli import main, parse_scheme
 
 
@@ -292,11 +299,19 @@ MALFORMED = [
     pytest.param("bounds", {"formula": "hoeffding", "grid": {"n": 64, "t": 0.1, "d": 2}}, [],
                  id="hoeffding-grid-d"),
     pytest.param("report", {"criteria": []}, [], id="report-no-criteria"),
+    # keys that a points file makes meaningless, which used to be ignored;
+    # p.txt is the 8-point net(2, 3, 2) the test writes
+    pytest.param("discrepancy", {"points": "p.txt", "scheme": {"kind": "mc"}, "n": 99, "d": 7}, [],
+                 id="discrepancy-points-and-scheme"),
+    pytest.param("net-check", {"points": "p.txt", "b": 2, "m": 3, "s": 2, "scramble": True}, [],
+                 id="net-check-points-and-scramble"),
 ]
 
 
 @pytest.mark.parametrize("command, cfg, argv", MALFORMED)
-def test_malformed_config_value_exits_2(tmp_path, capsys, command, cfg, argv):
+def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, cfg, argv):
+    monkeypatch.chdir(tmp_path)
+    save_pointset(net_points(2, 3, 2), tmp_path / "p.txt")
     code, _, err = run([command, write_json(tmp_path / "c.json", cfg), *argv], capsys)
     assert code == 2
     assert err.startswith("error: ")

@@ -47,7 +47,7 @@ def test_describe_function_labels():
     assert describe_function(UserFunction(lambda x: x[..., 0], label="slice")) == "slice"
 
 
-def test_rqmc_estimate_is_unbiased():
+def test_mean_of_lhs_estimates_is_unbiased():
     # Average of independent equal-weight estimates converges to the integral.
     rng = RngStream(5)
     reps, n, d = 3000, 8, 2

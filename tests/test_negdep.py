@@ -21,6 +21,7 @@ from negdep_qmc import (
     MonteCarlo,
     RngStream,
     RsjLattice,
+    SimpleStratified,
     Stripes,
     SwapScheme,
     ValidationError,
@@ -283,6 +284,7 @@ def test_prefix_draws_match_the_exact_oracles():
         (Mixed(LatinHypercube(), 2, LatinHypercube(), 1), 6, 3, (0.6, 0.7, 0.8)),
         (RsjLattice(), 11, 2, (6, 8)),  # cells of the 11 x 11 grid
         (RsjLattice(), 5, 2, (3, 4)),
+        (SimpleStratified(), 10, 1, (0.55,)),
     ]
     checks = [(case, t) for case in cases for t in (1, 2, 3)]
     confidence = 1.0 - FAMILY_ALPHA / len(checks)

@@ -365,6 +365,7 @@ PREFIX_SCHEMES = [
     (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 12, 2),
     (MonteCarlo(), 9, 2),
     (Mixed(LatinHypercube(), 2, RsjLattice(), 1), 7, 3),
+    (SimpleStratified(), 10, 1),
 ]
 FULL_SCHEMES = [
     (ScrambledNet(3, 2, 2), 9, 2),
