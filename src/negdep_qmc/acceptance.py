@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -63,17 +63,20 @@ class CriterionResult:
     name: str
     passed: bool
     details: str
-    elapsed_s: float
+    elapsed_s: float | None = None  # seconds the criterion took, set by run_all
 
 
-def _result(cid, name, checks, details, t0) -> CriterionResult:
-    return CriterionResult(cid, name, bool(all(checks)), details, time.perf_counter() - t0)
+# the fields acceptance.csv and acceptance.json record for each criterion
+_SUMMARY_FIELDS = ("cid", "name", "passed", "details")
+
+
+def _result(cid, name, checks, details) -> CriterionResult:
+    return CriterionResult(cid, name, bool(all(checks)), details)
 
 
 def criterion_01(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Min-copula pair: exact violation at anchors (3/4, 1/4) and the exact
     diagonal law F(q, q) = q^2."""
-    t0 = time.perf_counter()
     tol = 1e-15
     checks = []
     f34 = min_copula_cdf(0.75, 0.25)
@@ -93,13 +96,12 @@ def criterion_01(seed: int = DEFAULT_SEED) -> CriterionResult:
     checks.append(rep1.method == "exact" and rep1.verdict == "violated")
     checks.append(abs(rep1.lhs - 0.25) <= tol and abs(rep1.rhs - rhs) <= tol)
     details = f"upper={upper:.17g} rhs={rhs:.17g} diag_err={diag_err:.3g} verdict={rep1.verdict}"
-    return _result(1, "min-copula exact violation", checks, details, t0)
+    return _result(1, "min-copula exact violation", checks, details)
 
 
 def criterion_02(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Four-slot pair: exact conditional quadrant probability 1/3 against a
     conditional product of 1/4, derived from the slot table."""
-    t0 = time.perf_counter()
     tol = 1e-15
     rep = check_conditional_nqd(
         FourSlot(), 2, 2, 2, CornerBox1((0.5,)), CornerBox1((0.5,)), 0.5, 0.5, 1, RngStream(seed)
@@ -111,13 +113,12 @@ def criterion_02(seed: int = DEFAULT_SEED) -> CriterionResult:
         rep.verdict == "violated",
     ]
     details = f"lhs={rep.lhs:.17g} rhs={rep.rhs:.17g} verdict={rep.verdict}"
-    return _result(2, "four-slot conditional violation", checks, details, t0)
+    return _result(2, "four-slot conditional violation", checks, details)
 
 
 def criterion_03(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Swap pair: closed-form pairwise violation at anchors (1/2, 1/2) and
     exact conditional product equality across a 3x3 threshold grid."""
-    t0 = time.perf_counter()
     checks = []
     rep1, _ = check_pairwise_nd(
         SwapScheme(), 2, 2, CornerBox1((0.5, 0.5)), CornerBox1((0.5, 0.5)), 1, RngStream(seed)
@@ -136,14 +137,13 @@ def criterion_03(seed: int = DEFAULT_SEED) -> CriterionResult:
             max_gap = max(max_gap, abs(rep.lhs - rep.rhs))
     checks.append(max_gap <= 1e-12)
     details = f"pair lhs={rep1.lhs:.17g} rhs={rep1.rhs:.17g}; conditional max|lhs-rhs|={max_gap:.3g}"
-    return _result(3, "swap pair violation and conditional equality", checks, details, t0)
+    return _result(3, "swap pair violation and conditional equality", checks, details)
 
 
 def criterion_04(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Small jittered rank-1 lattice: exact triple-capture probability of the
     3x3 corner block at n = 5 meets its closed-form floor, and the crossover
     where the floor beats the independent benchmark lands on the right prime."""
-    t0 = time.perf_counter()
     checks = []
     p = rsj_small_prob(5, corner_cells(5, (3, 3)), 3)
     checks.append(p >= 0.005)
@@ -158,7 +158,7 @@ def criterion_04(seed: int = DEFAULT_SEED) -> CriterionResult:
     first_prime = next(n for n in range(3, 10_000) if is_prime(n) and floor_beats_benchmark(n))
     checks.append(first_prime == 127)
     details = f"p={p:.6f} (floor 0.005), integer crossover {crossover}, first prime {first_prime}"
-    return _result(4, "small lattice triple capture", checks, details, t0)
+    return _result(4, "small lattice triple capture", checks, details)
 
 
 def criterion_05(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -166,7 +166,6 @@ def criterion_05(seed: int = DEFAULT_SEED) -> CriterionResult:
     configurations and a 5-per-axis anchor grid, the empirical frequency of
     10^5 replications must sit inside the 99.9% Wilson interval in at least
     99% of cells, and the oracle must never exceed the independent benchmark."""
-    t0 = time.perf_counter()
     reps = 100_000
     grid = [1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6]
     rng = RngStream(seed).split(5)
@@ -188,14 +187,13 @@ def criterion_05(seed: int = DEFAULT_SEED) -> CriterionResult:
                 misses += 1
     checks = [oracle_ok, cells == 175, misses <= 1]
     details = f"{cells} cells, {misses} Wilson misses (allowed 1), oracle_ok={oracle_ok}"
-    return _result(5, "latin hypercube oracle vs simulation", checks, details, t0)
+    return _result(5, "latin hypercube oracle vs simulation", checks, details)
 
 
 def criterion_06(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Corner-box tail bound at desk scale: with n = 256, d = 2, the
     theta = 0.9 bound must cover the exact star discrepancy in at least 90%
     of 500 replications, for Latin hypercube and for Monte Carlo."""
-    t0 = time.perf_counter()
     bound = corner_bound_theta(256, 2, 0.9).bound_value
     rng = RngStream(seed).split(6)
     checks = []
@@ -210,14 +208,13 @@ def criterion_06(seed: int = DEFAULT_SEED) -> CriterionResult:
         fracs.append(frac)
         checks.append(frac >= 0.9)
     details = f"bound={bound:.6f}, coverage lhs={fracs[0]:.3f} mc={fracs[1]:.3f} (need 0.9)"
-    return _result(6, "corner bound at desk scale", checks, details, t0)
+    return _result(6, "corner bound at desk scale", checks, details)
 
 
 def criterion_07(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Binomial tail bound: for 100 independent points and the box [0, 0.3),
     empirical P(|count - 30| >= t) never exceeds 2 exp(-2 t^2 / 100) beyond
     one-sided 3-sigma simulation slack, at t in {5, 10, 15}."""
-    t0 = time.perf_counter()
     reps = 100_000
     batch = sample_batch(MonteCarlo(), 100, 1, reps, RngStream(seed).split(7))
     s = np.sum(batch[:, :, 0] < 0.3, axis=1) - 30.0
@@ -230,14 +227,13 @@ def criterion_07(seed: int = DEFAULT_SEED) -> CriterionResult:
         checks.append(phat <= bound + slack)
         parts.append(f"t={t}: {phat:.5f}<={bound:.5f}")
     details = "; ".join(parts)
-    return _result(7, "binomial tail bound", checks, details, t0)
+    return _result(7, "binomial tail bound", checks, details)
 
 
 def criterion_08(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Variance reduction: Latin hypercube (d=3, n=64) and the jittered
     rank-1 lattice (d=2, n=5) never exceed Monte Carlo variance by more than
     3 standard errors, on the coordinate product and a corner indicator."""
-    t0 = time.perf_counter()
     rng = RngStream(seed).split(8)
     cases = [
         (LatinHypercube(), ProductCoords(), 64, 3),
@@ -252,7 +248,7 @@ def criterion_08(seed: int = DEFAULT_SEED) -> CriterionResult:
         checks.append(study.ratio <= 1.0 + 3.0 * study.ratio_stderr)
         parts.append(f"{study.scheme}/{study.function}: ratio={study.ratio:.3f}")
     details = "; ".join(parts)
-    return _result(8, "variance reduction vs monte carlo", checks, details, t0)
+    return _result(8, "variance reduction vs monte carlo", checks, details)
 
 
 def criterion_09(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -260,7 +256,6 @@ def criterion_09(seed: int = DEFAULT_SEED) -> CriterionResult:
     independent Latin hypercube factors factorizes exactly and stays below
     the independent benchmark; the sampled concatenation agrees with the
     product oracle within a 99.9% Wilson interval."""
-    t0 = time.perf_counter()
     tol = 1e-12
     n = 6
     max_gap = 0.0
@@ -286,14 +281,13 @@ def criterion_09(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"max factorization gap {max_gap:.3g}, benchmark ok {nd_ok}, "
         f"sampled {rep.lhs:.5f} vs oracle {target:.5f} (ci {rep.ci_halfwidth:.5f})"
     )
-    return _result(9, "concatenation factorization", checks, details, t0)
+    return _result(9, "concatenation factorization", checks, details)
 
 
 def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Star discrepancy self-consistency: the centered grid attains exactly
     1/(2n); cover brackets sandwich the exact value on random point sets; the
     1-d cover has exactly ceil(1/delta) nodes."""
-    t0 = time.perf_counter()
     checks = []
     grid_err = 0.0
     for n in (2, 4, 8, 16):
@@ -321,7 +315,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
     checks.append(card_ok)
     details = f"grid_err={grid_err:.3g}, sandwich_ok={sandwich_ok}, cover_cardinality_ok={card_ok}"
-    return _result(10, "star discrepancy self-consistency", checks, details, t0)
+    return _result(10, "star discrepancy self-consistency", checks, details)
 
 
 def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -329,7 +323,6 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
     satisfy the net property before and after scrambling, and a pairwise
     sweep of the scrambled (3,2,2) net over a 4x4 anchor grid at 10^5
     replications yields no violation verdict."""
-    t0 = time.perf_counter()
     rng = RngStream(seed).split(11)
     checks = []
     for k, (b, m, s) in enumerate([(2, 3, 1), (3, 2, 2), (5, 2, 3)]):
@@ -350,7 +343,7 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
                 violations += 1
     checks.append(violations == 0)
     details = f"net property ok={net_ok}, pairwise sweep violations={violations} of 16 pairs"
-    return _result(11, "digital net scrambling and pairwise sweep", checks, details, t0)
+    return _result(11, "digital net scrambling and pairwise sweep", checks, details)
 
 
 def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -358,7 +351,6 @@ def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
     polynomial on the scaled simplex is maximized at the centroid for every
     n_vars <= 8, t <= n_vars, and xi in {0.5, 1, 2}, each probed with 10^5
     random simplex draws."""
-    t0 = time.perf_counter()
     rng = RngStream(seed).split(12)
     k = 0
     failures = 0
@@ -373,7 +365,7 @@ def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
                     failures += 1
     checks = [failures == 0]
     details = f"{total} configurations, {failures} failures"
-    return _result(12, "symmetric function simplex maximum", checks, details, t0)
+    return _result(12, "symmetric function simplex maximum", checks, details)
 
 
 ALL_CRITERIA = (
@@ -401,22 +393,19 @@ def run_all(seed: int = DEFAULT_SEED, out_dir=None, criteria=None):
         criteria = range(1, 13)
     elif not (criteria and all(1 <= c <= 12 for c in criteria)):
         raise ValidationError(f"'criteria' must list ids in 1..12, got {list(criteria)}")
-    results = [ALL_CRITERIA[cid - 1](seed) for cid in sorted(set(criteria))]
+    results = []
+    for cid in sorted(set(criteria)):
+        t0 = time.perf_counter()
+        result = ALL_CRITERIA[cid - 1](seed)
+        results.append(replace(result, elapsed_s=time.perf_counter() - t0))
     if out_dir is not None:
+        rows = [{key: getattr(r, key) for key in _SUMMARY_FIELDS} for r in results]
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "acceptance.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cid", "name", "passed", "details"])
-            for r in results:
-                writer.writerow([r.cid, r.name, r.passed, r.details])
-        summary = {
-            "seed": seed,
-            "all_passed": all(r.passed for r in results),
-            "criteria": [
-                {"cid": r.cid, "name": r.name, "passed": r.passed, "details": r.details}
-                for r in results
-            ],
-        }
+            writer = csv.DictWriter(fh, _SUMMARY_FIELDS)
+            writer.writeheader()
+            writer.writerows(rows)
+        summary = {"seed": seed, "all_passed": all(r.passed for r in results), "criteria": rows}
         with open(os.path.join(out_dir, "acceptance.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

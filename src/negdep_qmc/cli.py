@@ -3,8 +3,9 @@
 One subcommand per workflow: sample | discrepancy | negdep | bounds |
 variance | net-check | report. Each takes a single JSON configuration file
 plus --seed / --out overrides, and writes CSV with a stable, documented
-column order. When writing to a file, a sidecar <out>.schema.json records the
-subcommand, package version, and column names. Outputs contain no
+column order. Rows are dicts keyed by column name; a column a row does not
+set is empty. When writing to a file, a sidecar <out>.schema.json records
+the subcommand, package version, and column names. Outputs contain no
 timestamps: identical configuration and seed give byte-identical files.
 
 Configs are read strictly: unknown keys are rejected, and every value must
@@ -25,7 +26,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
+from dataclasses import asdict, fields
 from itertools import product
 
 import numpy as np
@@ -57,12 +58,11 @@ from .integrate import (
     NegProduct,
     ProductCoords,
     SumCoords,
-    VarianceStudy,
     variance_study,
 )
 from .negdep import (
-    FACTOR_CSV_COLUMNS,
-    REPORT_CSV_COLUMNS,
+    DependenceReport,
+    FactorizationCheck,
     check_ci_nqd,
     check_conditional_nqd,
     check_lower_nd,
@@ -215,19 +215,25 @@ def parse_function(cfg):
     )
 
 
-def _open(args, keys, where: str, seed_default: int = 0, out_key: str = "out"):
-    """Load the config, reject unknown keys, and resolve the common settings.
+def _open(args, keys, where: str, out_key: str = "out"):
+    """Load the config, set --seed and --out as its keys "seed" and `out_key`,
+    and reject unknown keys. Returns (cfg, out).
 
-    Returns (cfg, seed, out); --seed and --out override the config keys
-    "seed" and `out_key`.
+    `keys` holds "seed" only where something is drawn, so a seed given to a
+    subcommand that draws nothing is an unknown key, from the file or the flag.
     """
     cfg = _load_config(args.config)
-    _check_keys(cfg, set(keys) | {"seed", out_key}, where)
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, where, seed_default)
+    flags = {"seed": args.seed, out_key: args.out}
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
+    _check_keys(cfg, set(keys) | {out_key}, where)
+    return cfg, _get(cfg, out_key, str, where, None)
+
+
+def _seed(cfg: dict, where: str, default: int = 0) -> int:
+    seed = _get(cfg, "seed", int, where, default)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    out = args.out if args.out is not None else _get(cfg, out_key, str, where, None)
-    return cfg, seed, out
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +241,7 @@ def _open(args, keys, where: str, seed_default: int = 0, out_key: str = "out"):
 
 
 def _fmt(value) -> str:
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -245,11 +251,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(out, subcommand: str, columns, rows) -> None:
-    """Write rows to `out` (or stdout when None); files get a schema sidecar."""
+    """Write `rows`, dicts keyed by column name, to `out` (or stdout when
+    None); a column a row lacks is empty. Files get a schema sidecar."""
     with open(out, "w", newline="") if out is not None else nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
     if out is None:
         return
     schema = {
@@ -268,8 +275,8 @@ def _write_csv(out, subcommand: str, columns, rows) -> None:
 
 def _read_points(cfg, keys, where: str):
     """Load the "points" file. Besides it, the config may set only `keys` and
-    the common settings: the keys that describe a set to draw are unknown."""
-    _check_keys(cfg, {"points", "seed", "out"} | keys, f"{where} with 'points'")
+    "out": the keys that describe a set to draw, and "seed", are unknown."""
+    _check_keys(cfg, {"points", "out"} | keys, f"{where} with 'points'")
     path = _get(cfg, "points", str, where)
     try:
         return load_pointset(path)
@@ -277,23 +284,17 @@ def _read_points(cfg, keys, where: str):
         raise ValidationError(f"cannot read points file: {exc}") from exc
 
 
-def _sample_points(cfg, seed: int, where: str):
+def _sample_points(cfg, where: str):
     scheme = parse_scheme(_need(cfg, "scheme", where))
     n = _get(cfg, "n", int, where)
     d = _get(cfg, "d", int, where)
-    return sample(scheme, n, d, RngStream(seed))
+    return sample(scheme, n, d, RngStream(_seed(cfg, where)))
 
 
 def cmd_sample(args) -> int:
     where = "sample config"
-    cfg, seed, out = _open(args, {"scheme", "n", "d"}, where)
-    ps = _sample_points(cfg, seed, where)
-    if out is None:
-        sys.stdout.write(f"{ps.d} {ps.n}\n")
-        for row in ps.data:
-            sys.stdout.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-    else:
-        save_pointset(ps, out)
+    cfg, out = _open(args, {"scheme", "n", "d", "seed"}, where)
+    save_pointset(_sample_points(cfg, where), out)
     return 0
 
 
@@ -305,30 +306,31 @@ _DISC_KEYS = {"exact", "delta", "weights", "budget"}
 
 def cmd_discrepancy(args) -> int:
     where = "discrepancy config"
-    cfg, seed, out = _open(args, _DISC_KEYS | {"points", "scheme", "n", "d"}, where)
+    cfg, out = _open(args, _DISC_KEYS | {"points", "scheme", "n", "d", "seed"}, where)
     budget = _get(cfg, "budget", int, where, DEFAULT_BUDGET)
     if "points" in cfg:
         ps = _read_points(cfg, _DISC_KEYS, where)
     else:
-        ps = _sample_points(cfg, seed, where)
+        ps = _sample_points(cfg, where)
     rows = []
     if _get(cfg, "exact", bool, where, "delta" not in cfg and "weights" not in cfg):
         res = star_discrepancy_exact(ps, budget)
-        witness = "" if res.witness is None else " ".join(f"{x:.17g}" for x in res.witness)
-        rows.append(["exact", ps.n, ps.d, res.value, "", "", "", witness, res.witness_side or ""])
+        rows.append({"quantity": "exact", "value": res.value,
+                     "witness": " ".join(f"{x:.17g}" for x in res.witness),
+                     "witness_side": res.witness_side})
     if "delta" in cfg:
         delta = _get(cfg, "delta", float, where)
         lower, upper = star_discrepancy_cover(ps, delta, budget)
-        rows.append(["cover", ps.n, ps.d, "", lower, upper, delta, "", ""])
+        rows.append({"quantity": "cover", "lower": lower, "upper": upper, "delta": delta})
     if "weights" in cfg:
         value = weighted_star_discrepancy(ps, parse_weights(cfg["weights"]), budget)
-        rows.append(["weighted", ps.n, ps.d, value, "", "", "", "", ""])
-    _write_csv(out, "discrepancy", _DISC_COLUMNS, rows)
+        rows.append({"quantity": "weighted", "value": value})
+    _write_csv(out, "discrepancy", _DISC_COLUMNS, [{**row, "n": ps.n, "d": ps.d} for row in rows])
     return 0
 
 
-_NEGDEP_COLUMNS = REPORT_CSV_COLUMNS + ("oracle",)
-_FACTOR_COLUMNS = ("scheme", "n", "d") + FACTOR_CSV_COLUMNS
+_NEGDEP_COLUMNS = tuple(f.name for f in fields(DependenceReport)) + ("oracle",)
+_FACTOR_COLUMNS = ("scheme", "n", "d") + tuple(f.name for f in fields(FactorizationCheck))
 
 
 # the keys each negdep test reads, besides _NEGDEP_COMMON
@@ -344,7 +346,7 @@ _NEGDEP_COMMON = {"scheme", "n", "d", "test", "reps", "confidence", "expect_hold
 
 def cmd_negdep(args) -> int:
     where = "negdep config"
-    cfg, seed, out = _open(args, set().union(*_NEGDEP_KEYS.values()) | _NEGDEP_COMMON, where)
+    cfg, out = _open(args, set().union(*_NEGDEP_KEYS.values()) | _NEGDEP_COMMON, where)
     test = _get(cfg, "test", str, where)
     if test not in _NEGDEP_KEYS:
         raise ValidationError(f"unknown negdep test '{test}'")
@@ -357,8 +359,8 @@ def cmd_negdep(args) -> int:
     reps = _get(cfg, "reps", int, where, 10_000)
     confidence = _get(cfg, "confidence", float, where, 0.99)
     expect_holds = _get(cfg, "expect_holds", bool, where, False) or args.expect_holds
-    rng = RngStream(seed)
-    reports = []  # (report, oracle value or "")
+    rng = RngStream(_seed(cfg, where))
+    rows = []  # report fields, plus "oracle" where asked for
     factor_rows = []
 
     if test in ("upper", "lower"):
@@ -370,14 +372,14 @@ def cmd_negdep(args) -> int:
             box = CornerBox0(anchor)
             rep = fn(scheme, n, d, box, t, reps, rng.split(k), gamma, confidence)
             oracle = scheme.anchored_prob(n, box, t) if want_oracle else None
-            reports.append((rep, "" if oracle is None else oracle))
+            rows.append({**asdict(rep), "oracle": oracle})
     elif test == "pairwise":
         anchors = product(_get(cfg, "q_anchors", [[float]], where),
                           _get(cfg, "r_anchors", [[float]], where))
         for k, (qa, ra) in enumerate(anchors):
             pair = check_pairwise_nd(scheme, n, d, CornerBox1(qa), CornerBox1(ra), reps,
                                      rng.split(k), confidence)
-            reports.extend((rep, "") for rep in pair)
+            rows += [asdict(rep) for rep in pair]
     elif test == "conditional":
         i = _get(cfg, "i", int, where)
         a_box, b_box = (
@@ -387,17 +389,17 @@ def cmd_negdep(args) -> int:
         for k, (alpha, beta) in enumerate(levels):
             rep = check_conditional_nqd(scheme, n, d, i, a_box, b_box, alpha, beta, reps,
                                         rng.split(k), confidence)
-            reports.append((rep, ""))
+            rows.append(asdict(rep))
     else:  # "ci"
         i = _get(cfg, "i", int, where)
         levels = product(_grid(cfg, "q_values", float, where),
                          _grid(cfg, "r_values", float, where))
         for k, (q, r) in enumerate(levels):
             res = check_ci_nqd(scheme, n, d, i, q, r, reps, rng.split(k), confidence)
-            reports.append((res.primary, ""))
-            factor_rows += [[res.primary.scheme, n, d] + c.to_csv_row() for c in res.factorization]
+            rows.append(asdict(res.primary))
+            factor_rows += [{"scheme": res.primary.scheme, "n": n, "d": d, **asdict(c)}
+                            for c in res.factorization]
 
-    rows = [rep.to_csv_row() + [oracle] for rep, oracle in reports]
     _write_csv(out, "negdep", _NEGDEP_COLUMNS, rows)
     if factor_rows:
         if out is None:
@@ -406,7 +408,7 @@ def cmd_negdep(args) -> int:
         else:
             _write_csv(str(out) + ".factorization.csv", "negdep-factorization",
                        _FACTOR_COLUMNS, factor_rows)
-    if expect_holds and any(rep.verdict == "violated" for rep, _ in reports):
+    if expect_holds and any(row["verdict"] == "violated" for row in rows):
         return 4
     return 0
 
@@ -429,7 +431,7 @@ _BOUNDS_COLUMNS = (
 
 def cmd_bounds(args) -> int:
     where = "bounds config"
-    cfg, _, out = _open(args, {"formula", "grid", "weights", "gamma"}, where)
+    cfg, out = _open(args, {"formula", "grid", "weights", "gamma"}, where)
     formula = _get(cfg, "formula", str, where)
     if formula == "hoeffding":
         extra, axes = {"gamma"}, {"n", "t"}
@@ -439,7 +441,7 @@ def cmd_bounds(args) -> int:
         extra, axes = {"weights"} if weighted else set(), {"n", "d", "rho", free}
     else:
         raise ValidationError(f"unknown bound formula '{formula}'")
-    _check_keys(cfg, {"formula", "grid", "seed", "out"} | extra, f"bounds '{formula}' config")
+    _check_keys(cfg, {"formula", "grid", "out"} | extra, f"bounds '{formula}' config")
     grid = _get(cfg, "grid", dict, where)
     _check_keys(grid, axes, f"bounds '{formula}' grid")
     n_list = _grid(grid, "n", int, "bounds grid")
@@ -447,9 +449,8 @@ def cmd_bounds(args) -> int:
     if formula == "hoeffding":
         gamma = _get(cfg, "gamma", float, where, 1.0)
         for n, t in product(n_list, _grid(grid, "t", float, "bounds grid")):
-            value = hoeffding_tail(n, t, gamma)
-            rows.append(["hoeffding", n, "", "", "", "", t, gamma, value,
-                         "", "", "", "", "", ""])
+            rows.append({"formula": "hoeffding", "n": n, "t": t, "gamma": gamma,
+                         "bound_value": hoeffding_tail(n, t, gamma)})
     else:
         d_list = _grid(grid, "d", int, "bounds grid")
         rho_list = _grid(grid, "rho", float, "bounds grid", (0.0,))
@@ -457,38 +458,30 @@ def cmd_bounds(args) -> int:
         weights = parse_weights(_need(cfg, "weights", where)) if weighted else None
         for n, d, rho, x in product(n_list, d_list, rho_list, free_list):
             res = fn(n, d, x, weights, rho=rho) if weighted else fn(n, d, x, rho=rho)
-            rows.append([
-                res.formula, n, d, rho,
-                x if free == "c" else "", x if free == "theta" else "", "", "",
-                res.bound_value, res.success_prob, res.clamped, res.raw_success_prob,
-                res.details.get("xi", ""), res.details.get("eta", ""),
-                res.details.get("c_effective", ""),
-            ])
+            rows.append({"n": n, "d": d, "rho": rho, free: x, **asdict(res), **res.details})
     _write_csv(out, "bounds", _BOUNDS_COLUMNS, rows)
     return 0
 
 
 def cmd_variance(args) -> int:
     where = "variance config"
-    cfg, seed, out = _open(args, {"scheme", "function", "n", "d", "reps"}, where)
+    cfg, out = _open(args, {"scheme", "function", "n", "d", "reps", "seed"}, where)
     scheme = parse_scheme(_need(cfg, "scheme", where))
     f = parse_function(_need(cfg, "function", where))
     n = _get(cfg, "n", int, where)
     d = _get(cfg, "d", int, where)
     reps = _get(cfg, "reps", int, where, 1000)
-    study = variance_study(scheme, f, n, d, reps, RngStream(seed))
-    columns = tuple(field.name for field in fields(VarianceStudy))
-    _write_csv(out, "variance", columns, [[getattr(study, c) for c in columns]])
+    row = asdict(variance_study(scheme, f, n, d, reps, RngStream(_seed(cfg, where))))
+    _write_csv(out, "variance", tuple(row), [row])
     return 0
 
 
-_NET_COLUMNS = ("source", "b", "m", "s", "t", "n", "is_net")
 _NET_KEYS = {"b", "m", "s", "t"}
 
 
 def cmd_net_check(args) -> int:
     where = "net-check config"
-    cfg, seed, out = _open(args, _NET_KEYS | {"points", "scramble"}, where)
+    cfg, out = _open(args, _NET_KEYS | {"points", "scramble", "seed"}, where)
     b = _get(cfg, "b", int, where)
     m = _get(cfg, "m", int, where)
     s = _get(cfg, "s", int, where)
@@ -497,24 +490,27 @@ def cmd_net_check(args) -> int:
         ps = _read_points(cfg, _NET_KEYS, where)
         source = "file"
     elif _get(cfg, "scramble", bool, where, False):
-        ps = sample(ScrambledNet(b, m, s), b**m, s, RngStream(seed))
+        ps = sample(ScrambledNet(b, m, s), b**m, s, RngStream(_seed(cfg, where)))
         source = "scrambled"
     else:
+        _check_keys(cfg, _NET_KEYS | {"scramble", "out"}, f"{where} without 'scramble'")
         ps = net_points(b, m, s)
         source = "raw"
-    ok = is_net(ps, b, m, s, t)
-    _write_csv(out, "net-check", _NET_COLUMNS, [[source, b, m, s, t, ps.n, ok]])
+    row = {"source": source, "b": b, "m": m, "s": s, "t": t, "n": ps.n,
+           "is_net": is_net(ps, b, m, s, t)}
+    _write_csv(out, "net-check", tuple(row), [row])
     return 0
 
 
 def cmd_report(args) -> int:
     where = "report config"
-    cfg, seed, out_dir = _open(args, {"criteria"}, where, DEFAULT_SEED, out_key="out_dir")
+    cfg, out_dir = _open(args, {"criteria", "seed"}, where, out_key="out_dir")
     criteria = _get(cfg, "criteria", [int], where, None)
-    results = run_all(seed=seed, out_dir=out_dir, criteria=criteria)
+    results = run_all(seed=_seed(cfg, where, DEFAULT_SEED), out_dir=out_dir, criteria=criteria)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        sys.stdout.write(f"criterion {r.cid:02d} {status} {r.name}: {r.details}\n")
+        line = f"criterion {r.cid:02d} {status} {r.name}: {r.details} ({r.elapsed_s:.2f} s)"
+        sys.stdout.write(line + "\n")
     return 0 if all(r.passed for r in results) else 4
 
 

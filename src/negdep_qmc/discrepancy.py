@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -92,10 +92,9 @@ def weight_of(weights: Weights, subset) -> float:
 @dataclass(frozen=True)
 class DiscrepancyResult:
     value: float
-    kind: str  # "exact" | "cover_lower" | "cover_upper"
-    witness: Optional[np.ndarray] = None
+    witness: np.ndarray
     # "open": [0, witness) undercounts; "closed": [0, witness] overcounts
-    witness_side: Optional[str] = None
+    witness_side: str
 
 
 def local_discrepancy(ps: PointSet, box) -> float:
@@ -156,7 +155,7 @@ def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> Discre
                 best_node = (i0,) + tuple(rest_idx)
                 best_side = side
     witness = np.array([cands[a][best_node[a]] for a in range(d)])
-    return DiscrepancyResult(best, "exact", witness, best_side)
+    return DiscrepancyResult(best, witness, best_side)
 
 
 def star_discrepancy_cover(

@@ -17,7 +17,7 @@ here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
 
@@ -42,8 +42,6 @@ __all__ = [
     "DependenceReport",
     "FactorizationCheck",
     "CiNqdResult",
-    "REPORT_CSV_COLUMNS",
-    "FACTOR_CSV_COLUMNS",
     "wilson_interval",
     "check_upper_nd",
     "check_lower_nd",
@@ -55,7 +53,6 @@ __all__ = [
     "mixed_anchored_prob_exact",
     "rsj_small_prob",
     "corner_cells",
-    "falling_factorial",
     "DEFAULT_CONFIDENCE",
 ]
 
@@ -66,10 +63,6 @@ _FACTOR_GRID = (0.25, 0.5, 0.75)
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-def _csv_row(self) -> list:
-    return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass(frozen=True)
@@ -95,8 +88,6 @@ class DependenceReport:
     confidence: float = DEFAULT_CONFIDENCE
     method: str = "empirical"
 
-    to_csv_row = _csv_row
-
 
 @dataclass(frozen=True)
 class FactorizationCheck:
@@ -115,22 +106,16 @@ class FactorizationCheck:
     halfwidth: float
     consistent: bool
 
-    to_csv_row = _csv_row
-
-
-REPORT_CSV_COLUMNS = tuple(f.name for f in fields(DependenceReport))
-FACTOR_CSV_COLUMNS = tuple(f.name for f in fields(FactorizationCheck))
-
 
 @dataclass(frozen=True)
 class CiNqdResult:
     """Composite result of the coordinatewise-independent NQD test: the
-    per-coordinate quadrant report plus factorization probes. `partial` is
-    always true because finite probes cannot certify full independence."""
+    per-coordinate quadrant report plus factorization probes. Finite probes
+    cannot certify full independence, so a consistent result is a necessary
+    condition only."""
 
     primary: DependenceReport
     factorization: tuple
-    partial: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +429,8 @@ def check_ci_nqd(
     p1_j >= g, p2_j >= g) against the product of the two per-coordinate pair
     probabilities, with a conservative first-order halfwidth (zero for exact
     schemes, whose probes must agree to 1e-15). Probes are a necessary
-    condition for cross-coordinate independence only, so the result is
-    flagged partial.
+    condition for cross-coordinate independence only: consistent probes do
+    not prove it.
     """
     _check_pair_test(n, d, i, q, r)
     rhs = (1.0 - q) * (1.0 - r)
@@ -482,13 +467,6 @@ def check_ci_nqd(
 # Exact anchored-box oracles
 
 
-def falling_factorial(a: int, t: int) -> int:
-    """(a)_t = a (a-1) ... (a-t+1); equals 0 when t > a, and 1 when t = 0."""
-    if a < 0 or t < 0:
-        raise ValidationError("falling factorial needs nonnegative integers")
-    return math.perm(a, t)
-
-
 def lhs_anchored_prob_exact(n: int, q, t: int) -> float:
     """Exact P(points 1..t of an n-point Latin hypercube all in [0, q)).
 
@@ -501,13 +479,13 @@ def lhs_anchored_prob_exact(n: int, q, t: int) -> float:
         raise ValidationError("anchor coordinates must lie in [0, 1]")
     if not (1 <= t <= n):
         raise ValidationError("need 1 <= t <= n")
-    denom = falling_factorial(n, t)
+    denom = math.perm(n, t)
     prob = 1.0
     for qi in q:
         x = qi * n
         k = min(int(math.floor(x)), n)
         theta = x - k
-        prob *= (falling_factorial(k, t) + t * theta * falling_factorial(k, t - 1)) / denom
+        prob *= (math.perm(k, t) + t * theta * math.perm(k, t - 1)) / denom
     return float(prob)
 
 
@@ -527,7 +505,7 @@ def gss_anchored_prob_exact(beta: int, strata: StrataSpec, box: CornerBox0, n: i
         raise ValidationError("oracle supports origin-anchored boxes only")
     overlaps = stratum_corner_overlap(strata, box.upper, box.d)
     vals = beta * overlaps
-    return math.factorial(t) / falling_factorial(beta, t) * elementary_symmetric(vals, t)
+    return math.factorial(t) / math.perm(beta, t) * elementary_symmetric(vals, t)
 
 
 def mixed_anchored_prob_exact(n: int, q_left, q_right, t: int) -> float:
@@ -576,5 +554,5 @@ def rsj_small_prob(n: int, qcells, t: int) -> float:
     for c in slopes:
         y = (k[None, :, None] + c * k[None, None, :]) % n  # shift y, step k
         hist += np.bincount(mask[x, y].sum(axis=2).ravel(), minlength=n + 1)
-    total = sum(int(h) * falling_factorial(K, t) for K, h in enumerate(hist))
-    return total / (len(slopes) * n * n * falling_factorial(n, t))
+    total = sum(int(h) * math.perm(K, t) for K, h in enumerate(hist))
+    return total / (len(slopes) * n * n * math.perm(n, t))

@@ -18,6 +18,8 @@ the same seed and call sequence reproduce the same output bit for bit, and
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
@@ -114,8 +116,9 @@ class PointSet:
 
 
 def save_pointset(ps: PointSet, path) -> None:
-    """Write the text format: header "d n", then n rows of d reals (17 sig digits)."""
-    with open(path, "w") as fh:
+    """Write the text format to `path` (stdout when None): header "d n", then
+    n rows of d reals (17 sig digits)."""
+    with open(path, "w") if path is not None else nullcontext(sys.stdout) as fh:
         fh.write(f"{ps.d} {ps.n}\n")
         for row in ps.data:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")

@@ -49,6 +49,10 @@ def test_sample_stdout_matches_file_output(tmp_path, capsys):
     out = tmp_path / "pts.txt"
     run(["sample", cfg, "--out", str(out)], capsys)
     assert text == out.read_text()
+    # the same with the seed given by the flag
+    _, text, _ = run(["sample", cfg, "--seed", "6"], capsys)
+    run(["sample", cfg, "--seed", "6", "--out", str(out)], capsys)
+    assert text.startswith("2 4\n") and text == out.read_text()
 
 
 def test_sample_rerun_is_byte_identical(tmp_path, capsys):
@@ -211,6 +215,126 @@ def test_net_check_raw_and_scrambled(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# output bytes: every deterministic layout, empty columns included
+
+_BOUNDS_HEADER = ("formula,n,d,rho,c,theta,t,gamma,bound_value,success_prob,clamped,"
+                  "raw_success_prob,xi,eta,c_effective\n")
+_NEGDEP_HEADER = ("notion,scheme,n,d,event,lhs,rhs,ci_halfwidth,verdict,replications,gamma,"
+                  "confidence,method,oracle\n")
+_PRODUCT_WEIGHTS = {"kind": "product", "gamma": [1, 0.5]}
+
+# p.txt is the 8-point net(2, 3, 2) the test writes
+PINNED = [
+    pytest.param(
+        "bounds", {"formula": "hoeffding", "grid": {"n": [64, 256], "t": 8}},
+        _BOUNDS_HEADER
+        + "hoeffding,64,,,,,8.0,1.0,0.2706705664732254,,,,,,\n"
+        + "hoeffding,256,,,,,8.0,1.0,1.2130613194252668,,,,,,\n",
+        id="bounds-hoeffding"),
+    pytest.param(
+        "bounds", {"formula": "corner", "grid": {"n": 64, "d": [2, 3], "c": 1}},
+        _BOUNDS_HEADER
+        + "corner_c,64,2,0.0,1.0,,,,0.3290961059667699,0.0,true,-531.0120391230067,"
+          "3.4657359027997265,,\n"
+        + "corner_c,64,3,0.0,1.0,,,,0.3787481927365027,0.0,true,-8675.951950817076,"
+          "3.060270794691562,,\n",
+        id="bounds-corner"),
+    pytest.param(
+        "bounds", {"formula": "corner_theta", "grid": {"n": [64, 1024], "d": 2, "theta": 0.9}},
+        _BOUNDS_HEADER
+        + "corner_theta,64,2,0.0,,0.9,,,0.568033006937395,0.9,false,0.9,,39.04511665233527,\n"
+        + "corner_theta,1024,2,0.0,,0.9,,,0.15994235182955993,0.9,false,0.9,,"
+          "156.18046660934107,\n",
+        id="bounds-corner-theta"),
+    pytest.param(
+        "bounds", {"formula": "mixed_theta", "grid": {"n": 256, "d": 2, "rho": [0, 0.5],
+                                                      "theta": 0.9}},
+        _BOUNDS_HEADER
+        + "mixed_theta,256,2,0.0,,0.9,,,0.4704442005043962,0.9,false,0.9,,,\n"
+        + "mixed_theta,256,2,0.5,,0.9,,,0.4802621377377886,0.9,false,0.9,,,\n",
+        id="bounds-mixed-theta"),
+    pytest.param(
+        "bounds", {"formula": "weighted_theta", "grid": {"n": 256, "d": 2, "theta": 0.9},
+                   "weights": _PRODUCT_WEIGHTS},
+        _BOUNDS_HEADER
+        + "weighted_theta,256,2,0.0,,0.9,,,0.13387125065659303,0.9,false,0.9,,,"
+          "2.1419400105054884\n",
+        id="bounds-weighted-theta"),
+    pytest.param(
+        "discrepancy", {"points": "p.txt", "exact": True, "delta": 0.25,
+                        "weights": _PRODUCT_WEIGHTS},
+        "quantity,n,d,value,lower,upper,delta,witness,witness_side\n"
+        "exact,8,2,0.3125,,,,0.75 0.75,closed\n"
+        "cover,8,2,,0.109375,0.359375,0.25,,\n"
+        "weighted,8,2,0.15625,,,,,\n",
+        id="discrepancy-exact-cover-weighted"),
+    pytest.param(
+        "net-check", {"b": 2, "m": 3, "s": 2},
+        "source,b,m,s,t,n,is_net\nraw,2,3,2,0,8,true\n",
+        id="net-check-raw"),
+    pytest.param(
+        "negdep", {"scheme": {"kind": "swap"}, "n": 2, "d": 2, "test": "pairwise",
+                   "q_anchors": [[0.5, 0.5]], "r_anchors": [[0.5, 0.5], [0.25, 0.75]],
+                   "reps": 1},
+        _NEGDEP_HEADER
+        + 'pairwise_nd,swap,2,2,"p1 in [(0.5,0.5),1), p2 in [(0.5,0.5),1)",0.25,0.0625,0.0,'
+          "violated,0,1.0,0.99,exact,\n"
+        + 'pairwise_nd,swap,2,2,"p1 in [0,(0.5,0.5)), p2 in [0,(0.5,0.5))",0.25,0.0625,0.0,'
+          "violated,0,1.0,0.99,exact,\n"
+        + 'pairwise_nd,swap,2,2,"p1 in [(0.5,0.5),1), p2 in [(0.25,0.75),1)",0.125,0.046875,'
+          "0.0,violated,0,1.0,0.99,exact,\n"
+        + 'pairwise_nd,swap,2,2,"p1 in [0,(0.5,0.5)), p2 in [0,(0.25,0.75))",0.125,0.046875,'
+          "0.0,violated,0,1.0,0.99,exact,\n",
+        id="negdep-swap-pairwise"),
+    pytest.param(
+        "negdep", {"scheme": {"kind": "fourslot"}, "n": 2, "d": 2, "test": "conditional",
+                   "i": 2, "a_box": {"kind": "corner1", "lower": [0.5]},
+                   "b_box": {"kind": "corner1", "lower": [0.5]},
+                   "alphas": [0.5], "betas": [0.25, 0.5], "reps": 1},
+        _NEGDEP_HEADER
+        + 'conditional_nqd,fourslot,2,2,"coord 2: p1 >= 0.5 and p2 >= 0.25 | p1[1:1] in '
+          '[(0.5),1), p2[1:1] in [(0.5),1)",0.4166666666666667,0.375,0.0,violated,0,1.0,0.99,'
+          "exact,\n"
+        + 'conditional_nqd,fourslot,2,2,"coord 2: p1 >= 0.5 and p2 >= 0.5 | p1[1:1] in '
+          '[(0.5),1), p2[1:1] in [(0.5),1)",0.3333333333333333,0.25,0.0,violated,0,1.0,0.99,'
+          "exact,\n",
+        id="negdep-fourslot-conditional"),
+    pytest.param(
+        "negdep", {"scheme": {"kind": "swap"}, "n": 2, "d": 2, "test": "ci", "i": 1,
+                   "q_values": 0.5, "r_values": 0.5, "reps": 1},
+        _NEGDEP_HEADER
+        + "ci_nqd,swap,2,2,coord 1: p1 >= 0.5 and p2 >= 0.5,0.25,0.25,0.0,holds,0,1.0,0.99,"
+          "exact,\n"
+        + "\n"
+        + "scheme,n,d,coord_i,coord_j,q,r,s,t2,joint,product,deviation,halfwidth,consistent\n"
+        + "swap,2,2,1,2,0.5,0.5,0.25,0.25,0.25,0.140625,0.109375,0.0,false\n"
+        + "swap,2,2,1,2,0.5,0.5,0.5,0.5,0.25,0.0625,0.1875,0.0,false\n"
+        + "swap,2,2,1,2,0.5,0.5,0.75,0.75,0.0625,0.015625,0.046875,0.0,false\n",
+        id="negdep-swap-ci"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, expected", PINNED)
+def test_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch, command, cfg, expected):
+    monkeypatch.chdir(tmp_path)
+    save_pointset(net_points(2, 3, 2), tmp_path / "p.txt")
+    config = write_json(tmp_path / "c.json", cfg)
+    code, text, _ = run([command, config], capsys)
+    assert code == 0
+    assert text == expected
+    # --out writes the same bytes; a ci test's factorization table goes to its own file
+    code, _, _ = run([command, config, "--out", "o.csv"], capsys)
+    assert code == 0
+    main_part, blank, factor_part = expected.partition("\n\n")
+    main_part += "\n" if blank else ""
+    assert (tmp_path / "o.csv").read_text() == main_part
+    sidecar = json.loads((tmp_path / "o.csv.schema.json").read_text())
+    assert sidecar["columns"] == main_part.split("\n", 1)[0].split(",")
+    factor_file = tmp_path / "o.csv.factorization.csv"
+    assert (factor_file.read_text() if factor_file.exists() else "") == factor_part
+
+
+# ---------------------------------------------------------------------------
 # config validation and report
 
 
@@ -305,6 +429,14 @@ MALFORMED = [
                  id="discrepancy-points-and-scheme"),
     pytest.param("net-check", {"points": "p.txt", "b": 2, "m": 3, "s": 2, "scramble": True}, [],
                  id="net-check-points-and-scramble"),
+    # a seed where nothing is drawn, which used to be ignored
+    pytest.param("bounds", {**_CORNER, "seed": 3}, [], id="bounds-seed"),
+    pytest.param("bounds", _CORNER, ["--seed", "4"], id="bounds-seed-flag"),
+    pytest.param("discrepancy", {"points": "p.txt", "exact": True, "seed": 5}, [],
+                 id="discrepancy-points-seed"),
+    pytest.param("net-check", {"b": 2, "m": 3, "s": 2, "seed": 6}, [], id="net-check-raw-seed"),
+    pytest.param("net-check", {"points": "p.txt", "b": 2, "m": 3, "s": 2}, ["--seed", "7"],
+                 id="net-check-points-seed"),
 ]
 
 

@@ -27,7 +27,6 @@ from negdep_qmc import (
     ValidationError,
     corner_cells,
     describe_scheme,
-    falling_factorial,
     gss_anchored_prob_exact,
     lhs_anchored_prob_exact,
     min_copula_cdf,
@@ -90,12 +89,6 @@ def test_wilson_validation():
 
 # ---------------------------------------------------------------------------
 # Closed-form oracles
-
-
-def test_falling_factorial_matches_math_perm():
-    for a in range(8):
-        for t in range(10):
-            assert falling_factorial(a, t) == (math.perm(a, t) if t <= a else 0)
 
 
 def brute_lhs_prob(n: int, q: tuple, t: int, samples: int, rng) -> float:
@@ -225,7 +218,7 @@ def _rsj_small_prob_loop(n, qcells, t):
     """rsj_small_prob as a float sum over every generator pair (a, b): the
     reference for the enumeration by slopes."""
     mask = np.asarray(qcells).astype(np.int64)
-    denom = float(falling_factorial(n, t))
+    denom = float(math.perm(n, t))
     gens = range(1, n) if n > 2 else [1]
     total = 0.0
     for a in gens:
@@ -503,7 +496,6 @@ def test_ci_nqd_latin_hypercube_holds_and_factorizes():
                       confidence=0.999)
     assert res.primary.verdict != "violated"
     assert res.primary.rhs == pytest.approx(0.25)
-    assert res.partial
     assert len(res.factorization) > 0
     ok = sum(1 for c in res.factorization if c.consistent)
     assert ok >= len(res.factorization) - 1
