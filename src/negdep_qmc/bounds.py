@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
-import numpy as np
-
-from .discrepancy import ExplicitWeights, ProductWeights, Weights, weight_of
+from .discrepancy import Weights
 from .errors import ValidationError
 
 __all__ = [
@@ -90,9 +87,9 @@ def hoeffding_tail(n: int, t: float, gamma: float = 1.0) -> float:
     inside a fixed box, valid under a certified dependence multiplier gamma."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    if t < 0:
+    if not (t >= 0):
         raise ValidationError("t must be nonnegative")
-    if gamma <= 0:
+    if not (gamma > 0):
         raise ValidationError("gamma must be positive")
     return 2.0 * gamma * _exp(-2.0 * t * t / n)
 
@@ -160,33 +157,10 @@ def corner_bound_theta(n: int, d: int, theta: float, rho: float = 0.0) -> BoundR
 
 
 def _weighted_max(scale: float, weights: Weights, d: int, n: int) -> float:
-    """max over nonempty coordinate subsets u of scale * weight(u) * sqrt(|u|/n).
-
-    Product weights are maximized exactly by sorting: for each subset size k
-    the best weight is the product of the k largest per-coordinate factors.
-    Explicit tables are enumerated and must cover every nonempty subset.
-    """
-    if isinstance(weights, ProductWeights):
-        gamma = np.asarray(weights.gamma, dtype=float)
-        if gamma.size != d:
-            raise ValidationError("product weights must supply one factor per coordinate")
-        ordered = np.sort(gamma)[::-1]
-        best = 0.0
-        prod = 1.0
-        for k in range(1, d + 1):
-            prod *= ordered[k - 1]
-            best = max(best, scale * prod * math.sqrt(k / n))
-        return best
-    if isinstance(weights, ExplicitWeights):
-        if d > 20:
-            raise ValidationError("explicit weight enumeration is capped at d = 20")
-        best = 0.0
-        for k in range(1, d + 1):
-            for u in combinations(range(d), k):
-                w = weight_of(weights, frozenset(u))
-                best = max(best, scale * w * math.sqrt(k / n))
-        return best
-    raise ValidationError("unknown weight specification")
+    """max over nonempty coordinate subsets u of scale * weight(u) * sqrt(|u|/n),
+    taken over each subset size k with the largest k-subset weight."""
+    weights.check(d)
+    return max(scale * weights.best(k, d) * math.sqrt(k / n) for k in range(1, d + 1))
 
 
 def weighted_bound(n: int, d: int, c: float, weights: Weights, rho: float = 0.0) -> BoundResult:

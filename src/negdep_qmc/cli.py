@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, fields
@@ -138,12 +139,19 @@ def _grid(cfg: dict, key: str, kind, where: str, default=_REQUIRED) -> tuple:
     return _get(cfg, key, [kind], where, default)
 
 
+def _finite(text: str) -> float:
+    """A JSON real, or a NaN/Infinity constant that json accepts: finite ones pass."""
+    if not math.isfinite(value := float(text)):
+        raise ValidationError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ValidationError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -164,6 +172,8 @@ def _weight_table(value, what: str) -> dict:
             ) from exc
         if any(c < 0 for c in coords):
             raise ValidationError("explicit weight coordinates are 1-based")
+        if coords in table:
+            raise ValidationError(f"explicit weight key '{key}' names a subset already given")
         table[coords] = _typed(val, float, f"{what}['{key}']")
     return table
 

@@ -37,12 +37,16 @@ __all__ = [
     "star_discrepancy_exact",
     "star_discrepancy_cover",
     "weighted_star_discrepancy",
-    "weight_of",
     "DEFAULT_BUDGET",
 ]
 
 DEFAULT_BUDGET = 10**8
 _NODE_CAP = 2**25  # grid cells held in memory at once
+
+
+# A weight family owns `check(d)` (it fits dimension d), `of(u)` (the weight
+# of coordinate subset u, 0-based) and `best(k, d)` (the largest weight of a
+# k-subset of the d coordinates).
 
 
 @dataclass(frozen=True)
@@ -53,40 +57,52 @@ class ProductWeights:
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if arr.ndim != 1 or np.any(arr < 0):
+        if arr.ndim != 1 or not np.all(arr >= 0):
             raise ValidationError("product weights must be a vector of nonnegative reals")
         arr.setflags(write=False)
         object.__setattr__(self, "gamma", arr)
 
+    def check(self, d: int) -> None:
+        if self.gamma.size != d:
+            raise ValidationError("product weight vector length must equal dimension")
+
+    def of(self, u) -> float:
+        return float(np.prod(self.gamma[list(u)]))
+
+    def best(self, k: int, d: int) -> float:
+        # the k largest factors, multiplied from the largest down
+        return math.prod(np.sort(self.gamma)[::-1][:k])
+
 
 @dataclass(frozen=True)
 class ExplicitWeights:
-    """Explicit weight per coordinate subset (0-based indices)."""
+    """Explicit weight per coordinate subset (0-based indices); enumerating
+    them is capped at d = 20."""
 
     table: Mapping[frozenset, float]
 
     def __post_init__(self):
         tbl = {frozenset(int(i) for i in k): float(v) for k, v in dict(self.table).items()}
-        if any(v < 0 for v in tbl.values()):
+        if not all(v >= 0 for v in tbl.values()):
             raise ValidationError("subset weights must be nonnegative")
         object.__setattr__(self, "table", tbl)
 
+    def check(self, d: int) -> None:
+        if d > 20:
+            raise ValidationError("explicit weight enumeration is capped at d = 20")
+        if any(max(u, default=0) >= d for u in self.table):
+            raise ValidationError(f"explicit weights name a coordinate above d = {d}")
+
+    def of(self, u) -> float:
+        if frozenset(u) not in self.table:
+            raise ValidationError(f"no weight declared for subset {sorted(u)}")
+        return self.table[frozenset(u)]
+
+    def best(self, k: int, d: int) -> float:
+        return max(self.of(u) for u in combinations(range(d), k))
+
 
 Weights = ProductWeights | ExplicitWeights
-
-
-def weight_of(weights: Weights, subset) -> float:
-    u = tuple(sorted(int(i) for i in subset))
-    if isinstance(weights, ProductWeights):
-        if u and max(u) >= weights.gamma.size:
-            raise ValidationError("subset index exceeds weight vector length")
-        return float(np.prod(weights.gamma[list(u)])) if u else 1.0
-    if isinstance(weights, ExplicitWeights):
-        key = frozenset(u)
-        if key not in weights.table:
-            raise ValidationError(f"no weight declared for subset {sorted(key)}")
-        return weights.table[key]
-    raise ValidationError(f"unknown weights type: {type(weights).__name__}")
 
 
 @dataclass(frozen=True)
@@ -182,10 +198,9 @@ def weighted_star_discrepancy(
     nonzero-weight projection are summed and checked before any is evaluated.
     """
     d = ps.d
-    if isinstance(weights, ProductWeights) and weights.gamma.size != d:
-        raise ValidationError("product weight vector length must equal dimension")
+    weights.check(d)
     subsets = [u for size in range(1, d + 1) for u in combinations(range(d), size)]
-    terms = [(g, list(u)) for u in subsets if (g := weight_of(weights, u)) != 0.0]
+    terms = [(g, list(u)) for u in subsets if (g := weights.of(u)) != 0.0]
     sizes = [c.size for c in _axis_candidates(ps.data)]
     cells = sum(math.prod(sizes[a] + 1 for a in u) for _, u in terms)
     if cells > budget:

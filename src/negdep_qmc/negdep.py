@@ -34,7 +34,6 @@ from .samplers import (
     is_prime,
     map_chunks,
     sample_batch,  # noqa: F401  (negdep.sample_batch stays importable)
-    strata_count,
     stratum_corner_overlap,
 )
 
@@ -196,8 +195,10 @@ def _tally(spec, n, d, events, reps, rng: RngStream, confidence) -> _Tally:
 
     A scheme with a pair law gets exact probabilities when every box is a
     rectangle; otherwise the events are counted over `reps` chunked draws of
-    the rows they read.
+    the rows they read. `reps` must be at least 1 on either path.
     """
+    if reps < 1:
+        raise ValidationError("need at least one replication")
     if getattr(spec, "pair_dim", None) is not None and all(
         box.axes() is not None for boxes, _ in events for box in boxes
     ):
@@ -245,7 +246,7 @@ def _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, complement)
         raise ValidationError("need 1 <= t <= n")
     if box.d != d:
         raise ValidationError("box dimension must equal d")
-    if gamma <= 0:
+    if not (gamma > 0):
         raise ValidationError("gamma must be positive")
     vol = volume(box)
     notion = "lower_nd" if complement else "upper_nd"
@@ -497,7 +498,7 @@ def gss_anchored_prob_exact(beta: int, strata: StrataSpec, box: CornerBox0, n: i
     t!/(beta)_t * e_t(beta * overlap_j) with overlap_j the Lebesgue measure
     of box within stratum j.
     """
-    if beta != strata_count(strata):
+    if beta != strata.count:
         raise ValidationError("beta must equal the number of strata")
     if not (1 <= t <= n <= beta):
         raise ValidationError("need 1 <= t <= n <= beta")

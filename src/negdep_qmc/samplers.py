@@ -54,8 +54,6 @@ __all__ = [
     "save_pointset",
     "load_pointset",
     "describe_scheme",
-    "strata_count",
-    "stratum_index",
     "stratum_corner_overlap",
     "is_prime",
     "min_copula_cdf",
@@ -152,12 +150,40 @@ def load_pointset(path) -> PointSet:
 # Strata
 
 
+# A strata kind is one frozen dataclass plus one STRATA entry: its JSON `kind`,
+# `count` equal-measure strata, `label()`, `validate(d)`, `index(pts)` (the
+# stratum of each point), `corner_overlap(upper, d)` (the measure of [0, upper)
+# in each stratum) and `place(chosen, d, g)` (a uniform point in each stratum of
+# the (reps, rows) index array `chosen`).
+
+
 @dataclass(frozen=True)
 class Stripes:
     """Partition of [0,1)^d into `count` vertical stripes along coordinate 1."""
 
     count: int
     kind = "stripes"
+
+    def label(self) -> str:
+        return self.kind
+
+    def validate(self, d: int) -> None:
+        if self.count < 1:
+            raise ValidationError("stripe count must be >= 1")
+
+    def index(self, pts) -> np.ndarray:
+        idx = np.floor(np.asarray(pts, dtype=float)[..., 0] * self.count).astype(np.int64)
+        return np.minimum(idx, self.count - 1)
+
+    def corner_overlap(self, upper: np.ndarray, d: int) -> np.ndarray:
+        edges = np.arange(self.count + 1) / self.count
+        first = np.clip(np.minimum(upper[0], edges[1:]) - edges[:-1], 0.0, None)
+        return first * (float(np.prod(upper[1:])) if d > 1 else 1.0)
+
+    def place(self, chosen: np.ndarray, d: int, g: np.random.Generator) -> np.ndarray:
+        first = (chosen + g.random(chosen.shape)) / self.count
+        # coordinates 2..d are uniform; at d = 1 the empty draw takes no randomness
+        return np.concatenate([first[:, :, None], g.random(chosen.shape + (d - 1,))], axis=2)
 
 
 @dataclass(frozen=True)
@@ -168,6 +194,72 @@ class LatticeCells:
     g: tuple[int, int]
     n: int
     kind = "cells"
+
+    @property
+    def count(self) -> int:
+        return self.n
+
+    def label(self) -> str:
+        return f"cells(g={self.g},n={self.n})"
+
+    def validate(self, d: int) -> None:
+        if d != 2:
+            raise ValidationError("lattice-cell strata are 2-d only")
+        if len(self.g) != 2:
+            raise ValidationError("lattice generator g must have exactly two entries")
+        if not is_prime(self.n):
+            raise ValidationError("lattice-cell count n must be prime")
+        if not all(1 <= gi < self.n for gi in self.g):
+            raise ValidationError("lattice generator entries must lie in [1, n-1]")
+
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lagrange-reduced integer basis of n * (lattice + Z^2); det = +-n."""
+        c = (self.g[1] * pow(self.g[0], -1, self.n)) % self.n
+        v1 = np.array([1, c], dtype=np.int64)
+        v2 = np.array([0, self.n], dtype=np.int64)
+        while True:
+            if v1 @ v1 > v2 @ v2:
+                v1, v2 = v2, v1
+            mu = round(int(v1 @ v2) / int(v1 @ v1))
+            if mu == 0:
+                return v1, v2
+            v2 = v2 - mu * v1
+
+    def _origins(self, k: np.ndarray) -> np.ndarray:
+        """Lattice point k g / n, the corner that spans cell k: shape k.shape + (2,)."""
+        return np.stack([(k * self.g[0]) % self.n, (k * self.g[1]) % self.n], axis=-1) / self.n
+
+    def index(self, pts) -> np.ndarray:
+        n = self.n
+        v1, v2 = self.basis()
+        det = int(v1[0] * v2[1] - v2[0] * v1[1])
+        pts = n * np.asarray(pts, dtype=float)
+        x1, x2 = pts[..., 0], pts[..., 1]
+        i = np.floor((v2[1] * x1 - v2[0] * x2) / det).astype(np.int64)
+        j = np.floor((-v1[1] * x1 + v1[0] * x2) / det).astype(np.int64)
+        # cell k's lattice point has first coordinate k g1 mod n
+        return ((i * v1[0] + j * v2[0]) % n * pow(self.g[0], -1, n)) % n
+
+    def corner_overlap(self, upper: np.ndarray, d: int) -> np.ndarray:
+        b1, b2 = (v / self.n for v in self.basis())
+        y = self._origins(np.arange(self.n))
+        out = np.zeros(self.n)
+        # cell k is a parallelepiped in R^2; its pieces mod 1 lie in the unit squares it meets
+        for k, corners in enumerate(np.stack([y, y + b1, y + b1 + b2, y + b2], axis=1)):
+            (xmin, ymin), (xmax, ymax) = corners.min(axis=0), corners.max(axis=0)
+            for sx in range(math.floor(xmin), math.ceil(xmax) + 1):
+                for sy in range(math.floor(ymin), math.ceil(ymax) + 1):
+                    lo = np.array([sx, sy], dtype=float)
+                    out[k] += polygon_area(clip_convex_to_box(corners, lo, lo + upper))
+        return out
+
+    def place(self, chosen: np.ndarray, d: int, g: np.random.Generator) -> np.ndarray:
+        b1, b2 = (v / self.n for v in self.basis())
+        u = g.random(chosen.shape + (1,))
+        w = g.random(chosen.shape + (1,))
+        pts = np.mod(self._origins(chosen) + u * b1 + w * b2, 1.0)
+        pts[pts >= 1.0] = 0.0  # fp guard: mod of a tiny negative can round to 1.0
+        return pts
 
 
 StrataSpec = Union[Stripes, LatticeCells]
@@ -189,108 +281,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def strata_count(strata: StrataSpec) -> int:
-    if isinstance(strata, Stripes):
-        return strata.count
-    if isinstance(strata, LatticeCells):
-        return strata.n
-    raise ValidationError(f"unknown strata type: {type(strata).__name__}")
-
-
-def _validate_strata(strata: StrataSpec, d: int) -> None:
-    if isinstance(strata, Stripes):
-        if strata.count < 1:
-            raise ValidationError("stripe count must be >= 1")
-        return
-    if isinstance(strata, LatticeCells):
-        if d != 2:
-            raise ValidationError("lattice-cell strata are 2-d only")
-        if len(strata.g) != 2:
-            raise ValidationError("lattice generator g must have exactly two entries")
-        n = strata.n
-        if not is_prime(n):
-            raise ValidationError("lattice-cell count n must be prime")
-        g1, g2 = strata.g
-        if not (1 <= g1 < n and 1 <= g2 < n):
-            raise ValidationError("lattice generator entries must lie in [1, n-1]")
-        return
-    raise ValidationError(f"unknown strata type: {type(strata).__name__}")
-
-
-def _lattice_basis(strata: LatticeCells) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange-reduced integer basis of n * (lattice + Z^2); det = +-n."""
-    n = strata.n
-    g1, g2 = strata.g
-    c = (g2 * pow(g1, -1, n)) % n
-    v1 = np.array([1, c], dtype=np.int64)
-    v2 = np.array([0, n], dtype=np.int64)
-    while True:
-        if v1 @ v1 > v2 @ v2:
-            v1, v2 = v2, v1
-        mu = round(int(v1 @ v2) / int(v1 @ v1))
-        if mu == 0:
-            break
-        v2 = v2 - mu * v1
-    return v1, v2
-
-
-def _lattice_cell_corners(strata: LatticeCells, k: int) -> np.ndarray:
-    """Vertices of cell k's parallelepiped in R^2 (before reduction mod 1)."""
-    n = strata.n
-    v1, v2 = _lattice_basis(strata)
-    y = np.array([(k * strata.g[0]) % n, (k * strata.g[1]) % n], dtype=float) / n
-    b1, b2 = v1 / n, v2 / n
-    return np.array([y, y + b1, y + b1 + b2, y + b2])
-
-
-def stratum_index(strata: StrataSpec, pts) -> np.ndarray:
-    """Index of the stratum containing each point; pts has shape (..., d)."""
-    pts = np.asarray(pts, dtype=float)
-    if isinstance(strata, Stripes):
-        idx = np.floor(pts[..., 0] * strata.count).astype(np.int64)
-        return np.minimum(idx, strata.count - 1)
-    if isinstance(strata, LatticeCells):
-        n = strata.n
-        v1, v2 = _lattice_basis(strata)
-        det = int(v1[0] * v2[1] - v2[0] * v1[1])
-        x1, x2 = pts[..., 0], pts[..., 1]
-        u = (v2[1] * (n * x1) - v2[0] * (n * x2)) / det
-        w = (-v1[1] * (n * x1) + v1[0] * (n * x2)) / det
-        i, j = np.floor(u).astype(np.int64), np.floor(w).astype(np.int64)
-        a1 = (i * v1[0] + j * v2[0]) % n
-        g1inv = pow(strata.g[0], -1, n)
-        return (a1 * g1inv) % n
-    raise ValidationError(f"unknown strata type: {type(strata).__name__}")
-
-
 def stratum_corner_overlap(strata: StrataSpec, upper, d: int) -> np.ndarray:
     """Vector of Lebesgue measures of [0, upper) intersected with each stratum."""
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     if upper.size != d:
         raise ValidationError("corner box dimension mismatch")
-    if isinstance(strata, Stripes):
-        beta = strata.count
-        edges = np.arange(beta + 1) / beta
-        first = np.clip(np.minimum(upper[0], edges[1:]) - edges[:-1], 0.0, None)
-        rest = float(np.prod(upper[1:])) if d > 1 else 1.0
-        return first * rest
-    if isinstance(strata, LatticeCells):
-        n = strata.n
-        out = np.zeros(n)
-        for k in range(n):
-            corners = _lattice_cell_corners(strata, k)
-            xmin, ymin = corners.min(axis=0)
-            xmax, ymax = corners.max(axis=0)
-            total = 0.0
-            for sx in range(math.floor(xmin), math.ceil(xmax) + 1):
-                for sy in range(math.floor(ymin), math.ceil(ymax) + 1):
-                    lo = np.array([sx, sy], dtype=float)
-                    hi = lo + upper
-                    clipped = clip_convex_to_box(corners, lo, hi)
-                    total += polygon_area(clipped)
-            out[k] = total
-        return out
-    raise ValidationError(f"unknown strata type: {type(strata).__name__}")
+    return strata.corner_overlap(upper, d)
 
 
 # ---------------------------------------------------------------------------
@@ -387,43 +383,20 @@ class GeneralizedStratified(SchemeSpec):
     kind = "gss"
 
     def label(self):
-        if isinstance(self.strata, Stripes):
-            return f"gss(beta={self.beta},stripes)"
-        return f"gss(beta={self.beta},cells(g={self.strata.g},n={self.strata.n}))"
+        return f"gss(beta={self.beta},{self.strata.label()})"
 
     def validate(self, n, d):
-        _validate_strata(self.strata, d)
-        if self.beta != strata_count(self.strata):
+        self.strata.validate(d)
+        if self.beta != self.strata.count:
             raise ValidationError("beta must equal the number of strata")
         if self.beta < n:
             raise ValidationError("need beta >= n strata")
 
     def batch(self, n, d, reps, rng):
-        return self._place(_row_perms(rng.gen, reps, self.beta)[:, :n], d, rng.gen)
+        return self.strata.place(_row_perms(rng.gen, reps, self.beta)[:, :n], d, rng.gen)
 
     def prefix(self, n, d, rows, reps, rng):
-        return self._place(_perm_prefix(rng.gen, reps, self.beta, rows), d, rng.gen)
-
-    def _place(self, chosen, d, g):
-        """One uniform point in each chosen stratum; chosen has shape (reps, rows)."""
-        if isinstance(self.strata, Stripes):
-            first = (chosen + g.random(chosen.shape)) / self.beta
-            if d == 1:
-                return first[:, :, None]
-            rest = g.random(chosen.shape + (d - 1,))
-            return np.concatenate([first[:, :, None], rest], axis=2)
-        # lattice cells, d = 2
-        strata = self.strata
-        v1, v2 = _lattice_basis(strata)
-        b1, b2 = v1 / strata.n, v2 / strata.n
-        y = np.stack(
-            [(chosen * strata.g[0]) % strata.n, (chosen * strata.g[1]) % strata.n], axis=-1
-        ) / strata.n
-        u = g.random(chosen.shape + (1,))
-        w = g.random(chosen.shape + (1,))
-        pts = np.mod(y + u * b1 + w * b2, 1.0)
-        pts[pts >= 1.0] = 0.0  # fp guard: mod of a tiny negative can round to 1.0
-        return pts
+        return self.strata.place(_perm_prefix(rng.gen, reps, self.beta, rows), d, rng.gen)
 
     def anchored_prob(self, n, box, t):
         return _oracles().gss_anchored_prob_exact(self.beta, self.strata, box, n, t)

@@ -51,6 +51,17 @@ def test_hoeffding_tail_values_and_monotonicity():
         hoeffding_tail(0, 1.0)
     with pytest.raises(ValidationError):
         hoeffding_tail(100, -1.0)
+    with pytest.raises(ValidationError, match="t must"):
+        hoeffding_tail(100, float("nan"))
+    with pytest.raises(ValidationError, match="gamma must"):
+        hoeffding_tail(100, 1.0, gamma=float("nan"))
+
+
+def test_weighted_bound_rejects_an_explicit_coordinate_above_d():
+    table = {frozenset(u): 1.0 for k in (1, 2) for u in combinations(range(2), k)}
+    assert weighted_bound(100, 2, 3.0, ExplicitWeights(table)).bound_value > 0.0
+    with pytest.raises(ValidationError, match="above d = 2"):
+        weighted_bound(100, 2, 3.0, ExplicitWeights({**table, frozenset({6}): 1.0}))
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,7 @@ _BOUNDS_HEADER = ("formula,n,d,rho,c,theta,t,gamma,bound_value,success_prob,clam
 _NEGDEP_HEADER = ("notion,scheme,n,d,event,lhs,rhs,ci_halfwidth,verdict,replications,gamma,"
                   "confidence,method,oracle\n")
 _PRODUCT_WEIGHTS = {"kind": "product", "gamma": [1, 0.5]}
+_GSS_CELLS = {"kind": "gss", "beta": 5, "strata": {"kind": "cells", "g": [1, 2], "n": 5}}
 
 # p.txt is the 8-point net(2, 3, 2) the test writes
 PINNED = [
@@ -311,6 +312,30 @@ PINNED = [
         + "swap,2,2,1,2,0.5,0.5,0.5,0.5,0.25,0.0625,0.1875,0.0,false\n"
         + "swap,2,2,1,2,0.5,0.5,0.75,0.75,0.0625,0.015625,0.046875,0.0,false\n",
         id="negdep-swap-ci"),
+    pytest.param(
+        "sample", {"scheme": _GSS_CELLS, "n": 3, "d": 2, "seed": 3},
+        "2 3\n"
+        "0.7927945274836089 0.32016620637643245\n"
+        "0.85034145165960551 0.81435492324061431\n"
+        "0.075456506729150885 0.54214120395396381\n",
+        id="sample-gss-cells"),
+    pytest.param(
+        "negdep", {"scheme": _GSS_CELLS, "n": 3, "d": 2, "test": "upper",
+                   "anchors": [[0.5, 0.7]], "t_values": [1, 2], "reps": 50, "oracle": True,
+                   "seed": 4},
+        _NEGDEP_HEADER
+        + 'upper_nd,"gss(beta=5,cells(g=(1, 2),n=5))",3,2,"points 1..1 all in [0,(0.5,0.7))",'
+          "0.3,0.35,0.18202084606365782,inconclusive,50,1.0,0.99,empirical,0.3500000000000001\n"
+        + 'upper_nd,"gss(beta=5,cells(g=(1, 2),n=5))",3,2,"points 1..2 all in [0,(0.5,0.7))",'
+          "0.1,0.12249999999999998,0.15973078959568401,inconclusive,50,1.0,0.99,empirical,"
+          "0.10967187500000004\n",
+        id="negdep-gss-cells-upper-oracle"),
+    pytest.param(
+        "discrepancy", {"points": "p.txt", "weights": {"kind": "explicit", "table": {
+            "1": 1.0, "2": 0.5, "1,2": 0.25}}},
+        "quantity,n,d,value,lower,upper,delta,witness,witness_side\n"
+        "weighted,8,2,0.125,,,,,\n",
+        id="discrepancy-explicit-weights"),
 ]
 
 
@@ -328,8 +353,12 @@ def test_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch, command, cfg, expec
     main_part, blank, factor_part = expected.partition("\n\n")
     main_part += "\n" if blank else ""
     assert (tmp_path / "o.csv").read_text() == main_part
-    sidecar = json.loads((tmp_path / "o.csv.schema.json").read_text())
-    assert sidecar["columns"] == main_part.split("\n", 1)[0].split(",")
+    sidecar = tmp_path / "o.csv.schema.json"
+    if command == "sample":  # a point-set file, not a CSV: no schema sidecar
+        assert not sidecar.exists()
+    else:
+        columns = json.loads(sidecar.read_text())["columns"]
+        assert columns == main_part.split("\n", 1)[0].split(",")
     factor_file = tmp_path / "o.csv.factorization.csv"
     assert (factor_file.read_text() if factor_file.exists() else "") == factor_part
 
@@ -382,6 +411,8 @@ _PAIR = {"scheme": {"kind": "lhs"}, "n": 4, "d": 2, "test": "pairwise",
          "q_anchors": [[0.5, 0.5]], "r_anchors": [[0.5, 0.5]], "reps": 100}
 _CORNER = {"formula": "corner", "grid": {"n": 64, "d": 2, "c": 1}}
 _CELLS_G3 = {"kind": "gss", "beta": 31, "strata": {"kind": "cells", "g": [1, 2, 3], "n": 31}}
+_TABLE_D2 = {"1": 1.0, "2": 1.0, "1,2": 1.0}
+_NAN = float("nan")  # json.dumps writes it as the constant NaN
 
 MALFORMED = [
     # values that used to crash with a traceback
@@ -437,6 +468,30 @@ MALFORMED = [
     pytest.param("net-check", {"b": 2, "m": 3, "s": 2, "seed": 6}, [], id="net-check-raw-seed"),
     pytest.param("net-check", {"points": "p.txt", "b": 2, "m": 3, "s": 2}, ["--seed", "7"],
                  id="net-check-points-seed"),
+    # non-finite numbers, which Python's json accepts and which used to reach the CSV
+    pytest.param("bounds", {"formula": "hoeffding", "grid": {"n": 64, "t": _NAN}}, [],
+                 id="hoeffding-t-nan"),
+    pytest.param("bounds", {"formula": "hoeffding", "grid": {"n": 64, "t": 1}, "gamma": _NAN}, [],
+                 id="hoeffding-gamma-nan"),
+    pytest.param("negdep", {**_UPPER, "gamma": _NAN}, [], id="upper-gamma-nan"),
+    pytest.param("discrepancy", {**_DISC, "weights": {"kind": "product", "gamma": [_NAN, 1]}}, [],
+                 id="product-weights-nan"),
+    pytest.param("bounds", {**_CORNER, "grid": {**_CORNER["grid"], "c": float("inf")}}, [],
+                 id="corner-c-infinity"),
+    # explicit weight tables that used to be read silently
+    pytest.param("discrepancy", {"points": "p.txt", "weights": {
+        "kind": "explicit", "table": {**_TABLE_D2, "2,1": 7.0}}}, [],
+        id="explicit-weights-repeated-subset"),
+    pytest.param("discrepancy", {"points": "p.txt", "weights": {
+        "kind": "explicit", "table": {**_TABLE_D2, "7": 1.0}}}, [],
+        id="explicit-weights-coordinate-above-d"),
+    pytest.param("bounds", {"formula": "weighted", "grid": {"n": 64, "d": 2, "c": 1},
+                            "weights": {"kind": "explicit", "table": {**_TABLE_D2, "7": 1.0}}},
+                 [], id="weighted-bound-coordinate-above-d"),
+    # an exact dependence test, which never read reps
+    pytest.param("negdep", {"scheme": {"kind": "swap"}, "n": 2, "d": 2, "test": "pairwise",
+                            "q_anchors": [[0.5, 0.5]], "r_anchors": [[0.5, 0.5]], "reps": -3},
+                 [], id="swap-reps-negative"),
 ]
 
 
@@ -447,6 +502,14 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, 
     code, _, err = run([command, write_json(tmp_path / "c.json", cfg), *argv], capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_overflowing_config_number_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "b.json"
+    cfg.write_text('{"formula": "corner", "grid": {"n": 64, "d": 2, "c": 1e999}}')
+    code, _, err = run(["bounds", str(cfg)], capsys)
+    assert code == 2
+    assert "finite" in err
 
 
 def test_float_fields_accept_json_integers(tmp_path, capsys):

@@ -24,7 +24,6 @@ from negdep_qmc import (
     sample,
     star_discrepancy_cover,
     star_discrepancy_exact,
-    weight_of,
     weighted_star_discrepancy,
 )
 
@@ -176,13 +175,13 @@ def test_explicit_weights_must_cover_all_subsets():
 
 def test_weight_of_product_and_explicit():
     w = ProductWeights((0.5, 2.0, 1.0))
-    assert weight_of(w, ()) == 1.0
-    assert weight_of(w, (0, 1)) == pytest.approx(1.0)
-    assert weight_of(w, (2,)) == pytest.approx(1.0)
+    assert w.of(()) == 1.0
+    assert w.of((0, 1)) == pytest.approx(1.0)
+    assert w.of((2,)) == pytest.approx(1.0)
     e = ExplicitWeights({frozenset({0}): 0.25})
-    assert weight_of(e, (0,)) == 0.25
+    assert e.of((0,)) == 0.25
     with pytest.raises(ValidationError):
-        weight_of(e, (1,))
+        e.of((1,))
 
 
 def test_negative_weights_rejected():
@@ -190,6 +189,18 @@ def test_negative_weights_rejected():
         ProductWeights((-0.5, 1.0))
     with pytest.raises(ValidationError):
         ExplicitWeights({frozenset({0}): -1.0})
+    with pytest.raises(ValidationError):
+        ProductWeights((float("nan"), 1.0))
+    with pytest.raises(ValidationError):
+        ExplicitWeights({frozenset({0}): float("nan")})
+
+
+def test_explicit_weights_reject_a_coordinate_above_d():
+    ps = sample(MonteCarlo(), 8, 2, RngStream(73))
+    table = {frozenset({0}): 1.0, frozenset({1}): 1.0, frozenset({0, 1}): 1.0}
+    assert weighted_star_discrepancy(ps, ExplicitWeights(table)) >= 0.0
+    with pytest.raises(ValidationError, match="above d = 2"):
+        weighted_star_discrepancy(ps, ExplicitWeights({**table, frozenset({6}): 1.0}))
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,15 @@ def test_t_range_validated():
         check_upper_nd(LatinHypercube(), 4, 2, box, 5, 100, RngStream(0))
 
 
+def test_nan_gamma_and_nonpositive_reps_rejected():
+    box = CornerBox0((0.5, 0.5))
+    with pytest.raises(ValidationError, match="gamma"):
+        check_upper_nd(LatinHypercube(), 4, 2, box, 2, 100, RngStream(317), gamma=float("nan"))
+    # the exact path of a two-point scheme draws nothing, and still needs reps >= 1
+    with pytest.raises(ValidationError, match="replication"):
+        check_upper_nd(SwapScheme(), 2, 2, box, 2, 0, RngStream(317))
+
+
 def test_conditional_coordinate_index_validated():
     with pytest.raises(ValidationError):
         check_conditional_nqd(LatinHypercube(), 4, 2, 3, Interval((0.1,), (0.9,)),

@@ -6,6 +6,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from negdep_qmc import (
@@ -33,9 +35,7 @@ from negdep_qmc import (
     sample,
     sample_batch,
     save_pointset,
-    strata_count,
     stratum_corner_overlap,
-    stratum_index,
 )
 from negdep_qmc.samplers import _net_base_digits, _perm_prefix
 
@@ -170,7 +170,7 @@ def test_latin_hypercube_each_axis_is_a_permutation():
 def test_gss_stripes_points_fall_in_distinct_strata():
     spec = GeneralizedStratified(8, Stripes(8))
     batch = sample_batch(spec, 5, 2, 60, RngStream(21))
-    idx = stratum_index(spec.strata, batch)
+    idx = spec.strata.index(batch)
     for rep in idx:
         assert len(set(rep.tolist())) == 5
 
@@ -178,7 +178,7 @@ def test_gss_stripes_points_fall_in_distinct_strata():
 def test_gss_lattice_cells_points_fall_in_distinct_strata():
     spec = GeneralizedStratified(7, LatticeCells((1, 3), 7))
     batch = sample_batch(spec, 4, 2, 60, RngStream(22))
-    idx = stratum_index(spec.strata, batch)
+    idx = spec.strata.index(batch)
     assert np.all((idx >= 0) & (idx < 7))
     for rep in idx:
         assert len(set(rep.tolist())) == 4
@@ -200,9 +200,31 @@ def test_stratum_corner_overlap_sums_to_box_volume():
     for strata, d in [(Stripes(6), 2), (LatticeCells((1, 2), 5), 2)]:
         upper = (0.55, 0.8)
         overlaps = stratum_corner_overlap(strata, upper, d)
-        assert overlaps.shape == (strata_count(strata),)
+        assert overlaps.shape == (strata.count,)
         assert np.all(overlaps >= -1e-15)
         assert float(overlaps.sum()) == pytest.approx(0.55 * 0.8, abs=1e-12)
+
+
+@st.composite
+def _strata(draw):
+    """Stripes(k) for k <= 31, or the cells of a lattice with prime n <= 31."""
+    if draw(st.booleans()):
+        return Stripes(draw(st.integers(1, 31)))
+    n = draw(st.sampled_from([p for p in range(2, 32) if is_prime(p)]))
+    return LatticeCells((draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strata=_strata(), seed=st.integers(0, 2**32 - 1),
+       upper=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_strata_place_index_and_overlap_agree(strata, seed, upper):
+    g = np.random.default_rng(seed)
+    chosen = np.argsort(g.random((3, strata.count)), axis=1)  # every stratum, three orders
+    assert np.array_equal(strata.index(strata.place(chosen, 2, g)), chosen)
+    overlaps = stratum_corner_overlap(strata, upper, 2)
+    assert overlaps.shape == (strata.count,)
+    assert float(overlaps.sum()) == pytest.approx(upper[0] * upper[1], abs=1e-12)
+    assert np.all(overlaps >= -1e-15) and np.all(overlaps <= 1.0 / strata.count + 1e-12)
 
 
 def test_rsj_lattice_requires_prime_point_count():
