@@ -146,12 +146,23 @@ def _finite(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct, at any depth."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"config repeats the key '{key}'")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys, parse_float=_finite,
+                            parse_constant=_finite)
     except OSError as exc:
         raise ValidationError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -164,14 +175,17 @@ def _load_config(path) -> dict:
 def _weight_table(value, what: str) -> dict:
     table = {}
     for key, val in _typed(value, dict, what).items():
+        tokens = key.split(",")
         try:
-            coords = frozenset(int(tok) - 1 for tok in key.split(","))
+            coords = frozenset(int(tok) - 1 for tok in tokens)
         except ValueError as exc:
             raise ValidationError(
                 f"explicit weight key '{key}' must be comma-separated 1-based coordinates"
             ) from exc
         if any(c < 0 for c in coords):
             raise ValidationError("explicit weight coordinates are 1-based")
+        if len(coords) != len(tokens):
+            raise ValidationError(f"explicit weight key '{key}' repeats a coordinate")
         if coords in table:
             raise ValidationError(f"explicit weight key '{key}' names a subset already given")
         table[coords] = _typed(val, float, f"{what}['{key}']")

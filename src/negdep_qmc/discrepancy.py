@@ -1,9 +1,13 @@
 """Local, star, covered, and weighted star discrepancy.
 
-One padded cumulative histogram serves exact, cover and weighted star
-discrepancy: over a product grid it counts the points strictly below each
-node, in O(grid cells) after an O(N log N) binning per axis. Budgets charge
-those cells, summed over the projections of the weighted variant.
+Exact, cover and weighted star discrepancy read one padded cumulative
+histogram over a product grid, the count of points strictly below each node.
+It is never held whole: it is built and read in blocks of consecutive axis-0
+slabs, slab i0 + 1 being slab i0 plus the points of axis-0 slot i0 + 1 (the
+sweep of Dobkin, Eppstein and Mitchell, ACM TOG 1996). Memory is one block and
+its temporaries, which `_NODE_CAP` bounds; budgets charge the cells of the
+whole grid, summed over the projections of the weighted variant. Both limits
+are checked before anything is allocated.
 
 Exact enumerates the critical grid spanned by the point coordinates plus 1
 along each axis. At each grid node x two candidates are evaluated: the
@@ -41,7 +45,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**8
-_NODE_CAP = 2**25  # grid cells held in memory at once
+_BLOCK_CELLS = 2**15  # a block holds this many cells of whole slabs, at least one slab
+_BLOCK_COPIES = 4  # block-sized arrays alive at once: the block, its binning and evaluation
+_NODE_CAP = 2**24  # float64 cells held at once (128 MiB), the block's copies included
 
 
 # A weight family owns `check(d)` (it fits dimension d), `of(u)` (the weight
@@ -123,53 +129,98 @@ def _axis_candidates(pts: np.ndarray) -> list[np.ndarray]:
     return [np.unique(np.concatenate([pts[:, a], [1.0]])) for a in range(pts.shape[1])]
 
 
-def _cum_hist(pts: np.ndarray, axis_values: list[np.ndarray], budget: int) -> np.ndarray:
-    """Padded cumulative histogram H with H[i] = #{p : p_a < axis_values[a][i_a] for all a}.
+def _block_rows(axis_values: list[np.ndarray], budget: int) -> int:
+    """Slabs per block for the grid over `axis_values`, once its cells fit.
 
-    Axis a has len(axis_values[a]) + 1 slots; the last one counts every point.
+    Raises BudgetExceededError, before anything is allocated, when the grid's
+    cells exceed `budget` or a block and its temporaries exceed `_NODE_CAP`.
     """
-    cells = math.prod(v.size + 1 for v in axis_values)
-    limit = min(budget, _NODE_CAP)
-    if cells > limit:
-        raise BudgetExceededError(f"discrepancy needs {cells} histogram cells; limit is {limit}")
-    hist = np.zeros([v.size + 1 for v in axis_values], dtype=np.int32)
-    idx = tuple(np.searchsorted(v, pts[:, a], side="right") for a, v in enumerate(axis_values))
-    np.add.at(hist, idx, 1)
-    for a in range(hist.ndim):
-        np.cumsum(hist, axis=a, out=hist)
-    return hist
+    slab = math.prod(v.size + 1 for v in axis_values[1:])
+    cells = (axis_values[0].size + 1) * slab
+    if cells > budget:
+        raise BudgetExceededError(f"discrepancy needs {cells} histogram cells; limit is {budget}")
+    rows = max(1, _BLOCK_CELLS // slab)
+    held = _BLOCK_COPIES * (rows + 1) * slab
+    if held > _NODE_CAP:
+        raise BudgetExceededError(f"discrepancy needs {held} cells in memory; limit is {_NODE_CAP}")
+    return rows
+
+
+def _slabs(pts: np.ndarray, axis_values: list[np.ndarray], rows: int):
+    """Walk the padded cumulative histogram H, as fractions of the points, in
+    blocks of up to `rows` axis-0 slabs.
+
+    H[i] = #{p : p_a < axis_values[a][i_a] for all a}; axis a has
+    len(axis_values[a]) + 1 slots, the last counting every point. Yields
+    (i0, F) with F[k] = H[i0 + k] / n over axes 1..d-1 for k = 0..m, m <= rows;
+    consecutive blocks share one slab, and F is overwritten by the next block.
+
+    Row k of a block is row k - 1 plus the points of axis-0 slot i0 + k,
+    counted below each cell over axes 1..d-1. A block with no more points than
+    new slabs adds one orthant per point (the sweep of Dobkin, Eppstein and
+    Mitchell, ACM TOG 1996); a denser one bins its points and takes a
+    cumulative sum along each of those axes. Either way a block costs O(d)
+    passes over its cells.
+    """
+    n, d = pts.shape
+    shape = tuple(v.size + 1 for v in axis_values)
+    slab = math.prod(shape[1:])
+    # each point's cell in the padded grid, in axis-0 order
+    idx = [np.searchsorted(v, pts[:, a], side="right") for a, v in enumerate(axis_values)]
+    cells = np.sort(np.ravel_multi_index(idx, shape))
+    block = np.empty((rows + 1,) + shape[1:])
+    carry = np.zeros(shape[1:])  # counts of H[i0], the slab the block starts from
+    for i0 in range(0, shape[0] - 1, rows):
+        m = min(rows, shape[0] - 1 - i0)
+        first = 1 if i0 else 0  # the first block's row 0 is slot 0's points alone
+        lo, hi = np.searchsorted(cells, [(i0 + first) * slab, (i0 + m + 1) * slab])
+        mine = cells[lo:hi] - i0 * slab  # the block's points, as cells of the block
+        counts = block[: m + 1]
+        if mine.size <= m:
+            counts.fill(0.0)
+            for j0, *rest in np.transpose(np.unravel_index(mine, counts.shape)).tolist():
+                counts[(j0, *(slice(j, None) for j in rest))] += 1
+        else:
+            counts[...] = np.bincount(mine, minlength=counts.size).reshape(counts.shape)
+            for a in range(1, d):
+                np.cumsum(counts[first:], axis=a, out=counts[first:])
+        counts[0] += carry
+        for k in range(1, m + 1):
+            counts[k] += counts[k - 1]
+        carry[...] = counts[m]
+        counts /= n
+        yield i0, counts
 
 
 def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> DiscrepancyResult:
     """Exact star discrepancy by critical-grid enumeration.
 
-    Work and memory are the histogram's prod(s_a + 1) cells, s_a counting the
-    distinct coordinates on axis a plus 1; BudgetExceededError above `budget`.
+    Work is O(d) passes over the histogram's prod(s_a + 1) cells, s_a counting
+    the distinct coordinates on axis a plus 1; BudgetExceededError above
+    `budget`. Ties go to the first node in the order (axis-0 index, open before
+    closed, index over the other axes).
     """
     pts = ps.data
     n, d = pts.shape
     if d < 1:
         raise ValidationError("point set must have dimension >= 1")
     cands = _axis_candidates(pts)
-    hist = _cum_hist(pts, cands, budget)
+    rows = _block_rows(cands, budget)
     vols_rest = reduce(np.multiply, np.ix_(*cands[1:]), np.float64(1.0))
-    inner_strict = (slice(0, -1),) * (d - 1)
-    inner_closed = (slice(1, None),) * (d - 1)
+    # gaps[k, 0] is the deficiency of [0, x), gaps[k, 1] the excess of [0, x]
+    gaps = np.empty((rows, 2) + vols_rest.shape)
+    strict, closed = (slice(0, -1),) * d, (slice(1, None),) * d
     best, best_node, best_side = -1.0, None, None
-    for i0, x0 in enumerate(cands[0]):
-        strict = np.asarray(hist[i0][inner_strict], dtype=float)
-        closed = np.asarray(hist[i0 + 1][inner_closed], dtype=float)
-        vols = x0 * vols_rest
-        defic = vols - strict / n
-        exces = closed / n - vols
-        for arr, side in ((defic, "open"), (exces, "closed")):
-            flat = int(np.argmax(arr))
-            val = float(np.ravel(arr)[flat])
-            if val > best:
-                best = val
-                rest_idx = np.unravel_index(flat, np.shape(arr)) if d > 1 else ()
-                best_node = (i0,) + tuple(rest_idx)
-                best_side = side
+    for i0, frac in _slabs(pts, cands, rows):
+        m = frac.shape[0] - 1
+        g = gaps[:m]
+        np.multiply(cands[0][i0 : i0 + m].reshape((m,) + (1,) * (d - 1)), vols_rest, out=g[:, 0])
+        np.subtract(frac[closed], g[:, 0], out=g[:, 1])
+        np.subtract(g[:, 0], frac[strict], out=g[:, 0])
+        flat = int(np.argmax(g))
+        if (val := float(g.flat[flat])) > best:
+            k, side, *rest = (int(i) for i in np.unravel_index(flat, g.shape))
+            best, best_node, best_side = val, (i0 + k, *rest), ("open", "closed")[side]
     witness = np.array([cands[a][best_node[a]] for a in range(d)])
     return DiscrepancyResult(best, witness, best_side)
 
@@ -180,12 +231,17 @@ def star_discrepancy_cover(
     """Bracket the star discrepancy through a delta-cover.
 
     Returns (lower, lower + delta): the max local discrepancy over the cover
-    grid is a lower bound and underestimates by at most delta. Work and memory
-    are the histogram's (m+1)^d cells; BudgetExceededError above `budget`.
+    grid is a lower bound and underestimates by at most delta. Work is O(d)
+    passes over the histogram's (m+1)^d cells plus one over the points;
+    BudgetExceededError above `budget`.
     """
     vals = [delta_cover_axis(ps.d, delta)] * ps.d
-    counts = _cum_hist(ps.data, vals, budget)[(slice(0, -1),) * ps.d]
-    lower = float(np.max(np.abs(counts / ps.n - reduce(np.multiply, np.ix_(*vals)))))
+    rows = _block_rows(vals, budget)
+    strict = (slice(0, -1),) * ps.d
+    lower = 0.0
+    for i0, frac in _slabs(ps.data, vals, rows):
+        axes = np.ix_(vals[0][i0 : i0 + frac.shape[0] - 1], *vals[1:])
+        lower = max(lower, float(np.max(np.abs(frac[strict] - reduce(np.multiply, axes)))))
     return lower, lower + float(delta)
 
 

@@ -19,7 +19,8 @@ from negdep_qmc.cli import main, parse_scheme
 
 
 def write_json(path, payload):
-    path.write_text(json.dumps(payload))
+    # a str is written as it stands: JSON text that no dict can hold
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -483,11 +484,19 @@ MALFORMED = [
         "kind": "explicit", "table": {**_TABLE_D2, "2,1": 7.0}}}, [],
         id="explicit-weights-repeated-subset"),
     pytest.param("discrepancy", {"points": "p.txt", "weights": {
+        "kind": "explicit", "table": {"1,1": 5.0, "2": 1.0, "1,2": 1.0}}}, [],
+        id="explicit-weights-repeated-coordinate"),
+    pytest.param("discrepancy", {"points": "p.txt", "weights": {
         "kind": "explicit", "table": {**_TABLE_D2, "7": 1.0}}}, [],
         id="explicit-weights-coordinate-above-d"),
     pytest.param("bounds", {"formula": "weighted", "grid": {"n": 64, "d": 2, "c": 1},
                             "weights": {"kind": "explicit", "table": {**_TABLE_D2, "7": 1.0}}},
                  [], id="weighted-bound-coordinate-above-d"),
+    # a key given twice in one object, of which json kept the last
+    pytest.param("sample", '{"scheme": {"kind": "mc"}, "n": 4, "n": 2, "d": 1}', [],
+                 id="duplicate-key-top"),
+    pytest.param("sample", '{"scheme": {"kind": "mc", "kind": "lhs"}, "n": 4, "d": 2}', [],
+                 id="duplicate-key-nested"),
     # an exact dependence test, which never read reps
     pytest.param("negdep", {"scheme": {"kind": "swap"}, "n": 2, "d": 2, "test": "pairwise",
                             "q_anchors": [[0.5, 0.5]], "r_anchors": [[0.5, 0.5]], "reps": -3},
@@ -510,6 +519,20 @@ def test_overflowing_config_number_exits_2(tmp_path, capsys):
     code, _, err = run(["bounds", str(cfg)], capsys)
     assert code == 2
     assert "finite" in err
+
+
+@pytest.mark.parametrize("text, key", [
+    pytest.param('{"formula": "corner", "grid": {"n": 64, "d": 2, "c": 1}, "formula": "hoeffding"}',
+                 "formula", id="top"),
+    pytest.param('{"formula": "corner", "grid": {"n": 64, "d": 2, "c": 1, "n": 32}}', "n",
+                 id="nested"),
+])
+def test_repeated_config_key_is_named(tmp_path, capsys, text, key):
+    cfg = tmp_path / "b.json"
+    cfg.write_text(text)
+    code, _, err = run(["bounds", str(cfg)], capsys)
+    assert code == 2
+    assert f"repeats the key '{key}'" in err
 
 
 def test_float_fields_accept_json_integers(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Exact star discrepancy, cover brackets, weighted variant, and budgets."""
 
+import tracemalloc
+from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import negdep_qmc.discrepancy as discrepancy_module
@@ -12,6 +14,7 @@ from negdep_qmc import (
     BudgetExceededError,
     CornerBox0,
     ExplicitWeights,
+    LatinHypercube,
     MonteCarlo,
     PointSet,
     ProductWeights,
@@ -288,3 +291,125 @@ def test_histogram_matches_brute_force(case):
     ps, delta = case
     assert star_discrepancy_cover(ps, delta)[0] == brute_cover_lower(ps, delta)
     assert star_discrepancy_exact(ps).value == brute_exact(ps)
+
+
+# ---------------------------------------------------------------------------
+# The slab walk against the whole histogram it replaces
+
+
+def _whole_cum_hist(pts: np.ndarray, axis_values: list) -> np.ndarray:
+    """The padded cumulative histogram of every grid cell at once."""
+    hist = np.zeros([v.size + 1 for v in axis_values], dtype=np.int32)
+    idx = tuple(np.searchsorted(v, pts[:, a], side="right") for a, v in enumerate(axis_values))
+    np.add.at(hist, idx, 1)
+    for a in range(hist.ndim):
+        np.cumsum(hist, axis=a, out=hist)
+    return hist
+
+
+def whole_hist_exact(ps: PointSet):
+    """(value, witness, side) from the whole histogram, read one axis-0 slab at a time."""
+    pts = ps.data
+    n, d = pts.shape
+    cands = [np.unique(np.concatenate([pts[:, a], [1.0]])) for a in range(d)]
+    hist = _whole_cum_hist(pts, cands)
+    vols_rest = reduce(np.multiply, np.ix_(*cands[1:]), np.float64(1.0))
+    inner_strict = (slice(0, -1),) * (d - 1)
+    inner_closed = (slice(1, None),) * (d - 1)
+    best, best_node, best_side = -1.0, None, None
+    for i0, x0 in enumerate(cands[0]):
+        strict = np.asarray(hist[i0][inner_strict], dtype=float)
+        closed = np.asarray(hist[i0 + 1][inner_closed], dtype=float)
+        vols = x0 * vols_rest
+        for arr, side in ((vols - strict / n, "open"), (closed / n - vols, "closed")):
+            flat = int(np.argmax(arr))
+            val = float(np.ravel(arr)[flat])
+            if val > best:
+                rest_idx = np.unravel_index(flat, np.shape(arr)) if d > 1 else ()
+                best, best_node, best_side = val, (i0,) + tuple(rest_idx), side
+    return best, np.array([cands[a][best_node[a]] for a in range(d)]), best_side
+
+
+def whole_hist_cover_lower(ps: PointSet, delta: float) -> float:
+    vals = [delta_cover_axis(ps.d, delta)] * ps.d
+    counts = _whole_cum_hist(ps.data, vals)[(slice(0, -1),) * ps.d]
+    return float(np.max(np.abs(counts / ps.n - reduce(np.multiply, np.ix_(*vals)))))
+
+
+@st.composite
+def tied_point_sets_and_deltas(draw):
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    coord = st.one_of(
+        st.sampled_from([k / m for k in range(m)]),  # a k/m grid, shared across points and axes
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=40))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))  # repeats
+    delta = draw(st.sampled_from([0.5, 0.3, 0.1] if d <= 2 else [0.5, 0.3]))
+    return PointSet(np.array([rows[i] for i in picks])), delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_point_sets_and_deltas())
+@example((PointSet(np.array([[0.5]])), 0.5))  # open and closed tie at one node
+@example((PointSet(np.array([[0.75, 0.75], [0.0, 0.5]])), 0.3))  # closed at i0 = 0 ties open at 2
+def test_slab_walk_matches_the_whole_histogram(case):
+    ps, delta = case
+    value, witness, side = whole_hist_exact(ps)
+    res = star_discrepancy_exact(ps)
+    assert res.value == value
+    assert np.array_equal(res.witness, witness)
+    assert res.witness_side == side
+    assert star_discrepancy_cover(ps, delta)[0] == whole_hist_cover_lower(ps, delta)
+
+
+def _peak_bytes(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_holds_one_block_of_slabs():
+    # the whole padded histogram of this set alone is 4098^2 int32 cells, 64 MiB
+    ps = sample(LatinHypercube(), 4096, 2, RngStream(97))
+    assert _peak_bytes(lambda: star_discrepancy_exact(ps)) <= 8 * 2**20
+
+
+def _refusal(f) -> tuple[str, int]:
+    """The BudgetExceededError message of f() and the peak bytes traced until it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            f()
+        return str(info.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_limits_are_checked_before_anything_is_allocated():
+    # 2002^3 cells; one slab of the volume products alone would be 32 MiB
+    wide = sample(MonteCarlo(), 2000, 3, RngStream(101))
+    message, peak = _refusal(lambda: star_discrepancy_exact(wide))
+    assert "histogram cells" in message
+    assert peak <= 2 * 2**20
+    # axis 0 constant: 3 * 1449^2 cells fit the budget, but one slab is 2.1e6 cells
+    rest = sample(LatinHypercube(), 1447, 2, RngStream(103)).data
+    flat = PointSet(np.column_stack([np.full(1447, 0.5), rest]))
+    message, peak = _refusal(lambda: star_discrepancy_exact(flat))
+    assert "cells in memory" in message
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_block_and_its_temporaries_stay_within_the_memory_cap_count(dense):
+    # one point per axis-0 slot adds orthants; a constant axis 0 bins a dense slab
+    rest = sample(LatinHypercube(), 300, 2, RngStream(107)).data
+    first = np.full(300, 0.5) if dense else sample(LatinHypercube(), 300, 1, RngStream(109)).data[:, 0]
+    ps = PointSet(np.column_stack([first, rest]))
+    slab = 302**2  # one slab per block
+    held = discrepancy_module._BLOCK_COPIES * 2 * slab * 8
+    assert _peak_bytes(lambda: star_discrepancy_exact(ps)) <= held + 2**16
