@@ -16,6 +16,26 @@ strictly-dominated point fraction) and the excess of the closed box [0, x]
 (weakly-dominated fraction minus its volume, the right-limit over shrinking
 half-open boxes). The maximum over nodes and sides is exact. Cover evaluates
 the delta-cover grid instead, which brackets D* to within delta.
+
+Exact prunes a grid of more than _SMALL_GRID * 4^d cells before it evaluates
+it. The nodes are cut into tiles of w per axis, w = max(2, round(n^(1/4))). A
+coarse pass walks the histogram over every w-th node per axis: it gives each
+tile the count H(Lo) below its low corner and H(Hi + 1) up to its high corner,
+the padded last slot counting every point. The deficiency at Lo and the excess
+at Hi are values the full walk computes too, and the largest so far is `best`.
+Every node x of the tile has vol(x) <= vol(Hi), H(x) >= H(Lo) and
+H(x + 1) <= H(Hi + 1). Correctly rounded products, quotients and differences
+are monotone, so vol(Hi) - H(Lo)/n and H(Hi + 1)/n - vol(Lo), computed in the
+walk's operation order, bound every double the walk computes in the tile. A
+tile whose bound is below `best` holds neither the maximum nor a tie with it,
+and is skipped; the others are evaluated exactly, so the result is the walk's
+first maximum, bit for bit. When the kept tiles would hold more than
+1/_FINE_SHARE of the grid's cells, or more than half of the tiles walked so
+far (checked after each coarse block), or the grid is small, the walk runs
+instead. The coarse pass is the walk of a smaller grid, the kept tiles are
+evaluated in chunks of about one block, and the list of kept tiles is bounded
+by that share. Budgets still charge every cell of the whole grid before any
+work: conservative, as far fewer are computed.
 """
 
 from __future__ import annotations
@@ -48,6 +68,8 @@ DEFAULT_BUDGET = 10**8
 _BLOCK_CELLS = 2**15  # a block holds this many cells of whole slabs, at least one slab
 _BLOCK_COPIES = 4  # block-sized arrays alive at once: the block, its binning and evaluation
 _NODE_CAP = 2**24  # float64 cells held at once (128 MiB), the block's copies included
+_SMALL_GRID = 2**11  # exact walks every node of a grid of at most _SMALL_GRID * 4^d cells
+_FINE_SHARE = 4  # exact prunes only while the kept tiles hold at most 1/4 of the grid's cells
 
 
 # A weight family owns `check(d)` (it fits dimension d), `of(u)` (the weight
@@ -117,6 +139,8 @@ class DiscrepancyResult:
     witness: np.ndarray
     # "open": [0, witness) undercounts; "closed": [0, witness] overcounts
     witness_side: str
+    # histogram cells computed: the coarse and fine passes, or the whole grid
+    cells: int
 
 
 def local_discrepancy(ps: PointSet, box) -> float:
@@ -192,20 +216,9 @@ def _slabs(pts: np.ndarray, axis_values: list[np.ndarray], rows: int):
         yield i0, counts
 
 
-def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> DiscrepancyResult:
-    """Exact star discrepancy by critical-grid enumeration.
-
-    Work is O(d) passes over the histogram's prod(s_a + 1) cells, s_a counting
-    the distinct coordinates on axis a plus 1; BudgetExceededError above
-    `budget`. Ties go to the first node in the order (axis-0 index, open before
-    closed, index over the other axes).
-    """
-    pts = ps.data
-    n, d = pts.shape
-    if d < 1:
-        raise ValidationError("point set must have dimension >= 1")
-    cands = _axis_candidates(pts)
-    rows = _block_rows(cands, budget)
+def _walk_exact(pts: np.ndarray, cands: list[np.ndarray], rows: int):
+    """(value, node, side) of the first maximum over every node of the grid."""
+    d = pts.shape[1]
     vols_rest = reduce(np.multiply, np.ix_(*cands[1:]), np.float64(1.0))
     # gaps[k, 0] is the deficiency of [0, x), gaps[k, 1] the excess of [0, x]
     gaps = np.empty((rows, 2) + vols_rest.shape)
@@ -220,9 +233,164 @@ def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> Discre
         flat = int(np.argmax(g))
         if (val := float(g.flat[flat])) > best:
             k, side, *rest = (int(i) for i in np.unravel_index(flat, g.shape))
-            best, best_node, best_side = val, (i0 + k, *rest), ("open", "closed")[side]
-    witness = np.array([cands[a][best_node[a]] for a in range(d)])
-    return DiscrepancyResult(best, witness, best_side)
+            best, best_node, best_side = val, (i0 + k, *rest), side
+    return best, best_node, best_side
+
+
+def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int, budget: int):
+    """The coarse pass: the tiles of w nodes per axis that can hold the maximum.
+
+    Walks the histogram over each tile's low corner; its strict slice gives
+    H(Lo)/n and its closed slice H(Hi + 1)/n. Returns ((flat tile indices,
+    H(Lo) counts) of the tiles whose bound reaches the best value found, or
+    None once they would hold more than 1/_FINE_SHARE of the grid's cells or
+    half of the tiles walked; the coarse cells computed).
+    """
+    n, d = pts.shape
+    lo = [c[::w] for c in cands]
+    hi = [c[np.minimum(np.arange(w - 1, c.size - 1 + w, w), c.size - 1)] for c in cands]
+    rest_lo = reduce(np.multiply, np.ix_(*lo[1:]), np.float64(1.0))
+    rest_hi = reduce(np.multiply, np.ix_(*hi[1:]), np.float64(1.0))
+    rows = _block_rows(lo, budget)
+    vol_lo, vol_hi, gap, ub = (np.empty((rows,) + rest_lo.shape) for _ in range(4))
+    limit = math.prod(c.size + 1 for c in cands) / _FINE_SHARE / (w + 1) ** d  # in tiles
+    strict, closed = (slice(0, -1),) * d, (slice(1, None),) * d
+    best, ids, ubs, fracs, held = -1.0, [], [], [], 0
+    for j0, frac in _slabs(pts, lo, rows):
+        m = frac.shape[0] - 1
+        done = (j0 + m + 1) * rest_lo.size
+        col = (m,) + (1,) * (d - 1)
+        below, upto = frac[strict], frac[closed]
+        v_lo, v_hi, g, u = vol_lo[:m], vol_hi[:m], gap[:m], ub[:m]
+        np.multiply(lo[0][j0 : j0 + m].reshape(col), rest_lo, out=v_lo)
+        np.multiply(hi[0][j0 : j0 + m].reshape(col), rest_hi, out=v_hi)
+        # the deficiency at Lo and the excess at Hi are attained
+        best = max(best, float(np.max(np.subtract(v_lo, below, out=g))))
+        best = max(best, float(np.max(np.subtract(upto, v_hi, out=g))))
+        np.maximum(np.subtract(v_hi, below, out=u), np.subtract(upto, v_lo, out=g), out=u)
+        keep = np.flatnonzero(u >= best)
+        held += keep.size
+        # a well-spread set keeps under a tenth of the tiles walked, a digital net most
+        cap = min(limit, (j0 + m) * rest_lo.size / 2)
+        if held > cap:  # count what the best found so far still keeps, then decide
+            ok = [v >= best for v in ubs]
+            held = keep.size + sum(int(np.count_nonzero(k)) for k in ok)
+            if held > cap:
+                return None, done
+            ids, ubs, fracs = ([a[k] for a, k in zip(arrs, ok)] for arrs in (ids, ubs, fracs))
+        ids.append(keep + j0 * rest_lo.size)
+        ubs.append(u.ravel()[keep])
+        fracs.append(below.ravel()[keep])
+    ok = np.concatenate(ubs) >= best
+    # counts c < 2^51 come back exactly from the doubles c / n
+    return (np.concatenate(ids)[ok], np.rint(np.concatenate(fracs)[ok] * n).astype(np.int64)), done
+
+
+def _tiles_exact(pts: np.ndarray, cands: list[np.ndarray], w: int, tiles, base):
+    """(value, node, side) of the first maximum over the nodes of `tiles`.
+
+    Each tile's local histogram over slots Lo .. Lo + w is its H(Lo) count plus
+    the orthants of the points whose slots cross it: those at or below Lo + w
+    on every axis and above Lo on some axis, found per axis through the points
+    sorted by slot. Tiles go in chunks of about _BLOCK_CELLS cells and pairs,
+    the tile index innermost so that every pass runs over long contiguous rows.
+    """
+    n, d = pts.shape
+    sizes = [c.size for c in cands]
+    local = (w + 1,) * d
+    per_tile = math.prod(local)
+    low = np.stack(np.unravel_index(tiles, [-(-s // w) for s in sizes])) * w  # (d, tiles)
+    order = np.argsort(pts.T, axis=1, kind="stable")  # per axis, the points by slot
+    ranked = np.stack([np.searchsorted(cands[a], pts[order[a], a], side="right") for a in range(d)])
+    slots = np.empty_like(ranked)
+    np.put_along_axis(slots, order, ranked, axis=1)
+    first = np.stack([np.searchsorted(ranked[a], low[a], side="right") for a in range(d)])
+    last = np.stack([np.searchsorted(ranked[a], low[a] + w, side="right") for a in range(d)])
+    cost = np.cumsum(per_tile + (last - first).sum(axis=0))
+    offsets = np.arange(w)[:, None]
+    strict, closed = (slice(0, -1),) * d, (slice(1, None),) * d
+
+    def along(a, arr):  # arr (w, T) laid along node axis a of (w, ..., w, T)
+        return arr.reshape((1,) * a + (w,) + (1,) * (d - 1 - a) + (-1,))
+
+    best, best_key = -math.inf, None
+    t0 = 0
+    while t0 < tiles.size:
+        spent = cost[t0 - 1] if t0 else 0
+        t1 = max(t0 + 1, int(np.searchsorted(cost, spent + _BLOCK_CELLS, side="right")))
+        T, lo = t1 - t0, low[:, t0:t1]
+        flat = []
+        for a in range(d):  # the points that cross each tile on axis a, and on no axis before it
+            cnt = last[a, t0:t1] - first[a, t0:t1]
+            tile = np.repeat(np.arange(T), cnt)
+            start = np.repeat(first[a, t0:t1] - (np.cumsum(cnt) - cnt), cnt)
+            pt = order[a][start + np.arange(tile.size)]
+            ok, cell = np.ones(tile.size, dtype=bool), 0
+            for b in range(d):
+                off = slots[b, pt] - lo[b, tile]
+                ok &= off <= (0 if b < a else w)
+                cell = cell * (w + 1) + np.maximum(off, 0)
+            flat.append((cell * T + tile)[ok])
+        hist = np.bincount(np.concatenate(flat), minlength=per_tile * T).reshape(local + (T,))
+        for a in range(d):  # slice adds: np.cumsum is slow along short axes
+            rows = hist.swapaxes(0, a)
+            for k in range(1, w + 1):
+                rows[k] += rows[k - 1]
+        hist += base[t0:t1]
+        frac = hist / n
+        # a node past the last on an axis repeats the last node's values (x = 1, every
+        # point counted) and comes after it in the walk's order, so it is never first
+        nodes = lo[:, None, :] + offsets  # (d, w, T) node indices
+        xs = [along(a, cands[a][np.minimum(nodes[a], sizes[a] - 1)]) for a in range(d)]
+        vol = xs[0] * reduce(np.multiply, xs[1:], np.float64(1.0))
+        g = np.empty((w, 2) + (w,) * (d - 1) + (T,))
+        np.subtract(vol, frac[strict], out=g[:, 0])
+        np.subtract(frac[closed], vol, out=g[:, 1])
+        g = g.reshape(-1, T)
+        tops = g.max(axis=0)
+        top = float(tops.max())
+        if top >= best:
+            for t in np.flatnonzero(tops == top):
+                k0, side, *rest = np.unravel_index(int(np.argmax(g[:, t])), (w, 2) + (w,) * (d - 1))
+                i0, *others = (lo[:, t] + (k0, *rest)).tolist()
+                key = (i0, int(side), *others)  # the walk's order
+                if top > best or key < best_key:
+                    best, best_key = top, key
+        t0 = t1
+    i0, side, *rest = best_key
+    return best, (i0, *rest), side
+
+
+def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> DiscrepancyResult:
+    """Exact star discrepancy by critical-grid enumeration.
+
+    The walk costs O(d) passes over the histogram's prod(s_a + 1) cells, s_a
+    counting the distinct coordinates on axis a plus 1; a large grid is pruned
+    first (module docstring), and `cells` reports the cells computed.
+    BudgetExceededError when the whole grid exceeds `budget`, before any work.
+    Ties go to the first node in the order (axis-0 index, open before closed,
+    index over the other axes).
+    """
+    pts = ps.data
+    n, d = pts.shape
+    if d < 1:
+        raise ValidationError("point set must have dimension >= 1")
+    cands = _axis_candidates(pts)
+    rows = _block_rows(cands, budget)
+    grid = math.prod(c.size + 1 for c in cands)
+    found, cells = None, 0
+    if grid > _SMALL_GRID * 4**d:
+        w = max(2, round(n**0.25))
+        kept, cells = _kept_tiles(pts, cands, w, budget)
+        if kept is not None:
+            found = _tiles_exact(pts, cands, w, *kept)
+            cells += kept[0].size * (w + 1) ** d
+    if found is None:
+        found = _walk_exact(pts, cands, rows)
+        cells += grid
+    best, node, side = found
+    witness = np.array([cands[a][node[a]] for a in range(d)])
+    return DiscrepancyResult(best, witness, ("open", "closed")[side], cells)
 
 
 def star_discrepancy_cover(
@@ -254,6 +422,8 @@ def weighted_star_discrepancy(
     nonzero-weight projection are summed and checked before any is evaluated.
     """
     d = ps.d
+    if d < 1:
+        raise ValidationError("point set must have dimension >= 1")
     weights.check(d)
     subsets = [u for size in range(1, d + 1) for u in combinations(range(d), size)]
     terms = [(g, list(u)) for u in subsets if (g := weights.of(u)) != 0.0]

@@ -1,8 +1,10 @@
 """Exact star discrepancy, cover brackets, weighted variant, and budgets."""
 
 import tracemalloc
+from contextlib import nullcontext
 from functools import reduce
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from negdep_qmc import (
     PointSet,
     ProductWeights,
     RngStream,
+    ScrambledNet,
     ValidationError,
     build_delta_cover,
     delta_cover_axis,
@@ -413,3 +416,90 @@ def test_a_block_and_its_temporaries_stay_within_the_memory_cap_count(dense):
     slab = 302**2  # one slab per block
     held = discrepancy_module._BLOCK_COPIES * 2 * slab * 8
     assert _peak_bytes(lambda: star_discrepancy_exact(ps)) <= held + 2**16
+
+
+# ---------------------------------------------------------------------------
+# The pruned search against the whole histogram, at sizes where it engages
+
+
+def _grid_cells(ps: PointSet) -> int:
+    return int(np.prod([np.unique(np.append(ps.data[:, a], 1.0)).size + 1 for a in range(ps.d)]))
+
+
+def _lhs_rows(rng, n: int, d: int) -> np.ndarray:
+    return ((np.argsort(rng.random((d, n)), axis=1) + rng.random((d, n))) / n).T
+
+
+def _assert_exact_matches_whole_histogram(ps: PointSet):
+    """Exact as it runs, pruned from the smallest grid, and pruned with no fallback
+    all return the whole histogram's first maximum."""
+    value, witness, side = whole_hist_exact(ps)
+    runs = [{}, {"_SMALL_GRID": 0}, {"_SMALL_GRID": 0, "_FINE_SHARE": 1e-9}]
+    for overrides in runs:
+        with patch.multiple(discrepancy_module, **overrides) if overrides else nullcontext():
+            res = star_discrepancy_exact(ps)
+        assert res.value == value, overrides
+        assert np.array_equal(res.witness, witness), overrides
+        assert res.witness_side == side, overrides
+
+
+@st.composite
+def prunable_point_sets(draw):
+    # at most 2^20 grid cells, so that the reference histogram stays small
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(64, 400))
+    kind = draw(st.sampled_from(["lhs", "mc", "grid"]))
+    distinct = min(n, {2: 400, 3: 100, 4: 30}[d])
+    if draw(st.booleans()):  # repeated rows
+        distinct = draw(st.integers(1, distinct))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":  # k/m coordinates, shared across points and axes
+        m = draw(st.integers(1, 64))
+        base = rng.integers(0, m, (distinct, d)) / m
+    elif kind == "lhs":
+        base = _lhs_rows(rng, distinct, d)
+    else:
+        base = rng.random((distinct, d))
+    rows = base if distinct == n else base[rng.integers(0, distinct, n)]
+    return PointSet(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prunable_point_sets())
+def test_pruned_search_matches_the_whole_histogram(ps):
+    _assert_exact_matches_whole_histogram(ps)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: net_points(2, 10, 2),
+        lambda: sample(ScrambledNet(2, 10, 2), 1024, 2, RngStream(113)),
+        lambda: centered_grid(10_000),
+    ],
+    ids=["net-2-10-2", "scrambled-net-2-10-2", "centered-grid"],
+)
+def test_pruned_search_on_low_discrepancy_sets(make):
+    ps = make()
+    _assert_exact_matches_whole_histogram(ps)
+    if ps.d == 1:
+        assert star_discrepancy_exact(ps).value == pytest.approx(1 / (2 * ps.n), abs=1e-15)
+
+
+def test_cells_counts_what_was_computed():
+    small = sample(MonteCarlo(), 40, 3, RngStream(127))  # 42^3 cells: walked whole
+    assert star_discrepancy_exact(small).cells == _grid_cells(small) == 42**3
+    # 1026^3 cells, about 10^9: the coarse and fine passes compute under 5% of them
+    wide = PointSet(_lhs_rows(np.random.default_rng(131), 1024, 3))
+    res = star_discrepancy_exact(wide, budget=2 * 10**9)
+    assert 0 < res.cells < 0.05 * _grid_cells(wide)
+
+
+def test_weighted_rejects_a_point_set_without_coordinates():
+    empty = PointSet(np.zeros((3, 0)))
+    for f in (star_discrepancy_exact, lambda ps: star_discrepancy_cover(ps, 0.5)):
+        with pytest.raises(ValidationError):
+            f(empty)
+    for w in (ProductWeights(()), ExplicitWeights({})):
+        with pytest.raises(ValidationError, match="dimension"):
+            weighted_star_discrepancy(empty, w)
