@@ -75,6 +75,7 @@ from .samplers import (
     STRATA,
     RngStream,
     ScrambledNet,
+    _row_format,
     load_pointset,
     net_points,
     sample,
@@ -304,7 +305,7 @@ def _read_points(cfg, keys, where: str):
     path = _get(cfg, "points", str, where)
     try:
         return load_pointset(path)
-    except (OSError, ValueError) as exc:  # ValueError: undecodable or non-numeric text
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text or a malformed file
         raise ValidationError(f"cannot read points file: {exc}") from exc
 
 
@@ -340,7 +341,7 @@ def cmd_discrepancy(args) -> int:
     if _get(cfg, "exact", bool, where, "delta" not in cfg and "weights" not in cfg):
         res = star_discrepancy_exact(ps, budget)
         rows.append({"quantity": "exact", "value": res.value,
-                     "witness": " ".join(f"{x:.17g}" for x in res.witness),
+                     "witness": _row_format(ps.d) % tuple(res.witness.tolist()),
                      "witness_side": res.witness_side})
     if "delta" in cfg:
         delta = _get(cfg, "delta", float, where)

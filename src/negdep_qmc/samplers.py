@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
@@ -113,17 +114,35 @@ class PointSet:
         return self.data.shape[1]
 
 
+# Values formatted per write: the writer holds one block of rows as text,
+# whatever n is.
+_WRITE_BLOCK = 1 << 15
+
+
+def _row_format(d: int) -> str:
+    """The %-template of one row of d coordinates. 17 significant digits read
+    back as the same doubles."""
+    return " ".join(["%.17g"] * d)
+
+
 def save_pointset(ps: PointSet, path) -> None:
     """Write the text format to `path` (stdout when None): header "d n", then
     n rows of d reals (17 sig digits)."""
+    rows = max(1, _WRITE_BLOCK // max(ps.d, 1))
+    row_format = _row_format(ps.d) + "\n"
     with open(path, "w") if path is not None else nullcontext(sys.stdout) as fh:
         fh.write(f"{ps.d} {ps.n}\n")
-        for row in ps.data:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        for start in range(0, ps.n, rows):
+            block = ps.data[start:start + rows]
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_pointset(path) -> PointSet:
-    """Read the text format written by save_pointset; round-trips exactly."""
+    """Read the text format written by save_pointset; round-trips exactly.
+
+    Blank lines are skipped, and every other line after the header holds d
+    reals; comments are not allowed. A malformed file raises ValidationError.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -132,18 +151,18 @@ def load_pointset(path) -> PointSet:
             d, n = int(header[0]), int(header[1])
         except ValueError as exc:
             raise ValidationError("point-set header must contain two integers") from exc
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            vals = line.split()
-            if len(vals) != d:
-                raise ValidationError(f"expected {d} coordinates per row, got {len(vals)}")
-            rows.append([float(v) for v in vals])
-    if len(rows) != n:
-        raise ValidationError(f"expected {n} rows, got {len(rows)}")
-    return PointSet(np.asarray(rows, dtype=float).reshape(n, d))
+        with warnings.catch_warnings():
+            # a file with no rows is refused below, by its row count
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = np.loadtxt(fh, comments=None, ndmin=2)
+            except ValueError as exc:  # a ragged row or a token that is no real
+                raise ValidationError(f"malformed point-set row: {exc}") from exc
+    if data.size and data.shape[1] != d:
+        raise ValidationError(f"expected {d} coordinates per row, got {data.shape[1]}")
+    if data.shape[0] != n:
+        raise ValidationError(f"expected {n} rows, got {data.shape[0]}")
+    return PointSet(data)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from negdep_qmc import (
     SCHEMES,
+    ValidationError,
     describe_scheme,
     load_pointset,
     net_points,
@@ -511,6 +512,65 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, 
     code, _, err = run([command, write_json(tmp_path / "c.json", cfg), *argv], capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+# point-set files that must be refused whichever subcommand reads them; each
+# is one defect away from GOOD_POINTS, a file both subcommands accept
+GOOD_POINTS = "2 2\n0.5 0.25\n0.25 0.75\n"
+BAD_POINTS = [
+    pytest.param("2 2\n0.5 0.25\n0.25\n", id="short-row"),
+    pytest.param("2 2\n0.5 0.25\n0.25 0.75 0.5\n", id="long-row"),
+    pytest.param("2 2\n0.5 0.25 0.25\n0.75\n", id="long-and-short-rows"),
+    pytest.param("2 3\n0.5 0.25\n0.25 0.75\n", id="fewer-rows"),
+    pytest.param("2 1\n0.5 0.25\n0.25 0.75\n", id="more-rows"),
+    pytest.param("3 2\n0.5 0.25\n0.25 0.75\n", id="rows-narrower-than-the-header"),
+    pytest.param("2\n0.5 0.25\n0.25 0.75\n", id="one-token-header"),
+    pytest.param("2 2 2\n0.5 0.25\n0.25 0.75\n", id="three-token-header"),
+    pytest.param("2 2.0\n0.5 0.25\n0.25 0.75\n", id="non-integer-header"),
+    pytest.param("2 0\n", id="zero-rows"),
+    pytest.param("0 2\n\n\n", id="zero-dimension"),
+    pytest.param("-2 2\n0.5 0.25\n0.25 0.75\n", id="negative-dimension"),
+    pytest.param("2 2\n0.5 abc\n0.25 0.75\n", id="non-numeric"),
+    pytest.param("2 2\n0.5 #\n0.25 0.75\n", id="hash-token"),
+    pytest.param("2 2\n# a comment\n0.5 0.25\n0.25 0.75\n", id="comment-line"),
+    pytest.param("2 2\n0.5 1.0\n0.25 0.75\n", id="coordinate-one"),
+    pytest.param("2 2\n0.5 -0.25\n0.25 0.75\n", id="negative-coordinate"),
+    pytest.param("2 2\n0.5 nan\n0.25 0.75\n", id="nan"),
+    pytest.param("2 2\n0.5 inf\n0.25 0.75\n", id="infinity"),
+    pytest.param("", id="empty-file"),
+    pytest.param("2 2\n", id="header-only"),
+    # Python's float() reads "0.1_5" as 0.15; numpy's parser, which reads the rows, does not
+    pytest.param("2 2\n0.5 0.1_5\n0.25 0.75\n", id="underscore-digits"),
+]
+_POINTS_COMMANDS = [
+    pytest.param("discrepancy", {"points": "p.txt", "exact": True}, id="discrepancy"),
+    pytest.param("net-check", {"points": "p.txt", "b": 2, "m": 1, "s": 2}, id="net-check"),
+]
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr before the error line
+@pytest.mark.parametrize("command, cfg", _POINTS_COMMANDS)
+@pytest.mark.parametrize("text", BAD_POINTS)
+def test_malformed_points_file_exits_2(tmp_path, capsys, monkeypatch, command, cfg, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.txt").write_text(text)
+    code, out, err = run([command, write_json(tmp_path / "c.json", cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read points file: ") and err.count("\n") == 1
+    with pytest.raises(ValidationError):
+        load_pointset("p.txt")
+
+
+@pytest.mark.parametrize("command, cfg", _POINTS_COMMANDS)
+def test_points_file_skips_blank_lines_and_takes_any_whitespace(tmp_path, capsys, monkeypatch,
+                                                                command, cfg):
+    monkeypatch.chdir(tmp_path)
+    config = write_json(tmp_path / "c.json", cfg)
+    (tmp_path / "p.txt").write_text(GOOD_POINTS)
+    code, expected, _ = run([command, config], capsys)
+    assert code == 0
+    (tmp_path / "p.txt").write_bytes(b"2\t2\r\n\n0.5   0.25 \r\n \t\n\t0.25\t.75\n\n")
+    assert run([command, config], capsys) == (0, expected, "")
 
 
 def test_overflowing_config_number_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 every sampling scheme: marginals, stratification, exchangeability,
 determinism."""
 
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -37,7 +38,7 @@ from negdep_qmc import (
     save_pointset,
     stratum_corner_overlap,
 )
-from negdep_qmc.samplers import _net_base_digits, _perm_prefix
+from negdep_qmc.samplers import _WRITE_BLOCK, _net_base_digits, _perm_prefix
 
 ALL_SAMPLERS = [
     (MonteCarlo(), 8, 2),
@@ -74,6 +75,43 @@ def test_pointset_save_load_roundtrip(tmp_path):
     back = load_pointset(path)
     assert back.n == ps.n and back.d == ps.d
     assert np.array_equal(back.data, ps.data)
+
+
+# the extremes of [0,1) and doubles that need all 17 significant digits
+_EDGE_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 - 2**-53, 0.1 + 0.2,
+                float(np.nextafter(0.5, 0.0)), 0.12345678901234566]
+
+
+@pytest.mark.parametrize("d", [1, 10])
+def test_save_pointset_writes_each_value_as_its_17_digit_form(tmp_path, capsys, d):
+    rows = _WRITE_BLOCK // d
+    n = 2 * rows + 3  # two full write blocks and a partial one
+    data = RngStream(d).gen.random((n, d))
+    # the edge values start the file, straddle the first block boundary and end it
+    for at in (0, rows * d - len(_EDGE_VALUES) // 2, n * d - len(_EDGE_VALUES)):
+        data.flat[at:at + len(_EDGE_VALUES)] = _EDGE_VALUES
+    expected = f"{d} {n}\n" + "".join(
+        " ".join(f"{x:.17g}" for x in row) + "\n" for row in data.tolist())
+    path = tmp_path / "pts.txt"
+    save_pointset(PointSet(data), path)
+    assert path.read_bytes() == expected.encode()
+    save_pointset(PointSet(data), None)
+    assert capsys.readouterr().out == expected
+    assert np.array_equal(load_pointset(path).data, data)
+
+
+def test_save_pointset_holds_one_block_whatever_n(tmp_path):
+    peaks = []
+    for blocks in (1, 8):
+        ps = PointSet(RngStream(3).gen.random((blocks * _WRITE_BLOCK // 2, 2)))
+        tracemalloc.start()
+        try:
+            save_pointset(ps, tmp_path / "pts.txt")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # eight blocks of text are about 5 MiB
+    assert peaks[1] <= peaks[0] + 2**16 <= 3 * 2**20
 
 
 def test_rng_stream_split_is_deterministic_and_disjoint():
