@@ -8,11 +8,16 @@ set is empty. When writing to a file, a sidecar <out>.schema.json records
 the subcommand, package version, and column names. Outputs contain no
 timestamps: identical configuration and seed give byte-identical files.
 
-Configs are read strictly: unknown keys are rejected, and every value must
-have its JSON type (integers are JSON integers, numbers any JSON number,
-flags JSON booleans, vectors lists of numbers, tables objects). Schemes,
-strata, boxes, weights and functions are built from their dataclass fields,
-looked up by "kind" (`samplers.SCHEMES` for schemes).
+The whole config is checked before any work starts, against one schema per
+subcommand (config key -> reader, default): unknown and missing keys are
+rejected, and every value must have its JSON type (integers are JSON
+integers, numbers any JSON number, flags JSON booleans, vectors lists of
+numbers, tables objects). A value that decides which keys apply (`test`,
+`formula`, `points`, `scramble`) picks the schema. Flags set their keys:
+--seed "seed", --out "out" ("out_dir" for report), --oracle "oracle",
+--expect-holds "expect_holds". Schemes, strata, boxes, weights and functions
+are built from their dataclass fields, looked up by "kind". A discrepancy
+config that asks for nothing (exact false, no delta, no weights) exits 2.
 
 Exit codes: 0 success, 2 validation error (a malformed config value
 included), 3 budget exceeded, 4 acceptance failure (a failed report
@@ -23,12 +28,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, fields
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,16 +90,7 @@ from .samplers import (
 )
 
 # ---------------------------------------------------------------------------
-# Config plumbing: one typed reader
-
-
-def _check_keys(cfg: dict, allowed, where: str) -> None:
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ValidationError(
-            f"unknown key(s) in {where}: {', '.join(unknown)} "
-            f"(known keys: {', '.join(sorted(allowed))})"
-        )
+# Config plumbing: one schema per subcommand, read whole
 
 
 def _need(cfg: dict, key: str, where: str):
@@ -126,18 +124,57 @@ def _typed(value, kind, what: str):
 _REQUIRED = object()
 
 
-def _get(cfg: dict, key: str, kind, where: str, default=_REQUIRED):
-    """cfg[key] read as `kind`; a missing key gives `default`, if there is one."""
-    if key not in cfg and default is not _REQUIRED:
-        return default
-    return _typed(_need(cfg, key, where), kind, f"'{key}' in {where}")
+def _read(cfg: dict, schema: dict, where: str) -> SimpleNamespace:
+    """Every key of `schema`, {key: (reader, default)}, read from `cfg` as
+    reader(value, what) or given its default; an unknown key, or a missing
+    one whose default is _REQUIRED, raises ValidationError."""
+    unknown = sorted(set(cfg) - set(schema))
+    if unknown:
+        raise ValidationError(
+            f"unknown key(s) in {where}: {', '.join(unknown)} "
+            f"(known keys: {', '.join(sorted(schema))})"
+        )
+    return SimpleNamespace(**{
+        key: reader(_need(cfg, key, where), f"'{key}' in {where}")
+        if key in cfg or default is _REQUIRED else default
+        for key, (reader, default) in schema.items()
+    })
 
 
-def _grid(cfg: dict, key: str, kind, where: str, default=_REQUIRED) -> tuple:
-    """A sweep axis: one `kind` value or a list of them."""
-    if not isinstance(cfg.get(key, []), list):
-        cfg = {key: [cfg[key]]}
-    return _get(cfg, key, [kind], where, default)
+def _choice(cfg: dict, key: str, table, what: str, where: str) -> str:
+    """cfg[key]: a string naming an entry of `table`, which picks a schema."""
+    value = _typed(_need(cfg, key, where), str, f"'{key}' in {where}")
+    if value not in table:
+        raise ValidationError(f"unknown {what} '{value}'")
+    return value
+
+
+def _of(kind):
+    """The reader of one `kind` value (see _typed)."""
+    return lambda value, what: _typed(value, kind, what)
+
+
+def _axis(kind):
+    """The reader of a sweep axis: one `kind` value or a list of them."""
+    return lambda value, what: _typed(value if isinstance(value, list) else [value], [kind], what)
+
+
+def _bounded(kind, ok, rule: str):
+    """The reader of one `kind` value for which ok(value) holds."""
+    def reader(value, what: str):
+        if not ok(value := _typed(value, kind, what)):
+            raise ValidationError(f"{what} must be {rule}, got {value}")
+        return value
+    return reader
+
+
+def _points(value, what: str):
+    """The point set in the file that `value` names."""
+    path = _typed(value, str, what)
+    try:
+        return load_pointset(path)
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text or a malformed file
+        raise ValidationError(f"cannot read points file: {exc}") from exc
 
 
 def _finite(text: str) -> float:
@@ -193,11 +230,11 @@ def _weight_table(value, what: str) -> dict:
     return table
 
 
-# readers of dataclass fields, by annotation
+# readers of dataclass fields, by annotation (parse_* looked up at each call, not captured)
 _FIELDS = {
-    "int": lambda v, what: _typed(v, int, what),
-    "tuple[int, int]": lambda v, what: _typed(v, [int], what),
-    "np.ndarray": lambda v, what: _typed(v, [float], what),
+    "int": _of(int),
+    "tuple[int, int]": _of([int]),
+    "np.ndarray": _of([float]),
     "Mapping[frozenset, float]": _weight_table,
     "SchemeSpec": lambda v, what: parse_scheme(v),
     "StrataSpec": lambda v, what: _parse_kind(v, STRATA, "strata"),
@@ -207,15 +244,12 @@ _FIELDS = {
 def _parse_kind(cfg, table: dict, what: str):
     """Build table[cfg["kind"]] from cfg, reading each dataclass field by its type."""
     cfg = _typed(cfg, dict, what)
-    kind = _get(cfg, "kind", str, what)
-    if kind not in table:
-        raise ValidationError(f"unknown {what} kind '{kind}'")
-    where = f"{what} '{kind}'"
-    params = fields(table[kind])
-    _check_keys(cfg, {"kind"} | {f.name for f in params}, where)
-    return table[kind](
-        *(_FIELDS[f.type](_need(cfg, f.name, where), f"'{f.name}' in {where}") for f in params)
-    )
+    cls = table[_choice(cfg, "kind", table, f"{what} kind", what)]
+    schema = {"kind": (_of(str), _REQUIRED)}
+    schema.update((f.name, (_FIELDS[f.type], _REQUIRED)) for f in fields(cls))
+    values = vars(_read(cfg, schema, f"{what} '{cfg['kind']}'"))
+    del values["kind"]
+    return cls(**values)
 
 
 def parse_scheme(cfg) -> object:
@@ -240,25 +274,19 @@ def parse_function(cfg):
     )
 
 
-def _open(args, keys, where: str, out_key: str = "out"):
-    """Load the config, set --seed and --out as its keys "seed" and `out_key`,
-    and reject unknown keys. Returns (cfg, out).
-
-    `keys` holds "seed" only where something is drawn, so a seed given to a
-    subcommand that draws nothing is an unknown key, from the file or the flag.
-    """
-    cfg = _load_config(args.config)
-    flags = {"seed": args.seed, out_key: args.out}
-    cfg.update((key, value) for key, value in flags.items() if value is not None)
-    _check_keys(cfg, set(keys) | {out_key}, where)
-    return cfg, _get(cfg, out_key, str, where, None)
-
-
-def _seed(cfg: dict, where: str, default: int = 0) -> int:
-    seed = _get(cfg, "seed", int, where, default)
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return seed
+# schema pieces that several subcommands share
+_OUT = {"out": (_of(str), None)}
+_SEED_VALUE = _bounded(int, lambda seed: seed >= 0, ">= 0")
+_SEED = {"seed": (_SEED_VALUE, 0)}
+_DRAW = {  # a point set to draw: scheme, n, d and seed
+    "scheme": (lambda v, what: parse_scheme(v), _REQUIRED),
+    "n": (_of(int), _REQUIRED),
+    "d": (_of(int), _REQUIRED),
+    **_SEED,
+}
+_POINTS = {"points": (_points, _REQUIRED)}  # a point-set file instead of _DRAW
+_GAMMA = {"gamma": (_of(float), 1.0)}
+_WEIGHTS = lambda v, what: parse_weights(v)
 
 
 # ---------------------------------------------------------------------------
@@ -284,158 +312,126 @@ def _write_csv(out, subcommand: str, columns, rows) -> None:
         writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
     if out is None:
         return
-    schema = {
-        "subcommand": subcommand,
-        "version": __version__,
-        "columns": list(columns),
-    }
     with open(str(out) + ".schema.json", "w") as fh:
-        json.dump(schema, fh, indent=2, sort_keys=True)
+        json.dump({"subcommand": subcommand, "version": __version__, "columns": list(columns)},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the config, with the command-line flags set as keys
 
 
-def _read_points(cfg, keys, where: str):
-    """Load the "points" file. Besides it, the config may set only `keys` and
-    "out": the keys that describe a set to draw, and "seed", are unknown."""
-    _check_keys(cfg, {"points", "out"} | keys, f"{where} with 'points'")
-    path = _get(cfg, "points", str, where)
-    try:
-        return load_pointset(path)
-    except (OSError, ValueError) as exc:  # ValueError: undecodable text or a malformed file
-        raise ValidationError(f"cannot read points file: {exc}") from exc
-
-
-def _sample_points(cfg, where: str):
-    scheme = parse_scheme(_need(cfg, "scheme", where))
-    n = _get(cfg, "n", int, where)
-    d = _get(cfg, "d", int, where)
-    return sample(scheme, n, d, RngStream(_seed(cfg, where)))
-
-
-def cmd_sample(args) -> int:
-    where = "sample config"
-    cfg, out = _open(args, {"scheme", "n", "d", "seed"}, where)
-    save_pointset(_sample_points(cfg, where), out)
+def cmd_sample(cfg: dict) -> int:
+    c = _read(cfg, {**_DRAW, **_OUT}, "sample config")
+    save_pointset(sample(c.scheme, c.n, c.d, RngStream(c.seed)), c.out)
     return 0
 
 
 _DISC_COLUMNS = (
     "quantity", "n", "d", "value", "lower", "upper", "delta", "witness", "witness_side",
 )
-_DISC_KEYS = {"exact", "delta", "weights", "budget"}
+_DISCREPANCY = {
+    "exact": (_of(bool), None),  # default: true when neither delta nor weights is given
+    "delta": (_bounded(float, lambda delta: 0.0 < delta <= 1.0, "in (0, 1]"), None),
+    "weights": (_WEIGHTS, None),
+    "budget": (_of(int), DEFAULT_BUDGET),
+    **_OUT,
+}
 
 
-def cmd_discrepancy(args) -> int:
+def cmd_discrepancy(cfg: dict) -> int:
     where = "discrepancy config"
-    cfg, out = _open(args, _DISC_KEYS | {"points", "scheme", "n", "d", "seed"}, where)
-    budget = _get(cfg, "budget", int, where, DEFAULT_BUDGET)
-    if "points" in cfg:
-        ps = _read_points(cfg, _DISC_KEYS, where)
-    else:
-        ps = _sample_points(cfg, where)
+    source = _POINTS if "points" in cfg else _DRAW
+    c = _read(cfg, {**_DISCREPANCY, **source}, where)
+    if c.exact is None:
+        c.exact = c.delta is None and c.weights is None
+    if not c.exact and c.delta is None and c.weights is None:
+        raise ValidationError(f"{where} asks for nothing: set 'exact' true, or give 'delta' "
+                              "or 'weights'")
+    ps = c.points if source is _POINTS else sample(c.scheme, c.n, c.d, RngStream(c.seed))
+    if c.weights is not None:
+        c.weights.check(ps.d)
     rows = []
-    if _get(cfg, "exact", bool, where, "delta" not in cfg and "weights" not in cfg):
-        res = star_discrepancy_exact(ps, budget)
+    if c.exact:
+        res = star_discrepancy_exact(ps, c.budget)
         rows.append({"quantity": "exact", "value": res.value,
                      "witness": _row_format(ps.d) % tuple(res.witness.tolist()),
                      "witness_side": res.witness_side})
-    if "delta" in cfg:
-        delta = _get(cfg, "delta", float, where)
-        lower, upper = star_discrepancy_cover(ps, delta, budget)
-        rows.append({"quantity": "cover", "lower": lower, "upper": upper, "delta": delta})
-    if "weights" in cfg:
-        value = weighted_star_discrepancy(ps, parse_weights(cfg["weights"]), budget)
+    if c.delta is not None:
+        lower, upper = star_discrepancy_cover(ps, c.delta, c.budget)
+        rows.append({"quantity": "cover", "lower": lower, "upper": upper, "delta": c.delta})
+    if c.weights is not None:
+        value = weighted_star_discrepancy(ps, c.weights, c.budget)
         rows.append({"quantity": "weighted", "value": value})
-    _write_csv(out, "discrepancy", _DISC_COLUMNS, [{**row, "n": ps.n, "d": ps.d} for row in rows])
+    _write_csv(c.out, "discrepancy", _DISC_COLUMNS,
+               [{**row, "n": ps.n, "d": ps.d} for row in rows])
     return 0
 
 
 _NEGDEP_COLUMNS = tuple(f.name for f in fields(DependenceReport)) + ("oracle",)
 _FACTOR_COLUMNS = ("scheme", "n", "d") + tuple(f.name for f in fields(FactorizationCheck))
 
-
-# the keys each negdep test reads, besides _NEGDEP_COMMON
-_NEGDEP_KEYS = {
-    "upper": {"anchors", "t_values", "gamma", "oracle"},
-    "lower": {"anchors", "t_values", "gamma"},
-    "pairwise": {"q_anchors", "r_anchors"},
-    "conditional": {"i", "a_box", "b_box", "alphas", "betas"},
-    "ci": {"i", "q_values", "r_values"},
+_NEGDEP = {  # the keys of every negdep test
+    **_DRAW,
+    "test": (_of(str), _REQUIRED),
+    "reps": (_of(int), 10_000),
+    "confidence": (_of(float), 0.99),
+    "expect_holds": (_of(bool), False),
+    **_OUT,
 }
-_NEGDEP_COMMON = {"scheme", "n", "d", "test", "reps", "confidence", "expect_holds", "seed", "out"}
+_ORTHANT = {"anchors": (_of([[float]]), _REQUIRED), "t_values": (_axis(int), _REQUIRED), **_GAMMA}
+_COORD = {"i": (_of(int), _REQUIRED)}  # 1-based
+_BOX = (lambda v, what: None if v is None else parse_box(v), None)
+_NEGDEP_TESTS = {  # the keys each test reads besides _NEGDEP
+    "upper": {**_ORTHANT, "oracle": (_of(bool), False)},
+    "lower": _ORTHANT,
+    "pairwise": {"q_anchors": (_of([[float]]), _REQUIRED),
+                 "r_anchors": (_of([[float]]), _REQUIRED)},
+    "conditional": {**_COORD, "a_box": _BOX, "b_box": _BOX, "alphas": (_axis(float), _REQUIRED),
+                    "betas": (_axis(float), _REQUIRED)},
+    "ci": {**_COORD, "q_values": (_axis(float), _REQUIRED), "r_values": (_axis(float), _REQUIRED)},
+}
 
 
-def cmd_negdep(args) -> int:
-    where = "negdep config"
-    cfg, out = _open(args, set().union(*_NEGDEP_KEYS.values()) | _NEGDEP_COMMON, where)
-    test = _get(cfg, "test", str, where)
-    if test not in _NEGDEP_KEYS:
-        raise ValidationError(f"unknown negdep test '{test}'")
-    _check_keys(cfg, _NEGDEP_KEYS[test] | _NEGDEP_COMMON, f"negdep '{test}' config")
-    if args.oracle and test != "upper":
-        raise ValidationError("--oracle applies to the 'upper' test only")
-    scheme = parse_scheme(_need(cfg, "scheme", where))
-    n = _get(cfg, "n", int, where)
-    d = _get(cfg, "d", int, where)
-    reps = _get(cfg, "reps", int, where, 10_000)
-    confidence = _get(cfg, "confidence", float, where, 0.99)
-    expect_holds = _get(cfg, "expect_holds", bool, where, False) or args.expect_holds
-    rng = RngStream(_seed(cfg, where))
+def cmd_negdep(cfg: dict) -> int:
+    test = _choice(cfg, "test", _NEGDEP_TESTS, "negdep test", "negdep config")
+    c = _read(cfg, {**_NEGDEP, **_NEGDEP_TESTS[test]}, f"negdep '{test}' config")
+    rng = RngStream(c.seed)
     rows = []  # report fields, plus "oracle" where asked for
     factor_rows = []
 
     if test in ("upper", "lower"):
         fn = check_upper_nd if test == "upper" else check_lower_nd
-        gamma = _get(cfg, "gamma", float, where, 1.0)
-        want_oracle = _get(cfg, "oracle", bool, where, False) or args.oracle
-        anchors = _get(cfg, "anchors", [[float]], where)
-        for k, (anchor, t) in enumerate(product(anchors, _grid(cfg, "t_values", int, where))):
+        for k, (anchor, t) in enumerate(product(c.anchors, c.t_values)):
             box = CornerBox0(anchor)
-            rep = fn(scheme, n, d, box, t, reps, rng.split(k), gamma, confidence)
-            oracle = scheme.anchored_prob(n, box, t) if want_oracle else None
+            rep = fn(c.scheme, c.n, c.d, box, t, c.reps, rng.split(k), c.gamma, c.confidence)
+            oracle = c.scheme.anchored_prob(c.n, box, t) if getattr(c, "oracle", False) else None
             rows.append({**asdict(rep), "oracle": oracle})
     elif test == "pairwise":
-        anchors = product(_get(cfg, "q_anchors", [[float]], where),
-                          _get(cfg, "r_anchors", [[float]], where))
-        for k, (qa, ra) in enumerate(anchors):
-            pair = check_pairwise_nd(scheme, n, d, CornerBox1(qa), CornerBox1(ra), reps,
-                                     rng.split(k), confidence)
+        for k, (qa, ra) in enumerate(product(c.q_anchors, c.r_anchors)):
+            pair = check_pairwise_nd(c.scheme, c.n, c.d, CornerBox1(qa), CornerBox1(ra), c.reps,
+                                     rng.split(k), c.confidence)
             rows += [asdict(rep) for rep in pair]
     elif test == "conditional":
-        i = _get(cfg, "i", int, where)
-        a_box, b_box = (
-            parse_box(cfg[key]) if cfg.get(key) is not None else None for key in ("a_box", "b_box")
-        )
-        levels = product(_grid(cfg, "alphas", float, where), _grid(cfg, "betas", float, where))
-        for k, (alpha, beta) in enumerate(levels):
-            rep = check_conditional_nqd(scheme, n, d, i, a_box, b_box, alpha, beta, reps,
-                                        rng.split(k), confidence)
+        for k, (alpha, beta) in enumerate(product(c.alphas, c.betas)):
+            rep = check_conditional_nqd(c.scheme, c.n, c.d, c.i, c.a_box, c.b_box, alpha, beta,
+                                        c.reps, rng.split(k), c.confidence)
             rows.append(asdict(rep))
     else:  # "ci"
-        i = _get(cfg, "i", int, where)
-        levels = product(_grid(cfg, "q_values", float, where),
-                         _grid(cfg, "r_values", float, where))
-        for k, (q, r) in enumerate(levels):
-            res = check_ci_nqd(scheme, n, d, i, q, r, reps, rng.split(k), confidence)
+        for k, (q, r) in enumerate(product(c.q_values, c.r_values)):
+            res = check_ci_nqd(c.scheme, c.n, c.d, c.i, q, r, c.reps, rng.split(k), c.confidence)
             rows.append(asdict(res.primary))
-            factor_rows += [{"scheme": res.primary.scheme, "n": n, "d": d, **asdict(c)}
-                            for c in res.factorization]
+            factor_rows += [{"scheme": res.primary.scheme, "n": c.n, "d": c.d, **asdict(f)}
+                            for f in res.factorization]
 
-    _write_csv(out, "negdep", _NEGDEP_COLUMNS, rows)
+    _write_csv(c.out, "negdep", _NEGDEP_COLUMNS, rows)
     if factor_rows:
-        if out is None:
+        if c.out is None:
             sys.stdout.write("\n")
-            _write_csv(None, "negdep-factorization", _FACTOR_COLUMNS, factor_rows)
-        else:
-            _write_csv(str(out) + ".factorization.csv", "negdep-factorization",
-                       _FACTOR_COLUMNS, factor_rows)
-    if expect_holds and any(row["verdict"] == "violated" for row in rows):
-        return 4
-    return 0
+        _write_csv(None if c.out is None else c.out + ".factorization.csv",
+                   "negdep-factorization", _FACTOR_COLUMNS, factor_rows)
+    return 4 if c.expect_holds and any(row["verdict"] == "violated" for row in rows) else 0
 
 
 _BOUND_FNS = {
@@ -454,84 +450,71 @@ _BOUNDS_COLUMNS = (
 )
 
 
-def cmd_bounds(args) -> int:
-    where = "bounds config"
-    cfg, out = _open(args, {"formula", "grid", "weights", "gamma"}, where)
-    formula = _get(cfg, "formula", str, where)
+def cmd_bounds(cfg: dict) -> int:
+    formula = _choice(cfg, "formula", {"hoeffding", *_BOUND_FNS}, "bound formula",
+                      "bounds config")
+    free = "t" if formula == "hoeffding" else _BOUND_FNS[formula][1]
+    axes = {"n": (_axis(int), _REQUIRED), free: (_axis(float), _REQUIRED)}
     if formula == "hoeffding":
-        extra, axes = {"gamma"}, {"n", "t"}
-    elif formula in _BOUND_FNS:
-        fn, free = _BOUND_FNS[formula]
-        weighted = formula.startswith("weighted")
-        extra, axes = {"weights"} if weighted else set(), {"n", "d", "rho", free}
+        extra = _GAMMA
     else:
-        raise ValidationError(f"unknown bound formula '{formula}'")
-    _check_keys(cfg, {"formula", "grid", "out"} | extra, f"bounds '{formula}' config")
-    grid = _get(cfg, "grid", dict, where)
-    _check_keys(grid, axes, f"bounds '{formula}' grid")
-    n_list = _grid(grid, "n", int, "bounds grid")
+        axes.update(d=(_axis(int), _REQUIRED), rho=(_axis(float), (0.0,)))
+        extra = {"weights": (_WEIGHTS, _REQUIRED)} if formula.startswith("weighted") else {}
+    grid = (lambda v, what: _read(_typed(v, dict, what), axes, f"bounds '{formula}' grid"),
+            _REQUIRED)
+    c = _read(cfg, {"formula": (_of(str), _REQUIRED), "grid": grid, **extra, **_OUT},
+              f"bounds '{formula}' config")
+    g = c.grid
     rows = []
     if formula == "hoeffding":
-        gamma = _get(cfg, "gamma", float, where, 1.0)
-        for n, t in product(n_list, _grid(grid, "t", float, "bounds grid")):
-            rows.append({"formula": "hoeffding", "n": n, "t": t, "gamma": gamma,
-                         "bound_value": hoeffding_tail(n, t, gamma)})
+        for n, t in product(g.n, g.t):
+            rows.append({"formula": "hoeffding", "n": n, "t": t, "gamma": c.gamma,
+                         "bound_value": hoeffding_tail(n, t, c.gamma)})
     else:
-        d_list = _grid(grid, "d", int, "bounds grid")
-        rho_list = _grid(grid, "rho", float, "bounds grid", (0.0,))
-        free_list = _grid(grid, free, float, "bounds grid")
-        weights = parse_weights(_need(cfg, "weights", where)) if weighted else None
-        for n, d, rho, x in product(n_list, d_list, rho_list, free_list):
-            res = fn(n, d, x, weights, rho=rho) if weighted else fn(n, d, x, rho=rho)
+        fn = _BOUND_FNS[formula][0]
+        weights = (c.weights,) if extra else ()
+        for n, d, rho, x in product(g.n, g.d, g.rho, getattr(g, free)):
+            res = fn(n, d, x, *weights, rho=rho)
             rows.append({"n": n, "d": d, "rho": rho, free: x, **asdict(res), **res.details})
-    _write_csv(out, "bounds", _BOUNDS_COLUMNS, rows)
+    _write_csv(c.out, "bounds", _BOUNDS_COLUMNS, rows)
     return 0
 
 
-def cmd_variance(args) -> int:
-    where = "variance config"
-    cfg, out = _open(args, {"scheme", "function", "n", "d", "reps", "seed"}, where)
-    scheme = parse_scheme(_need(cfg, "scheme", where))
-    f = parse_function(_need(cfg, "function", where))
-    n = _get(cfg, "n", int, where)
-    d = _get(cfg, "d", int, where)
-    reps = _get(cfg, "reps", int, where, 1000)
-    row = asdict(variance_study(scheme, f, n, d, reps, RngStream(_seed(cfg, where))))
-    _write_csv(out, "variance", tuple(row), [row])
+def cmd_variance(cfg: dict) -> int:
+    c = _read(cfg, {**_DRAW, "function": (lambda v, what: parse_function(v), _REQUIRED),
+                    "reps": (_of(int), 1000), **_OUT}, "variance config")
+    row = asdict(variance_study(c.scheme, c.function, c.n, c.d, c.reps, RngStream(c.seed)))
+    _write_csv(c.out, "variance", tuple(row), [row])
     return 0
 
 
-_NET_KEYS = {"b", "m", "s", "t"}
+_NET = {"b": (_of(int), _REQUIRED), "m": (_of(int), _REQUIRED), "s": (_of(int), _REQUIRED),
+        "t": (_of(int), 0), **_OUT}
+_SCRAMBLE = {"scramble": (_of(bool), False)}
 
 
-def cmd_net_check(args) -> int:
+def cmd_net_check(cfg: dict) -> int:
     where = "net-check config"
-    cfg, out = _open(args, _NET_KEYS | {"points", "scramble", "seed"}, where)
-    b = _get(cfg, "b", int, where)
-    m = _get(cfg, "m", int, where)
-    s = _get(cfg, "s", int, where)
-    t = _get(cfg, "t", int, where, 0)
     if "points" in cfg:
-        ps = _read_points(cfg, _NET_KEYS, where)
-        source = "file"
-    elif _get(cfg, "scramble", bool, where, False):
-        ps = sample(ScrambledNet(b, m, s), b**m, s, RngStream(_seed(cfg, where)))
-        source = "scrambled"
+        c = _read(cfg, {**_NET, **_POINTS}, f"{where} with 'points'")
+        source, ps = "file", c.points
+    elif _typed(cfg.get("scramble", False), bool, f"'scramble' in {where}"):
+        c = _read(cfg, {**_NET, **_SCRAMBLE, **_SEED}, where)
+        source, ps = "scrambled", sample(ScrambledNet(c.b, c.m, c.s), c.b**c.m, c.s,
+                                         RngStream(c.seed))
     else:
-        _check_keys(cfg, _NET_KEYS | {"scramble", "out"}, f"{where} without 'scramble'")
-        ps = net_points(b, m, s)
-        source = "raw"
-    row = {"source": source, "b": b, "m": m, "s": s, "t": t, "n": ps.n,
-           "is_net": is_net(ps, b, m, s, t)}
-    _write_csv(out, "net-check", tuple(row), [row])
+        c = _read(cfg, {**_NET, **_SCRAMBLE}, f"{where} without 'scramble'")
+        source, ps = "raw", net_points(c.b, c.m, c.s)
+    row = {"source": source, "b": c.b, "m": c.m, "s": c.s, "t": c.t, "n": ps.n,
+           "is_net": is_net(ps, c.b, c.m, c.s, c.t)}
+    _write_csv(c.out, "net-check", tuple(row), [row])
     return 0
 
 
-def cmd_report(args) -> int:
-    where = "report config"
-    cfg, out_dir = _open(args, {"criteria", "seed"}, where, out_key="out_dir")
-    criteria = _get(cfg, "criteria", [int], where, None)
-    results = run_all(seed=_seed(cfg, where, DEFAULT_SEED), out_dir=out_dir, criteria=criteria)
+def cmd_report(cfg: dict) -> int:
+    c = _read(cfg, {"criteria": (_of([int]), None), "seed": (_SEED_VALUE, DEFAULT_SEED),
+                    "out_dir": (_of(str), None)}, "report config")
+    results = run_all(seed=c.seed, out_dir=c.out_dir, criteria=c.criteria)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         line = f"criterion {r.cid:02d} {status} {r.name}: {r.details} ({r.elapsed_s:.2f} s)"
@@ -542,8 +525,20 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
+_DISPATCH = {
+    "sample": (cmd_sample, "draw one replication of a scheme and write the point set"),
+    "discrepancy": (cmd_discrepancy, "exact, cover-bracketed, or weighted star discrepancy"),
+    "negdep": (cmd_negdep, "empirical or exact dependence tests with verdicts"),
+    "bounds": (cmd_bounds, "closed-form discrepancy bound tables"),
+    "variance": (cmd_variance, "estimator variance against Monte Carlo"),
+    "net-check": (cmd_net_check, "verify the digital net property"),
+    "report": (cmd_report, "run the acceptance suite and write a summary"),
+}
 
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; a flag's dest is the config key it sets, None if not given."""
     parser = argparse.ArgumentParser(
         prog="negdep-qmc",
         description="Negatively dependent sampling schemes, star discrepancy, "
@@ -551,43 +546,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "sample": "draw one replication of a scheme and write the point set",
-        "discrepancy": "exact, cover-bracketed, or weighted star discrepancy",
-        "negdep": "empirical or exact dependence tests with verdicts",
-        "bounds": "closed-form discrepancy bound tables",
-        "variance": "estimator variance against Monte Carlo",
-        "net-check": "verify the digital net property",
-        "report": "run the acceptance suite and write a summary",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in _DISPATCH.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", nargs="?", default=None, help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.add_argument("--seed", type=int, help="set the config key seed")
+        p.add_argument("--out", dest="out_dir" if name == "report" else "out",
+                       help="output file (default: stdout)")
         if name == "negdep":
-            p.add_argument("--expect-holds", action="store_true",
-                           help="exit 4 if any verdict is 'violated'")
-            p.add_argument("--oracle", action="store_true",
-                           help="add exact oracle values where closed forms exist")
+            p.add_argument("--expect-holds", action="store_const", const=True,
+                           help="set expect_holds: exit 4 if any verdict is 'violated'")
+            p.add_argument("--oracle", action="store_const", const=True,
+                           help="set oracle: add exact oracle values where closed forms exist")
     return parser
 
 
-_DISPATCH = {
-    "sample": cmd_sample,
-    "discrepancy": cmd_discrepancy,
-    "negdep": cmd_negdep,
-    "bounds": cmd_bounds,
-    "variance": cmd_variance,
-    "net-check": cmd_net_check,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command, path = args.pop("command"), args.pop("config")
     try:
-        return _DISPATCH[args.command](args)
+        cfg = _load_config(path)
+        cfg.update((key, value) for key, value in args.items() if value is not None)
+        return _DISPATCH[command][0](cfg)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -16,7 +16,7 @@ from negdep_qmc import (
     save_pointset,
     star_discrepancy_exact,
 )
-from negdep_qmc.cli import main, parse_scheme
+from negdep_qmc.cli import _build_parser, main, parse_scheme
 
 
 def write_json(path, payload):
@@ -141,6 +141,30 @@ def test_negdep_expect_holds_exit_code_on_violation(tmp_path, capsys):
     assert "violated" in text
     code, _, _ = run(["negdep", cfg], capsys)
     assert code == 0  # without the flag a violation still reports cleanly
+
+
+def test_flags_override_config_keys(tmp_path, capsys):
+    # --expect-holds and --oracle set their keys, as --seed and --out do
+    cfg = write_json(tmp_path / "n.json", {
+        "scheme": {"kind": "swap"}, "n": 2, "d": 2, "test": "pairwise",
+        "q_anchors": [[0.5, 0.5]], "r_anchors": [[0.5, 0.5]], "expect_holds": False,
+    })
+    code, text, _ = run(["negdep", cfg, "--expect-holds"], capsys)
+    assert code == 4 and "violated" in text
+    assert run(["negdep", cfg], capsys)[0] == 0
+    upper = {"scheme": {"kind": "lhs"}, "n": 6, "d": 2, "test": "upper",
+             "anchors": [[0.5, 0.5]], "t_values": [2], "reps": 10}
+    cfg = write_json(tmp_path / "u.json", {**upper, "oracle": False})
+    _, without, _ = run(["negdep", cfg], capsys)
+    code, with_flag, _ = run(["negdep", cfg, "--oracle"], capsys)
+    assert code == 0
+    assert without.splitlines()[1].endswith(",")
+    assert float(with_flag.splitlines()[1].rsplit(",", 1)[1]) > 0
+    # a flag whose key the chosen test does not read is an unknown key
+    cfg = write_json(tmp_path / "l.json", {**upper, "test": "lower"})
+    code, text, err = run(["negdep", cfg, "--oracle"], capsys)
+    assert code == 2 and text == ""
+    assert err.startswith("error: unknown key(s) in negdep 'lower' config: oracle ")
 
 
 def test_negdep_conditional_table(tmp_path, capsys):
@@ -428,6 +452,18 @@ MALFORMED = [
     pytest.param("discrepancy", {**_DISC, "weights": {"kind": "explicit", "table": {"1": "x"}}},
                  [], id="weights-table-string-value"),
     pytest.param("discrepancy", {"points": "no-such-dir/points.txt"}, [], id="points-missing"),
+    # values that used to be read only after the exact search had run, or exhausted its budget
+    pytest.param("discrepancy", {"points": "p.txt", "exact": True, "budget": 1, "delta": "0.1"},
+                 [], id="delta-string-after-exact"),
+    pytest.param("discrepancy", {"points": "p.txt", "exact": True, "budget": 1, "weights": {
+        "kind": "explicit", "table": [1, 2]}}, [], id="weights-table-list-after-exact"),
+    pytest.param("discrepancy", {"points": "p.txt", "exact": True, "budget": 1, "delta": 0}, [],
+                 id="delta-zero-after-exact"),
+    pytest.param("discrepancy", {"points": "p.txt", "exact": True, "budget": 1, "weights": {
+        "kind": "explicit", "table": {**_TABLE_D2, "7": 1.0}}}, [],
+        id="weights-coordinate-above-d-after-exact"),
+    # a request for nothing, which used to write a header-only CSV
+    pytest.param("discrepancy", {"points": "p.txt", "exact": False}, [], id="discrepancy-nothing"),
     pytest.param("sample", _SAMPLE, ["--seed", "-1"], id="seed-flag-negative"),
     # values that used to be coerced silently
     pytest.param("sample", {**_SAMPLE, "n": 2.7}, [], id="n-fraction"),
@@ -571,6 +607,19 @@ def test_points_file_skips_blank_lines_and_takes_any_whitespace(tmp_path, capsys
     assert code == 0
     (tmp_path / "p.txt").write_bytes(b"2\t2\r\n\n0.5   0.25 \r\n \t\n\t0.25\t.75\n\n")
     assert run([command, config], capsys) == (0, expected, "")
+
+
+def test_empty_discrepancy_request_names_its_keys(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_pointset(net_points(2, 3, 2), tmp_path / "p.txt")
+    code, text, err = run(["discrepancy", write_json(tmp_path / "c.json", {
+        "points": "p.txt", "exact": False})], capsys)
+    assert code == 2 and text == ""
+    assert all(f"'{key}'" in err for key in ("exact", "delta", "weights"))
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_overflowing_config_number_exits_2(tmp_path, capsys):
