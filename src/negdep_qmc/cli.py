@@ -550,8 +550,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", nargs="?", default=None, help="JSON configuration file")
         p.add_argument("--seed", type=int, help="set the config key seed")
-        p.add_argument("--out", dest="out_dir" if name == "report" else "out",
-                       help="output file (default: stdout)")
+        if name == "report":
+            p.add_argument("--out", dest="out_dir", help="set out_dir: also write "
+                           "acceptance.csv and acceptance.json into this directory")
+        else:
+            p.add_argument("--out", help="output file (default: stdout)")
         if name == "negdep":
             p.add_argument("--expect-holds", action="store_const", const=True,
                            help="set expect_holds: exit 4 if any verdict is 'violated'")

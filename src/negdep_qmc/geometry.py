@@ -50,6 +50,15 @@ def _fmt(v) -> str:
     return "(" + ",".join(f"{x:g}" for x in np.atleast_1d(v)) + ")"
 
 
+def _all_axes(test, pts, bound):
+    """`np.all(test(pts, bound), axis=-1)`, anded one axis at a time: the same
+    booleans without a reduction over a last axis of length d."""
+    out = test(pts[..., 0], bound[0])
+    for a in range(1, bound.size):
+        out &= test(pts[..., a], bound[a])
+    return out
+
+
 class _Region:
     """What every region type owns: its Lebesgue `volume()`, vectorized
     membership `contains(pts)` over the last axis of `pts`, a short `label()`
@@ -77,7 +86,7 @@ class CornerBox0(_Region):
         return float(np.prod(self.upper))
 
     def contains(self, pts):
-        return np.all(pts < self.upper, axis=-1)
+        return _all_axes(np.less, pts, self.upper)
 
     def label(self) -> str:
         return f"[0,{_fmt(self.upper)})"
@@ -103,7 +112,7 @@ class CornerBox1(_Region):
         return float(np.prod(1.0 - self.lower))
 
     def contains(self, pts):
-        return np.all(pts >= self.lower, axis=-1)
+        return _all_axes(np.greater_equal, pts, self.lower)
 
     def label(self) -> str:
         return f"[{_fmt(self.lower)},1)"
@@ -137,7 +146,7 @@ class Interval(_Region):
         return float(np.prod(self.b - self.a))
 
     def contains(self, pts):
-        return np.all(pts >= self.a, axis=-1) & np.all(pts < self.b, axis=-1)
+        return _all_axes(np.greater_equal, pts, self.a) & _all_axes(np.less, pts, self.b)
 
     def label(self) -> str:
         return f"[{_fmt(self.a)},{_fmt(self.b)})"

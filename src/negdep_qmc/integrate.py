@@ -276,13 +276,12 @@ def elementary_symmetric(x, t: int) -> float:
 
 def _esp_batch(x: np.ndarray, t: int) -> np.ndarray:
     """e_t per row of an (M, n) array."""
-    m, n = x.shape
-    e = np.zeros((m, t + 1))
-    e[:, 0] = 1.0
-    for i in range(n):
+    e = np.zeros((t + 1, x.shape[0]))
+    e[0] = 1.0
+    for i, xi in enumerate(np.ascontiguousarray(x.T)):
         for j in range(min(t, i + 1), 0, -1):
-            e[:, j] += x[:, i] * e[:, j - 1]
-    return e[:, t]
+            e[j] += xi * e[j - 1]
+    return e[t]
 
 
 @dataclass(frozen=True)

@@ -206,13 +206,13 @@ def _tally(spec, n, d, events, reps, rng: RngStream, confidence) -> _Tally:
         return _Tally([_exact_prob(spec, *event) for event in events], 0, confidence)
 
     def counts(batch):
-        return [
-            int(np.sum(np.all(
-                [contains_points(box, batch[:, j, :]) != outside for j, box in enumerate(boxes)],
-                axis=0,
-            )))
-            for boxes, outside in events
-        ]
+        out = []
+        for boxes, outside in events:
+            hit = contains_points(boxes[0], batch[:, 0, :]) != outside
+            for j, box in enumerate(boxes[1:], 1):
+                hit &= contains_points(box, batch[:, j, :]) != outside
+            out.append(int(np.count_nonzero(hit)))
+        return out
 
     rows = max(len(boxes) for boxes, _ in events)
     parts = map_chunks(spec, n, d, reps, rng, counts, rows)

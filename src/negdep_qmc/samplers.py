@@ -244,8 +244,9 @@ class LatticeCells:
                 return v1, v2
             v2 = v2 - mu * v1
 
-    def _origins(self, k: np.ndarray) -> np.ndarray:
-        """Lattice point k g / n, the corner that spans cell k: shape k.shape + (2,)."""
+    def _origins(self) -> np.ndarray:
+        """(n, 2) array whose row k is the lattice point k g / n, the corner that spans cell k."""
+        k = np.arange(self.n)
         return np.stack([(k * self.g[0]) % self.n, (k * self.g[1]) % self.n], axis=-1) / self.n
 
     def index(self, pts) -> np.ndarray:
@@ -261,7 +262,7 @@ class LatticeCells:
 
     def corner_overlap(self, upper: np.ndarray, d: int) -> np.ndarray:
         b1, b2 = (v / self.n for v in self.basis())
-        y = self._origins(np.arange(self.n))
+        y = self._origins()
         out = np.zeros(self.n)
         # cell k is a parallelepiped in R^2; its pieces mod 1 lie in the unit squares it meets
         for k, corners in enumerate(np.stack([y, y + b1, y + b1 + b2, y + b2], axis=1)):
@@ -276,7 +277,7 @@ class LatticeCells:
         b1, b2 = (v / self.n for v in self.basis())
         u = g.random(chosen.shape + (1,))
         w = g.random(chosen.shape + (1,))
-        pts = np.mod(self._origins(chosen) + u * b1 + w * b2, 1.0)
+        pts = np.mod(self._origins()[chosen] + u * b1 + w * b2, 1.0)
         pts[pts >= 1.0] = 0.0  # fp guard: mod of a tiny negative can round to 1.0
         return pts
 
@@ -526,7 +527,7 @@ class ScrambledNet(SchemeSpec):
                 prefix = prefix * b + base[:, l, r]
             out[:, :, l] = digits @ weights + g.random((reps, n)) * b ** (-m)
         rp = _row_perms(g, reps, n)
-        return np.take_along_axis(out, rp[:, :, None], axis=1)
+        return out.reshape(reps * n, s)[rp + n * np.arange(reps)[:, None]]
 
 
 @dataclass(frozen=True)

@@ -723,3 +723,20 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "negdep-qmc" in capsys.readouterr().out
+
+
+def help_text(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_report_help_says_out_is_a_directory(capsys):
+    # report's --out sets out_dir; the criterion lines go to stdout either way
+    text = help_text(["report"], capsys)
+    assert "--out OUT_DIR" in text
+    assert "write acceptance.csv and acceptance.json into this directory" in text
+    assert "output file" not in text
+    for name in ("sample", "discrepancy", "negdep", "bounds", "variance", "net-check"):
+        assert "--out OUT output file (default: stdout)" in help_text([name], capsys)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negdep_qmc import (
     BoxDiff,
@@ -23,6 +25,7 @@ from negdep_qmc import (
     volume,
     MonteCarlo,
 )
+from negdep_qmc.geometry import ProductRegion
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +67,83 @@ def test_membership_frequency_matches_volume():
         v = volume(region)
         sigma = math.sqrt(v * (1 - v) / 20_000)
         assert abs(frac - v) < 5 * sigma, describe_box(region)
+
+
+def reference_contains(region, pts):
+    """Membership as np.all over the last axis, the definition each region's
+    axis-by-axis `contains` must reproduce."""
+    if isinstance(region, CornerBox0):
+        return np.all(pts < region.upper, axis=-1)
+    if isinstance(region, CornerBox1):
+        return np.all(pts >= region.lower, axis=-1)
+    if isinstance(region, Interval):
+        return np.all(pts >= region.a, axis=-1) & np.all(pts < region.b, axis=-1)
+    if isinstance(region, BoxDiff):
+        return reference_contains(region.outer, pts) & ~reference_contains(region.inner, pts)
+    dl = region.left.d
+    return (reference_contains(region.left, pts[..., :dl])
+            & reference_contains(region.right, pts[..., dl:]))
+
+
+_EDGES = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def boxes(draw, d, product=True):
+    """A region of dimension d whose edges often sit on `_EDGES`."""
+    edge = st.one_of(st.sampled_from(_EDGES), st.floats(0.0, 1.0))
+    corners = [np.array(draw(st.lists(edge, min_size=d, max_size=d))) for _ in range(2)]
+    lo, hi = np.minimum(*corners), np.maximum(*corners)
+    kinds = ["corner0", "corner1", "interval", "boxdiff"]
+    if product and d > 1:
+        kinds.append("product")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "corner0":
+        return CornerBox0(hi)
+    if kind == "corner1":
+        return CornerBox1(lo)
+    if kind == "interval":
+        return Interval(lo, hi)
+    if kind == "boxdiff":
+        return BoxDiff(CornerBox0(hi), CornerBox0(lo))
+    dl = draw(st.integers(1, d - 1))
+    return ProductRegion(draw(boxes(dl, product=False)), draw(boxes(d - dl, product=False)))
+
+
+def _edges_of(region):
+    if isinstance(region, BoxDiff):
+        return _edges_of(region.outer) + _edges_of(region.inner)
+    if isinstance(region, ProductRegion):
+        return _edges_of(region.left) + _edges_of(region.right)
+    return [edge for side in region.axes() for edge in side]
+
+
+@st.composite
+def regions_and_points(draw):
+    d = draw(st.integers(1, 4))
+    region = draw(boxes(d))
+    coord = st.one_of(
+        st.sampled_from(_edges_of(region)),  # exactly on this region's edges
+        st.sampled_from(_EDGES + [-0.0, np.nextafter(1.0, 0.0)]),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([-0.5, -1e-300, np.nextafter(1.0, 2.0), 1.5, -np.inf, np.inf, np.nan]),
+    )
+    shape = draw(st.sampled_from([(), (draw(st.integers(0, 6)),),
+                                  (draw(st.integers(1, 3)), draw(st.integers(0, 5)))]))
+    size = int(np.prod(shape, dtype=int)) * d
+    pts = np.array(draw(st.lists(coord, min_size=size, max_size=size)), dtype=float)
+    return region, pts.reshape(shape + (d,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(regions_and_points())
+def test_contains_points_matches_the_all_axes_reference(case):
+    region, pts = case
+    got = contains_points(region, pts)
+    expected = reference_contains(region, pts)
+    assert np.shape(got) == pts.shape[:-1]
+    assert np.asarray(got).dtype == bool
+    assert np.array_equal(got, expected)
 
 
 def test_box_validation_errors():

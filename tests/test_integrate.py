@@ -25,6 +25,7 @@ from negdep_qmc import (
     simplex_max_check,
     variance_study,
 )
+from negdep_qmc.integrate import _esp_batch
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +152,30 @@ def test_elementary_symmetric_matches_brute_force():
     for t in range(7):
         brute = sum(math.prod(c) for c in combinations(x, t)) if t else 1.0
         assert elementary_symmetric(x, t) == pytest.approx(brute, rel=1e-12)
+
+
+def _esp_rows(x, t):
+    """_esp_batch with the recurrence on the columns of an (M, t+1) array: the
+    reference for the contiguous (t+1, M) version."""
+    m, n = x.shape
+    e = np.zeros((m, t + 1))
+    e[:, 0] = 1.0
+    for i in range(n):
+        for j in range(min(t, i + 1), 0, -1):
+            e[:, j] += x[:, i] * e[:, j - 1]
+    return e[:, t]
+
+
+@pytest.mark.parametrize("m", [1, 7, 2000])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_esp_batch_matches_the_row_major_recurrence(m, n):
+    g = RngStream(m * 10 + n).gen
+    e = g.exponential(1.0, size=(m, n))
+    simplex = 0.7 * e / e.sum(axis=1, keepdims=True)  # as simplex_max_check draws them
+    wide = g.random((n, m)).T  # column-major input
+    for x in (simplex, wide, 1e3 * g.standard_normal((m, n))):
+        for t in range(1, n + 1):
+            assert np.array_equal(_esp_batch(x, t), _esp_rows(x, t))
 
 
 def test_simplex_max_attained_at_centroid():

@@ -265,6 +265,31 @@ def test_strata_place_index_and_overlap_agree(strata, seed, upper):
     assert np.all(overlaps >= -1e-15) and np.all(overlaps <= 1.0 / strata.count + 1e-12)
 
 
+def _cells_place_per_point(cells, chosen, g):
+    """LatticeCells.place with each point's cell origin computed from its own
+    index: the reference for the lookup in a table of the n origins."""
+    b1, b2 = (v / cells.n for v in cells.basis())
+    u = g.random(chosen.shape + (1,))
+    w = g.random(chosen.shape + (1,))
+    origins = np.stack([(chosen * cells.g[0]) % cells.n, (chosen * cells.g[1]) % cells.n],
+                       axis=-1) / cells.n
+    pts = np.mod(origins + u * b1 + w * b2, 1.0)
+    pts[pts >= 1.0] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("generator, n", [((1, 2), 5), ((2, 3), 7), ((3, 7), 13),
+                                          ((1, 25), 31), ((12, 5), 31), ((40, 77), 101)])
+@pytest.mark.parametrize("seed", [0, 1, 29, 2**32 - 1])
+def test_lattice_cells_place_matches_the_per_point_origins(generator, n, seed):
+    cells = LatticeCells(generator, n)
+    pick = np.random.default_rng(seed + 1)
+    for shape in [(1, 1), (3, n), (200, min(n, 12))]:
+        chosen = np.argsort(pick.random((shape[0], n)), axis=1)[:, :shape[1]]
+        expected = _cells_place_per_point(cells, chosen, np.random.default_rng(seed))
+        assert np.array_equal(cells.place(chosen, 2, np.random.default_rng(seed)), expected)
+
+
 def test_rsj_lattice_requires_prime_point_count():
     with pytest.raises(ValidationError):
         sample_batch(RsjLattice(), 6, 2, 1, RngStream(0))
