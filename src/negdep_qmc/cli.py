@@ -335,7 +335,7 @@ _DISCREPANCY = {
     "exact": (_of(bool), None),  # default: true when neither delta nor weights is given
     "delta": (_bounded(float, lambda delta: 0.0 < delta <= 1.0, "in (0, 1]"), None),
     "weights": (_WEIGHTS, None),
-    "budget": (_of(int), DEFAULT_BUDGET),
+    "budget": (_bounded(int, lambda budget: budget >= 1, ">= 1"), DEFAULT_BUDGET),
     **_OUT,
 }
 
@@ -376,7 +376,7 @@ _NEGDEP = {  # the keys of every negdep test
     **_DRAW,
     "test": (_of(str), _REQUIRED),
     "reps": (_of(int), 10_000),
-    "confidence": (_of(float), 0.99),
+    "confidence": (_bounded(float, lambda c: 0.0 < c < 1.0, "in (0, 1)"), 0.99),
     "expect_holds": (_of(bool), False),
     **_OUT,
 }

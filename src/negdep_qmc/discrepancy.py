@@ -1,4 +1,4 @@
-"""Local, star, covered, and weighted star discrepancy.
+"""Star, covered, and weighted star discrepancy.
 
 Exact, cover and weighted star discrepancy read one padded cumulative
 histogram over a product grid, the count of points strictly below each node.
@@ -43,13 +43,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .geometry import contains_points, delta_cover_axis, volume
+from .geometry import delta_cover_axis
 from .samplers import PointSet
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "ExplicitWeights",
     "Weights",
     "DiscrepancyResult",
-    "local_discrepancy",
     "star_discrepancy_exact",
     "star_discrepancy_cover",
     "weighted_star_discrepancy",
@@ -141,12 +140,6 @@ class DiscrepancyResult:
     witness_side: str
     # histogram cells computed: the coarse and fine passes, or the whole grid
     cells: int
-
-
-def local_discrepancy(ps: PointSet, box) -> float:
-    """|fraction of points in the region - its volume| for any box-like region."""
-    inside = contains_points(box, ps.data)
-    return abs(float(inside.mean()) - volume(box))
 
 
 def _axis_candidates(pts: np.ndarray) -> list[np.ndarray]:
@@ -419,17 +412,22 @@ def weighted_star_discrepancy(
     """max over nonempty coordinate subsets u of gamma_u * D*(projection onto u).
 
     `budget` covers the whole call: the histogram cells of every
-    nonzero-weight projection are summed and checked before any is evaluated.
+    nonzero-weight projection are summed before any is evaluated, and the
+    call is refused at the first projection that takes the sum past it.
     """
     d = ps.d
     if d < 1:
         raise ValidationError("point set must have dimension >= 1")
     weights.check(d)
-    subsets = [u for size in range(1, d + 1) for u in combinations(range(d), size)]
-    terms = [(g, list(u)) for u in subsets if (g := weights.of(u)) != 0.0]
     sizes = [c.size for c in _axis_candidates(ps.data)]
-    cells = sum(math.prod(sizes[a] + 1 for a in u) for _, u in terms)
-    if cells > budget:
-        raise BudgetExceededError(f"projections need {cells} histogram cells; budget is {budget}")
+    terms, cells = [], 0
+    for u in chain.from_iterable(combinations(range(d), size) for size in range(1, d + 1)):
+        if (g := weights.of(u)) == 0.0:
+            continue
+        cells += math.prod(sizes[a] + 1 for a in u)
+        if cells > budget:
+            raise BudgetExceededError(
+                f"projections need at least {cells} histogram cells; budget is {budget}")
+        terms.append((g, list(u)))
     values = (g * star_discrepancy_exact(PointSet(ps.data[:, u]), budget).value for g, u in terms)
     return max(values, default=0.0)

@@ -1,7 +1,7 @@
 """Axis-parallel regions of the half-open unit cube [0,1)^d.
 
-Region types (anchored corner boxes, intervals, box differences, products of
-two regions), each owning its volume, membership, label and per-axis ranges;
+Region types (anchored corner boxes, intervals, products of two regions), all
+rectangles, each owning its volume, membership, label and per-axis ranges;
 the delta-cover grid, and an exact (t,m,s)-net checker.
 
 Membership is half-open throughout: lower edges closed, upper edges open.
@@ -21,11 +21,8 @@ __all__ = [
     "CornerBox0",
     "CornerBox1",
     "Interval",
-    "BoxDiff",
     "ProductRegion",
-    "volume",
     "contains_points",
-    "describe_box",
     "build_delta_cover",
     "delta_cover_axis",
     "is_net",
@@ -62,11 +59,7 @@ def _all_axes(test, pts, bound):
 class _Region:
     """What every region type owns: its Lebesgue `volume()`, vectorized
     membership `contains(pts)` over the last axis of `pts`, a short `label()`
-    for reports, and `axes()`, its per-axis (lo, hi) ranges when it is a
-    plain rectangle (else None)."""
-
-    def axes(self):
-        return None
+    for reports, and `axes()`, its per-axis (lo, hi) ranges."""
 
 
 @dataclass(frozen=True)
@@ -156,36 +149,8 @@ class Interval(_Region):
 
 
 @dataclass(frozen=True)
-class BoxDiff(_Region):
-    """Set difference outer \\ inner of two nested origin-anchored boxes."""
-
-    outer: CornerBox0
-    inner: CornerBox0
-
-    def __post_init__(self):
-        if self.outer.d != self.inner.d:
-            raise ValidationError("box difference requires equal dimensions")
-        if not np.all(self.inner.upper <= self.outer.upper):
-            raise ValidationError("box difference requires inner <= outer componentwise")
-
-    @property
-    def d(self) -> int:
-        return self.outer.d
-
-    def volume(self) -> float:
-        return self.outer.volume() - self.inner.volume()
-
-    def contains(self, pts):
-        return self.outer.contains(pts) & ~self.inner.contains(pts)
-
-    def label(self) -> str:
-        return f"{self.outer.label()}\\{self.inner.label()}"
-
-
-@dataclass(frozen=True)
 class ProductRegion(_Region):
-    """Cartesian product of two box-like factors on complementary coordinate
-    blocks; a rectangle when both factors are."""
+    """Cartesian product of two rectangles on complementary coordinate blocks."""
 
     left: object
     right: object
@@ -205,34 +170,19 @@ class ProductRegion(_Region):
         return f"{self.left.label()}x{self.right.label()}"
 
     def axes(self):
-        left, right = self.left.axes(), self.right.axes()
-        return None if left is None or right is None else left + right
-
-
-def _region(box) -> _Region:
-    if not isinstance(box, _Region):
-        raise ValidationError(f"unsupported region type: {type(box).__name__}")
-    return box
-
-
-def volume(box) -> float:
-    """Lebesgue measure of a box-like region."""
-    return _region(box).volume()
+        return self.left.axes() + self.right.axes()
 
 
 def contains_points(box, pts) -> np.ndarray:
     """Vectorized membership: pts has shape (..., d), result has shape (...)."""
     pts = np.asarray(pts, dtype=float)
-    if pts.shape[-1] != _region(box).d:
+    if not isinstance(box, _Region):
+        raise ValidationError(f"unsupported region type: {type(box).__name__}")
+    if pts.shape[-1] != box.d:
         raise ValidationError(
             f"point dimension {pts.shape[-1]} does not match region dimension {box.d}"
         )
     return box.contains(pts)
-
-
-def describe_box(box) -> str:
-    """Short human-readable label used in reports."""
-    return box.label() if isinstance(box, _Region) else repr(box)
 
 
 # ---------------------------------------------------------------------------

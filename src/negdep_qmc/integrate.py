@@ -1,34 +1,28 @@
-"""Test integrands, quasivolume scans, variance-reduction studies, and the
-elementary-symmetric maximization check.
+"""Test integrands, variance-reduction studies, and the elementary-symmetric
+maximization check.
 
-The quasivolume of f over a half-open interval A = [a, b) is the alternating
-sum of f over the 2^d corners, signed so that in one dimension it equals
-f(b) - f(a); f is quasimonotone when every such quasivolume is nonnegative.
+Each integrand owns `evaluate(pts)` over the last axis of `pts`, its exact
+`integral(d)` and the `label` written to the CSV `function` column. An
+integrand is quasimonotone when its alternating sum over the 2^d corners of
+every interval [a, b), signed to equal f(b) - f(a) in one dimension, is
+nonnegative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Interval
-from .samplers import MonteCarlo, RngStream, SchemeSpec, describe_scheme, map_chunks
+from .samplers import MonteCarlo, RngStream, SchemeSpec, map_chunks
 
 __all__ = [
     "ProductCoords",
     "SumCoords",
     "CornerIndicator",
     "NegProduct",
-    "UserFunction",
-    "describe_function",
-    "quasivolume",
-    "is_quasimonotone_scan",
-    "QuasimonotoneScan",
     "variance_study",
     "VarianceStudy",
     "simplex_max_check",
@@ -36,7 +30,6 @@ __all__ = [
     "elementary_symmetric",
 ]
 
-_QUASIVOLUME_TOL = 1e-12  # quasivolumes down to -1e-12 count as rounding
 _CENTROID_RTOL = 1e-12  # relative slack of the simplex samples over the centroid value
 
 
@@ -55,8 +48,8 @@ class ProductCoords:
 
 @dataclass(frozen=True)
 class SumCoords:
-    """f(x) = sum_i x_i; integral d/2; quasimonotone (quasivolumes vanish
-    for d >= 2)."""
+    """f(x) = sum_i x_i; integral d/2; quasimonotone (the corner sums
+    vanish for d >= 2)."""
 
     label = "sum_coords"
 
@@ -106,90 +99,6 @@ class NegProduct:
         return -(0.5**d)
 
 
-@dataclass(frozen=True)
-class UserFunction:
-    """User-supplied integrand; fn must accept an (..., d) array vectorized.
-
-    Declared shape flags are validated by a quasivolume scan before any
-    variance study relies on them.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    quasimonotone: Optional[bool] = None
-    label: str = "user"
-
-    def evaluate(self, pts):
-        return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
-
-    def integral(self, d):
-        return None
-
-
-def describe_function(f) -> str:
-    """The integrand's label, as written to the CSV `function` column."""
-    return getattr(f, "label", type(f).__name__)
-
-
-# ---------------------------------------------------------------------------
-# Quasivolumes
-
-
-def quasivolume(f, interval: Interval) -> float:
-    """Alternating corner sum of f over [a, b); equals f(b)-f(a) in 1-d.
-
-    Corners with coordinates at b_i = 1 are evaluated, so f must accept the
-    closed cube.
-    """
-    d = interval.d
-    if d > 20:
-        raise ValidationError("quasivolume corner sum limited to d <= 20")
-    masks = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # 1 -> use a_j
-    corners = np.where(masks == 1, interval.a, interval.b)
-    signs = np.where(masks.sum(axis=1) % 2 == 0, 1.0, -1.0)
-    return float(signs @ f.evaluate(corners))
-
-
-@dataclass(frozen=True)
-class QuasimonotoneScan:
-    passes: bool
-    min_value: float
-    counterexample: Optional[Interval]
-    checked: int
-
-
-def is_quasimonotone_scan(f, d: int, trials: int, rng: RngStream) -> QuasimonotoneScan:
-    """Scan random and dyadic intervals for a negative quasivolume.
-
-    Returns the worst value seen and a violating interval if one was found
-    (quasivolume < -1e-12).
-    """
-    g = rng.gen
-    worst = math.inf
-    witness = None
-    checked = 0
-
-    def consider(interval):
-        nonlocal worst, witness, checked
-        val = quasivolume(f, interval)
-        checked += 1
-        if val < worst:
-            worst = val
-            if val < -_QUASIVOLUME_TOL:
-                witness = interval
-
-    lo = g.random((trials, d))
-    hi = g.random((trials, d))
-    a, b = np.minimum(lo, hi), np.maximum(lo, hi)
-    for i in range(trials):
-        consider(Interval(a[i], b[i]))
-    levels = np.linspace(0.0, 1.0, 5 if d <= 3 else 3)
-    pairs = [(x, y) for x in levels for y in levels if x < y]
-    for combo in product(pairs, repeat=d):
-        combo = combo[::-1]  # the first coordinate varies fastest
-        consider(Interval([p[0] for p in combo], [p[1] for p in combo]))
-    return QuasimonotoneScan(witness is None, worst, witness, checked)
-
-
 # ---------------------------------------------------------------------------
 # Variance study
 
@@ -226,19 +135,10 @@ def variance_study(
     """Compare the scheme's estimator variance against Monte Carlo.
 
     Runs `reps` independent replications of each; the ratio's standard error
-    comes from the delta method on two independent sample variances. A
-    `UserFunction` declared quasimonotone is validated by a quick scan first;
-    the built-in integrands' shapes are theorems and are not re-checked.
+    comes from the delta method on two independent sample variances.
     """
     if reps < 30:
         raise ValidationError("variance study needs at least 30 replications")
-    if getattr(f, "quasimonotone", None):
-        scan = is_quasimonotone_scan(f, d, trials=64, rng=rng.split(2))
-        if not scan.passes:
-            raise ValidationError(
-                "function declared quasimonotone but the scan found "
-                f"quasivolume {scan.min_value:g} < 0"
-            )
     est_a = _estimator_values(spec, f, n, d, reps, rng.split(0))
     est_m = _estimator_values(MonteCarlo(), f, n, d, reps, rng.split(1))
     var_a = float(np.var(est_a, ddof=1))
@@ -250,8 +150,8 @@ def variance_study(
         var_a**2 / var_m**4
     ) * _var_of_sample_variance(est_m)
     return VarianceStudy(
-        scheme=describe_scheme(spec),
-        function=describe_function(f),
+        scheme=spec.label(),
+        function=f.label,
         n=n,
         d=d,
         replications=reps,

@@ -2,9 +2,9 @@
 
 Each tester states its events once, as boxes for points 1, 2, ...: the
 points fall each in its box (or, for the lower-orthant test, all outside
-one box). One evaluator serves them all. When the scheme has a closed-form
-two-point law (the min-copula pair, the four-slot pair and the swap pair) and
-every box is a rectangle, the probabilities are exact and the interval has
+one box). Every box is a rectangle. One evaluator serves them all. When the
+scheme has a closed-form two-point law (the min-copula pair, the four-slot
+pair and the swap pair), the probabilities are exact and the interval has
 zero width. Otherwise the events are counted over many independent
 replications, drawn in chunks, and compared against product reference values
 with a Wilson confidence interval. The verdict is three-valued: "violated"
@@ -24,13 +24,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CornerBox0, CornerBox1, ProductRegion, contains_points, describe_box, volume
+from .geometry import CornerBox0, CornerBox1, ProductRegion, contains_points
 from .integrate import elementary_symmetric
 from .samplers import (
     RngStream,
     SchemeSpec,
     StrataSpec,
-    describe_scheme,
     is_prime,
     map_chunks,
     sample_batch,  # noqa: F401  (negdep.sample_batch stays importable)
@@ -159,7 +158,7 @@ def _verdict(lhs: float, ci: float, rhs: float) -> str:
 
 
 def _exact_prob(spec, boxes, outside: bool) -> float:
-    vol = volume(boxes[0])
+    vol = boxes[0].volume()
     if len(boxes) == 1:
         return (1.0 - vol) if outside else vol
     both = spec.pair_prob(*(box.axes() for box in boxes))
@@ -193,15 +192,16 @@ def _tally(spec, n, d, events, reps, rng: RngStream, confidence) -> _Tally:
     """Evaluate events, each a pair (boxes, outside): points 1..len(boxes)
     fall each in its box, or with `outside` all outside the one box.
 
-    A scheme with a pair law gets exact probabilities when every box is a
-    rectangle; otherwise the events are counted over `reps` chunked draws of
-    the rows they read. `reps` must be at least 1 on either path.
+    A scheme with a pair law gets exact probabilities; otherwise the events
+    are counted over `reps` chunked draws of the rows they read. On either
+    path `reps` must be at least 1 and `confidence` lie in (0, 1), checked
+    before anything is drawn.
     """
     if reps < 1:
         raise ValidationError("need at least one replication")
-    if getattr(spec, "pair_dim", None) is not None and all(
-        box.axes() is not None for boxes, _ in events for box in boxes
-    ):
+    if not (0.0 < confidence < 1.0):
+        raise ValidationError("confidence must lie in (0, 1)")
+    if getattr(spec, "pair_dim", None) is not None:
         spec.validate(n, d)
         return _Tally([_exact_prob(spec, *event) for event in events], 0, confidence)
 
@@ -222,7 +222,7 @@ def _tally(spec, n, d, events, reps, rng: RngStream, confidence) -> _Tally:
 def _report(notion, spec, n, d, event, lhs, rhs, ci, tally: _Tally, gamma=1.0):
     return DependenceReport(
         notion=notion,
-        scheme=describe_scheme(spec),
+        scheme=spec.label(),
         n=n,
         d=d,
         event=event,
@@ -248,12 +248,12 @@ def _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, complement)
         raise ValidationError("box dimension must equal d")
     if not (gamma > 0):
         raise ValidationError("gamma must be positive")
-    vol = volume(box)
+    vol = box.volume()
     notion = "lower_nd" if complement else "upper_nd"
     marginal = (1.0 - vol) if complement else vol
     rhs = gamma * marginal**t
     side = "outside" if complement else "in"
-    event = f"points 1..{t} all {side} {describe_box(box)}"
+    event = f"points 1..{t} all {side} {box.label()}"
     tally = _tally(spec, n, d, [((box,) * t, complement)], reps, rng, confidence)
     lhs, ci = tally.share(0), tally.halfwidth(0)
     return _report(notion, spec, n, d, event, lhs, rhs, ci, tally, gamma)
@@ -321,8 +321,8 @@ def check_pairwise_nd(
     tally = _tally(spec, n, d, [(pair, False) for pair in pairs], reps, rng, confidence)
     return tuple(
         _report(
-            "pairwise_nd", spec, n, d, f"p1 in {describe_box(q)}, p2 in {describe_box(r)}",
-            tally.share(k), volume(q) * volume(r), tally.halfwidth(k), tally,
+            "pairwise_nd", spec, n, d, f"p1 in {q.label()}, p2 in {r.label()}",
+            tally.share(k), q.volume() * r.volume(), tally.halfwidth(k), tally,
         )
         for k, (q, r) in enumerate(pairs)
     )
@@ -381,8 +381,8 @@ def check_conditional_nqd(
             if box is not None and box.d != i - 1:
                 raise ValidationError(f"{name} must live in dimension i-1 = {i - 1}")
     cond_desc = "unconditioned" if i == 1 else (
-        f"p1[1:{i - 1}] in {describe_box(a_box) if a_box is not None else 'full'}, "
-        f"p2[1:{i - 1}] in {describe_box(b_box) if b_box is not None else 'full'}"
+        f"p1[1:{i - 1}] in {a_box.label() if a_box is not None else 'full'}, "
+        f"p2[1:{i - 1}] in {b_box.label() if b_box is not None else 'full'}"
     )
     event = f"coord {i}: p1 >= {alpha:g} and p2 >= {beta:g} | {cond_desc}"
     c1, c2 = _coordinate_box(d, i, 0.0, a_box), _coordinate_box(d, i, 0.0, b_box)

@@ -54,7 +54,6 @@ __all__ = [
     "net_points",
     "save_pointset",
     "load_pointset",
-    "describe_scheme",
     "stratum_corner_overlap",
     "is_prime",
     "min_copula_cdf",
@@ -693,11 +692,6 @@ def _scheme(spec) -> SchemeSpec:
     if not isinstance(spec, SchemeSpec):
         raise ValidationError(f"unknown scheme: {type(spec).__name__}")
     return spec
-
-
-def describe_scheme(spec) -> str:
-    """The scheme's label, as written to the CSV `scheme` column."""
-    return _scheme(spec).label()
 
 
 def _validate(spec, n: int, d: int) -> None:

@@ -10,7 +10,6 @@ import pytest
 from negdep_qmc import (
     SCHEMES,
     ValidationError,
-    describe_scheme,
     load_pointset,
     net_points,
     save_pointset,
@@ -362,6 +361,13 @@ PINNED = [
         "quantity,n,d,value,lower,upper,delta,witness,witness_side\n"
         "weighted,8,2,0.125,,,,,\n",
         id="discrepancy-explicit-weights"),
+    pytest.param(
+        "variance", {"scheme": {"kind": "lhs"}, "function": {"kind": "product_coords"},
+                     "n": 16, "d": 2, "reps": 100, "seed": 3},
+        "scheme,function,n,d,replications,var_scheme,var_mc,ratio,ratio_stderr\n"
+        "lhs,product_coords,16,2,100,0.0005385084441908272,0.0028332662337263587,"
+        "0.19006630502300942,0.033571794618074226\n",
+        id="variance-lhs-product"),
 ]
 
 
@@ -538,6 +544,14 @@ MALFORMED = [
     pytest.param("negdep", {"scheme": {"kind": "swap"}, "n": 2, "d": 2, "test": "pairwise",
                             "q_anchors": [[0.5, 0.5]], "r_anchors": [[0.5, 0.5]], "reps": -3},
                  [], id="swap-reps-negative"),
+    # a confidence outside (0, 1): the exact path wrote it into the CSV, the
+    # empirical path refused it only after the first cell's draws
+    pytest.param("negdep", {"scheme": {"kind": "swap"}, "n": 2, "d": 2, "test": "pairwise",
+                            "q_anchors": [[0.5, 0.5]], "r_anchors": [[0.5, 0.5]],
+                            "confidence": 7.5}, [], id="swap-confidence-above-1"),
+    pytest.param("negdep", {**_PAIR, "confidence": 1.0}, [], id="lhs-confidence-1"),
+    # a budget below 1, which used to exit 3
+    pytest.param("discrepancy", {"points": "p.txt", "budget": 0}, [], id="budget-zero"),
 ]
 
 
@@ -685,7 +699,7 @@ def test_parse_scheme_round_trip(kind):
     cfg, label = SCHEME_EXAMPLES[kind]  # a new kind needs an example here
     spec = parse_scheme(cfg)
     assert type(spec) is SCHEMES[kind]
-    assert describe_scheme(spec) == label
+    assert spec.label() == label
     assert _to_config(spec) == cfg
     assert parse_scheme(_to_config(spec)) == spec
 

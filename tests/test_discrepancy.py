@@ -24,8 +24,8 @@ from negdep_qmc import (
     ScrambledNet,
     ValidationError,
     build_delta_cover,
+    contains_points,
     delta_cover_axis,
-    local_discrepancy,
     net_points,
     sample,
     star_discrepancy_cover,
@@ -92,22 +92,15 @@ def test_permutation_and_row_order_invariance():
     assert star_discrepancy_exact(swapped).value == pytest.approx(base, abs=1e-15)
 
 
-def test_local_discrepancy_definition():
-    ps = centered_grid(4)
-    box = CornerBox0((0.5,))
-    # two of four points in [0, 0.5): |2/4 - 0.5| = 0
-    assert local_discrepancy(ps, box) == pytest.approx(0.0, abs=1e-15)
-    box = CornerBox0((0.3,))
-    assert local_discrepancy(ps, box) == pytest.approx(abs(0.25 - 0.3), abs=1e-15)
-
-
 def test_exact_dominates_every_local_discrepancy():
     rng = RngStream(31)
     ps = sample(MonteCarlo(), 9, 2, rng)
     dstar = star_discrepancy_exact(ps).value
     probe = RngStream(32).gen.random((200, 2))
     for y in probe:
-        assert local_discrepancy(ps, CornerBox0(tuple(y))) <= dstar + 1e-12
+        box = CornerBox0(tuple(y))
+        local = abs(float(np.mean(contains_points(box, ps.data))) - box.volume())
+        assert local <= dstar + 1e-12
 
 
 def test_net_low_discrepancy_beats_random():
@@ -404,6 +397,15 @@ def test_limits_are_checked_before_anything_is_allocated():
     flat = PointSet(np.column_stack([np.full(1447, 0.5), rest]))
     message, peak = _refusal(lambda: star_discrepancy_exact(flat))
     assert "cells in memory" in message
+    assert peak <= 2 * 2**20
+
+
+def test_weighted_refusal_stops_at_the_first_projection_over_budget():
+    # product weights in d = 20 name 2^20 - 1 subsets; the first, 18 cells, is over 10
+    ps = sample(LatinHypercube(), 16, 20, RngStream(137))
+    w = ProductWeights(1.0 / np.arange(1, 21) ** 2)
+    message, peak = _refusal(lambda: weighted_star_discrepancy(ps, w, budget=10))
+    assert "histogram cells" in message
     assert peak <= 2 * 2**20
 
 

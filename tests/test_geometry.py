@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negdep_qmc import (
-    BoxDiff,
     CornerBox0,
     CornerBox1,
     Interval,
@@ -17,12 +16,10 @@ from negdep_qmc import (
     build_delta_cover,
     clip_convex_to_box,
     contains_points,
-    describe_box,
     is_net,
     net_points,
     polygon_area,
     sample,
-    volume,
     MonteCarlo,
 )
 from negdep_qmc.geometry import ProductRegion
@@ -33,11 +30,10 @@ from negdep_qmc.geometry import ProductRegion
 
 
 def test_volume_of_each_box_kind():
-    assert volume(CornerBox0((0.5, 0.4))) == pytest.approx(0.2)
-    assert volume(CornerBox1((0.5, 0.4))) == pytest.approx(0.3)
-    assert volume(Interval((0.1, 0.2), (0.6, 0.7))) == pytest.approx(0.25)
-    diff = BoxDiff(CornerBox0((0.8, 0.8)), CornerBox0((0.4, 0.4)))
-    assert volume(diff) == pytest.approx(0.64 - 0.16)
+    assert CornerBox0((0.5, 0.4)).volume() == pytest.approx(0.2)
+    assert CornerBox1((0.5, 0.4)).volume() == pytest.approx(0.3)
+    assert Interval((0.1, 0.2), (0.6, 0.7)).volume() == pytest.approx(0.25)
+    assert ProductRegion(CornerBox0((0.5,)), CornerBox1((0.4,))).volume() == pytest.approx(0.3)
 
 
 def test_membership_half_open_semantics():
@@ -60,13 +56,12 @@ def test_membership_frequency_matches_volume():
         CornerBox0((0.3, 0.7, 0.5)),
         CornerBox1((0.2, 0.5, 0.1)),
         Interval((0.1, 0.0, 0.4), (0.9, 0.6, 1.0)),
-        BoxDiff(CornerBox0((0.9, 0.9, 0.9)), CornerBox0((0.5, 0.5, 0.5))),
     ]
     for region in regions:
         frac = float(np.mean(contains_points(region, pts)))
-        v = volume(region)
+        v = region.volume()
         sigma = math.sqrt(v * (1 - v) / 20_000)
-        assert abs(frac - v) < 5 * sigma, describe_box(region)
+        assert abs(frac - v) < 5 * sigma, region.label()
 
 
 def reference_contains(region, pts):
@@ -78,8 +73,6 @@ def reference_contains(region, pts):
         return np.all(pts >= region.lower, axis=-1)
     if isinstance(region, Interval):
         return np.all(pts >= region.a, axis=-1) & np.all(pts < region.b, axis=-1)
-    if isinstance(region, BoxDiff):
-        return reference_contains(region.outer, pts) & ~reference_contains(region.inner, pts)
     dl = region.left.d
     return (reference_contains(region.left, pts[..., :dl])
             & reference_contains(region.right, pts[..., dl:]))
@@ -94,7 +87,7 @@ def boxes(draw, d, product=True):
     edge = st.one_of(st.sampled_from(_EDGES), st.floats(0.0, 1.0))
     corners = [np.array(draw(st.lists(edge, min_size=d, max_size=d))) for _ in range(2)]
     lo, hi = np.minimum(*corners), np.maximum(*corners)
-    kinds = ["corner0", "corner1", "interval", "boxdiff"]
+    kinds = ["corner0", "corner1", "interval"]
     if product and d > 1:
         kinds.append("product")
     kind = draw(st.sampled_from(kinds))
@@ -104,17 +97,11 @@ def boxes(draw, d, product=True):
         return CornerBox1(lo)
     if kind == "interval":
         return Interval(lo, hi)
-    if kind == "boxdiff":
-        return BoxDiff(CornerBox0(hi), CornerBox0(lo))
     dl = draw(st.integers(1, d - 1))
     return ProductRegion(draw(boxes(dl, product=False)), draw(boxes(d - dl, product=False)))
 
 
 def _edges_of(region):
-    if isinstance(region, BoxDiff):
-        return _edges_of(region.outer) + _edges_of(region.inner)
-    if isinstance(region, ProductRegion):
-        return _edges_of(region.left) + _edges_of(region.right)
     return [edge for side in region.axes() for edge in side]
 
 
@@ -152,14 +139,12 @@ def test_box_validation_errors():
     with pytest.raises(ValidationError):
         Interval((0.5,), (0.4,))
     with pytest.raises(ValidationError):
-        BoxDiff(CornerBox0((0.4,)), CornerBox0((0.6,)))
-    with pytest.raises(ValidationError):
         contains_points(CornerBox0((0.5, 0.5)), np.zeros((4, 3)))
 
 
 def test_describe_box_labels():
-    assert describe_box(CornerBox0((0.25, 0.5))) == "[0,(0.25,0.5))"
-    assert describe_box(CornerBox1((0.75,))) == "[(0.75),1)"
+    assert CornerBox0((0.25, 0.5)).label() == "[0,(0.25,0.5))"
+    assert CornerBox1((0.75,)).label() == "[(0.75),1)"
 
 
 # ---------------------------------------------------------------------------

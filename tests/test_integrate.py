@@ -1,5 +1,5 @@
-"""Test integrands, quasivolumes, variance studies, and the symmetric-function
-simplex maximum check."""
+"""Test integrands, variance studies, and the symmetric-function simplex
+maximum check."""
 
 import math
 
@@ -8,19 +8,14 @@ import pytest
 
 from negdep_qmc import (
     CornerIndicator,
-    Interval,
     LatinHypercube,
     MonteCarlo,
     NegProduct,
     ProductCoords,
     RngStream,
     SumCoords,
-    UserFunction,
     ValidationError,
-    describe_function,
     elementary_symmetric,
-    is_quasimonotone_scan,
-    quasivolume,
     sample_batch,
     simplex_max_check,
     variance_study,
@@ -37,15 +32,14 @@ def test_declared_integrals_match_quadrature():
     pts = rng.gen.random((200_000, 3))
     for f in (ProductCoords(), SumCoords(), CornerIndicator((0.3, 0.5, 0.2)), NegProduct()):
         mc = float(np.mean(f.evaluate(pts)))
-        assert mc == pytest.approx(f.integral(3), abs=0.01), describe_function(f)
+        assert mc == pytest.approx(f.integral(3), abs=0.01), f.label
 
 
 def test_describe_function_labels():
-    assert describe_function(ProductCoords()) == "product_coords"
-    assert describe_function(SumCoords()) == "sum_coords"
-    assert describe_function(CornerIndicator((0.3, 0.3))) == "corner_indicator(0.3,0.3)"
-    assert describe_function(NegProduct()) == "neg_product"
-    assert describe_function(UserFunction(lambda x: x[..., 0], label="slice")) == "slice"
+    assert ProductCoords().label == "product_coords"
+    assert SumCoords().label == "sum_coords"
+    assert CornerIndicator((0.3, 0.3)).label == "corner_indicator(0.3,0.3)"
+    assert NegProduct().label == "neg_product"
 
 
 def test_mean_of_lhs_estimates_is_unbiased():
@@ -57,50 +51,6 @@ def test_mean_of_lhs_estimates_is_unbiased():
     values = batch.prod(axis=2).mean(axis=1)
     se = values.std(ddof=1) / math.sqrt(reps)
     assert abs(values.mean() - f.integral(d)) < 5 * se
-
-
-# ---------------------------------------------------------------------------
-# Quasivolumes
-
-
-def test_quasivolume_is_signed_increment_in_1d():
-    f = ProductCoords()
-    iv = Interval((0.2,), (0.7,))
-    assert quasivolume(f, iv) == pytest.approx(0.5)
-
-
-def test_quasivolume_of_product_function_factorizes():
-    f = ProductCoords()
-    iv = Interval((0.1, 0.3), (0.5, 0.9))
-    assert quasivolume(f, iv) == pytest.approx((0.5 - 0.1) * (0.9 - 0.3))
-
-
-def test_quasivolume_additivity_under_interval_split():
-    f = UserFunction(lambda x: np.sin(3 * x[..., 0]) * x[..., 1] ** 2, label="wavy")
-    left = Interval((0.0, 0.0), (0.4, 1.0))
-    right = Interval((0.4, 0.0), (1.0, 1.0))
-    whole = Interval((0.0, 0.0), (1.0, 1.0))
-    assert quasivolume(f, left) + quasivolume(f, right) == pytest.approx(
-        quasivolume(f, whole), abs=1e-12
-    )
-
-
-def test_sum_coords_quasivolumes_vanish_beyond_1d():
-    f = SumCoords()
-    rng = RngStream(7)
-    for _ in range(20):
-        a = rng.gen.random(2) * 0.5
-        b = a + rng.gen.random(2) * 0.4
-        assert quasivolume(f, Interval(tuple(a), tuple(b))) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_quasimonotone_scan_accepts_product_rejects_negated():
-    ok = is_quasimonotone_scan(ProductCoords(), 2, 200, RngStream(9))
-    assert ok.passes and ok.min_value >= -1e-12
-    bad = is_quasimonotone_scan(NegProduct(), 2, 200, RngStream(10))
-    assert not bad.passes
-    assert bad.counterexample is not None
-    assert quasivolume(NegProduct(), bad.counterexample) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +73,6 @@ def test_variance_study_monte_carlo_against_itself_is_near_one():
 def test_variance_study_rejects_tiny_replication_counts():
     with pytest.raises(ValidationError):
         variance_study(LatinHypercube(), ProductCoords(), 8, 2, 10, RngStream(0))
-
-
-def test_variance_study_rejects_false_quasimonotone_claim():
-    lying = UserFunction(lambda x: -np.prod(x, axis=-1), quasimonotone=True, label="liar")
-    with pytest.raises(ValidationError):
-        variance_study(LatinHypercube(), lying, 8, 2, 100, RngStream(19))
 
 
 # ---------------------------------------------------------------------------

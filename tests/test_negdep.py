@@ -8,6 +8,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+import negdep_qmc.negdep as negdep_module
 from negdep_qmc import (
     CornerBox0,
     CornerBox1,
@@ -26,7 +27,6 @@ from negdep_qmc import (
     SwapScheme,
     ValidationError,
     corner_cells,
-    describe_scheme,
     gss_anchored_prob_exact,
     lhs_anchored_prob_exact,
     min_copula_cdf,
@@ -293,7 +293,7 @@ def test_prefix_draws_match_the_exact_oracles():
         assert batch.shape == (reps, t, d)
         count = int(np.sum(np.all(batch < np.array(upper), axis=(1, 2))))
         lo, hi = wilson_interval(count, reps, confidence)
-        assert lo <= oracle <= hi, (describe_scheme(spec), t, count / reps, oracle)
+        assert lo <= oracle <= hi, (spec.label(), t, count / reps, oracle)
 
 
 def test_corner_cells_mask_shape():
@@ -534,6 +534,21 @@ def test_nan_gamma_and_nonpositive_reps_rejected():
     # the exact path of a two-point scheme draws nothing, and still needs reps >= 1
     with pytest.raises(ValidationError, match="replication"):
         check_upper_nd(SwapScheme(), 2, 2, box, 2, 0, RngStream(317))
+
+
+@pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.5, float("nan")])
+def test_confidence_outside_the_unit_interval_is_rejected_before_any_draw(monkeypatch, confidence):
+    q = CornerBox1((0.5, 0.5))
+    # the exact path of a two-point scheme draws nothing, and still checks it
+    with pytest.raises(ValidationError, match="confidence"):
+        check_pairwise_nd(SwapScheme(), 2, 2, q, q, 1, RngStream(0), confidence=confidence)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("replications were drawn before confidence was checked")
+
+    monkeypatch.setattr(negdep_module, "map_chunks", no_draws)
+    with pytest.raises(ValidationError, match="confidence"):
+        check_pairwise_nd(LatinHypercube(), 4, 2, q, q, 100, RngStream(0), confidence=confidence)
 
 
 def test_conditional_coordinate_index_validated():

@@ -27,7 +27,6 @@ from negdep_qmc import (
     Stripes,
     SwapScheme,
     ValidationError,
-    describe_scheme,
     is_net,
     is_prime,
     load_pointset,
@@ -388,22 +387,22 @@ def test_swap_scheme_second_point_is_coordinate_swap_of_first():
 
 
 def test_describe_scheme_labels():
-    assert describe_scheme(MonteCarlo()) == "mc"
-    assert describe_scheme(LatinHypercube()) == "lhs"
-    assert describe_scheme(GeneralizedStratified(4, Stripes(4))) == "gss(beta=4,stripes)"
-    assert "mixed" in describe_scheme(Mixed(LatinHypercube(), 1, MonteCarlo(), 1))
+    assert MonteCarlo().label() == "mc"
+    assert LatinHypercube().label() == "lhs"
+    assert GeneralizedStratified(4, Stripes(4)).label() == "gss(beta=4,stripes)"
+    assert "mixed" in Mixed(LatinHypercube(), 1, MonteCarlo(), 1).label()
     # these strings are the CSV `scheme` column
-    assert describe_scheme(SimpleStratified()) == "sss"
-    assert describe_scheme(RsjLattice()) == "rsj"
+    assert SimpleStratified().label() == "sss"
+    assert RsjLattice().label() == "rsj"
     assert (
-        describe_scheme(GeneralizedStratified(31, LatticeCells((1, 5), 31)))
+        GeneralizedStratified(31, LatticeCells((1, 5), 31)).label()
         == "gss(beta=31,cells(g=(1, 5),n=31))"
     )
-    assert describe_scheme(ScrambledNet(5, 2, 2)) == "net(b=5,m=2,s=2)"
-    assert describe_scheme(Mixed(LatinHypercube(), 2, LatinHypercube(), 1)) == "mixed(lhs|2+lhs|1)"
-    assert describe_scheme(MinCopula()) == "mincopula"
-    assert describe_scheme(FourSlot()) == "fourslot"
-    assert describe_scheme(SwapScheme()) == "swap"
+    assert ScrambledNet(5, 2, 2).label() == "net(b=5,m=2,s=2)"
+    assert Mixed(LatinHypercube(), 2, LatinHypercube(), 1).label() == "mixed(lhs|2+lhs|1)"
+    assert MinCopula().label() == "mincopula"
+    assert FourSlot().label() == "fourslot"
+    assert SwapScheme().label() == "swap"
 
 
 def test_lattice_cells_need_a_two_entry_generator():
@@ -461,7 +460,7 @@ FULL_SCHEMES = [
 
 
 @pytest.mark.parametrize("spec, n, d", PREFIX_SCHEMES + FULL_SCHEMES,
-                         ids=lambda v: describe_scheme(v) if hasattr(v, "kind") else None)
+                         ids=lambda v: v.label() if hasattr(v, "kind") else None)
 def test_sample_batch_rows_shape_contract(spec, n, d):
     full = spec in [s for s, _, _ in FULL_SCHEMES]
     for rows in range(1, n):
@@ -473,7 +472,7 @@ def test_sample_batch_rows_shape_contract(spec, n, d):
 
 
 @pytest.mark.parametrize("spec, n, d", ALL_SAMPLERS + PREFIX_SCHEMES + FULL_SCHEMES,
-                         ids=lambda v: describe_scheme(v) if hasattr(v, "kind") else None)
+                         ids=lambda v: v.label() if hasattr(v, "kind") else None)
 def test_sample_batch_whole_rows_is_the_batch_stream(spec, n, d):
     reference = spec.batch(n, d, 5, RngStream(67))
     for rows in (None, n, n + 3):
