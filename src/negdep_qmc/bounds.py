@@ -1,7 +1,8 @@
 """Closed-form probabilistic bounds on the star discrepancy of negatively
 dependent sampling schemes.
 
-Every formula is evaluated exactly as printed, with natural logarithms.
+Every formula is evaluated as printed, with natural logarithms, except the
+weighted theta-form, which solves its c-form (`weighted_bound_theta`).
 Success probabilities that fall outside [0, 1] are clamped and flagged, with
 the raw value preserved in the result. Two parameterizations exist for most
 bounds: a free-constant form (parameter c) whose success probability is a
@@ -175,13 +176,18 @@ def weighted_bound(n: int, d: int, c: float, weights: Weights, rho: float = 0.0)
 def weighted_bound_theta(
     n: int, d: int, theta: float, weights: Weights, rho: float = 0.0
 ) -> BoundResult:
-    """The weighted bound solved for a target success probability: c is
-    replaced by sqrt(|rho + 10.7 + ln((2 - theta)^(1/d) - 1)| / 1.674), with
-    the absolute value kept exactly as printed."""
+    """The weighted bound solved for a target success probability: c is the
+    `c_effective` at which `weighted_bound`'s success probability is theta,
+    c^2 = (10.7042 + rho - ln((2 - theta)^(1/d) - 1)) / 1.674.
+
+    The printed form, sqrt(|rho + 10.7 + ln((2 - theta)^(1/d) - 1)| / 1.674),
+    flips the logarithm's sign and rounds 10.7042: at d = 2, theta = 0.5 it
+    gives c = 2.345, where the c-form's success probability is -27.9.
+    """
     _check_ranges(n, d, rho, theta=theta)
     inner = (2.0 - theta) ** (1.0 / d) - 1.0
     if inner <= 0.0:
         raise ValidationError("theta is too close to 1 for the weighted bound")
-    c_eff = math.sqrt(abs(rho + 10.7 + math.log(inner)) / 1.674)
+    c_eff = math.sqrt((10.7042 + rho - math.log(inner)) / 1.674)
     value = _weighted_max(c_eff, weights, d, n)
     return _clamped("weighted_theta", value, theta, c_effective=c_eff)

@@ -6,8 +6,9 @@ It is never held whole: it is built and read in blocks of consecutive axis-0
 slabs, slab i0 + 1 being slab i0 plus the points of axis-0 slot i0 + 1 (the
 sweep of Dobkin, Eppstein and Mitchell, ACM TOG 1996). Memory is one block and
 its temporaries, which `_NODE_CAP` bounds; budgets charge the cells of the
-whole grid, summed over the projections of the weighted variant. Both limits
-are checked before anything is allocated.
+whole grid, summed over the projections of the weighted variant. The budget
+is checked before any work, and the memory cap before each pass allocates
+anything: the pruned search's coarse pass, or the walk of the whole grid.
 
 Exact enumerates the critical grid spanned by the point coordinates plus 1
 along each axis. At each grid node x two candidates are evaluated: the
@@ -72,8 +73,9 @@ _FINE_SHARE = 4  # exact prunes only while the kept tiles hold at most 1/4 of th
 
 
 # A weight family owns `check(d)` (it fits dimension d), `of(u)` (the weight
-# of coordinate subset u, 0-based) and `best(k, d)` (the largest weight of a
-# k-subset of the d coordinates).
+# of coordinate subset u, 0-based), `best(k, d)` (the largest weight of a
+# k-subset of the d coordinates) and `support(d)` (coordinates outside it zero
+# the weight of every subset that holds one).
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,9 @@ class ProductWeights:
     def best(self, k: int, d: int) -> float:
         # the k largest factors, multiplied from the largest down
         return math.prod(np.sort(self.gamma)[::-1][:k])
+
+    def support(self, d: int) -> list[int]:
+        return np.flatnonzero(self.gamma).tolist()
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,10 @@ class ExplicitWeights:
     def best(self, k: int, d: int) -> float:
         return max(self.of(u) for u in combinations(range(d), k))
 
+    def support(self, d: int) -> range:
+        # every subset is looked up, so an undeclared one is refused
+        return range(d)
+
 
 Weights = ProductWeights | ExplicitWeights
 
@@ -146,16 +155,21 @@ def _axis_candidates(pts: np.ndarray) -> list[np.ndarray]:
     return [np.unique(np.concatenate([pts[:, a], [1.0]])) for a in range(pts.shape[1])]
 
 
-def _block_rows(axis_values: list[np.ndarray], budget: int) -> int:
-    """Slabs per block for the grid over `axis_values`, once its cells fit.
-
-    Raises BudgetExceededError, before anything is allocated, when the grid's
-    cells exceed `budget` or a block and its temporaries exceed `_NODE_CAP`.
-    """
-    slab = math.prod(v.size + 1 for v in axis_values[1:])
-    cells = (axis_values[0].size + 1) * slab
+def _charge(axis_values: list[np.ndarray], budget: int) -> int:
+    """The cells of the grid over `axis_values`; BudgetExceededError above `budget`."""
+    cells = math.prod(v.size + 1 for v in axis_values)
     if cells > budget:
         raise BudgetExceededError(f"discrepancy needs {cells} histogram cells; limit is {budget}")
+    return cells
+
+
+def _block_rows(axis_values: list[np.ndarray]) -> int:
+    """Slabs per block for the grid over `axis_values`.
+
+    Raises BudgetExceededError, before anything is allocated, when a block and
+    its temporaries exceed `_NODE_CAP`.
+    """
+    slab = math.prod(v.size + 1 for v in axis_values[1:])
     rows = max(1, _BLOCK_CELLS // slab)
     held = _BLOCK_COPIES * (rows + 1) * slab
     if held > _NODE_CAP:
@@ -230,7 +244,7 @@ def _walk_exact(pts: np.ndarray, cands: list[np.ndarray], rows: int):
     return best, best_node, best_side
 
 
-def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int, budget: int):
+def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int):
     """The coarse pass: the tiles of w nodes per axis that can hold the maximum.
 
     Walks the histogram over each tile's low corner; its strict slice gives
@@ -242,9 +256,9 @@ def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int, budget: int):
     n, d = pts.shape
     lo = [c[::w] for c in cands]
     hi = [c[np.minimum(np.arange(w - 1, c.size - 1 + w, w), c.size - 1)] for c in cands]
+    rows = _block_rows(lo)
     rest_lo = reduce(np.multiply, np.ix_(*lo[1:]), np.float64(1.0))
     rest_hi = reduce(np.multiply, np.ix_(*hi[1:]), np.float64(1.0))
-    rows = _block_rows(lo, budget)
     vol_lo, vol_hi, gap, ub = (np.empty((rows,) + rest_lo.shape) for _ in range(4))
     limit = math.prod(c.size + 1 for c in cands) / _FINE_SHARE / (w + 1) ** d  # in tiles
     strict, closed = (slice(0, -1),) * d, (slice(1, None),) * d
@@ -360,26 +374,26 @@ def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> Discre
     The walk costs O(d) passes over the histogram's prod(s_a + 1) cells, s_a
     counting the distinct coordinates on axis a plus 1; a large grid is pruned
     first (module docstring), and `cells` reports the cells computed.
-    BudgetExceededError when the whole grid exceeds `budget`, before any work.
-    Ties go to the first node in the order (axis-0 index, open before closed,
-    index over the other axes).
+    BudgetExceededError when the whole grid exceeds `budget`, before any work,
+    or when the pass it runs would hold more than `_NODE_CAP` cells, before
+    that pass allocates anything. Ties go to the first node in the order
+    (axis-0 index, open before closed, index over the other axes).
     """
     pts = ps.data
     n, d = pts.shape
     if d < 1:
         raise ValidationError("point set must have dimension >= 1")
     cands = _axis_candidates(pts)
-    rows = _block_rows(cands, budget)
-    grid = math.prod(c.size + 1 for c in cands)
+    grid = _charge(cands, budget)
     found, cells = None, 0
     if grid > _SMALL_GRID * 4**d:
         w = max(2, round(n**0.25))
-        kept, cells = _kept_tiles(pts, cands, w, budget)
+        kept, cells = _kept_tiles(pts, cands, w)
         if kept is not None:
             found = _tiles_exact(pts, cands, w, *kept)
             cells += kept[0].size * (w + 1) ** d
     if found is None:
-        found = _walk_exact(pts, cands, rows)
+        found = _walk_exact(pts, cands, _block_rows(cands))
         cells += grid
     best, node, side = found
     witness = np.array([cands[a][node[a]] for a in range(d)])
@@ -397,7 +411,8 @@ def star_discrepancy_cover(
     BudgetExceededError above `budget`.
     """
     vals = [delta_cover_axis(ps.d, delta)] * ps.d
-    rows = _block_rows(vals, budget)
+    _charge(vals, budget)
+    rows = _block_rows(vals)
     strict = (slice(0, -1),) * ps.d
     lower = 0.0
     for i0, frac in _slabs(ps.data, vals, rows):
@@ -411,9 +426,11 @@ def weighted_star_discrepancy(
 ) -> float:
     """max over nonempty coordinate subsets u of gamma_u * D*(projection onto u).
 
-    `budget` covers the whole call: the histogram cells of every
-    nonzero-weight projection are summed before any is evaluated, and the
-    call is refused at the first projection that takes the sum past it.
+    Only the subsets of `weights.support(d)` are visited: for product weights
+    the coordinates of positive weight. `budget` covers the whole call: the
+    histogram cells of every nonzero-weight projection are summed before any
+    is evaluated, and the call is refused at the first projection that takes
+    the sum past it.
     """
     d = ps.d
     if d < 1:
@@ -421,7 +438,8 @@ def weighted_star_discrepancy(
     weights.check(d)
     sizes = [c.size for c in _axis_candidates(ps.data)]
     terms, cells = [], 0
-    for u in chain.from_iterable(combinations(range(d), size) for size in range(1, d + 1)):
+    axes = weights.support(d)
+    for u in chain.from_iterable(combinations(axes, k) for k in range(1, len(axes) + 1)):
         if (g := weights.of(u)) == 0.0:
             continue
         cells += math.prod(sizes[a] + 1 for a in u)

@@ -1,6 +1,6 @@
 """Axis-parallel regions of the half-open unit cube [0,1)^d.
 
-Region types (anchored corner boxes, intervals, products of two regions), all
+Region types (boxes anchored at either corner, and intervals), all
 rectangles, each owning its volume, membership, label and per-axis ranges;
 the delta-cover grid, and an exact (t,m,s)-net checker.
 
@@ -21,7 +21,6 @@ __all__ = [
     "CornerBox0",
     "CornerBox1",
     "Interval",
-    "ProductRegion",
     "contains_points",
     "build_delta_cover",
     "delta_cover_axis",
@@ -146,31 +145,6 @@ class Interval(_Region):
 
     def axes(self):
         return [(float(a), float(b)) for a, b in zip(self.a, self.b)]
-
-
-@dataclass(frozen=True)
-class ProductRegion(_Region):
-    """Cartesian product of two rectangles on complementary coordinate blocks."""
-
-    left: object
-    right: object
-
-    @property
-    def d(self) -> int:
-        return self.left.d + self.right.d
-
-    def volume(self) -> float:
-        return self.left.volume() * self.right.volume()
-
-    def contains(self, pts):
-        dl = self.left.d
-        return self.left.contains(pts[..., :dl]) & self.right.contains(pts[..., dl:])
-
-    def label(self) -> str:
-        return f"{self.left.label()}x{self.right.label()}"
-
-    def axes(self):
-        return self.left.axes() + self.right.axes()
 
 
 def contains_points(box, pts) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CornerBox0, CornerBox1, ProductRegion, contains_points
+from .geometry import CornerBox0, CornerBox1, Interval, contains_points
 from .integrate import elementary_symmetric
 from .samplers import (
     RngStream,
@@ -344,10 +344,9 @@ def _check_pair_test(n: int, d: int, i: int, *levels: float) -> None:
 def _coordinate_box(d: int, i: int, level: float, head=None):
     """Coordinate i (1-based) at least `level`, coordinates 1..i-1 in `head`
     (a box in dimension i-1; None leaves them free), the rest free."""
-    tail = CornerBox1((level,) + (0.0,) * (d - i))
-    if i == 1:
-        return tail
-    return ProductRegion(CornerBox1((0.0,) * (i - 1)) if head is None else head, tail)
+    sides = [(0.0, 1.0)] * (i - 1) if head is None else head.axes()
+    sides += [(level, 1.0)] + [(0.0, 1.0)] * (d - i)
+    return Interval(*zip(*sides))
 
 
 def check_conditional_nqd(

@@ -3,12 +3,12 @@
 Every samplable scheme here produces N points with uniform marginals whose
 rows are exchangeable, either by construction or through a final row shuffle.
 Each scheme is a dataclass deriving from SchemeSpec that owns what is known
-about it (JSON kind, label, validation, batch sampler, and where one exists
-its closed-form pair law and anchored-box oracle); SCHEMES maps each JSON kind
-to its class. `sample_batch` draws many independent replications at once as
-an (R, N, d) array, or only their first rows where the scheme has a prefix
-sampler; `map_chunks` applies a function to chunked batches, and `sample` is
-the single-draw wrapper returning a PointSet.
+about it (JSON kind, label, validation, its one sampler `draw`, and where one
+exists its closed-form pair law and anchored-box oracle); SCHEMES maps each
+JSON kind to its class. `sample_batch` draws many independent replications at
+once as an (R, N, d) array, or only their first rows where the scheme draws
+them alone; `map_chunks` applies a function to chunked batches, and `sample`
+is the single-draw wrapper returning a PointSet.
 
 All randomness flows through RngStream, a splittable deterministic stream:
 the same seed and call sequence reproduce the same output bit for bit, and
@@ -317,19 +317,21 @@ class SchemeSpec:
     `SCHEMES` entry.
 
     A scheme owns its JSON `kind`, its `label()` (the CSV `scheme` column),
-    `validate(n, d)`, and `batch(n, d, reps, rng)`, which draws (reps, n, d)
-    replications once `validate` has passed. `prefix(n, d, rows, reps, rng)`
-    draws points 1..rows of each replication with the same joint law; the
-    default draws all n rows, and `prefix_rows` says how many come back.
-    Two-point analytic schemes set `pair_dim` and give `pair_prob(rect1,
-    rect2)`, the exact P(p1 in rect1, p2 in rect2) for rectangles given as
-    per-axis (lo, hi) ranges. Schemes with an exact anchored-box oracle give
+    `validate(n, d)`, and `draw(n, d, rows, reps, rng)`, which draws points
+    1..rows (1 <= rows <= n) of `reps` replications once `validate` has
+    passed. A scheme that sets `draws_prefix` returns exactly those rows,
+    with the joint law of the first rows of a whole draw; the others return
+    all n, and `prefix_rows` says how many come back. Two-point analytic
+    schemes set `pair_dim` and give `pair_prob(rect1, rect2)`, the exact
+    P(p1 in rect1, p2 in rect2) for rectangles given as per-axis (lo, hi)
+    ranges. Schemes with an exact anchored-box oracle give
     `anchored_prob(n, box, t)`, the probability that points 1..t all fall in
     the origin-anchored box; the others return None.
     """
 
     kind: ClassVar[str]
     pair_dim: ClassVar[Optional[int]] = None
+    draws_prefix: ClassVar[bool] = False
 
     def label(self) -> str:
         return self.kind
@@ -340,12 +342,8 @@ class SchemeSpec:
     def anchored_prob(self, n: int, box, t: int) -> Optional[float]:
         return None
 
-    def prefix(self, n: int, d: int, rows: int, reps: int, rng: "RngStream") -> np.ndarray:
-        return self.batch(n, d, reps, rng)
-
     def prefix_rows(self, n: int, rows: int) -> int:
-        # a scheme that overrides `prefix` returns exactly `rows` rows
-        return n if type(self).prefix is SchemeSpec.prefix else rows
+        return rows if self.draws_prefix else n
 
 
 def _oracles():
@@ -360,16 +358,17 @@ def _row_perms(g: np.random.Generator, reps: int, n: int) -> np.ndarray:
     return np.argsort(g.random((reps, n)), axis=1)
 
 
-def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int) -> np.ndarray:
+def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bool) -> np.ndarray:
     """(reps, rows) array: the first `rows` entries of independent uniform
     permutations of 0..n-1.
 
     Entry k is drawn uniformly from the n - k values not yet taken: an index
     into them is drawn, then raised past each taken value, in ascending
     order, that it reaches. That is O(rows^2) per replication, so when
-    rows^2 > n the whole permutation is drawn by argsort instead.
+    rows^2 > n, or the scheme draws its `whole` point set, the whole
+    permutation is drawn by argsort instead.
     """
-    if rows * rows > n:
+    if whole or rows * rows > n:
         return _row_perms(g, reps, n)[:, :rows]
     out = np.empty((reps, rows), dtype=np.int64)
     for k in range(rows):
@@ -385,12 +384,10 @@ class MonteCarlo(SchemeSpec):
     """Independent uniform points."""
 
     kind = "mc"
+    draws_prefix = True
 
-    def batch(self, n, d, reps, rng):
-        return rng.gen.random((reps, n, d))
-
-    def prefix(self, n, d, rows, reps, rng):
-        return self.batch(rows, d, reps, rng)
+    def draw(self, n, d, rows, reps, rng):
+        return rng.gen.random((reps, rows, d))
 
 
 @dataclass(frozen=True)
@@ -400,6 +397,7 @@ class GeneralizedStratified(SchemeSpec):
     beta: int
     strata: StrataSpec
     kind = "gss"
+    draws_prefix = True
 
     def label(self):
         return f"gss(beta={self.beta},{self.strata.label()})"
@@ -411,11 +409,9 @@ class GeneralizedStratified(SchemeSpec):
         if self.beta < n:
             raise ValidationError("need beta >= n strata")
 
-    def batch(self, n, d, reps, rng):
-        return self.strata.place(_row_perms(rng.gen, reps, self.beta)[:, :n], d, rng.gen)
-
-    def prefix(self, n, d, rows, reps, rng):
-        return self.strata.place(_perm_prefix(rng.gen, reps, self.beta, rows), d, rng.gen)
+    def draw(self, n, d, rows, reps, rng):
+        chosen = _perm_prefix(rng.gen, reps, self.beta, rows, rows == n)
+        return self.strata.place(chosen, d, rng.gen)
 
     def anchored_prob(self, n, box, t):
         return _oracles().gss_anchored_prob_exact(self.beta, self.strata, box, n, t)
@@ -430,20 +426,17 @@ class RsjLattice(SchemeSpec):
     """
 
     kind = "rsj"
+    draws_prefix = True
 
     def validate(self, n, d):
         if not is_prime(n):
             raise ValidationError("rank-1 lattice point count must be prime")
 
-    def batch(self, n, d, reps, rng):
-        # n is prime, so n^2 > n and _perm_prefix draws whole permutations
-        return self.prefix(n, d, n, reps, rng)
-
-    def prefix(self, n, d, rows, reps, rng):
+    def draw(self, n, d, rows, reps, rng):
         g = rng.gen
         gvec = g.integers(1, n, size=(reps, 1, d)) if n > 2 else np.ones((reps, 1, d), dtype=np.int64)
         shift = g.integers(0, n, size=(reps, 1, d))
-        perm = _perm_prefix(g, reps, n, rows)[:, :, None]
+        perm = _perm_prefix(g, reps, n, rows, rows == n)[:, :, None]
         jitter = g.random((reps, rows, d))
         cell = (perm * gvec + shift) % n
         return (cell + jitter) / n
@@ -454,17 +447,12 @@ class LatinHypercube(SchemeSpec):
     """Coordinatewise independent stratified permutations."""
 
     kind = "lhs"
+    draws_prefix = True
 
-    def batch(self, n, d, reps, rng):
-        return self._place(n, _row_perms(rng.gen, reps * d, n).reshape(reps, d, n), rng.gen)
-
-    def prefix(self, n, d, rows, reps, rng):
-        return self._place(n, _perm_prefix(rng.gen, reps * d, n, rows).reshape(reps, d, rows),
-                           rng.gen)
-
-    @staticmethod
-    def _place(n, perm, g):
-        """Jitter each point within its strata; perm has shape (reps, d, rows)."""
+    def draw(self, n, d, rows, reps, rng):
+        g = rng.gen
+        perm = _perm_prefix(g, reps * d, n, rows, rows == n).reshape(reps, d, rows)
+        # jitter each point within its strata
         return np.swapaxes((perm + g.random(perm.shape)) / n, 1, 2)
 
     def anchored_prob(self, n, box, t):
@@ -508,7 +496,7 @@ class ScrambledNet(SchemeSpec):
         if d != self.s:
             raise ValidationError("net dimension mismatch: d must equal s")
 
-    def batch(self, n, d, reps, rng):
+    def draw(self, n, d, rows, reps, rng):
         b, m, s = self.b, self.m, self.s
         g = rng.gen
         base = _net_base_digits(b, m, s)
@@ -551,10 +539,7 @@ class Mixed(SchemeSpec):
         _validate(self.left, n, self.d_left)
         _validate(self.right, n, self.d_right)
 
-    def batch(self, n, d, reps, rng):
-        return self.prefix(n, d, n, reps, rng)
-
-    def prefix(self, n, d, rows, reps, rng):
+    def draw(self, n, d, rows, reps, rng):
         rows = self.prefix_rows(n, rows)
         left = sample_batch(self.left, n, self.d_left, reps, rng.split(0), rows)
         right = sample_batch(self.right, n, self.d_right, reps, rng.split(1), rows)
@@ -606,7 +591,7 @@ class MinCopula(_TwoPoint):
     kind = "mincopula"
     pair_dim = 1
 
-    def batch(self, n, d, reps, rng):
+    def draw(self, n, d, rows, reps, rng):
         raise ValidationError("the min-copula scheme has no sampler; use its probability oracle")
 
     def pair_prob(self, rect1, rect2):
@@ -646,7 +631,7 @@ class FourSlot(_TwoPoint):
     kind = "fourslot"
     pair_dim = 2
 
-    def batch(self, n, d, reps, rng):
+    def draw(self, n, d, rows, reps, rng):
         g = rng.gen
         pairs = sorted(_FOURSLOT_TABLE)
         probs = np.array([_FOURSLOT_TABLE[p] for p in pairs])
@@ -668,7 +653,7 @@ class SwapScheme(_TwoPoint):
     kind = "swap"
     pair_dim = 2
 
-    def batch(self, n, d, reps, rng):
+    def draw(self, n, d, rows, reps, rng):
         g = rng.gen
         x = g.random(reps)
         y = g.random(reps)
@@ -744,17 +729,16 @@ def sample_batch(
     """Draw `reps` independent replications of the scheme: shape (reps, n, d).
 
     With `rows` < n, only points 1..rows of each replication are needed:
-    schemes with a prefix sampler draw exactly those (shape (reps, rows, d)),
-    the others all n. With `rows` None or >= n the draw is `spec.batch`.
+    schemes that set `draws_prefix` draw exactly those (shape (reps, rows,
+    d)), the others all n. `rows` None or >= n draws whole replications.
     """
     if reps < 1:
         raise ValidationError("need reps >= 1")
     _validate(spec, n, d)
-    if rows is None or rows >= n:
-        return spec.batch(n, d, reps, rng)
+    rows = n if rows is None else min(rows, n)
     if rows < 1:
         raise ValidationError("need rows >= 1")
-    return spec.prefix(n, d, rows, reps, rng)
+    return spec.draw(n, d, rows, reps, rng)
 
 
 _CHUNK_SCALARS = 4_000_000
@@ -770,7 +754,7 @@ def map_chunks(spec: SchemeSpec, n: int, d: int, reps: int, rng: RngStream, fn,
     """
     if reps < 1:
         raise ValidationError("need at least one replication")
-    drawn = n if rows is None or rows >= n else _scheme(spec).prefix_rows(n, rows)
+    drawn = _scheme(spec).prefix_rows(n, n if rows is None else min(rows, n))
     chunk = max(1, _CHUNK_SCALARS // max(1, drawn * d))
     return [
         fn(sample_batch(spec, n, d, min(chunk, reps - pos), rng.split(k), rows))

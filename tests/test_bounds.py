@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negdep_qmc import (
     ExplicitWeights,
@@ -96,6 +98,59 @@ def test_theta_bound_success_probability_is_theta():
         res = fn(128, 2, 0.75)
         assert res.success_prob == pytest.approx(0.75)
         assert not res.clamped
+
+
+# Tolerances of the theta-form properties: floating-point rounding in the closed forms
+MONOTONE_REL = 1e-12  # relative slack on "nondecreasing in theta, nonincreasing in n"
+SOLVED_ABS = 1e-9  # absolute slack on "the c-form succeeds with probability >= theta"
+
+THETA_FORMS = {
+    "boxdiff_theta": lambda n, d, theta, rho, w: boxdiff_bound_theta(n, d, theta, rho),
+    "mixed_theta": lambda n, d, theta, rho, w: mixed_bound_theta(n, d, theta, rho),
+    "corner_theta": lambda n, d, theta, rho, w: corner_bound_theta(n, d, theta, rho),
+    "weighted_theta": lambda n, d, theta, rho, w: weighted_bound_theta(n, d, theta, w, rho),
+}
+
+
+def _c_form_success(form, n, d, rho, w, res):
+    """The raw success probability of the c-form at the theta-form's c, for the
+    theta-forms solved from one; corner_theta rests on its own eta argument."""
+    if form == "weighted_theta":
+        return weighted_bound(n, d, res.details["c_effective"], w, rho).raw_success_prob
+    if form == "corner_theta":
+        return None
+    value = res.details.get("base_value", res.bound_value)  # mixed is twice boxdiff
+    return boxdiff_bound(n, d, value / math.sqrt(d / n), rho).raw_success_prob
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(THETA_FORMS)), st.integers(1, 50), st.data())
+def test_theta_forms_are_monotone_and_solve_their_c_form(form, d, data):
+    n1, n2 = sorted(data.draw(st.lists(st.integers(1, 10**6), min_size=2, max_size=2)))
+    theta = st.floats(1e-6, 1 - 1e-6)
+    t1, t2 = sorted(data.draw(st.lists(theta, min_size=2, max_size=2)))
+    rho = data.draw(st.floats(0.0, 5.0))
+    w = ProductWeights(data.draw(st.lists(st.floats(0.0, 2.0), min_size=d, max_size=d)))
+    bound = THETA_FORMS[form]
+    for n in (n1, n2):
+        low, high = bound(n, d, t1, rho, w), bound(n, d, t2, rho, w)
+        assert low.bound_value <= high.bound_value * (1 + MONOTONE_REL)
+        for t, res in ((t1, low), (t2, high)):
+            assert res.success_prob == t and not res.clamped
+            success = _c_form_success(form, n, d, rho, w, res)
+            assert success is None or success >= t - SOLVED_ABS
+    for t in (t1, t2):
+        assert bound(n2, d, t, rho, w).bound_value <= bound(n1, d, t, rho, w).bound_value * (
+            1 + MONOTONE_REL)
+
+
+def test_weighted_theta_solves_the_c_form_at_the_printed_example():
+    # the printed form gives c = 2.345 here, where the c-form's success probability is -27.9
+    w = ProductWeights((1.0, 1.0))
+    res = weighted_bound_theta(256, 2, 0.5, w)
+    assert res.details["c_effective"] == pytest.approx(2.6993, abs=1e-4)
+    assert weighted_bound(256, 2, res.details["c_effective"], w).raw_success_prob == pytest.approx(
+        0.5, abs=SOLVED_ABS)
 
 
 def test_mixed_bound_is_twice_the_single_block_bound():

@@ -283,8 +283,8 @@ PINNED = [
         "bounds", {"formula": "weighted_theta", "grid": {"n": 256, "d": 2, "theta": 0.9},
                    "weights": _PRODUCT_WEIGHTS},
         _BOUNDS_HEADER
-        + "weighted_theta,256,2,0.0,,0.9,,,0.13387125065659303,0.9,false,0.9,,,"
-          "2.1419400105054884\n",
+        + "weighted_theta,256,2,0.0,,0.9,,,0.17895479358230804,0.9,false,0.9,,,"
+          "2.8632766973169286\n",
         id="bounds-weighted-theta"),
     pytest.param(
         "discrepancy", {"points": "p.txt", "exact": True, "delta": 0.25,

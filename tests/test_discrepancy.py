@@ -166,6 +166,20 @@ def test_explicit_weights_drive_subset_selection():
     assert weighted_star_discrepancy(ps, ExplicitWeights(table)) == pytest.approx(3.0 * d0)
 
 
+def test_product_weights_visit_only_their_positive_coordinates(monkeypatch):
+    ps = sample(LatinHypercube(), 16, 12, RngStream(139))
+    gamma = np.zeros(12)
+    gamma[[3, 7]] = (0.5, 2.0)
+    looked_up = []
+    of = ProductWeights.of
+    monkeypatch.setattr(ProductWeights, "of", lambda self, u: looked_up.append(u) or of(self, u))
+    value = weighted_star_discrepancy(ps, ProductWeights(gamma))
+    assert looked_up == [(3,), (7,), (3, 7)]
+    monkeypatch.undo()
+    assert value == weighted_star_discrepancy(PointSet(ps.data[:, [3, 7]]),
+                                              ProductWeights((0.5, 2.0)))
+
+
 def test_explicit_weights_must_cover_all_subsets():
     ps = sample(MonteCarlo(), 8, 2, RngStream(71))
     with pytest.raises(ValidationError):
@@ -392,12 +406,14 @@ def test_limits_are_checked_before_anything_is_allocated():
     message, peak = _refusal(lambda: star_discrepancy_exact(wide))
     assert "histogram cells" in message
     assert peak <= 2 * 2**20
-    # axis 0 constant: 3 * 1449^2 cells fit the budget, but one slab is 2.1e6 cells
+    # axis 0 constant: 3 * 1449^2 cells fit the budget, but one slab is 2.1e6 cells. The
+    # pruned search's coarse pass (about 5 MiB) keeps too many tiles, and the walk it falls
+    # back to is refused before its 128 MiB block is allocated
     rest = sample(LatinHypercube(), 1447, 2, RngStream(103)).data
     flat = PointSet(np.column_stack([np.full(1447, 0.5), rest]))
     message, peak = _refusal(lambda: star_discrepancy_exact(flat))
     assert "cells in memory" in message
-    assert peak <= 2 * 2**20
+    assert peak <= 8 * 2**20
 
 
 def test_weighted_refusal_stops_at_the_first_projection_over_budget():
@@ -406,6 +422,27 @@ def test_weighted_refusal_stops_at_the_first_projection_over_budget():
     w = ProductWeights(1.0 / np.arange(1, 21) ** 2)
     message, peak = _refusal(lambda: weighted_star_discrepancy(ps, w, budget=10))
     assert "histogram cells" in message
+    assert peak <= 2 * 2**20
+
+
+def test_the_whole_grid_memory_cap_waits_for_the_walk():
+    # 50^5 cells: one slab of the whole grid breaks the memory cap, the pruned passes do not
+    ps = sample(LatinHypercube(), 48, 5, RngStream(1))
+    res = star_discrepancy_exact(ps, budget=10**13)
+    assert res.cells < _grid_cells(ps) // 10
+    closed = res.witness_side == "closed"
+    inside = np.all(ps.data <= res.witness if closed else ps.data < res.witness, axis=1)
+    local = float(np.mean(inside)) - float(np.prod(res.witness))
+    assert (local if closed else -local) == pytest.approx(res.value, abs=1e-12)
+    lower, upper = star_discrepancy_cover(ps, 0.25)
+    assert lower <= res.value <= upper
+
+
+def test_the_coarse_pass_refuses_before_it_allocates():
+    # 65^8 cells; the coarse grid's rows of volume products alone would be 2.5e9 doubles
+    ps = sample(LatinHypercube(), 64, 8, RngStream(1))
+    message, peak = _refusal(lambda: star_discrepancy_exact(ps, budget=10**15))
+    assert "cells in memory" in message
     assert peak <= 2 * 2**20
 
 

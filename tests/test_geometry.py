@@ -22,7 +22,6 @@ from negdep_qmc import (
     sample,
     MonteCarlo,
 )
-from negdep_qmc.geometry import ProductRegion
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +32,6 @@ def test_volume_of_each_box_kind():
     assert CornerBox0((0.5, 0.4)).volume() == pytest.approx(0.2)
     assert CornerBox1((0.5, 0.4)).volume() == pytest.approx(0.3)
     assert Interval((0.1, 0.2), (0.6, 0.7)).volume() == pytest.approx(0.25)
-    assert ProductRegion(CornerBox0((0.5,)), CornerBox1((0.4,))).volume() == pytest.approx(0.3)
 
 
 def test_membership_half_open_semantics():
@@ -71,34 +69,24 @@ def reference_contains(region, pts):
         return np.all(pts < region.upper, axis=-1)
     if isinstance(region, CornerBox1):
         return np.all(pts >= region.lower, axis=-1)
-    if isinstance(region, Interval):
-        return np.all(pts >= region.a, axis=-1) & np.all(pts < region.b, axis=-1)
-    dl = region.left.d
-    return (reference_contains(region.left, pts[..., :dl])
-            & reference_contains(region.right, pts[..., dl:]))
+    return np.all(pts >= region.a, axis=-1) & np.all(pts < region.b, axis=-1)
 
 
 _EDGES = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 @st.composite
-def boxes(draw, d, product=True):
+def boxes(draw, d):
     """A region of dimension d whose edges often sit on `_EDGES`."""
     edge = st.one_of(st.sampled_from(_EDGES), st.floats(0.0, 1.0))
     corners = [np.array(draw(st.lists(edge, min_size=d, max_size=d))) for _ in range(2)]
     lo, hi = np.minimum(*corners), np.maximum(*corners)
-    kinds = ["corner0", "corner1", "interval"]
-    if product and d > 1:
-        kinds.append("product")
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(["corner0", "corner1", "interval"]))
     if kind == "corner0":
         return CornerBox0(hi)
     if kind == "corner1":
         return CornerBox1(lo)
-    if kind == "interval":
-        return Interval(lo, hi)
-    dl = draw(st.integers(1, d - 1))
-    return ProductRegion(draw(boxes(dl, product=False)), draw(boxes(d - dl, product=False)))
+    return Interval(lo, hi)
 
 
 def _edges_of(region):

@@ -2,6 +2,7 @@
 every sampling scheme: marginals, stratification, exchangeability,
 determinism."""
 
+import hashlib
 import tracemalloc
 from itertools import permutations
 
@@ -37,7 +38,7 @@ from negdep_qmc import (
     save_pointset,
     stratum_corner_overlap,
 )
-from negdep_qmc.samplers import _WRITE_BLOCK, _net_base_digits, _perm_prefix
+from negdep_qmc.samplers import SCHEMES, _WRITE_BLOCK, _net_base_digits, _perm_prefix
 
 ALL_SAMPLERS = [
     (MonteCarlo(), 8, 2),
@@ -352,8 +353,9 @@ def test_mixed_blocks_are_independent():
 
 
 def test_min_copula_has_no_sampler():
-    with pytest.raises(ValidationError, match="no sampler"):
-        sample_batch(MinCopula(), 2, 1, 1, RngStream(0))
+    for rows in (None, 1):  # a whole draw, and one of point 1 alone
+        with pytest.raises(ValidationError, match="no sampler"):
+            sample_batch(MinCopula(), 2, 1, 1, RngStream(0), rows=rows)
 
 
 def test_four_slot_pair_occupies_its_slots():
@@ -431,7 +433,7 @@ FAMILY_ALPHA = 1e-6
 def test_perm_prefix_is_uniform_over_ordered_tuples(n, t):
     # t^2 <= n draws without replacement one entry at a time, t^2 > n by argsort
     reps = 60_000
-    heads = _perm_prefix(np.random.default_rng(4001), reps, n, t)
+    heads = _perm_prefix(np.random.default_rng(4001), reps, n, t, False)
     assert heads.shape == (reps, t)
     assert np.all((heads >= 0) & (heads < n))
     assert np.all(np.diff(np.sort(heads, axis=1), axis=1) > 0)  # distinct within a row
@@ -474,27 +476,73 @@ def test_sample_batch_rows_shape_contract(spec, n, d):
 @pytest.mark.parametrize("spec, n, d", ALL_SAMPLERS + PREFIX_SCHEMES + FULL_SCHEMES,
                          ids=lambda v: v.label() if hasattr(v, "kind") else None)
 def test_sample_batch_whole_rows_is_the_batch_stream(spec, n, d):
-    reference = spec.batch(n, d, 5, RngStream(67))
+    reference = spec.draw(n, d, n, 5, RngStream(67))
     for rows in (None, n, n + 3):
         assert np.array_equal(sample_batch(spec, n, d, 5, RngStream(67), rows=rows), reference)
+
+
+# sha256 prefixes of the bytes of sample_batch(spec, n, d, 5, RngStream(67), rows), recorded
+# when whole and prefix draws were two methods per scheme: (spec, n, d, {rows: digest}).
+# Whole draws of lhs at n = 1 and of gss with n^2 <= beta sort whole permutations; the
+# nets have base 2, whose digit sums are exact whatever order a BLAS adds them in.
+STREAM_PINS = [
+    (MonteCarlo(), 9, 2, {None: "2ed38cfe6ff88a70", 3: "fba4cbd747377910"}),
+    (SimpleStratified(), 10, 1, {None: "f3273e9ddc4f5fff", 3: "a98f7e15d24e34d3"}),
+    (SimpleStratified(), 1, 1, {None: "31b67e6b37ead38b"}),
+    (GeneralizedStratified(31, Stripes(31)), 12, 2,
+     {None: "2fbcaa8cf2089d18", 2: "fd1b007e75d1630d", 6: "8d4b675e7840f3c9"}),
+    (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 12, 2,
+     {None: "288c05de3d8a4c9c", 3: "368af92bf53613fc"}),
+    (GeneralizedStratified(31, Stripes(31)), 3, 2,
+     {None: "2cc16e29b78fb3f1", 2: "fd1b007e75d1630d"}),
+    (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 5, 2,
+     {None: "79f3a2714ee4d2c8", 2: "52cbb83a57eacf86"}),
+    (GeneralizedStratified(5, Stripes(5)), 2, 3, {None: "bd3ea378158df6d3", 1: "0864b2782c459729"}),
+    (RsjLattice(), 11, 2, {None: "f8df3353c84926c1", 3: "d0de4fc5e51e5eea"}),
+    (RsjLattice(), 2, 3, {None: "e75da5e0467f70d0", 1: "f9bc9cd607108f05"}),
+    (LatinHypercube(), 16, 3,
+     {None: "f4eb562432b60ad0", 3: "c8de3a764299454b", 5: "42210a416419c84c"}),
+    (LatinHypercube(), 1, 2, {None: "702f99348e336852"}),
+    (ScrambledNet(2, 3, 2), 8, 2, {None: "e9dcb957bac92f96", 2: "e9dcb957bac92f96"}),
+    (Mixed(LatinHypercube(), 2, RsjLattice(), 1), 7, 3,
+     {None: "4cb01901c758f28b", 2: "fa50dc2852521647"}),
+    (Mixed(LatinHypercube(), 1, ScrambledNet(2, 3, 2), 2), 8, 3,
+     {None: "d2a3dfcf9eebaa9f", 2: "d2a3dfcf9eebaa9f"}),
+    (FourSlot(), 2, 2, {None: "19bc1816a74993b4", 1: "19bc1816a74993b4"}),
+    (SwapScheme(), 2, 2, {None: "7b6b95677f00643b", 1: "7b6b95677f00643b"}),
+]
+
+
+def test_stream_pins_cover_every_scheme_kind():
+    # the min-copula has no sampler (test_min_copula_has_no_sampler)
+    assert {spec.kind for spec, *_ in STREAM_PINS} | {"mincopula"} == set(SCHEMES)
+
+
+@pytest.mark.parametrize("spec, n, d, pins", STREAM_PINS,
+                         ids=lambda v: v.label() if hasattr(v, "kind") else None)
+def test_whole_and_prefix_draws_are_pinned(spec, n, d, pins):
+    for rows, digest in pins.items():
+        batch = sample_batch(spec, n, d, 5, RngStream(67), rows=rows)
+        assert batch.shape == (5, spec.prefix_rows(n, rows or n), d)
+        assert hashlib.sha256(batch.tobytes()).hexdigest()[:16] == digest, rows
 
 
 def test_map_chunks_sizes_chunks_by_the_rows_drawn():
     def shape(batch):
         return batch.shape
 
-    # a prefix sampler draws 2 rows, so 10^5 replications fit one chunk
+    # lhs draws points 1..2 alone, so 10^5 replications fit one chunk
     assert map_chunks(LatinHypercube(), 4096, 2, 100_000, RngStream(71), shape, rows=2) == [
         (100_000, 2, 2)
     ]
-    # the net has none and draws all 4096 rows: chunks stay near 4e6 scalars
+    # the net always draws all 4096 rows: chunks stay near 4e6 scalars
     shapes = map_chunks(ScrambledNet(2, 12, 2), 4096, 2, 1_000, RngStream(71), shape, rows=2)
     assert sum(s[0] for s in shapes) == 1_000
     assert all(s[1] == 4096 and s[0] * s[1] * s[2] <= 4_000_000 for s in shapes)
 
 
 def _net_batch_loop(spec, n, reps, rng):
-    """ScrambledNet.batch as one permutation draw per digit prefix: the
+    """ScrambledNet.draw as one permutation draw per digit prefix: the
     reference for the vectorized sampler."""
     b, m, s = spec.b, spec.m, spec.s
     g = rng.gen
