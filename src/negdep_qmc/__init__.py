@@ -2,11 +2,12 @@
 
 The package covers four workflows:
 
-- randomized point sets whose coordinates repel each other (`samplers`),
+- randomized point sets whose coordinates repel each other, each scheme
+  beside its exact law where one is known (`samplers`),
 - exact and cover-bracketed star discrepancy, plain and weighted
   (`geometry`, `discrepancy`),
-- statistical certification of negative-dependence properties, with exact
-  oracles for the analytically tractable schemes (`negdep`),
+- statistical certification of negative-dependence properties, exact where
+  the scheme has a closed-form law (`negdep`, which re-exports the laws),
 - closed-form probabilistic discrepancy bounds (`bounds`) and variance
   studies for integration (`integrate`).
 

@@ -8,7 +8,8 @@ sweep of Dobkin, Eppstein and Mitchell, ACM TOG 1996). Memory is one block and
 its temporaries, which `_NODE_CAP` bounds; budgets charge the cells of the
 whole grid, summed over the projections of the weighted variant. The budget
 is checked before any work, and the memory cap before each pass allocates
-anything: the pruned search's coarse pass, or the walk of the whole grid.
+anything: the pruned search's coarse pass (its block, its arrays of bounds and
+its list of kept tiles), or the walk of the whole grid.
 
 Exact enumerates the critical grid spanned by the point coordinates plus 1
 along each axis. At each grid node x two candidates are evaluated: the
@@ -18,8 +19,9 @@ strictly-dominated point fraction) and the excess of the closed box [0, x]
 half-open boxes). The maximum over nodes and sides is exact. Cover evaluates
 the delta-cover grid instead, which brackets D* to within delta.
 
-Exact prunes a grid of more than _SMALL_GRID * 4^d cells before it evaluates
-it. The nodes are cut into tiles of w per axis, w = max(2, round(n^(1/4))). A
+Exact prunes a grid of more than _SMALL_GRID * 4^min(d, 4) cells before it
+evaluates it (past d = 4, a slab of the whole grid soon outgrows the cap).
+The nodes are cut into tiles of w per axis, w = max(2, round(n^(1/4))). A
 coarse pass walks the histogram over every w-th node per axis: it gives each
 tile the count H(Lo) below its low corner and H(Hi + 1) up to its high corner,
 the padded last slot counting every point. The deficiency at Lo and the excess
@@ -67,8 +69,10 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 _BLOCK_CELLS = 2**15  # a block holds this many cells of whole slabs, at least one slab
 _BLOCK_COPIES = 4  # block-sized arrays alive at once: the block, its binning and evaluation
+_COARSE_COPIES = _BLOCK_COPIES + 4  # the coarse pass adds its four arrays of bounds
+_KEPT_COPIES = 6  # cells per tile the coarse pass keeps: its lists and their final gathers
 _NODE_CAP = 2**24  # float64 cells held at once (128 MiB), the block's copies included
-_SMALL_GRID = 2**11  # exact walks every node of a grid of at most _SMALL_GRID * 4^d cells
+_SMALL_GRID = 2**11  # exact walks a grid of at most _SMALL_GRID * 4^min(d, 4) cells whole
 _FINE_SHARE = 4  # exact prunes only while the kept tiles hold at most 1/4 of the grid's cells
 
 
@@ -163,15 +167,16 @@ def _charge(axis_values: list[np.ndarray], budget: int) -> int:
     return cells
 
 
-def _block_rows(axis_values: list[np.ndarray]) -> int:
+def _block_rows(axis_values: list[np.ndarray], copies=_BLOCK_COPIES, fixed=0) -> int:
     """Slabs per block for the grid over `axis_values`.
 
-    Raises BudgetExceededError, before anything is allocated, when a block and
-    its temporaries exceed `_NODE_CAP`.
+    A pass holds `copies` arrays of a block's size and `fixed` cells besides.
+    Raises BudgetExceededError, before anything is allocated, when they exceed
+    `_NODE_CAP`.
     """
     slab = math.prod(v.size + 1 for v in axis_values[1:])
     rows = max(1, _BLOCK_CELLS // slab)
-    held = _BLOCK_COPIES * (rows + 1) * slab
+    held = copies * (rows + 1) * slab + fixed
     if held > _NODE_CAP:
         raise BudgetExceededError(f"discrepancy needs {held} cells in memory; limit is {_NODE_CAP}")
     return rows
@@ -256,11 +261,13 @@ def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int):
     n, d = pts.shape
     lo = [c[::w] for c in cands]
     hi = [c[np.minimum(np.arange(w - 1, c.size - 1 + w, w), c.size - 1)] for c in cands]
-    rows = _block_rows(lo)
+    limit = math.prod(c.size + 1 for c in cands) / _FINE_SHARE / (w + 1) ** d  # in tiles
+    # the kept tiles never pass the limit or half the tiles
+    kept = min(limit, math.prod(c.size for c in lo) / 2)
+    rows = _block_rows(lo, _COARSE_COPIES, _KEPT_COPIES * math.ceil(kept))
     rest_lo = reduce(np.multiply, np.ix_(*lo[1:]), np.float64(1.0))
     rest_hi = reduce(np.multiply, np.ix_(*hi[1:]), np.float64(1.0))
     vol_lo, vol_hi, gap, ub = (np.empty((rows,) + rest_lo.shape) for _ in range(4))
-    limit = math.prod(c.size + 1 for c in cands) / _FINE_SHARE / (w + 1) ** d  # in tiles
     strict, closed = (slice(0, -1),) * d, (slice(1, None),) * d
     best, ids, ubs, fracs, held = -1.0, [], [], [], 0
     for j0, frac in _slabs(pts, lo, rows):
@@ -386,7 +393,7 @@ def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> Discre
     cands = _axis_candidates(pts)
     grid = _charge(cands, budget)
     found, cells = None, 0
-    if grid > _SMALL_GRID * 4**d:
+    if grid > _SMALL_GRID * 4 ** min(d, 4):
         w = max(2, round(n**0.25))
         kept, cells = _kept_tiles(pts, cands, w)
         if kept is not None:

@@ -30,14 +30,12 @@ __all__ = [
 ]
 
 
-def _unit_vector(x, name, closed_top=True):
+def _unit_vector(x, name):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty 1-d coordinate vector")
-    top_ok = np.all(arr <= 1.0) if closed_top else np.all(arr < 1.0)
-    if not (np.all(arr >= 0.0) and top_ok):
-        hi = "]" if closed_top else ")"
-        raise ValidationError(f"{name} coordinates must lie in [0,1{hi}")
+    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
+        raise ValidationError(f"{name} coordinates must lie in [0,1]")
     arr.setflags(write=False)
     return arr
 
@@ -56,9 +54,26 @@ def _all_axes(test, pts, bound):
 
 
 class _Region:
-    """What every region type owns: its Lebesgue `volume()`, vectorized
-    membership `contains(pts)` over the last axis of `pts`, a short `label()`
-    for reports, and `axes()`, its per-axis (lo, hi) ranges."""
+    """The rectangle [lo, hi) that every region type is. Each type sets its
+    corners `lo` and `hi` once, from its own fields, and owns its vectorized
+    membership `contains(pts)` over the last axis of `pts` and a short
+    `label()` for reports; the dimension `d`, the Lebesgue `volume()` and the
+    per-axis (lo, hi) ranges `axes()` are the rectangle's."""
+
+    def _corners(self, lo, hi) -> None:
+        for name, arr in (("lo", lo), ("hi", hi)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def d(self) -> int:
+        return self.lo.size
+
+    def volume(self) -> float:
+        return float(np.prod(self.hi - self.lo))
+
+    def axes(self):
+        return [(float(a), float(b)) for a, b in zip(self.lo, self.hi)]
 
 
 @dataclass(frozen=True)
@@ -68,23 +83,15 @@ class CornerBox0(_Region):
     upper: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "upper", _unit_vector(self.upper, "upper"))
-
-    @property
-    def d(self) -> int:
-        return self.upper.size
-
-    def volume(self) -> float:
-        return float(np.prod(self.upper))
+        upper = _unit_vector(self.upper, "upper")
+        object.__setattr__(self, "upper", upper)
+        self._corners(np.zeros(upper.size), upper)
 
     def contains(self, pts):
         return _all_axes(np.less, pts, self.upper)
 
     def label(self) -> str:
         return f"[0,{_fmt(self.upper)})"
-
-    def axes(self):
-        return [(0.0, float(u)) for u in self.upper]
 
 
 @dataclass(frozen=True)
@@ -94,23 +101,15 @@ class CornerBox1(_Region):
     lower: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _unit_vector(self.lower, "lower"))
-
-    @property
-    def d(self) -> int:
-        return self.lower.size
-
-    def volume(self) -> float:
-        return float(np.prod(1.0 - self.lower))
+        lower = _unit_vector(self.lower, "lower")
+        object.__setattr__(self, "lower", lower)
+        self._corners(lower, np.ones(lower.size))
 
     def contains(self, pts):
         return _all_axes(np.greater_equal, pts, self.lower)
 
     def label(self) -> str:
         return f"[{_fmt(self.lower)},1)"
-
-    def axes(self):
-        return [(float(lo), 1.0) for lo in self.lower]
 
 
 @dataclass(frozen=True)
@@ -129,22 +128,13 @@ class Interval(_Region):
             raise ValidationError("interval requires a <= b componentwise")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def d(self) -> int:
-        return self.a.size
-
-    def volume(self) -> float:
-        return float(np.prod(self.b - self.a))
+        self._corners(a, b)
 
     def contains(self, pts):
         return _all_axes(np.greater_equal, pts, self.a) & _all_axes(np.less, pts, self.b)
 
     def label(self) -> str:
         return f"[{_fmt(self.a)},{_fmt(self.b)})"
-
-    def axes(self):
-        return [(float(a), float(b)) for a, b in zip(self.a, self.b)]
 
 
 def contains_points(box, pts) -> np.ndarray:

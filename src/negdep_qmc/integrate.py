@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .samplers import MonteCarlo, RngStream, SchemeSpec, map_chunks
+# e_t lives in samplers, beside the generalized stratified law that reads it
+from .samplers import (MonteCarlo, RngStream, SchemeSpec, _esp_batch, elementary_symmetric,
+                       map_chunks)
 
 __all__ = [
     "ProductCoords",
@@ -163,25 +165,7 @@ def variance_study(
 
 
 # ---------------------------------------------------------------------------
-# Elementary symmetric polynomials and the simplex maximum
-
-
-def elementary_symmetric(x, t: int) -> float:
-    """e_t(x) by the stable one-pass recurrence; e_0 = 1."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not (0 <= t <= x.size):
-        raise ValidationError("need 0 <= t <= len(x)")
-    return float(_esp_batch(x[None, :], t)[0])
-
-
-def _esp_batch(x: np.ndarray, t: int) -> np.ndarray:
-    """e_t per row of an (M, n) array."""
-    e = np.zeros((t + 1, x.shape[0]))
-    e[0] = 1.0
-    for i, xi in enumerate(np.ascontiguousarray(x.T)):
-        for j in range(min(t, i + 1), 0, -1):
-            e[j] += xi * e[j - 1]
-    return e[t]
+# The simplex maximum of the elementary symmetric polynomial e_t
 
 
 @dataclass(frozen=True)

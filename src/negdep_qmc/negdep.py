@@ -9,9 +9,9 @@ zero width. Otherwise the events are counted over many independent
 replications, drawn in chunks, and compared against product reference values
 with a Wilson confidence interval. The verdict is three-valued: "violated"
 only when lhs - ci > rhs, "holds" only when lhs + ci <= rhs, else
-"inconclusive". Exact anchored-box oracles for stratified-permutation
-sampling, generalized stratified sampling, and small rank-1 lattices live
-here too.
+"inconclusive". The exact anchored-box laws of Latin hypercube, generalized
+stratified and small rank-1 lattice sampling live beside their schemes in
+`samplers`; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -25,15 +25,16 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import CornerBox0, CornerBox1, Interval, contains_points
-from .integrate import elementary_symmetric
-from .samplers import (
+from .samplers import (  # the scheme laws and sample_batch stay importable from negdep
     RngStream,
     SchemeSpec,
-    StrataSpec,
-    is_prime,
+    corner_cells,  # noqa: F401
+    gss_anchored_prob_exact,  # noqa: F401
+    lhs_anchored_prob_exact,  # noqa: F401
     map_chunks,
-    sample_batch,  # noqa: F401  (negdep.sample_batch stays importable)
-    stratum_corner_overlap,
+    mixed_anchored_prob_exact,  # noqa: F401
+    rsj_small_prob,  # noqa: F401
+    sample_batch,  # noqa: F401
 )
 
 __all__ = [
@@ -46,11 +47,6 @@ __all__ = [
     "check_pairwise_nd",
     "check_conditional_nqd",
     "check_ci_nqd",
-    "lhs_anchored_prob_exact",
-    "gss_anchored_prob_exact",
-    "mixed_anchored_prob_exact",
-    "rsj_small_prob",
-    "corner_cells",
     "DEFAULT_CONFIDENCE",
 ]
 
@@ -461,98 +457,3 @@ def check_ci_nqd(
             FactorizationCheck(i, j, q, r, g, g, joint, product, dev, hw, abs(dev) <= tolerance)
         )
     return CiNqdResult(primary, tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# Exact anchored-box oracles
-
-
-def lhs_anchored_prob_exact(n: int, q, t: int) -> float:
-    """Exact P(points 1..t of an n-point Latin hypercube all in [0, q)).
-
-    Per axis write q_i * n = k_i + theta_i with integer k_i and theta_i in
-    [0, 1); the axis factor is ((k_i)_t + t * theta_i * (k_i)_(t-1)) / (n)_t
-    and the axes multiply because coordinates are stratified independently.
-    """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.any(q < 0.0) or np.any(q > 1.0):
-        raise ValidationError("anchor coordinates must lie in [0, 1]")
-    if not (1 <= t <= n):
-        raise ValidationError("need 1 <= t <= n")
-    denom = math.perm(n, t)
-    prob = 1.0
-    for qi in q:
-        x = qi * n
-        k = min(int(math.floor(x)), n)
-        theta = x - k
-        prob *= (math.perm(k, t) + t * theta * math.perm(k, t - 1)) / denom
-    return float(prob)
-
-
-def gss_anchored_prob_exact(beta: int, strata: StrataSpec, box: CornerBox0, n: int, t: int) -> float:
-    """Exact P(points 1..t of generalized stratified sampling all in box).
-
-    The ordered strata of the first t points are uniform over ordered
-    t-tuples of distinct strata, so the probability is
-    t!/(beta)_t * e_t(beta * overlap_j) with overlap_j the Lebesgue measure
-    of box within stratum j.
-    """
-    if beta != strata.count:
-        raise ValidationError("beta must equal the number of strata")
-    if not (1 <= t <= n <= beta):
-        raise ValidationError("need 1 <= t <= n <= beta")
-    if not isinstance(box, CornerBox0):
-        raise ValidationError("oracle supports origin-anchored boxes only")
-    overlaps = stratum_corner_overlap(strata, box.upper, box.d)
-    vals = beta * overlaps
-    return math.factorial(t) / math.perm(beta, t) * elementary_symmetric(vals, t)
-
-
-def mixed_anchored_prob_exact(n: int, q_left, q_right, t: int) -> float:
-    """Exact anchored-box probability for a concatenation of two independent
-    n-point Latin hypercube factors: the factor probabilities multiply."""
-    return lhs_anchored_prob_exact(n, q_left, t) * lhs_anchored_prob_exact(n, q_right, t)
-
-
-def corner_cells(n: int, counts) -> np.ndarray:
-    """Boolean (n, n) mask marking the k1 x k2 block of grid cells at the origin."""
-    k1, k2 = int(counts[0]), int(counts[1])
-    if not (0 <= k1 <= n and 0 <= k2 <= n):
-        raise ValidationError("cell counts must lie in [0, n]")
-    mask = np.zeros((n, n), dtype=bool)
-    mask[:k1, :k2] = True
-    return mask
-
-
-def rsj_small_prob(n: int, qcells, t: int) -> float:
-    """Exact P(points 1..t of the jittered random rank-1 lattice all in Q).
-
-    Q is a union of cells of the n x n grid, given as a boolean (n, n) mask
-    such as `corner_cells` returns; the jitter never crosses cell
-    boundaries and the row order is exchangeable, so conditioning on the
-    generator and shift gives (K)_t / (n)_t with K the number of lattice
-    cells inside Q. For prime n the lattice of generator (a, b) is the line
-    of slope c = b/a mod n, so the (n-1)^2 generators reduce to the n-1
-    slopes, each taken n-1 times; every slope and all n^2 shifts are
-    enumerated, and the falling factorials are summed as exact integers. n
-    must be prime and at most 31.
-    """
-    if not is_prime(n):
-        raise ValidationError("n must be prime")
-    if n > 31:
-        raise ValidationError("exact lattice enumeration is capped at n = 31")
-    if not (1 <= t <= n):
-        raise ValidationError("need 1 <= t <= n")
-    mask = np.asarray(qcells)
-    if mask.dtype != bool or mask.shape != (n, n):
-        raise ValidationError(f"cells must be a boolean ({n}, {n}) mask")
-    k = np.arange(n)
-    x = (k[:, None, None] + k[None, None, :]) % n  # shift x, step k
-    slopes = range(1, n)  # for n = 2 the only generator is (1, 1)
-    # hist[K]: number of (slope, shift) pairs whose line has K cells in Q
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for c in slopes:
-        y = (k[None, :, None] + c * k[None, None, :]) % n  # shift y, step k
-        hist += np.bincount(mask[x, y].sum(axis=2).ravel(), minlength=n + 1)
-    total = sum(int(h) * math.perm(K, t) for K, h in enumerate(hist))
-    return total / (len(slopes) * n * n * math.perm(n, t))

@@ -4,11 +4,12 @@ Every samplable scheme here produces N points with uniform marginals whose
 rows are exchangeable, either by construction or through a final row shuffle.
 Each scheme is a dataclass deriving from SchemeSpec that owns what is known
 about it (JSON kind, label, validation, its one sampler `draw`, and where one
-exists its closed-form pair law and anchored-box oracle); SCHEMES maps each
-JSON kind to its class. `sample_batch` draws many independent replications at
-once as an (R, N, d) array, or only their first rows where the scheme draws
-them alone; `map_chunks` applies a function to chunked batches, and `sample`
-is the single-draw wrapper returning a PointSet.
+exists its closed-form pair law and anchored-box law); SCHEMES maps each
+JSON kind to its class. The exact anchored-box laws sit beside their schemes,
+and `Mixed` multiplies those of its factors. `sample_batch` draws many
+independent replications at once as an (R, N, d) array, or only their first
+rows where the scheme draws them alone; `map_chunks` applies a function to
+chunked batches, and `sample` is the single-draw wrapper returning a PointSet.
 
 All randomness flows through RngStream, a splittable deterministic stream:
 the same seed and call sequence reproduce the same output bit for bit, and
@@ -27,7 +28,7 @@ from typing import ClassVar, Optional, Union
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import clip_convex_to_box, polygon_area
+from .geometry import CornerBox0, clip_convex_to_box, polygon_area
 
 __all__ = [
     "PointSet",
@@ -57,6 +58,11 @@ __all__ = [
     "stratum_corner_overlap",
     "is_prime",
     "min_copula_cdf",
+    "lhs_anchored_prob_exact",
+    "gss_anchored_prob_exact",
+    "mixed_anchored_prob_exact",
+    "rsj_small_prob",
+    "corner_cells",
 ]
 
 
@@ -324,7 +330,7 @@ class SchemeSpec:
     all n, and `prefix_rows` says how many come back. Two-point analytic
     schemes set `pair_dim` and give `pair_prob(rect1, rect2)`, the exact
     P(p1 in rect1, p2 in rect2) for rectangles given as per-axis (lo, hi)
-    ranges. Schemes with an exact anchored-box oracle give
+    ranges. Schemes with an exact anchored-box law give
     `anchored_prob(n, box, t)`, the probability that points 1..t all fall in
     the origin-anchored box; the others return None.
     """
@@ -344,13 +350,6 @@ class SchemeSpec:
 
     def prefix_rows(self, n: int, rows: int) -> int:
         return rows if self.draws_prefix else n
-
-
-def _oracles():
-    # the anchored-box oracles live in negdep, which imports this module
-    from . import negdep
-
-    return negdep
 
 
 def _row_perms(g: np.random.Generator, reps: int, n: int) -> np.ndarray:
@@ -414,7 +413,44 @@ class GeneralizedStratified(SchemeSpec):
         return self.strata.place(chosen, d, rng.gen)
 
     def anchored_prob(self, n, box, t):
-        return _oracles().gss_anchored_prob_exact(self.beta, self.strata, box, n, t)
+        return gss_anchored_prob_exact(self.beta, self.strata, box, n, t)
+
+
+def elementary_symmetric(x, t: int) -> float:
+    """e_t(x) by the stable one-pass recurrence; e_0 = 1."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (0 <= t <= x.size):
+        raise ValidationError("need 0 <= t <= len(x)")
+    return float(_esp_batch(x[None, :], t)[0])
+
+
+def _esp_batch(x: np.ndarray, t: int) -> np.ndarray:
+    """e_t per row of an (M, n) array."""
+    e = np.zeros((t + 1, x.shape[0]))
+    e[0] = 1.0
+    for i, xi in enumerate(np.ascontiguousarray(x.T)):
+        for j in range(min(t, i + 1), 0, -1):
+            e[j] += xi * e[j - 1]
+    return e[t]
+
+
+def gss_anchored_prob_exact(beta: int, strata: StrataSpec, box: CornerBox0, n: int, t: int) -> float:
+    """Exact P(points 1..t of generalized stratified sampling all in box).
+
+    The ordered strata of the first t points are uniform over ordered
+    t-tuples of distinct strata, so the probability is
+    t!/(beta)_t * e_t(beta * overlap_j) with overlap_j the Lebesgue measure
+    of box within stratum j.
+    """
+    if beta != strata.count:
+        raise ValidationError("beta must equal the number of strata")
+    if not (1 <= t <= n <= beta):
+        raise ValidationError("need 1 <= t <= n <= beta")
+    if not isinstance(box, CornerBox0):
+        raise ValidationError("oracle supports origin-anchored boxes only")
+    overlaps = stratum_corner_overlap(strata, box.upper, box.d)
+    vals = beta * overlaps
+    return math.factorial(t) / math.perm(beta, t) * elementary_symmetric(vals, t)
 
 
 @dataclass(frozen=True)
@@ -442,6 +478,50 @@ class RsjLattice(SchemeSpec):
         return (cell + jitter) / n
 
 
+def corner_cells(n: int, counts) -> np.ndarray:
+    """Boolean (n, n) mask marking the k1 x k2 block of grid cells at the origin."""
+    k1, k2 = int(counts[0]), int(counts[1])
+    if not (0 <= k1 <= n and 0 <= k2 <= n):
+        raise ValidationError("cell counts must lie in [0, n]")
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:k1, :k2] = True
+    return mask
+
+
+def rsj_small_prob(n: int, qcells, t: int) -> float:
+    """Exact P(points 1..t of the jittered random rank-1 lattice all in Q).
+
+    Q is a union of cells of the n x n grid, given as a boolean (n, n) mask
+    such as `corner_cells` returns; the jitter never crosses cell
+    boundaries and the row order is exchangeable, so conditioning on the
+    generator and shift gives (K)_t / (n)_t with K the number of lattice
+    cells inside Q. For prime n the lattice of generator (a, b) is the line
+    of slope c = b/a mod n, so the (n-1)^2 generators reduce to the n-1
+    slopes, each taken n-1 times; every slope and all n^2 shifts are
+    enumerated, and the falling factorials are summed as exact integers. n
+    must be prime and at most 31.
+    """
+    if not is_prime(n):
+        raise ValidationError("n must be prime")
+    if n > 31:
+        raise ValidationError("exact lattice enumeration is capped at n = 31")
+    if not (1 <= t <= n):
+        raise ValidationError("need 1 <= t <= n")
+    mask = np.asarray(qcells)
+    if mask.dtype != bool or mask.shape != (n, n):
+        raise ValidationError(f"cells must be a boolean ({n}, {n}) mask")
+    k = np.arange(n)
+    x = (k[:, None, None] + k[None, None, :]) % n  # shift x, step k
+    slopes = range(1, n)  # for n = 2 the only generator is (1, 1)
+    # hist[K]: number of (slope, shift) pairs whose line has K cells in Q
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for c in slopes:
+        y = (k[None, :, None] + c * k[None, None, :]) % n  # shift y, step k
+        hist += np.bincount(mask[x, y].sum(axis=2).ravel(), minlength=n + 1)
+    total = sum(int(h) * math.perm(K, t) for K, h in enumerate(hist))
+    return total / (len(slopes) * n * n * math.perm(n, t))
+
+
 @dataclass(frozen=True)
 class LatinHypercube(SchemeSpec):
     """Coordinatewise independent stratified permutations."""
@@ -456,7 +536,29 @@ class LatinHypercube(SchemeSpec):
         return np.swapaxes((perm + g.random(perm.shape)) / n, 1, 2)
 
     def anchored_prob(self, n, box, t):
-        return _oracles().lhs_anchored_prob_exact(n, box.upper, t)
+        return lhs_anchored_prob_exact(n, box.upper, t)
+
+
+def lhs_anchored_prob_exact(n: int, q, t: int) -> float:
+    """Exact P(points 1..t of an n-point Latin hypercube all in [0, q)).
+
+    Per axis write q_i * n = k_i + theta_i with integer k_i and theta_i in
+    [0, 1); the axis factor is ((k_i)_t + t * theta_i * (k_i)_(t-1)) / (n)_t
+    and the axes multiply because coordinates are stratified independently.
+    """
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if np.any(q < 0.0) or np.any(q > 1.0):
+        raise ValidationError("anchor coordinates must lie in [0, 1]")
+    if not (1 <= t <= n):
+        raise ValidationError("need 1 <= t <= n")
+    denom = math.perm(n, t)
+    prob = 1.0
+    for qi in q:
+        x = qi * n
+        k = min(int(math.floor(x)), n)
+        theta = x - k
+        prob *= (math.perm(k, t) + t * theta * math.perm(k, t - 1)) / denom
+    return float(prob)
 
 
 @dataclass(frozen=True)
@@ -520,7 +622,8 @@ class ScrambledNet(SchemeSpec):
 @dataclass(frozen=True)
 class Mixed(SchemeSpec):
     """Independent concatenation: left scheme on the first d_left coordinates,
-    right scheme on the remaining d_right."""
+    right scheme on the remaining d_right. It draws prefixes when both factors
+    do, and its anchored-box law is the product of theirs."""
 
     left: SchemeSpec
     d_left: int
@@ -545,14 +648,22 @@ class Mixed(SchemeSpec):
         right = sample_batch(self.right, n, self.d_right, reps, rng.split(1), rows)
         return np.concatenate([left, right], axis=2)
 
-    def prefix_rows(self, n, rows):
-        return max(self.left.prefix_rows(n, rows), self.right.prefix_rows(n, rows))
+    @property
+    def draws_prefix(self):
+        return self.left.draws_prefix and self.right.draws_prefix
 
     def anchored_prob(self, n, box, t):
-        if not (isinstance(self.left, LatinHypercube) and isinstance(self.right, LatinHypercube)):
-            return None
+        # the factors are independent, so their laws multiply
         q = box.upper
-        return _oracles().mixed_anchored_prob_exact(n, q[: self.d_left], q[self.d_left:], t)
+        left = self.left.anchored_prob(n, CornerBox0(q[: self.d_left]), t)
+        right = self.right.anchored_prob(n, CornerBox0(q[self.d_left:]), t)
+        return None if left is None or right is None else left * right
+
+
+def mixed_anchored_prob_exact(n: int, q_left, q_right, t: int) -> float:
+    """Exact anchored-box probability for a concatenation of two independent
+    n-point Latin hypercube factors: the factor probabilities multiply."""
+    return lhs_anchored_prob_exact(n, q_left, t) * lhs_anchored_prob_exact(n, q_right, t)
 
 
 # ---------------------------------------------------------------------------

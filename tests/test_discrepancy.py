@@ -400,6 +400,12 @@ def _refusal(f) -> tuple[str, int]:
         tracemalloc.stop()
 
 
+def _flat_axis_0():
+    """Axis 0 constant: 3 * 1449^2 grid cells, in slabs of 1449^2."""
+    rest = sample(LatinHypercube(), 1447, 2, RngStream(103)).data
+    return np.column_stack([np.full(1447, 0.5), rest])
+
+
 def test_limits_are_checked_before_anything_is_allocated():
     # 2002^3 cells; one slab of the volume products alone would be 32 MiB
     wide = sample(MonteCarlo(), 2000, 3, RngStream(101))
@@ -409,8 +415,7 @@ def test_limits_are_checked_before_anything_is_allocated():
     # axis 0 constant: 3 * 1449^2 cells fit the budget, but one slab is 2.1e6 cells. The
     # pruned search's coarse pass (about 5 MiB) keeps too many tiles, and the walk it falls
     # back to is refused before its 128 MiB block is allocated
-    rest = sample(LatinHypercube(), 1447, 2, RngStream(103)).data
-    flat = PointSet(np.column_stack([np.full(1447, 0.5), rest]))
+    flat = PointSet(_flat_axis_0())
     message, peak = _refusal(lambda: star_discrepancy_exact(flat))
     assert "cells in memory" in message
     assert peak <= 8 * 2**20
@@ -425,17 +430,32 @@ def test_weighted_refusal_stops_at_the_first_projection_over_budget():
     assert peak <= 2 * 2**20
 
 
+def _assert_attained_at_the_witness(ps: PointSet, res):
+    """The local discrepancy at the witness, on its side, is the reported value."""
+    closed = res.witness_side == "closed"
+    inside = np.all(ps.data <= res.witness if closed else ps.data < res.witness, axis=1)
+    local = float(np.mean(inside)) - float(np.prod(res.witness))
+    assert (local if closed else -local) == pytest.approx(res.value, abs=1e-12)
+
+
 def test_the_whole_grid_memory_cap_waits_for_the_walk():
     # 50^5 cells: one slab of the whole grid breaks the memory cap, the pruned passes do not
     ps = sample(LatinHypercube(), 48, 5, RngStream(1))
     res = star_discrepancy_exact(ps, budget=10**13)
     assert res.cells < _grid_cells(ps) // 10
-    closed = res.witness_side == "closed"
-    inside = np.all(ps.data <= res.witness if closed else ps.data < res.witness, axis=1)
-    local = float(np.mean(inside)) - float(np.prod(res.witness))
-    assert (local if closed else -local) == pytest.approx(res.value, abs=1e-12)
+    _assert_attained_at_the_witness(ps, res)
     lower, upper = star_discrepancy_cover(ps, 0.25)
     assert lower <= res.value <= upper
+
+
+def test_the_small_grid_gate_stops_growing_past_d_4():
+    # 10^8 cells, the default budget: past d = 4 the gate stays at _SMALL_GRID * 4^4 cells,
+    # so the grid is pruned instead of walked in blocks of one 10^7-cell slab
+    ps = sample(LatinHypercube(), 8, 8, RngStream(1))
+    assert _grid_cells(ps) == discrepancy_module.DEFAULT_BUDGET
+    res = star_discrepancy_exact(ps)
+    assert res.cells < _grid_cells(ps) // 10
+    _assert_attained_at_the_witness(ps, res)
 
 
 def test_the_coarse_pass_refuses_before_it_allocates():
@@ -444,6 +464,32 @@ def test_the_coarse_pass_refuses_before_it_allocates():
     message, peak = _refusal(lambda: star_discrepancy_exact(ps, budget=10**15))
     assert "cells in memory" in message
     assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _flat_axis_0,
+        lambda: sample(LatinHypercube(), 4096, 2, RngStream(97)).data,
+        lambda: sample(LatinHypercube(), 256, 3, RngStream(5)).data,
+    ],
+    ids=["flat-axis-0-1447x3", "lhs-4096x2", "lhs-256x3"],
+)
+def test_the_coarse_pass_is_charged_for_what_it_holds(make):
+    # the coarse pass's block, bound arrays and kept-tile lists: any memory cap below
+    # what the pass really held must refuse it before it allocates
+    pts = make()
+    cands = discrepancy_module._axis_candidates(pts)
+    w = max(2, round(pts.shape[0] ** 0.25))
+
+    def coarse():
+        return discrepancy_module._kept_tiles(pts, cands, w)
+
+    held = _peak_bytes(coarse)
+    with patch.object(discrepancy_module, "_NODE_CAP", held // 8 - 1):
+        message, peak = _refusal(coarse)
+    assert "cells in memory" in message
+    assert peak <= 2**16
 
 
 @pytest.mark.parametrize("dense", [False, True])

@@ -121,6 +121,24 @@ def test_contains_points_matches_the_all_axes_reference(case):
     assert np.array_equal(got, expected)
 
 
+def reference_rectangle(region):
+    """The corners and volume each region type states through its own fields."""
+    if isinstance(region, CornerBox0):
+        return np.zeros(region.d), region.upper, np.prod(region.upper)
+    if isinstance(region, CornerBox1):
+        return region.lower, np.ones(region.d), np.prod(1.0 - region.lower)
+    return region.a, region.b, np.prod(region.b - region.a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(boxes))
+def test_each_region_is_the_rectangle_of_its_own_fields(region):
+    lo, hi, volume = reference_rectangle(region)
+    assert region.d == lo.size == hi.size
+    assert region.axes() == [(float(a), float(b)) for a, b in zip(lo, hi)]
+    assert region.volume() == float(volume)
+
+
 def test_box_validation_errors():
     with pytest.raises(ValidationError):
         CornerBox0((1.2, 0.5))

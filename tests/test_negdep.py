@@ -296,6 +296,36 @@ def test_prefix_draws_match_the_exact_oracles():
         assert lo <= oracle <= hi, (spec.label(), t, count / reps, oracle)
 
 
+# a concatenation with a stratified factor, its n, and the upper corner of an anchored box
+MIXED_WITH_GSS = [
+    (Mixed(GeneralizedStratified(31, LatticeCells((1, 12), 31)), 2, LatinHypercube(), 1),
+     6, (0.6, 0.7, 0.8)),
+    (Mixed(LatinHypercube(), 1, GeneralizedStratified(8, Stripes(8)), 2), 5, (0.55, 0.8, 0.9)),
+]
+
+
+@pytest.mark.parametrize("spec, n, upper", MIXED_WITH_GSS, ids=["gss|lhs", "lhs|gss"])
+def test_a_mixed_scheme_multiplies_the_laws_of_its_factors(spec, n, upper):
+    d, split = len(upper), spec.d_left
+    confidence = 1.0 - FAMILY_ALPHA / (2 * 3)  # both cases, t = 1..3
+    for t in (1, 2, 3):
+        oracle = spec.anchored_prob(n, CornerBox0(upper), t)
+        left = spec.left.anchored_prob(n, CornerBox0(upper[:split]), t)
+        right = spec.right.anchored_prob(n, CornerBox0(upper[split:]), t)
+        assert oracle == left * right
+        rep = check_upper_nd(spec, n, d, CornerBox0(upper), t, 100_000,
+                             RngStream(4200 + t), confidence=confidence)
+        assert abs(rep.lhs - oracle) <= rep.ci_halfwidth, (spec.label(), t, rep.lhs, oracle)
+
+
+def test_a_mixed_scheme_has_a_law_only_when_both_factors_do():
+    box = CornerBox0((0.5, 0.5, 0.5))
+    assert Mixed(LatinHypercube(), 2, MonteCarlo(), 1).anchored_prob(4, box, 2) is None
+    assert Mixed(MonteCarlo(), 1, LatinHypercube(), 2).anchored_prob(4, box, 2) is None
+    assert Mixed(LatinHypercube(), 1, LatinHypercube(), 2).anchored_prob(4, box, 2) == (
+        mixed_anchored_prob_exact(4, (0.5,), (0.5, 0.5), 2))
+
+
 def test_corner_cells_mask_shape():
     mask = corner_cells(5, (2, 3))
     assert mask.shape == (5, 5) and mask.dtype == bool

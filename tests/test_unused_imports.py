@@ -8,6 +8,9 @@ No linter is a test dependency, so the suite runs these two lint rules:
 - a name listed in a module's `__all__` must be read, as a name or an
   attribute, somewhere in the package, or be named by a string in the
   benchmark's tracer (`perfbench/tracing.py`), which wraps it from outside.
+
+A third rule keeps the layers apart: the scheme layer (`samplers.py`) owns
+its exact laws and never names the dependence testers (`negdep`).
 """
 
 import ast
@@ -91,3 +94,8 @@ def test_the_check_flags_a_dead_public_name():
 def test_every_public_name_is_reached():
     sources = {path.name: path.read_text() for path in MODULES}
     assert dead_public_names(sources, TRACING.read_text()) == []
+
+
+def test_samplers_never_names_negdep():
+    source = (PACKAGE / "samplers.py").read_text()
+    assert "negdep" not in source
