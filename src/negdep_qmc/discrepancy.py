@@ -8,8 +8,8 @@ sweep of Dobkin, Eppstein and Mitchell, ACM TOG 1996). Memory is one block and
 its temporaries, which `_NODE_CAP` bounds; budgets charge the cells of the
 whole grid, summed over the projections of the weighted variant. The budget
 is checked before any work, and the memory cap before each pass allocates
-anything: the pruned search's coarse pass (its block, its arrays of bounds and
-its list of kept tiles), or the walk of the whole grid.
+anything: the pruned search's coarse pass (its block and its arrays of
+bounds), or the walk of the whole grid.
 
 Exact enumerates the critical grid spanned by the point coordinates plus 1
 along each axis. At each grid node x two candidates are evaluated: the
@@ -32,13 +32,14 @@ are monotone, so vol(Hi) - H(Lo)/n and H(Hi + 1)/n - vol(Lo), computed in the
 walk's operation order, bound every double the walk computes in the tile. A
 tile whose bound is below `best` holds neither the maximum nor a tie with it,
 and is skipped; the others are evaluated exactly, so the result is the walk's
-first maximum, bit for bit. When the kept tiles would hold more than
-1/_FINE_SHARE of the grid's cells, or more than half of the tiles walked so
-far (checked after each coarse block), or the grid is small, the walk runs
-instead. The coarse pass is the walk of a smaller grid, the kept tiles are
-evaluated in chunks of about one block, and the list of kept tiles is bounded
-by that share. Budgets still charge every cell of the whole grid before any
-work: conservative, as far fewer are computed.
+first maximum, bit for bit. The walk runs instead on a small grid, or once
+the kept tiles pass one cap, set before the coarse pass: they may hold at most
+1/_FINE_SHARE of the grid's cells, and at 4d + 3 cells a tile (the coarse
+pass's lists, then the fine pass's arrays) must fit in what the coarse block
+leaves of _NODE_CAP. The coarse pass is the walk of a smaller grid, and the
+kept tiles are evaluated in chunks of about one block. Budgets still charge
+every cell of the whole grid before any work: conservative, as far fewer are
+computed.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ DEFAULT_BUDGET = 10**8
 _BLOCK_CELLS = 2**15  # a block holds this many cells of whole slabs, at least one slab
 _BLOCK_COPIES = 4  # block-sized arrays alive at once: the block, its binning and evaluation
 _COARSE_COPIES = _BLOCK_COPIES + 4  # the coarse pass adds its four arrays of bounds
-_KEPT_COPIES = 6  # cells per tile the coarse pass keeps: its lists and their final gathers
 _NODE_CAP = 2**24  # float64 cells held at once (128 MiB), the block's copies included
 _SMALL_GRID = 2**11  # exact walks a grid of at most _SMALL_GRID * 4^min(d, 4) cells whole
 _FINE_SHARE = 4  # exact prunes only while the kept tiles hold at most 1/4 of the grid's cells
@@ -90,8 +90,8 @@ class ProductWeights:
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if arr.ndim != 1 or not np.all(arr >= 0):
-            raise ValidationError("product weights must be a vector of nonnegative reals")
+        if arr.ndim != 1 or not np.all((arr >= 0) & np.isfinite(arr)):
+            raise ValidationError("product weights must be a vector of finite nonnegative reals")
         arr.setflags(write=False)
         object.__setattr__(self, "gamma", arr)
 
@@ -119,8 +119,8 @@ class ExplicitWeights:
 
     def __post_init__(self):
         tbl = {frozenset(int(i) for i in k): float(v) for k, v in dict(self.table).items()}
-        if not all(v >= 0 for v in tbl.values()):
-            raise ValidationError("subset weights must be nonnegative")
+        if not all(0 <= v < math.inf for v in tbl.values()):
+            raise ValidationError("subset weights must be finite and nonnegative")
         object.__setattr__(self, "table", tbl)
 
     def check(self, d: int) -> None:
@@ -167,19 +167,19 @@ def _charge(axis_values: list[np.ndarray], budget: int) -> int:
     return cells
 
 
-def _block_rows(axis_values: list[np.ndarray], copies=_BLOCK_COPIES, fixed=0) -> int:
-    """Slabs per block for the grid over `axis_values`.
+def _block_rows(axis_values: list[np.ndarray], copies=_BLOCK_COPIES) -> tuple[int, int]:
+    """Slabs per block for the grid over `axis_values`, and the cells of
+    `_NODE_CAP` the pass leaves.
 
-    A pass holds `copies` arrays of a block's size and `fixed` cells besides.
-    Raises BudgetExceededError, before anything is allocated, when they exceed
-    `_NODE_CAP`.
+    A pass holds `copies` arrays of a block's size. Raises BudgetExceededError,
+    before anything is allocated, when they exceed `_NODE_CAP`.
     """
     slab = math.prod(v.size + 1 for v in axis_values[1:])
     rows = max(1, _BLOCK_CELLS // slab)
-    held = copies * (rows + 1) * slab + fixed
+    held = copies * (rows + 1) * slab
     if held > _NODE_CAP:
         raise BudgetExceededError(f"discrepancy needs {held} cells in memory; limit is {_NODE_CAP}")
-    return rows
+    return rows, _NODE_CAP - held
 
 
 def _slabs(pts: np.ndarray, axis_values: list[np.ndarray], rows: int):
@@ -255,16 +255,16 @@ def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int):
     Walks the histogram over each tile's low corner; its strict slice gives
     H(Lo)/n and its closed slice H(Hi + 1)/n. Returns ((flat tile indices,
     H(Lo) counts) of the tiles whose bound reaches the best value found, or
-    None once they would hold more than 1/_FINE_SHARE of the grid's cells or
-    half of the tiles walked; the coarse cells computed).
+    None once they would pass one cap, set before the walk: 1/_FINE_SHARE of
+    the grid's cells, and what the coarse block leaves of _NODE_CAP at 4d + 3
+    cells a tile; the coarse cells computed).
     """
     n, d = pts.shape
     lo = [c[::w] for c in cands]
     hi = [c[np.minimum(np.arange(w - 1, c.size - 1 + w, w), c.size - 1)] for c in cands]
-    limit = math.prod(c.size + 1 for c in cands) / _FINE_SHARE / (w + 1) ** d  # in tiles
-    # the kept tiles never pass the limit or half the tiles
-    kept = min(limit, math.prod(c.size for c in lo) / 2)
-    rows = _block_rows(lo, _COARSE_COPIES, _KEPT_COPIES * math.ceil(kept))
+    rows, spare = _block_rows(lo, _COARSE_COPIES)
+    # a kept tile's cells: its lists here; in _tiles_exact 2 inputs, 1 cost, 4 d-cell arrays
+    cap = min(math.prod(c.size + 1 for c in cands) / _FINE_SHARE / (w + 1) ** d, spare / (4*d + 3))
     rest_lo = reduce(np.multiply, np.ix_(*lo[1:]), np.float64(1.0))
     rest_hi = reduce(np.multiply, np.ix_(*hi[1:]), np.float64(1.0))
     vol_lo, vol_hi, gap, ub = (np.empty((rows,) + rest_lo.shape) for _ in range(4))
@@ -284,8 +284,6 @@ def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int):
         np.maximum(np.subtract(v_hi, below, out=u), np.subtract(upto, v_lo, out=g), out=u)
         keep = np.flatnonzero(u >= best)
         held += keep.size
-        # a well-spread set keeps under a tenth of the tiles walked, a digital net most
-        cap = min(limit, (j0 + m) * rest_lo.size / 2)
         if held > cap:  # count what the best found so far still keeps, then decide
             ok = [v >= best for v in ubs]
             held = keep.size + sum(int(np.count_nonzero(k)) for k in ok)
@@ -400,7 +398,7 @@ def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> Discre
             found = _tiles_exact(pts, cands, w, *kept)
             cells += kept[0].size * (w + 1) ** d
     if found is None:
-        found = _walk_exact(pts, cands, _block_rows(cands))
+        found = _walk_exact(pts, cands, _block_rows(cands)[0])
         cells += grid
     best, node, side = found
     witness = np.array([cands[a][node[a]] for a in range(d)])
@@ -419,7 +417,7 @@ def star_discrepancy_cover(
     """
     vals = [delta_cover_axis(ps.d, delta)] * ps.d
     _charge(vals, budget)
-    rows = _block_rows(vals)
+    rows, _ = _block_rows(vals)
     strict = (slice(0, -1),) * ps.d
     lower = 0.0
     for i0, frac in _slabs(ps.data, vals, rows):

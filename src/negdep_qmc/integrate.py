@@ -70,7 +70,7 @@ class CornerIndicator:
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.a, dtype=float))
-        if np.any(arr < 0) or np.any(arr > 1):
+        if not (np.all(arr >= 0) and np.all(arr <= 1)):  # NaN fails both
             raise ValidationError("corner must lie in [0,1]^d")
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)

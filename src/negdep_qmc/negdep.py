@@ -364,9 +364,11 @@ def check_conditional_nqd(
     tests P(p1_i >= alpha, p2_i >= beta | cond) <= P(p1_i >= alpha | cond)
     * P(p2_i >= beta | cond). i = 1 runs the unconditional per-coordinate
     test (a_box and b_box must be None). Empirical runs with fewer than 100
-    conditioning hits return "inconclusive". The reported interval
-    is a conservative first-order halfwidth on lhs - rhs: the joint's Wilson
-    halfwidth plus each marginal estimate times the other's halfwidth.
+    conditioning hits return "inconclusive". The halfwidth on lhs - rhs sums
+    three Wilson halfwidths at `confidence`: the joint's, and each marginal's
+    times the other's estimate. By a union bound it covers with probability
+    at least about 1 - 3(1 - confidence) (0.97 at 0.99), up to the
+    second-order product of the two marginal halfwidths, which the sum omits.
     """
     _check_pair_test(n, d, i, alpha, beta)
     if i == 1 and (a_box is not None or b_box is not None):
@@ -423,8 +425,8 @@ def check_ci_nqd(
     being exact by uniform marginals. For every other coordinate j and each
     level g in 0.25, 0.5 and 0.75, the probe compares P(p1_i >= q, p2_i >= r,
     p1_j >= g, p2_j >= g) against the product of the two per-coordinate pair
-    probabilities, with a conservative first-order halfwidth (zero for exact
-    schemes, whose probes must agree to 1e-15). Probes are a necessary
+    probabilities, with the halfwidth of `check_conditional_nqd` (zero for
+    exact schemes, whose probes must agree to 1e-15). Probes are a necessary
     condition for cross-coordinate independence only: consistent probes do
     not prove it.
     """

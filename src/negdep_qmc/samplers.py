@@ -547,7 +547,7 @@ def lhs_anchored_prob_exact(n: int, q, t: int) -> float:
     and the axes multiply because coordinates are stratified independently.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.any(q < 0.0) or np.any(q > 1.0):
+    if not (np.all(q >= 0.0) and np.all(q <= 1.0)):  # NaN fails both
         raise ValidationError("anchor coordinates must lie in [0, 1]")
     if not (1 <= t <= n):
         raise ValidationError("need 1 <= t <= n")

@@ -1,7 +1,8 @@
 """Exact star discrepancy, cover brackets, weighted variant, and budgets."""
 
+import re
 import tracemalloc
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import reduce
 from itertools import product
 from unittest.mock import patch
@@ -206,6 +207,20 @@ def test_negative_weights_rejected():
         ProductWeights((float("nan"), 1.0))
     with pytest.raises(ValidationError):
         ExplicitWeights({frozenset({0}): float("nan")})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ProductWeights((float("inf"), 1.0)),
+        lambda: ExplicitWeights({frozenset({0}): float("inf")}),
+    ],
+    ids=["product-inf", "explicit-inf"],
+)
+def test_infinite_weights_rejected(make):
+    # an infinite weight would make the weighted discrepancy and its bound infinite
+    with pytest.raises(ValidationError, match="finite"):
+        make()
 
 
 def test_explicit_weights_reject_a_coordinate_above_d():
@@ -492,6 +507,86 @@ def test_the_coarse_pass_is_charged_for_what_it_holds(make):
     assert peak <= 2**16
 
 
+def _lhs_2048x3():
+    return sample(LatinHypercube(), 2048, 3, RngStream(1)).data
+
+
+def _outcome(res):
+    return None if res is None else (res.value, tuple(res.witness), res.witness_side)
+
+
+@pytest.mark.parametrize(
+    "make, budget",
+    [
+        (_flat_axis_0, 10**8),
+        (lambda: sample(LatinHypercube(), 4096, 2, RngStream(97)).data, 10**8),
+        (lambda: sample(LatinHypercube(), 256, 3, RngStream(5)).data, 10**8),
+        (_lhs_2048x3, 10**10),
+        (lambda: sample(MonteCarlo(), 1024, 3, RngStream(1)).data, 10**10),
+    ],
+    ids=["flat-axis-0-1447x3", "lhs-4096x2", "lhs-256x3", "lhs-2048x3", "mc-1024x3"],
+)
+def test_exact_holds_no_more_than_the_memory_cap(make, budget):
+    # memory caps from the coarse block's charge and what exact holds uncapped up to twice
+    # the larger: the kept tiles are checked against what the block leaves of the cap, so
+    # exact returns its uncapped result or refuses, and never holds more than the cap
+    pts = make()
+    cands = discrepancy_module._axis_candidates(pts)
+    w = max(2, round(pts.shape[0] ** 0.25))
+    with patch.object(discrepancy_module, "_NODE_CAP", 0):
+        message, _ = _refusal(lambda: discrepancy_module._kept_tiles(pts, cands, w))
+    block = int(re.search(r"needs (\d+) cells in memory", message).group(1))
+    outcomes = []
+
+    def exact():
+        try:
+            outcomes.append(_outcome(star_discrepancy_exact(PointSet(pts), budget)))
+        except BudgetExceededError:
+            outcomes.append(None)
+
+    held = _peak_bytes(exact) // 8
+    for cap in np.linspace(min(block, held), 2 * max(block, held), 3).astype(int).tolist():
+        with patch.object(discrepancy_module, "_NODE_CAP", cap):
+            peak = _peak_bytes(exact)
+        assert outcomes[-1] is None or outcomes[-1] == outcomes[0], cap
+        assert peak <= 8 * cap + 2 * 2**20, cap
+    assert outcomes[-1] == outcomes[0]  # the largest cap lets the pass finish as uncapped
+
+
+def test_a_large_latin_hypercube_is_pruned_within_the_memory_cap():
+    # 2050^3 cells, about 8.6e9; the kept tiles are charged for what they hold, not for the
+    # most the pass might keep, so the coarse pass fits the memory cap and prunes
+    ps = PointSet(_lhs_2048x3())
+    res = star_discrepancy_exact(ps, budget=10**10)
+    assert res.cells < _grid_cells(ps) // 100
+    _assert_attained_at_the_witness(ps, res)
+    lower, upper = star_discrepancy_cover(ps, 0.05)
+    assert lower <= res.value <= upper
+
+
+@contextmanager
+def _coarse_passes():
+    """Record, for each coarse pass run inside, whether it returned tiles."""
+    kept_tiles, passes = discrepancy_module._kept_tiles, []
+
+    def coarse(*args):
+        out = kept_tiles(*args)
+        passes.append(out[0] is not None)
+        return out
+
+    with patch.object(discrepancy_module, "_kept_tiles", coarse):
+        yield passes
+
+
+def test_the_coarse_pass_keeps_tiles_on_monte_carlo_sets():
+    # 1026^3 cells: the kept tiles stay far under their cap on every seed, so none falls
+    # back to walking all 1.08e9 cells
+    with _coarse_passes() as passes:
+        for seed in range(1, 21):
+            star_discrepancy_exact(sample(MonteCarlo(), 1024, 3, RngStream(seed)), budget=2 * 10**9)
+    assert passes == [True] * 20
+
+
 @pytest.mark.parametrize("dense", [False, True])
 def test_a_block_and_its_temporaries_stay_within_the_memory_cap_count(dense):
     # one point per axis-0 slot adds orthants; a constant axis 0 bins a dense slab
@@ -522,10 +617,13 @@ def _assert_exact_matches_whole_histogram(ps: PointSet):
     runs = [{}, {"_SMALL_GRID": 0}, {"_SMALL_GRID": 0, "_FINE_SHARE": 1e-9}]
     for overrides in runs:
         with patch.multiple(discrepancy_module, **overrides) if overrides else nullcontext():
-            res = star_discrepancy_exact(ps)
+            with _coarse_passes() as passes:
+                res = star_discrepancy_exact(ps)
         assert res.value == value, overrides
         assert np.array_equal(res.witness, witness), overrides
         assert res.witness_side == side, overrides
+    # the last run kept tiles, so the fine pass, not the walk, found the maximum
+    assert passes == [True]
 
 
 @st.composite

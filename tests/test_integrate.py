@@ -42,6 +42,12 @@ def test_describe_function_labels():
     assert NegProduct().label == "neg_product"
 
 
+@pytest.mark.parametrize("a", [(float("nan"), 0.5), (0.5, float("nan"))], ids=["nan-first", "nan-last"])
+def test_a_corner_with_a_nan_coordinate_is_rejected(a):
+    with pytest.raises(ValidationError, match="corner"):
+        CornerIndicator(a)
+
+
 def test_mean_of_lhs_estimates_is_unbiased():
     # Average of independent equal-weight estimates converges to the integral.
     rng = RngStream(5)

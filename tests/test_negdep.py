@@ -117,6 +117,12 @@ def test_lhs_oracle_by_exact_permutation_enumeration():
         assert lhs_anchored_prob_exact(n, (q,), t) == pytest.approx(expected, abs=1e-14)
 
 
+@pytest.mark.parametrize("q", [(float("nan"), 0.5), (0.5, float("nan"))], ids=["nan-first", "nan-last"])
+def test_lhs_oracle_rejects_a_nan_anchor(q):
+    with pytest.raises(ValidationError, match="anchor"):
+        lhs_anchored_prob_exact(8, q, 2)
+
+
 def test_lhs_oracle_factorizes_over_axes():
     n, t = 6, 3
     q = (0.37, 0.81)
