@@ -1,7 +1,8 @@
 """Self-contained acceptance suite: twelve desk-scale checks that exercise
 the exact oracles, the empirical testers, the discrepancy engine, the bounds,
 and the variance machinery end to end. Each criterion returns a structured
-result; run_all can persist a machine-readable summary.
+result, and run_all returns them; `negdep-qmc report` writes the summary
+files.
 
 All randomness is derived from a single seed through named stream splits, so
 the whole suite is reproducible bit for bit.
@@ -9,10 +10,7 @@ the whole suite is reproducible bit for bit.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from itertools import product
@@ -64,10 +62,6 @@ class CriterionResult:
     passed: bool
     details: str
     elapsed_s: float | None = None  # seconds the criterion took, set by run_all
-
-
-# the fields acceptance.csv and acceptance.json record for each criterion
-_SUMMARY_FIELDS = ("cid", "name", "passed", "details")
 
 
 def _result(cid, name, checks, details) -> CriterionResult:
@@ -384,11 +378,10 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED, out_dir=None, criteria=None):
-    """Run the selected criteria (None: all twelve) and optionally write
-    acceptance.csv and acceptance.json into out_dir. An empty selection or an
-    id outside 1..12 raises ValidationError before any criterion runs. Output
-    files contain no timestamps, so identical inputs give identical bytes."""
+def run_all(seed: int = DEFAULT_SEED, criteria=None):
+    """Run the selected criteria (None: all twelve) in id order and return
+    their results, each with its elapsed_s set. An empty selection or an id
+    outside 1..12 raises ValidationError before any criterion runs."""
     if criteria is None:
         criteria = range(1, 13)
     elif not (criteria and all(1 <= c <= 12 for c in criteria)):
@@ -398,15 +391,4 @@ def run_all(seed: int = DEFAULT_SEED, out_dir=None, criteria=None):
         t0 = time.perf_counter()
         result = ALL_CRITERIA[cid - 1](seed)
         results.append(replace(result, elapsed_s=time.perf_counter() - t0))
-    if out_dir is not None:
-        rows = [{key: getattr(r, key) for key in _SUMMARY_FIELDS} for r in results]
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "acceptance.csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, _SUMMARY_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
-        summary = {"seed": seed, "all_passed": all(r.passed for r in results), "criteria": rows}
-        with open(os.path.join(out_dir, "acceptance.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return results

@@ -31,6 +31,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, fields
@@ -310,11 +311,14 @@ def _write_csv(out, subcommand: str, columns, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
-    if out is None:
-        return
-    with open(str(out) + ".schema.json", "w") as fh:
-        json.dump({"subcommand": subcommand, "version": __version__, "columns": list(columns)},
-                  fh, indent=2, sort_keys=True)
+    if out is not None:
+        _write_json(str(out) + ".schema.json",
+                    {"subcommand": subcommand, "version": __version__, "columns": list(columns)})
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -514,12 +518,20 @@ def cmd_net_check(cfg: dict) -> int:
 def cmd_report(cfg: dict) -> int:
     c = _read(cfg, {"criteria": (_of([int]), None), "seed": (_SEED_VALUE, DEFAULT_SEED),
                     "out_dir": (_of(str), None)}, "report config")
-    results = run_all(seed=c.seed, out_dir=c.out_dir, criteria=c.criteria)
+    results = run_all(seed=c.seed, criteria=c.criteria)
+    passed = all(r.passed for r in results)
+    if c.out_dir is not None:
+        columns = ("cid", "name", "passed", "details")  # no timings: reruns give the same bytes
+        rows = [{key: getattr(r, key) for key in columns} for r in results]
+        os.makedirs(c.out_dir, exist_ok=True)
+        _write_csv(os.path.join(c.out_dir, "acceptance.csv"), "report", columns, rows)
+        _write_json(os.path.join(c.out_dir, "acceptance.json"),
+                    {"seed": c.seed, "all_passed": passed, "criteria": rows})
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         line = f"criterion {r.cid:02d} {status} {r.name}: {r.details} ({r.elapsed_s:.2f} s)"
         sys.stdout.write(line + "\n")
-    return 0 if all(r.passed for r in results) else 4
+    return 0 if passed else 4
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,9 @@ def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int):
     H(Lo) counts) of the tiles whose bound reaches the best value found, or
     None once they would pass one cap, set before the walk: 1/_FINE_SHARE of
     the grid's cells, and what the coarse block leaves of _NODE_CAP at 4d + 3
-    cells a tile; the coarse cells computed).
+    cells a tile; the coarse cells computed). The lists drop the tiles that
+    the best excludes whenever they double, so they hold about twice what it
+    keeps.
     """
     n, d = pts.shape
     lo = [c[::w] for c in cands]
@@ -269,7 +271,7 @@ def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int):
     rest_hi = reduce(np.multiply, np.ix_(*hi[1:]), np.float64(1.0))
     vol_lo, vol_hi, gap, ub = (np.empty((rows,) + rest_lo.shape) for _ in range(4))
     strict, closed = (slice(0, -1),) * d, (slice(1, None),) * d
-    best, ids, ubs, fracs, held = -1.0, [], [], [], 0
+    best, ids, ubs, fracs, held, trimmed = -1.0, [], [], [], 0, 0
     for j0, frac in _slabs(pts, lo, rows):
         m = frac.shape[0] - 1
         done = (j0 + m + 1) * rest_lo.size
@@ -284,9 +286,9 @@ def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int):
         np.maximum(np.subtract(v_hi, below, out=u), np.subtract(upto, v_lo, out=g), out=u)
         keep = np.flatnonzero(u >= best)
         held += keep.size
-        if held > cap:  # count what the best found so far still keeps, then decide
+        if held > min(cap, 2 * trimmed):  # keep what the best found so far keeps, then decide
             ok = [v >= best for v in ubs]
-            held = keep.size + sum(int(np.count_nonzero(k)) for k in ok)
+            held = trimmed = keep.size + sum(int(np.count_nonzero(k)) for k in ok)
             if held > cap:
                 return None, done
             ids, ubs, fracs = ([a[k] for a, k in zip(arrs, ok)] for arrs in (ids, ubs, fracs))

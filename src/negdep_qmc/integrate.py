@@ -84,7 +84,7 @@ class CornerIndicator:
 
     def integral(self, d):
         if d != self.a.size:
-            raise ValidationError("dimension mismatch")
+            raise ValidationError(f"corner indicator has dimension {self.a.size}, not d = {d}")
         return float(np.prod(1.0 - self.a))
 
 
@@ -137,10 +137,12 @@ def variance_study(
     """Compare the scheme's estimator variance against Monte Carlo.
 
     Runs `reps` independent replications of each; the ratio's standard error
-    comes from the delta method on two independent sample variances.
+    comes from the delta method on two independent sample variances. An
+    integrand of another dimension than d is refused before any draw.
     """
     if reps < 30:
         raise ValidationError("variance study needs at least 30 replications")
+    f.integral(d)  # only for its check of the dimension
     est_a = _estimator_values(spec, f, n, d, reps, rng.split(0))
     est_m = _estimator_values(MonteCarlo(), f, n, d, reps, rng.split(1))
     var_a = float(np.var(est_a, ddof=1))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional
 
 import numpy as np
 
@@ -175,13 +174,21 @@ class _Tally:
     def exact(self) -> bool:
         return self.reps == 0
 
-    def share(self, k: int) -> float:
-        return self.values[k] if self.exact else self.values[k] / self.reps
+    def share(self, k: int, base=None) -> float:
+        """Event k's value over `base` (default: the replications, or 1 when exact)."""
+        return self.values[k] / ((self.reps or 1) if base is None else base)
 
-    def halfwidth(self, k: int, trials: Optional[int] = None) -> float:
+    def halfwidth(self, k: int, base=None) -> float:
         if self.exact:
             return 0.0
-        return _halfwidth(self.values[k], self.reps if trials is None else trials, self.confidence)
+        return _halfwidth(self.values[k], self.reps if base is None else base, self.confidence)
+
+    def versus_product(self, joint: int, a: int, b: int, base=None):
+        """P(joint), P(a) P(b) and the halfwidth on their difference,
+        hw(joint) + P(a) hw(b) + P(b) hw(a), all over `base` (see share)."""
+        pa, pb = self.share(a, base), self.share(b, base)
+        hw = self.halfwidth(joint, base) + pa * self.halfwidth(b, base)
+        return self.share(joint, base), pa * pb, hw + pb * self.halfwidth(a, base)
 
 
 def _tally(spec, n, d, events, reps, rng: RngStream, confidence) -> _Tally:
@@ -386,7 +393,7 @@ def check_conditional_nqd(
     t1, t2 = _coordinate_box(d, i, alpha, a_box), _coordinate_box(d, i, beta, b_box)
     events = [((c1, c2), False), ((t1, t2), False), ((t1, c2), False), ((c1, t2), False)]
     tally = _tally(spec, n, d, events, reps, rng, confidence)
-    hits, joint, m1, m2 = tally.values
+    hits = tally.values[0]
     if tally.exact:
         if hits <= 0.0:
             raise ValidationError("conditioning event has probability zero")
@@ -397,15 +404,8 @@ def check_conditional_nqd(
         )
     else:
         event += f" [{hits} hits]"
-    lhs = joint / hits
-    p1hat = m1 / hits
-    p2hat = m2 / hits
-    ci = (
-        tally.halfwidth(1, hits)
-        + p1hat * tally.halfwidth(3, hits)
-        + p2hat * tally.halfwidth(2, hits)
-    )
-    return _report("conditional_nqd", spec, n, d, event, lhs, p1hat * p2hat, ci, tally)
+    lhs, rhs, ci = tally.versus_product(1, 2, 3, hits)  # (t1, t2) against (t1, c2), (c1, t2)
+    return _report("conditional_nqd", spec, n, d, event, lhs, rhs, ci, tally)
 
 
 def check_ci_nqd(
@@ -444,16 +444,11 @@ def check_ci_nqd(
     for j, g in probes:
         events += [pair({i: q, j: g}, {i: r, j: g}), pair({j: g}, {j: g})]
     tally = _tally(spec, n, d, events, reps, rng, confidence)
-    lhs = tally.share(0)
-    hw_i = tally.halfwidth(0)
-    primary = _report("ci_nqd", spec, n, d, event, lhs, rhs, hw_i, tally)
+    primary = _report("ci_nqd", spec, n, d, event, tally.share(0), rhs, tally.halfwidth(0), tally)
     checks = []
     for k, (j, g) in enumerate(probes):
-        joint = tally.share(1 + 2 * k)
-        pj = tally.share(2 + 2 * k)
-        product = lhs * pj
+        joint, product, hw = tally.versus_product(1 + 2 * k, 0, 2 + 2 * k)
         dev = joint - product
-        hw = tally.halfwidth(1 + 2 * k) + lhs * tally.halfwidth(2 + 2 * k) + pj * hw_i
         tolerance = 1e-15 if tally.exact else hw
         checks.append(
             FactorizationCheck(i, j, q, r, g, g, joint, product, dev, hw, abs(dev) <= tolerance)

@@ -337,6 +337,38 @@ PINNED = [
         + "swap,2,2,1,2,0.5,0.5,0.5,0.5,0.25,0.0625,0.1875,0.0,false\n"
         + "swap,2,2,1,2,0.5,0.5,0.75,0.75,0.0625,0.015625,0.046875,0.0,false\n",
         id="negdep-swap-ci"),
+    # empirical pair tests: the summed Wilson halfwidths of the product interval
+    pytest.param(
+        "negdep", {"scheme": {"kind": "lhs"}, "n": 8, "d": 2, "test": "conditional", "i": 2,
+                   "a_box": {"kind": "interval", "a": [0.2], "b": [0.9]},
+                   "b_box": {"kind": "corner1", "lower": [0.1]},
+                   "alphas": [0.5], "betas": [0.25], "reps": 400, "seed": 5},
+        _NEGDEP_HEADER
+        + 'conditional_nqd,lhs,8,2,"coord 2: p1 >= 0.5 and p2 >= 0.25 | p1[1:1] in '
+          '[(0.2),(0.9)), p2[1:1] in [(0.1),1) [244 hits]",0.3442622950819672,'
+          "0.3849771566783123,0.18226161734613328,inconclusive,400,1.0,0.99,empirical,\n",
+        id="negdep-lhs-conditional-empirical"),
+    pytest.param(
+        "negdep", {"scheme": {"kind": "lhs"}, "n": 8, "d": 3, "test": "ci", "i": 1,
+                   "q_values": [0.5], "r_values": [0.5], "reps": 400, "seed": 5},
+        _NEGDEP_HEADER
+        + "ci_nqd,lhs,8,3,coord 1: p1 >= 0.5 and p2 >= 0.5,0.2525,0.25,0.0596797401110718,"
+          "inconclusive,400,1.0,0.99,empirical,\n"
+        + "\n"
+        + "scheme,n,d,coord_i,coord_j,q,r,s,t2,joint,product,deviation,halfwidth,consistent\n"
+        + "lhs,8,3,1,2,0.5,0.5,0.25,0.25,0.1325,0.14013750000000003,-0.007637500000000019,"
+          "0.09909575759479461,true\n"
+        + "lhs,8,3,1,2,0.5,0.5,0.5,0.5,0.045,0.052393749999999996,-0.0073937499999999975,"
+          "0.061648699365627696,true\n"
+        + "lhs,8,3,1,2,0.5,0.5,0.75,0.75,0.0125,0.008837500000000002,0.003662499999999999,"
+          "0.03445730607920999,true\n"
+        + "lhs,8,3,1,3,0.5,0.5,0.25,0.25,0.15,0.14203125,0.007968749999999997,"
+          "0.10150761974636137,true\n"
+        + "lhs,8,3,1,3,0.5,0.5,0.5,0.5,0.065,0.053656249999999996,0.011343750000000007,"
+          "0.06649165398584028,true\n"
+        + "lhs,8,3,1,3,0.5,0.5,0.75,0.75,0.01,0.0101,-9.99999999999994e-05,"
+          "0.033891078867290494,true\n",
+        id="negdep-lhs-ci-empirical"),
     pytest.param(
         "sample", {"scheme": _GSS_CELLS, "n": 3, "d": 2, "seed": 3},
         "2 3\n"
@@ -441,6 +473,7 @@ _COND = {"scheme": {"kind": "lhs"}, "n": 4, "d": 2, "test": "conditional", "i": 
          "alphas": [0.5], "betas": [0.5], "reps": 100}
 _PAIR = {"scheme": {"kind": "lhs"}, "n": 4, "d": 2, "test": "pairwise",
          "q_anchors": [[0.5, 0.5]], "r_anchors": [[0.5, 0.5]], "reps": 100}
+_VARIANCE = {"scheme": {"kind": "lhs"}, "n": 16, "d": 3, "reps": 100}
 _CORNER = {"formula": "corner", "grid": {"n": 64, "d": 2, "c": 1}}
 _CELLS_G3 = {"kind": "gss", "beta": 31, "strata": {"kind": "cells", "g": [1, 2, 3], "n": 31}}
 _TABLE_D2 = {"1": 1.0, "2": 1.0, "1,2": 1.0}
@@ -552,6 +585,13 @@ MALFORMED = [
     pytest.param("negdep", {**_PAIR, "confidence": 1.0}, [], id="lhs-confidence-1"),
     # a budget below 1, which used to exit 3
     pytest.param("discrepancy", {"points": "p.txt", "budget": 0}, [], id="budget-zero"),
+    # an integrand of another dimension than d: a shorter corner used to be
+    # broadcast, a longer one to crash in numpy
+    pytest.param("variance", {**_VARIANCE, "function": {"kind": "corner_indicator", "a": [0.3]}},
+                 [], id="variance-corner-shorter"),
+    pytest.param("variance", {**_VARIANCE, "function": {"kind": "corner_indicator",
+                                                        "a": [0.3, 0.3]}},
+                 [], id="variance-corner-longer"),
 ]
 
 
@@ -559,9 +599,10 @@ MALFORMED = [
 def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, cfg, argv):
     monkeypatch.chdir(tmp_path)
     save_pointset(net_points(2, 3, 2), tmp_path / "p.txt")
-    code, _, err = run([command, write_json(tmp_path / "c.json", cfg), *argv], capsys)
+    code, text, err = run([command, write_json(tmp_path / "c.json", cfg), *argv], capsys)
     assert code == 2
     assert err.startswith("error: ")
+    assert text == ""
 
 
 # point-set files that must be refused whichever subcommand reads them; each
@@ -704,16 +745,36 @@ def test_parse_scheme_round_trip(kind):
     assert parse_scheme(_to_config(spec)) == spec
 
 
+_ACCEPTANCE_JSON = {  # acceptance.json of criteria 1-3 at the default seed
+    "all_passed": True,
+    "criteria": [
+        {"cid": 1, "details": "upper=0.25 rhs=0.1875 diag_err=0 verdict=violated",
+         "name": "min-copula exact violation", "passed": True},
+        {"cid": 2, "details": "lhs=0.33333333333333331 rhs=0.25 verdict=violated",
+         "name": "four-slot conditional violation", "passed": True},
+        {"cid": 3, "details": "pair lhs=0.25 rhs=0.0625; conditional max|lhs-rhs|=5.55e-17",
+         "name": "swap pair violation and conditional equality", "passed": True},
+    ],
+    "seed": 2718281,
+}
+
+
 def test_report_subset_runs_and_writes(tmp_path, capsys):
     cfg = write_json(tmp_path / "r.json", {"criteria": [1, 2, 3], "out_dir": str(tmp_path / "acc")})
     code, text, _ = run(["report", cfg], capsys)
     assert code == 0
     assert text.count("PASS") == 3
-    data = json.loads((tmp_path / "acc" / "acceptance.json").read_text())
-    assert data["all_passed"] is True
-    assert [c["cid"] for c in data["criteria"]] == [1, 2, 3]
-    csv_text = (tmp_path / "acc" / "acceptance.csv").read_text()
-    assert csv_text.splitlines()[0] == "cid,name,passed,details"
+    expected = json.dumps(_ACCEPTANCE_JSON, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "acc" / "acceptance.json").read_text() == expected
+    # acceptance.csv is written like every other CSV: \n line ends, true/false, a sidecar
+    rows = [("cid", "name", "passed", "details")]
+    rows += [(str(c["cid"]), c["name"], "true", c["details"])
+             for c in _ACCEPTANCE_JSON["criteria"]]
+    with open(tmp_path / "acc" / "acceptance.csv", newline="") as fh:
+        assert fh.read() == "".join(",".join(row) + "\n" for row in rows)
+    sidecar = json.loads((tmp_path / "acc" / "acceptance.csv.schema.json").read_text())
+    assert sidecar["subcommand"] == "report"
+    assert sidecar["columns"] == list(rows[0])
 
 
 def test_report_rejects_bad_criterion_ids(tmp_path, capsys):

@@ -20,6 +20,7 @@ from negdep_qmc import (
     simplex_max_check,
     variance_study,
 )
+from negdep_qmc import integrate
 from negdep_qmc.integrate import _esp_batch
 
 
@@ -79,6 +80,16 @@ def test_variance_study_monte_carlo_against_itself_is_near_one():
 def test_variance_study_rejects_tiny_replication_counts():
     with pytest.raises(ValidationError):
         variance_study(LatinHypercube(), ProductCoords(), 8, 2, 10, RngStream(0))
+
+
+@pytest.mark.parametrize("a", [(0.3,), (0.3, 0.3)], ids=["shorter", "longer"])
+def test_variance_study_checks_the_integrand_dimension_before_drawing(a, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the integrand's dimension")
+
+    monkeypatch.setattr(integrate, "map_chunks", no_draws)
+    with pytest.raises(ValidationError, match="dimension"):
+        variance_study(LatinHypercube(), CornerIndicator(a), 16, 3, 100, RngStream(3))
 
 
 # ---------------------------------------------------------------------------
