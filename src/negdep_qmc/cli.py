@@ -20,8 +20,10 @@ are built from their dataclass fields, looked up by "kind". A discrepancy
 config that asks for nothing (exact false, no delta, no weights) exits 2.
 
 Exit codes: 0 success, 2 validation error (a malformed config value
-included), 3 budget exceeded, 4 acceptance failure (a failed report
-criterion, or a "violated" verdict under --expect-holds).
+included; an output path in no existing directory is refused before any
+work) or an output that cannot be written, 3 budget exceeded, 4 acceptance
+failure (a failed report criterion, or a "violated" verdict under
+--expect-holds).
 """
 
 from __future__ import annotations
@@ -178,6 +180,28 @@ def _points(value, what: str):
         raise ValidationError(f"cannot read points file: {exc}") from exc
 
 
+def _out_file(value, what: str) -> str:
+    """An output file in a directory that exists, refused before any work."""
+    path = _typed(value, str, what)
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValidationError(f"{what} must name a file in an existing directory, got '{path}'")
+    return path
+
+
+def _out_dir(value, what: str) -> str:
+    """An output directory that exists or can be made: its nearest existing
+    ancestor is a directory. Refused before any work."""
+    path = _typed(value, str, what)
+    if not path:
+        raise ValidationError(f"{what} must name a directory, got ''")
+    nearest = os.path.abspath(path)
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise ValidationError(f"{what} must name a directory, but '{nearest}' is a file")
+    return path
+
+
 def _finite(text: str) -> float:
     """A JSON real, or a NaN/Infinity constant that json accepts: finite ones pass."""
     if not math.isfinite(value := float(text)):
@@ -276,7 +300,7 @@ def parse_function(cfg):
 
 
 # schema pieces that several subcommands share
-_OUT = {"out": (_of(str), None)}
+_OUT = {"out": (_out_file, None)}
 _SEED_VALUE = _bounded(int, lambda seed: seed >= 0, ">= 0")
 _SEED = {"seed": (_SEED_VALUE, 0)}
 _DRAW = {  # a point set to draw: scheme, n, d and seed
@@ -517,7 +541,7 @@ def cmd_net_check(cfg: dict) -> int:
 
 def cmd_report(cfg: dict) -> int:
     c = _read(cfg, {"criteria": (_of([int]), None), "seed": (_SEED_VALUE, DEFAULT_SEED),
-                    "out_dir": (_of(str), None)}, "report config")
+                    "out_dir": (_out_dir, None)}, "report config")
     results = run_all(seed=c.seed, criteria=c.criteria)
     passed = all(r.passed for r in results)
     if c.out_dir is not None:
@@ -588,6 +612,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 3
+    except OSError as exc:  # an output that passed its check and still cannot be written
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

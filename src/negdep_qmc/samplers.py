@@ -96,7 +96,11 @@ class RngStream:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An (n, d) array of points in the half-open unit cube."""
+    """An (n, d) array of points in the half-open unit cube, held read-only.
+
+    The array is copied unless it is read-only and owns its memory, as the one
+    `load_pointset` hands over is, so no array a caller can write to is aliased.
+    """
 
     data: np.ndarray
 
@@ -106,7 +110,8 @@ class PointSet:
             raise ValidationError("point set must be a 2-d array with at least one row")
         if arr.shape[1] > 0 and not (np.all(arr >= 0.0) and np.all(arr < 1.0)):
             raise ValidationError("point coordinates must lie in [0,1)")
-        arr = arr.copy()
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -167,6 +172,7 @@ def load_pointset(path) -> PointSet:
         raise ValidationError(f"expected {d} coordinates per row, got {data.shape[1]}")
     if data.shape[0] != n:
         raise ValidationError(f"expected {n} rows, got {data.shape[0]}")
+    data.setflags(write=False)  # no one else holds it: PointSet takes it without a copy
     return PointSet(data)
 
 
@@ -573,10 +579,43 @@ class SimpleStratified(LatinHypercube):
             raise ValidationError("simple stratified sampling is 1-d only")
 
 
+# Scrambling keys drawn at once: one block of consecutive digit prefixes holds
+# at most this many, or one prefix's reps * b when that is more.
+_KEY_BLOCK = 1 << 16
+
+
+def _cell_map(g: np.random.Generator, b: int, m: int, reps: int) -> np.ndarray:
+    """(reps, b^m) int32 array: the cell of the b^-m grid that nested uniform
+    scrambling sends each cell to, on one coordinate of each replication.
+
+    Level r permutes the b digits after each of the b^r prefixes, so the map
+    grows one digit at a time: sigma[:, p*b + a] = sigma_r[:, p]*b + perm_p(a).
+    The keys of level r form one (b^r, reps, b) array in C order, so drawing
+    them in blocks of consecutive prefixes draws the same values.
+    """
+    sigma = np.zeros((reps, 1), dtype=np.int32)
+    step = max(1, _KEY_BLOCK // (reps * b))
+    for r in range(m):
+        prefixes = b**r
+        grown = np.empty((reps, prefixes, b), dtype=np.int32)
+        for lo in range(0, prefixes, step):
+            hi = min(lo + step, prefixes)
+            perms = np.argsort(g.random((hi - lo, reps, b)), axis=2)
+            grown[:, lo:hi] = sigma[:, lo:hi, None] * b + perms.transpose(1, 0, 2)
+        sigma = grown.reshape(reps, prefixes * b)
+    return sigma
+
+
 @dataclass(frozen=True)
 class ScrambledNet(SchemeSpec):
     """Base-b digital net (b prime, s <= b), nested uniform scrambling to depth
-    m plus uniform jitter below b^-m, rows shuffled."""
+    m plus uniform jitter below b^-m, rows shuffled.
+
+    Per coordinate, the scrambling is a cell map (`_cell_map`): it sends each
+    cell of the b^-m grid to a cell, and a base point takes the value of the
+    cell its own cell is sent to, plus jitter. The draw holds the result in one
+    coordinate-major buffer, beside about one more result-sized buffer.
+    """
 
     b: int
     m: int
@@ -601,22 +640,19 @@ class ScrambledNet(SchemeSpec):
     def draw(self, n, d, rows, reps, rng):
         b, m, s = self.b, self.m, self.s
         g = rng.gen
-        base = _net_base_digits(b, m, s)
-        weights = b ** -(np.arange(m, dtype=float) + 1)
-        out = np.empty((reps, n, s))
-        digits = np.empty((reps, n, m), dtype=np.int64)
-        for l in range(s):
-            prefix = np.zeros(n, dtype=np.int64)
-            for r in range(m):
-                # one permutation of the b digits per prefix and replication. The
-                # generating matrices are unit upper triangular, so all b^r
-                # prefixes occur at level r and are drawn in ascending order.
-                perms = np.argsort(g.random((b**r, reps, b)), axis=2)
-                digits[:, :, r] = perms[prefix, :, base[:, l, r]].T
-                prefix = prefix * b + base[:, l, r]
-            out[:, :, l] = digits @ weights + g.random((reps, n)) * b ** (-m)
+        place = b ** np.arange(m - 1, -1, -1)
+        cells = _net_base_digits(b, m, s) @ place  # (n, s): each base point's cell
+        # each cell's value: its digits, most significant first, times their weights
+        value = (np.arange(n)[:, None] // place % b) @ (b ** -(np.arange(m, dtype=float) + 1))
+        out = np.empty((s, reps, n))
+        for l, coord in enumerate(out):
+            coord[...] = value[_cell_map(g, b, m, reps)[:, cells[:, l]]]
+            coord += g.random((reps, n)) * b ** (-m)
         rp = _row_perms(g, reps, n)
-        return out.reshape(reps * n, s)[rp + n * np.arange(reps)[:, None]]
+        rp += n * np.arange(reps)[:, None]
+        for coord in out:
+            coord[...] = coord.reshape(-1)[rp]
+        return out.transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -861,7 +897,8 @@ def map_chunks(spec: SchemeSpec, n: int, d: int, reps: int, rng: RngStream, fn,
 
     `rows` is passed on to `sample_batch`. A chunk holds about 4e6 scalars of
     the rows really drawn, and chunk k draws from rng.split(k); the results
-    are returned in chunk order.
+    are returned in chunk order. Drawing a chunk costs the chunk plus, for
+    `ScrambledNet`, about one more chunk-sized buffer at its peak.
     """
     if reps < 1:
         raise ValidationError("need at least one replication")

@@ -15,6 +15,7 @@ from negdep_qmc import (
     save_pointset,
     star_discrepancy_exact,
 )
+from negdep_qmc import cli
 from negdep_qmc.cli import _build_parser, main, parse_scheme
 
 
@@ -791,6 +792,47 @@ def test_report_rejects_the_out_key(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error: ") and "out_dir" in err
     assert text == "" and not (tmp_path / "x.csv").exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the work ran before the output path was checked")
+
+
+_BOUNDS = {"formula": "corner", "grid": {"n": 64, "d": 2, "c": 1}}
+
+
+@pytest.mark.parametrize("command, cfg, out", [
+    pytest.param("bounds", _BOUNDS, "nodir/x.csv", id="bounds-file-in-no-directory"),
+    pytest.param("bounds", _BOUNDS, "adir", id="bounds-file-is-a-directory"),
+    pytest.param("bounds", _BOUNDS, "", id="bounds-empty-path"),
+    pytest.param("report", {"criteria": [1]}, "afile", id="report-directory-is-a-file"),
+    pytest.param("report", {"criteria": [1]}, "afile/sub", id="report-directory-below-a-file"),
+    pytest.param("report", {"criteria": [1]}, "", id="report-empty-path"),
+])
+def test_an_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, cfg,
+                                                  out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept\n")
+    monkeypatch.setitem(cli._BOUND_FNS, "corner", (_no_work, "c"))
+    monkeypatch.setattr(cli, "run_all", _no_work)
+    code, text, err = run([command, write_json(tmp_path / "c.json", cfg), "--out", out], capsys)
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "c.json"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_an_output_that_fails_while_written_exits_2(tmp_path, capsys, monkeypatch):
+    # what the path checks cannot see, such as a directory without write permission
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli.os, "makedirs", denied)
+    cfg = write_json(tmp_path / "r.json", {"criteria": [1], "out_dir": str(tmp_path / "acc")})
+    code, _, err = run(["report", cfg], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Permission denied" in err and err.count("\n") == 1
 
 
 def test_version_flag(capsys):

@@ -38,7 +38,13 @@ from negdep_qmc import (
     save_pointset,
     stratum_corner_overlap,
 )
-from negdep_qmc.samplers import SCHEMES, _WRITE_BLOCK, _net_base_digits, _perm_prefix
+from negdep_qmc.samplers import (
+    SCHEMES,
+    _CHUNK_SCALARS,
+    _WRITE_BLOCK,
+    _net_base_digits,
+    _perm_prefix,
+)
 
 ALL_SAMPLERS = [
     (MonteCarlo(), 8, 2),
@@ -112,6 +118,31 @@ def test_save_pointset_holds_one_block_whatever_n(tmp_path):
             tracemalloc.stop()
     # eight blocks of text are about 5 MiB
     assert peaks[1] <= peaks[0] + 2**16 <= 3 * 2**20
+
+
+def test_pointset_never_aliases_an_array_a_caller_can_write():
+    data = RngStream(2).gen.random((4, 2))
+    ps = PointSet(data)
+    view = data.view()
+    view.setflags(write=False)  # read-only, but its base is writable
+    from_view = PointSet(view)
+    data[:] = 0.5
+    assert not np.any(ps.data == 0.5) and not np.any(from_view.data == 0.5)
+    assert not ps.data.flags.writeable and not from_view.data.flags.writeable
+
+
+def test_load_pointset_holds_the_points_once(tmp_path):
+    data = RngStream(4).gen.random((20_000, 10))
+    save_pointset(PointSet(data), tmp_path / "pts.txt")
+    tracemalloc.start()
+    try:
+        ps = load_pointset(tmp_path / "pts.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ps.data, data)
+    # the parsed array is the point set's: a second copy would make the peak 2x
+    assert peak <= 1.5 * ps.data.nbytes
 
 
 def test_rng_stream_split_is_deterministic_and_disjoint():
@@ -564,10 +595,28 @@ def _net_batch_loop(spec, n, reps, rng):
     return np.take_along_axis(out, rp[:, :, None], axis=1)
 
 
+# at 100 replications the last scrambling level of (2, 10, 2) holds 102,400 keys and
+# that of (2, 12, 2) 409,600, so the cell map draws them in several blocks of 2^16
 @pytest.mark.parametrize("b, m, s", [(2, 1, 1), (2, 3, 1), (2, 5, 2), (3, 2, 2), (3, 3, 3),
-                                     (5, 2, 2), (5, 2, 5), (2, 12, 2)])
-@pytest.mark.parametrize("reps", [1, 7])
+                                     (5, 2, 2), (5, 2, 5), (2, 12, 2), (2, 10, 2)])
+@pytest.mark.parametrize("reps", [1, 7, 100])
 def test_net_scrambling_matches_the_per_prefix_loop(b, m, s, reps):
     spec = ScrambledNet(b, m, s)
     expected = _net_batch_loop(spec, b**m, reps, RngStream(73))
     assert np.array_equal(sample_batch(spec, b**m, s, reps, RngStream(73)), expected)
+
+
+@pytest.mark.parametrize("b, m, s, reps", [
+    pytest.param(5, 2, 2, 20_000, id="net25-20000-reps"),
+    pytest.param(2, 12, 2, _CHUNK_SCALARS // (2**12 * 2), id="net4096-one-chunk"),
+])
+def test_net_draw_peaks_at_a_few_times_its_result(b, m, s, reps):
+    spec = ScrambledNet(b, m, s)
+    tracemalloc.start()
+    try:
+        batch = sample_batch(spec, b**m, s, reps, RngStream(79))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result plus, at the peak, about one more result-sized buffer
+    assert peak <= 3.5 * batch.nbytes
