@@ -609,8 +609,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except BudgetExceededError as exc:
-        sys.stderr.write(f"budget exceeded: {exc}\n")
+    except (BudgetExceededError, MemoryError) as exc:  # MemoryError: a config too large to hold
+        sys.stderr.write(f"budget exceeded: {str(exc) or 'out of memory'}\n")
         return 3
     except OSError as exc:  # an output that passed its check and still cannot be written
         sys.stderr.write(f"error: {exc}\n")

@@ -7,9 +7,10 @@ slabs, slab i0 + 1 being slab i0 plus the points of axis-0 slot i0 + 1 (the
 sweep of Dobkin, Eppstein and Mitchell, ACM TOG 1996). Memory is one block and
 its temporaries, which `_NODE_CAP` bounds; budgets charge the cells of the
 whole grid, summed over the projections of the weighted variant. The budget
-is checked before any work, and the memory cap before each pass allocates
-anything: the pruned search's coarse pass (its block and its arrays of
-bounds), or the walk of the whole grid.
+is checked before any work, from the grid's node counts alone, so the cover
+is charged before its node values are built; the memory cap is checked
+before each pass allocates anything: the pruned search's coarse pass (its
+block and its arrays of bounds), or the walk of the whole grid.
 
 Exact enumerates the critical grid spanned by the point coordinates plus 1
 along each axis. At each grid node x two candidates are evaluated: the
@@ -53,7 +54,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .geometry import delta_cover_axis
+from .geometry import _cover_nodes, delta_cover_axis
 from .samplers import PointSet
 
 __all__ = [
@@ -159,9 +160,10 @@ def _axis_candidates(pts: np.ndarray) -> list[np.ndarray]:
     return [np.unique(np.concatenate([pts[:, a], [1.0]])) for a in range(pts.shape[1])]
 
 
-def _charge(axis_values: list[np.ndarray], budget: int) -> int:
-    """The cells of the grid over `axis_values`; BudgetExceededError above `budget`."""
-    cells = math.prod(v.size + 1 for v in axis_values)
+def _charge(slots, budget: int, spent: int = 0) -> int:
+    """`spent` plus the cells of the histogram over a grid of `slots[a]` nodes
+    on axis a; BudgetExceededError above `budget`."""
+    cells = spent + math.prod(s + 1 for s in slots)
     if cells > budget:
         raise BudgetExceededError(f"discrepancy needs {cells} histogram cells; limit is {budget}")
     return cells
@@ -391,7 +393,7 @@ def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> Discre
     if d < 1:
         raise ValidationError("point set must have dimension >= 1")
     cands = _axis_candidates(pts)
-    grid = _charge(cands, budget)
+    grid = _charge([c.size for c in cands], budget)
     found, cells = None, 0
     if grid > _SMALL_GRID * 4 ** min(d, 4):
         w = max(2, round(n**0.25))
@@ -415,10 +417,10 @@ def star_discrepancy_cover(
     Returns (lower, lower + delta): the max local discrepancy over the cover
     grid is a lower bound and underestimates by at most delta. Work is O(d)
     passes over the histogram's (m+1)^d cells plus one over the points;
-    BudgetExceededError above `budget`.
+    BudgetExceededError above `budget`, charged from m before anything is built.
     """
+    _charge([_cover_nodes(ps.d, delta)] * ps.d, budget)
     vals = [delta_cover_axis(ps.d, delta)] * ps.d
-    _charge(vals, budget)
     rows, _ = _block_rows(vals)
     strict = (slice(0, -1),) * ps.d
     lower = 0.0
@@ -449,10 +451,7 @@ def weighted_star_discrepancy(
     for u in chain.from_iterable(combinations(axes, k) for k in range(1, len(axes) + 1)):
         if (g := weights.of(u)) == 0.0:
             continue
-        cells += math.prod(sizes[a] + 1 for a in u)
-        if cells > budget:
-            raise BudgetExceededError(
-                f"projections need at least {cells} histogram cells; budget is {budget}")
+        cells = _charge([sizes[a] for a in u], budget, cells)
         terms.append((g, list(u)))
     values = (g * star_discrepancy_exact(PointSet(ps.data[:, u]), budget).value for g, u in terms)
     return max(values, default=0.0)

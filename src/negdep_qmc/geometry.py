@@ -153,8 +153,8 @@ def contains_points(box, pts) -> np.ndarray:
 # Delta-covers
 
 
-def delta_cover_axis(d: int, delta: float) -> np.ndarray:
-    """Per-axis node values {1/m, ..., 1} of the delta-cover grid in dimension d.
+def _cover_nodes(d: int, delta: float) -> int:
+    """The node count m per axis of the delta-cover grid in dimension d.
 
     d = 1 uses the exact minimal grid with m = ceil(1/delta). d > 1 uses
     m = ceil(d/delta), whose floor/ceil brackets in the product grid have
@@ -164,7 +164,12 @@ def delta_cover_axis(d: int, delta: float) -> np.ndarray:
         raise ValidationError("dimension must be >= 1")
     if not (0.0 < delta <= 1.0):
         raise ValidationError("delta must lie in (0, 1]")
-    m = math.ceil(1.0 / delta) if d == 1 else math.ceil(d / delta)
+    return math.ceil(1.0 / delta) if d == 1 else math.ceil(d / delta)
+
+
+def delta_cover_axis(d: int, delta: float) -> np.ndarray:
+    """Per-axis node values {1/m, ..., 1} of the delta-cover grid in dimension d."""
+    m = _cover_nodes(d, delta)
     return np.arange(1, m + 1, dtype=float) / m
 
 
@@ -238,35 +243,22 @@ def polygon_area(poly) -> float:
 
 
 def clip_convex_to_box(poly, lo, hi) -> np.ndarray:
-    """Clip a convex polygon to the axis box [lo, hi] (Sutherland-Hodgman)."""
+    """Clip a convex polygon to the axis box [lo, hi] (Sutherland-Hodgman): a table of
+    four half-planes (axis, bound, side), each keeping the vertices v whose signed
+    distance side * (v[axis] - bound), computed once per plane, is >= 0."""
     verts = [tuple(map(float, v)) for v in np.asarray(poly, dtype=float)]
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    # half-planes: x >= lo0, x <= hi0, y >= lo1, y <= hi1
-    planes = [
-        (lambda p, c=lo[0]: p[0] - c),
-        (lambda p, c=hi[0]: c - p[0]),
-        (lambda p, c=lo[1]: p[1] - c),
-        (lambda p, c=hi[1]: c - p[1]),
-    ]
-    for inside in planes:
-        if not verts:
-            break
+    for axis, bound, side in ((0, lo[0], 1.0), (0, hi[0], -1.0), (1, lo[1], 1.0), (1, hi[1], -1.0)):
+        dist = [side * (v[axis] - bound) for v in verts]
         nxt = []
         for i, cur in enumerate(verts):
-            prv = verts[i - 1]
-            cur_in = inside(cur) >= 0.0
-            prv_in = inside(prv) >= 0.0
-            if cur_in != prv_in:
-                a, bvals = inside(prv), inside(cur)
-                frac = a / (a - bvals)
-                nxt.append(
-                    (
-                        prv[0] + frac * (cur[0] - prv[0]),
-                        prv[1] + frac * (cur[1] - prv[1]),
-                    )
-                )
-            if cur_in:
+            a, b = dist[i - 1], dist[i]
+            if (a >= 0.0) != (b >= 0.0):
+                prv = verts[i - 1]
+                frac = a / (a - b)
+                nxt.append((prv[0] + frac * (cur[0] - prv[0]), prv[1] + frac * (cur[1] - prv[1])))
+            if b >= 0.0:
                 nxt.append(cur)
         verts = nxt
     return np.asarray(verts, dtype=float).reshape(-1, 2)

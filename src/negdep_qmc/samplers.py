@@ -182,7 +182,7 @@ def load_pointset(path) -> PointSet:
 
 # A strata kind is one frozen dataclass plus one STRATA entry: its JSON `kind`,
 # `count` equal-measure strata, `label()`, `validate(d)`, `index(pts)` (the
-# stratum of each point), `corner_overlap(upper, d)` (the measure of [0, upper)
+# stratum of each point), `corner_overlap(upper)` (the measure of [0, upper)
 # in each stratum) and `place(chosen, d, g)` (a uniform point in each stratum of
 # the (reps, rows) index array `chosen`).
 
@@ -205,10 +205,10 @@ class Stripes:
         idx = np.floor(np.asarray(pts, dtype=float)[..., 0] * self.count).astype(np.int64)
         return np.minimum(idx, self.count - 1)
 
-    def corner_overlap(self, upper: np.ndarray, d: int) -> np.ndarray:
+    def corner_overlap(self, upper: np.ndarray) -> np.ndarray:
         edges = np.arange(self.count + 1) / self.count
         first = np.clip(np.minimum(upper[0], edges[1:]) - edges[:-1], 0.0, None)
-        return first * (float(np.prod(upper[1:])) if d > 1 else 1.0)
+        return first * float(np.prod(upper[1:]))
 
     def place(self, chosen: np.ndarray, d: int, g: np.random.Generator) -> np.ndarray:
         first = (chosen + g.random(chosen.shape)) / self.count
@@ -271,15 +271,16 @@ class LatticeCells:
         # cell k's lattice point has first coordinate k g1 mod n
         return ((i * v1[0] + j * v2[0]) % n * pow(self.g[0], -1, n)) % n
 
-    def corner_overlap(self, upper: np.ndarray, d: int) -> np.ndarray:
+    def corner_overlap(self, upper: np.ndarray) -> np.ndarray:
         b1, b2 = (v / self.n for v in self.basis())
         y = self._origins()
         out = np.zeros(self.n)
-        # cell k is a parallelepiped in R^2; its pieces mod 1 lie in the unit squares it meets
+        # cell k meets the box's integer shifts s + [0, upper) only for s in (min - upper, max)
         for k, corners in enumerate(np.stack([y, y + b1, y + b1 + b2, y + b2], axis=1)):
-            (xmin, ymin), (xmax, ymax) = corners.min(axis=0), corners.max(axis=0)
-            for sx in range(math.floor(xmin), math.ceil(xmax) + 1):
-                for sy in range(math.floor(ymin), math.ceil(ymax) + 1):
+            first = np.ceil(corners.min(axis=0) - upper).astype(int)
+            last = np.floor(corners.max(axis=0)).astype(int)
+            for sx in range(first[0], last[0] + 1):
+                for sy in range(first[1], last[1] + 1):
                     lo = np.array([sx, sy], dtype=float)
                     out[k] += polygon_area(clip_convex_to_box(corners, lo, lo + upper))
         return out
@@ -317,7 +318,7 @@ def stratum_corner_overlap(strata: StrataSpec, upper, d: int) -> np.ndarray:
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     if upper.size != d:
         raise ValidationError("corner box dimension mismatch")
-    return strata.corner_overlap(upper, d)
+    return strata.corner_overlap(upper)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +364,12 @@ def _row_perms(g: np.random.Generator, reps: int, n: int) -> np.ndarray:
     return np.argsort(g.random((reps, n)), axis=1)
 
 
+# Sort keys drawn at once, in blocks of whole permutations or of a net level's
+# digit prefixes: at most this many, or one permutation's n or one prefix's
+# reps * b if that is more. Keys fill arrays in C order, so blocks draw the same values.
+_KEY_BLOCK = 1 << 16
+
+
 def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bool) -> np.ndarray:
     """(reps, rows) array: the first `rows` entries of independent uniform
     permutations of 0..n-1.
@@ -370,12 +377,15 @@ def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bo
     Entry k is drawn uniformly from the n - k values not yet taken: an index
     into them is drawn, then raised past each taken value, in ascending
     order, that it reaches. That is O(rows^2) per replication, so when
-    rows^2 > n, or the scheme draws its `whole` point set, the whole
-    permutation is drawn by argsort instead.
+    rows^2 > n, or the scheme draws its `whole` point set, whole permutations
+    are drawn by argsort instead, a block of them at a time.
     """
-    if whole or rows * rows > n:
-        return _row_perms(g, reps, n)[:, :rows]
     out = np.empty((reps, rows), dtype=np.int64)
+    if whole or rows * rows > n:
+        step = max(1, _KEY_BLOCK // n)
+        for lo in range(0, reps, step):
+            out[lo:lo + step] = _row_perms(g, min(step, reps - lo), n)[:, :rows]
+        return out
     for k in range(rows):
         v = g.integers(0, n - k, size=reps)
         for taken in np.sort(out[:, :k], axis=1).T:
@@ -539,7 +549,9 @@ class LatinHypercube(SchemeSpec):
         g = rng.gen
         perm = _perm_prefix(g, reps * d, n, rows, rows == n).reshape(reps, d, rows)
         # jitter each point within its strata
-        return np.swapaxes((perm + g.random(perm.shape)) / n, 1, 2)
+        pts = g.random(perm.shape)
+        pts += perm
+        return np.swapaxes(np.divide(pts, n, out=pts), 1, 2)
 
     def anchored_prob(self, n, box, t):
         return lhs_anchored_prob_exact(n, box.upper, t)
@@ -579,19 +591,14 @@ class SimpleStratified(LatinHypercube):
             raise ValidationError("simple stratified sampling is 1-d only")
 
 
-# Scrambling keys drawn at once: one block of consecutive digit prefixes holds
-# at most this many, or one prefix's reps * b when that is more.
-_KEY_BLOCK = 1 << 16
-
-
 def _cell_map(g: np.random.Generator, b: int, m: int, reps: int) -> np.ndarray:
     """(reps, b^m) int32 array: the cell of the b^-m grid that nested uniform
     scrambling sends each cell to, on one coordinate of each replication.
 
     Level r permutes the b digits after each of the b^r prefixes, so the map
     grows one digit at a time: sigma[:, p*b + a] = sigma_r[:, p]*b + perm_p(a).
-    The keys of level r form one (b^r, reps, b) array in C order, so drawing
-    them in blocks of consecutive prefixes draws the same values.
+    The keys of level r form one (b^r, reps, b) array, drawn in blocks of
+    consecutive prefixes (`_KEY_BLOCK`).
     """
     sigma = np.zeros((reps, 1), dtype=np.int32)
     step = max(1, _KEY_BLOCK // (reps * b))

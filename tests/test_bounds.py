@@ -255,3 +255,15 @@ def test_bound_result_details_name_each_formulas_extras():
     assert set(corner_bound_theta(100, 2, 0.9).details) == {"eta"}
     assert set(mixed_bound_theta(100, 2, 0.9).details) == {"base_value"}
     assert set(weighted_bound_theta(100, 2, 0.9, w).details) == {"c_effective"}
+
+
+def test_corner_eta_refuses_an_empty_configuration():
+    with pytest.raises(ValidationError, match="n and d must be at least 1"):
+        corner_eta(0, 1)
+
+
+def test_an_overflowing_exponential_is_infinite():
+    # exp((10.7042 + 800) d) overflows a double: the raw success probability is -inf
+    res = boxdiff_bound(1, 1, 1.0, rho=800.0)
+    assert res.raw_success_prob == -math.inf
+    assert res.success_prob == 0.0 and res.clamped

@@ -569,6 +569,15 @@ MALFORMED = [
     pytest.param("bounds", {"formula": "weighted", "grid": {"n": 64, "d": 2, "c": 1},
                             "weights": {"kind": "explicit", "table": {**_TABLE_D2, "7": 1.0}}},
                  [], id="weighted-bound-coordinate-above-d"),
+    # explicit weight keys that name no 1-based coordinate
+    pytest.param("discrepancy", {"points": "p.txt", "weights": {
+        "kind": "explicit", "table": {**_TABLE_D2, "1,a": 1.0}}}, [],
+        id="explicit-weights-key-not-an-integer"),
+    pytest.param("discrepancy", {"points": "p.txt", "weights": {
+        "kind": "explicit", "table": {**_TABLE_D2, "0": 1.0}}}, [],
+        id="explicit-weights-coordinate-0"),
+    # a config that is JSON but not an object
+    pytest.param("sample", "[1, 2]", [], id="config-a-list"),
     # a key given twice in one object, of which json kept the last
     pytest.param("sample", '{"scheme": {"kind": "mc"}, "n": 4, "n": 2, "d": 1}', [],
                  id="duplicate-key-top"),
@@ -603,6 +612,27 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, 
     code, text, err = run([command, write_json(tmp_path / "c.json", cfg), *argv], capsys)
     assert code == 2
     assert err.startswith("error: ")
+    assert text == ""
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    code, text, err = run(["sample", str(tmp_path / "missing.json")], capsys)
+    assert code == 2
+    assert err.startswith("error: cannot read config file")
+    assert text == ""
+
+
+def test_a_config_too_large_for_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # the raw (2, 40, 1) net would be 2^40 points, 8 TiB; numpy refuses it with MemoryError
+    def too_large(b, m, s):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776, 1)")
+
+    monkeypatch.setattr(cli, "net_points", too_large)
+    cfg = write_json(tmp_path / "c.json", {"b": 2, "m": 40, "s": 1})
+    code, text, err = run(["net-check", cfg], capsys)
+    assert code == 3
+    assert err == "budget exceeded: Unable to allocate 8.00 TiB for an array with shape " \
+        "(1099511627776, 1)\n"
     assert text == ""
 
 

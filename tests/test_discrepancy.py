@@ -436,6 +436,14 @@ def test_limits_are_checked_before_anything_is_allocated():
     assert peak <= 8 * 2**20
 
 
+def test_cover_is_charged_from_its_node_count_before_anything_is_built():
+    # delta = 2e-7 in d = 2 is 10^7 nodes per axis: their values alone would be 76 MiB
+    ps = sample(MonteCarlo(), 10, 2, RngStream(103))
+    message, peak = _refusal(lambda: star_discrepancy_cover(ps, 2e-7))
+    assert "histogram cells" in message
+    assert peak < 2**20
+
+
 def test_weighted_refusal_stops_at_the_first_projection_over_budget():
     # product weights in d = 20 name 2^20 - 1 subsets; the first, 18 cells, is over 10
     ps = sample(LatinHypercube(), 16, 20, RngStream(137))
@@ -690,3 +698,9 @@ def test_weighted_rejects_a_point_set_without_coordinates():
     for w in (ProductWeights(()), ExplicitWeights({})):
         with pytest.raises(ValidationError, match="dimension"):
             weighted_star_discrepancy(empty, w)
+
+
+def test_product_weights_of_another_length_are_refused():
+    ps = sample(MonteCarlo(), 8, 3, RngStream(139))
+    with pytest.raises(ValidationError, match="length must equal dimension"):
+        weighted_star_discrepancy(ps, ProductWeights((1.0, 1.0)))

@@ -1,6 +1,7 @@
 """Boxes, delta covers, and the net property."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,3 +222,24 @@ def test_polygon_area_and_clipping():
     # Triangle fully outside the clip window vanishes.
     tri = [(2.0, 2.0), (3.0, 2.0), (2.5, 3.0)]
     assert polygon_area(clip_convex_to_box(tri, (0.0, 0.0), (1.0, 1.0))) == 0.0
+
+
+GEOMETRY_REFUSALS = [
+    pytest.param(lambda: CornerBox0(np.full((2, 2), 0.5)), "nonempty 1-d coordinate vector",
+                 id="box-2-d-array"),
+    pytest.param(lambda: Interval((0.1,), (0.2, 0.3)), "equal dimension", id="interval-ragged"),
+    pytest.param(lambda: contains_points("box", [[0.5]]), "unsupported region type: str",
+                 id="region-not-a-box"),
+    pytest.param(lambda: is_net(net_points(2, 2, 1), 1, 2, 1), "base must be >= 2", id="net-b-1"),
+    pytest.param(lambda: is_net(net_points(2, 2, 1), 2, 0, 1), "m and s must be >= 1",
+                 id="net-m-0"),
+    pytest.param(lambda: is_net(net_points(2, 2, 1), 2, 2, 1, t=3), "0 <= t <= m",
+                 id="net-t-above-m"),
+    pytest.param(lambda: is_net(np.zeros((3, 1)), 2, 2, 1), "shape (4, 1)", id="net-shape"),
+]
+
+
+@pytest.mark.parametrize("call, message", GEOMETRY_REFUSALS)
+def test_geometry_refusals(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

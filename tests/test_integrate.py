@@ -155,3 +155,9 @@ def test_simplex_max_check_validates_inputs():
         simplex_max_check(9, 2, 1.0, 100, RngStream(0))
     with pytest.raises(ValidationError):
         simplex_max_check(4, 2, -1.0, 100, RngStream(0))
+
+
+def test_variance_study_refuses_a_zero_monte_carlo_variance():
+    # no point reaches the corner at 1, so every estimate is 0
+    with pytest.raises(ValidationError, match="Monte Carlo variance is zero"):
+        variance_study(MonteCarlo(), CornerIndicator((1.0,)), 4, 1, 30, RngStream(3))

@@ -2,6 +2,7 @@
 closed-form probability oracles, and the Wilson interval machinery."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -606,3 +607,40 @@ def test_analytic_schemes_reject_wrong_shape():
         check_upper_nd(FourSlot(), 3, 2, CornerBox0((0.5, 0.5)), 1, 100, RngStream(0))
     with pytest.raises(ValidationError):
         check_upper_nd(MinCopula(), 2, 2, CornerBox0((0.5, 0.5)), 1, 100, RngStream(0))
+
+
+def test_two_point_one_point_events_are_exact():
+    # p1 of the swap pair is uniform: the event is the box, or its complement
+    box = CornerBox0((0.5, 0.25))
+    upper = check_upper_nd(SwapScheme(), 2, 2, box, 1, 10, RngStream(0))
+    lower = check_lower_nd(SwapScheme(), 2, 2, box, 1, 10, RngStream(0))
+    assert (upper.lhs, upper.method) == (0.125, "exact")
+    assert (lower.lhs, lower.method) == (0.875, "exact")
+
+
+_Q = CornerBox1((0.5, 0.5))
+NEGDEP_REFUSALS = [
+    pytest.param(lambda: check_pairwise_nd(LatinHypercube(), 1, 2, _Q, _Q, 10, RngStream(0)),
+                 "pairwise tests need n >= 2", id="pairwise-n-1"),
+    pytest.param(lambda: check_pairwise_nd(LatinHypercube(), 4, 2, CornerBox0((0.5, 0.5)), _Q,
+                                           10, RngStream(0)),
+                 "anchored at the upper corner", id="pairwise-origin-box"),
+    pytest.param(lambda: check_pairwise_nd(LatinHypercube(), 4, 3, _Q, _Q, 10, RngStream(0)),
+                 "box dimension must equal d", id="pairwise-box-dimension"),
+    pytest.param(lambda: check_conditional_nqd(LatinHypercube(), 1, 2, 1, None, None, 0.5, 0.5,
+                                               10, RngStream(0)),
+                 "pair tests need n >= 2", id="conditional-n-1"),
+    pytest.param(lambda: check_conditional_nqd(LatinHypercube(), 4, 2, 1, None, None, 1.0, 0.5,
+                                               10, RngStream(0)),
+                 "thresholds must lie in [0, 1)", id="conditional-alpha-1"),
+    # the swap pair's conditioning event p1_1 in [0.5, 0.5) has probability zero
+    pytest.param(lambda: check_conditional_nqd(SwapScheme(), 2, 2, 2, Interval((0.5,), (0.5,)),
+                                               None, 0.5, 0.5, 10, RngStream(0)),
+                 "conditioning event has probability zero", id="conditional-exact-null"),
+]
+
+
+@pytest.mark.parametrize("call, message", NEGDEP_REFUSALS)
+def test_negdep_refusals(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

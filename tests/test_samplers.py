@@ -3,6 +3,8 @@ every sampling scheme: marginals, stratification, exchangeability,
 determinism."""
 
 import hashlib
+import math
+import re
 import tracemalloc
 from itertools import permutations
 
@@ -12,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import negdep_qmc.samplers as samplers_module
 from negdep_qmc import (
+    CornerBox0,
+    CornerBox1,
     FourSlot,
     GeneralizedStratified,
     LatinHypercube,
@@ -28,11 +33,16 @@ from negdep_qmc import (
     Stripes,
     SwapScheme,
     ValidationError,
+    clip_convex_to_box,
+    corner_cells,
+    gss_anchored_prob_exact,
     is_net,
     is_prime,
+    lhs_anchored_prob_exact,
     load_pointset,
     map_chunks,
     net_points,
+    polygon_area,
     sample,
     sample_batch,
     save_pointset,
@@ -296,6 +306,46 @@ def test_strata_place_index_and_overlap_agree(strata, seed, upper):
     assert np.all(overlaps >= -1e-15) and np.all(overlaps <= 1.0 / strata.count + 1e-12)
 
 
+def _overlap_over_every_unit_square(cells, upper):
+    """LatticeCells.corner_overlap with the box shifted to every unit square
+    that each cell's bounding box meets: the reference for the shifts it skips."""
+    b1, b2 = (v / cells.n for v in cells.basis())
+    y = cells._origins()
+    out = np.zeros(cells.n)
+    for k, corners in enumerate(np.stack([y, y + b1, y + b1 + b2, y + b2], axis=1)):
+        (xmin, ymin), (xmax, ymax) = corners.min(axis=0), corners.max(axis=0)
+        for sx in range(math.floor(xmin), math.ceil(xmax) + 1):
+            for sy in range(math.floor(ymin), math.ceil(ymax) + 1):
+                lo = np.array([sx, sy], dtype=float)
+                out[k] += polygon_area(clip_convex_to_box(corners, lo, lo + upper))
+    return out
+
+
+def test_cell_overlap_clips_only_the_box_shifts_each_cell_meets(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return clip_convex_to_box(*args)
+
+    monkeypatch.setattr(samplers_module, "clip_convex_to_box", counted)
+    # beta = 31, g = (1, g2) for g2 = 2..30, five seeded boxes each
+    uppers = np.random.default_rng(29).random((29, 5, 2))
+    cases = [(LatticeCells((1, g2), 31), upper) for g2, five in zip(range(2, 31), uppers)
+             for upper in five]
+    for cells, upper in cases:
+        assert cells.corner_overlap(upper).tobytes() == (
+            _overlap_over_every_unit_square(cells, upper).tobytes())
+    # the unit squares of the cells' bounding boxes take 154 clips a call
+    assert calls / len(cases) <= 25
+    # boxes whose edges fall on the unit square's, where a shift touches a cell at an edge
+    cells = LatticeCells((1, 12), 31)
+    for upper in np.array([(1.0, 1.0), (1.0, 0.5), (0.25, 1.0), (0.0, 0.3), (0.0, 0.0)]):
+        assert cells.corner_overlap(upper).tobytes() == (
+            _overlap_over_every_unit_square(cells, upper).tobytes())
+
+
 def _cells_place_per_point(cells, chosen, g):
     """LatticeCells.place with each point's cell origin computed from its own
     index: the reference for the lookup in a table of the n origins."""
@@ -556,6 +606,80 @@ def test_whole_and_prefix_draws_are_pinned(spec, n, d, pins):
         batch = sample_batch(spec, n, d, 5, RngStream(67), rows=rows)
         assert batch.shape == (5, spec.prefix_rows(n, rows or n), d)
         assert hashlib.sha256(batch.tobytes()).hexdigest()[:16] == digest, rows
+
+
+# sha256 prefixes of the bytes of sample_batch(spec, n, d, reps, RngStream(67), rows), recorded
+# when whole permutations were sorted in one call: lhs at n = 6 and rows = 3 sorts 12,000
+# permutations of 6 keys, and whole gss at beta = 31 sorts 5,000 of 31, so each draw
+# spans more than one block of 2^16 keys: (spec, n, d, reps, rows, digest).
+MULTI_BLOCK_PINS = [
+    (LatinHypercube(), 6, 2, 6_000, 3, "d04a9baf29250f0a"),
+    (GeneralizedStratified(31, Stripes(31)), 3, 2, 5_000, None, "fa9fe1ebd958cd9c"),
+    (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 3, 2, 5_000, None, "365f5cbf6b4fffdc"),
+]
+
+
+@pytest.mark.parametrize("spec, n, d, reps, rows, digest", MULTI_BLOCK_PINS,
+                         ids=lambda v: v.label() if hasattr(v, "kind") else None)
+def test_whole_permutation_draws_over_several_key_blocks_are_pinned(spec, n, d, reps, rows,
+                                                                    digest):
+    batch = sample_batch(spec, n, d, reps, RngStream(67), rows)
+    assert hashlib.sha256(batch.tobytes()).hexdigest()[:16] == digest
+
+
+def test_lhs_draw_holds_about_two_results():
+    # rows^2 > n, so whole permutations are sorted; only their first rows are kept
+    tracemalloc.start()
+    try:
+        batch = sample_batch(LatinHypercube(), 6, 2, 100_000, RngStream(73), rows=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.shape == (100_000, 3, 2)
+    # the kept permutation entries and the jittered points, one result each
+    assert peak <= 2.5 * batch.nbytes
+
+
+def _draw(spec, n, d):
+    return lambda: sample_batch(spec, n, d, 1, RngStream(0))
+
+
+SAMPLER_REFUSALS = [
+    pytest.param(_draw(GeneralizedStratified(0, Stripes(0)), 1, 1), "stripe count must be >= 1",
+                 id="stripes-none"),
+    pytest.param(_draw(GeneralizedStratified(5, LatticeCells((1, 2), 5)), 2, 3), "2-d only",
+                 id="cells-d-3"),
+    pytest.param(_draw(GeneralizedStratified(6, LatticeCells((1, 5), 6)), 2, 2),
+                 "count n must be prime", id="cells-n-6"),
+    pytest.param(_draw(GeneralizedStratified(5, LatticeCells((1, 7), 5)), 2, 2),
+                 "must lie in [1, n-1]", id="cells-g-above-n"),
+    pytest.param(lambda: stratum_corner_overlap(Stripes(3), (0.5, 0.5), 3),
+                 "corner box dimension mismatch", id="overlap-dimension"),
+    pytest.param(lambda: gss_anchored_prob_exact(5, Stripes(4), CornerBox0((0.5,)), 2, 1),
+                 "beta must equal the number of strata", id="gss-law-beta"),
+    pytest.param(lambda: gss_anchored_prob_exact(5, Stripes(5), CornerBox0((0.5,)), 2, 3),
+                 "need 1 <= t <= n <= beta", id="gss-law-t-above-n"),
+    pytest.param(lambda: gss_anchored_prob_exact(5, Stripes(5), CornerBox1((0.5,)), 2, 1),
+                 "origin-anchored boxes only", id="gss-law-upper-box"),
+    pytest.param(lambda: corner_cells(5, (6, 1)), "cell counts must lie in [0, n]",
+                 id="corner-cells-above-n"),
+    pytest.param(lambda: lhs_anchored_prob_exact(5, (0.5,), 0), "need 1 <= t <= n",
+                 id="lhs-law-t-0"),
+    pytest.param(_draw(ScrambledNet(4, 2, 2), 16, 2), "net base must be prime", id="net-b-4"),
+    pytest.param(_draw(ScrambledNet(2, 2, 3), 4, 3), "1 <= s <= b", id="net-s-above-b"),
+    pytest.param(_draw(ScrambledNet(2, 0, 1), 1, 1), "depth m must be >= 1", id="net-m-0"),
+    pytest.param(_draw(Mixed(LatinHypercube(), 0, LatinHypercube(), 2), 4, 2),
+                 "dimension >= 1", id="mixed-left-d-0"),
+    pytest.param(_draw("lhs", 4, 2), "unknown scheme: str", id="scheme-not-a-spec"),
+    pytest.param(lambda: map_chunks(LatinHypercube(), 4, 2, 0, RngStream(0), len),
+                 "at least one replication", id="map-chunks-no-reps"),
+]
+
+
+@pytest.mark.parametrize("call, message", SAMPLER_REFUSALS)
+def test_sampler_refusals(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 def test_map_chunks_sizes_chunks_by_the_rows_drawn():
