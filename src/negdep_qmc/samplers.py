@@ -211,9 +211,15 @@ class Stripes:
         return first * float(np.prod(upper[1:]))
 
     def place(self, chosen: np.ndarray, d: int, g: np.random.Generator) -> np.ndarray:
-        first = (chosen + g.random(chosen.shape)) / self.count
+        pts = np.empty(chosen.shape + (d,))
+        first, rest = pts[..., 0], pts[..., 1:]
+        for blk in _blocks(len(chosen), chosen.shape[1]):
+            np.add(chosen[blk], g.random(chosen[blk].shape), out=first[blk])
+        _below_one(np.divide(first, self.count, out=first))
         # coordinates 2..d are uniform; at d = 1 the empty draw takes no randomness
-        return np.concatenate([first[:, :, None], g.random(chosen.shape + (d - 1,))], axis=2)
+        for blk in _blocks(len(chosen), chosen.shape[1] * (d - 1)):
+            rest[blk] = g.random(rest[blk].shape)
+        return pts
 
 
 @dataclass(frozen=True)
@@ -286,10 +292,12 @@ class LatticeCells:
         return out
 
     def place(self, chosen: np.ndarray, d: int, g: np.random.Generator) -> np.ndarray:
-        b1, b2 = (v / self.n for v in self.basis())
-        u = g.random(chosen.shape + (1,))
-        w = g.random(chosen.shape + (1,))
-        pts = np.mod(self._origins()[chosen] + u * b1 + w * b2, 1.0)
+        pts = self._origins()[chosen]
+        # every point's offset along b1 is drawn before any along b2
+        for step in (v / self.n for v in self.basis()):
+            for blk in _blocks(len(chosen), pts[0].size):
+                pts[blk] += g.random(chosen[blk].shape + (1,)) * step
+        np.mod(pts, 1.0, out=pts)
         pts[pts >= 1.0] = 0.0  # fp guard: mod of a tiny negative can round to 1.0
         return pts
 
@@ -364,15 +372,47 @@ def _row_perms(g: np.random.Generator, reps: int, n: int) -> np.ndarray:
     return np.argsort(g.random((reps, n)), axis=1)
 
 
-# Sort keys drawn at once, in blocks of whole permutations or of a net level's
-# digit prefixes: at most this many, or one permutation's n or one prefix's
-# reps * b if that is more. Keys fill arrays in C order, so blocks draw the same values.
+# Random values drawn at once: sort keys, jitter and integers come in blocks of
+# whole rows of the array a single call would fill, at most this many values, or
+# one row if that is more (a net level's keys: one digit prefix's reps * b). The
+# generator fills arrays in C order, so the blocks draw exactly that call's values,
+# and a draw holds its result plus one block.
 _KEY_BLOCK = 1 << 16
 
 
+def _blocks(count: int, row_size: int) -> list[slice]:
+    """Slices that cover `count` rows of `row_size` values each, in order, at
+    most `_KEY_BLOCK` values (or one row) a slice."""
+    step = max(1, _KEY_BLOCK // max(1, row_size))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _index_dtype(n: int):
+    """The integer type of indices below n: int32, or int64 past 2^31."""
+    return np.int32 if n <= 2**31 else np.int64
+
+
+def _integers(g: np.random.Generator, low: int, high: int, shape: tuple) -> np.ndarray:
+    """g.integers(low, high, size=shape), drawn in blocks into the index type of `high`."""
+    out = np.empty(shape, dtype=_index_dtype(high))
+    for blk in _blocks(shape[0], math.prod(shape[1:])):
+        out[blk] = g.integers(low, high, size=out[blk].shape)
+    return out
+
+
+# The largest double below 1. A stratum's point (k + u) / count rounds up to 1.0 at
+# k = count - 1 when u = 1 - 2^-53, the largest value `Generator.random` returns, and
+# so does a net's top cell plus its jitter: such coordinates are clamped to it.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _below_one(pts: np.ndarray) -> np.ndarray:
+    return np.minimum(pts, _BELOW_ONE, out=pts)
+
+
 def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bool) -> np.ndarray:
-    """(reps, rows) array: the first `rows` entries of independent uniform
-    permutations of 0..n-1.
+    """(reps, rows) int32 array (`_index_dtype(n)`): the first `rows` entries
+    of independent uniform permutations of 0..n-1.
 
     Entry k is drawn uniformly from the n - k values not yet taken: an index
     into them is drawn, then raised past each taken value, in ascending
@@ -380,14 +420,13 @@ def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bo
     rows^2 > n, or the scheme draws its `whole` point set, whole permutations
     are drawn by argsort instead, a block of them at a time.
     """
-    out = np.empty((reps, rows), dtype=np.int64)
+    out = np.empty((reps, rows), dtype=_index_dtype(n))
     if whole or rows * rows > n:
-        step = max(1, _KEY_BLOCK // n)
-        for lo in range(0, reps, step):
-            out[lo:lo + step] = _row_perms(g, min(step, reps - lo), n)[:, :rows]
+        for blk in _blocks(reps, n):
+            out[blk] = _row_perms(g, len(out[blk]), n)[:, :rows]
         return out
     for k in range(rows):
-        v = g.integers(0, n - k, size=reps)
+        v = _integers(g, 0, n - k, (reps,))
         for taken in np.sort(out[:, :k], axis=1).T:
             v += taken <= v
         out[:, k] = v
@@ -486,12 +525,16 @@ class RsjLattice(SchemeSpec):
 
     def draw(self, n, d, rows, reps, rng):
         g = rng.gen
-        gvec = g.integers(1, n, size=(reps, 1, d)) if n > 2 else np.ones((reps, 1, d), dtype=np.int64)
-        shift = g.integers(0, n, size=(reps, 1, d))
+        gvec = _integers(g, 1, n, (reps, 1, d)) if n > 2 else np.ones((reps, 1, d), dtype=np.int32)
+        shift = _integers(g, 0, n, (reps, 1, d))
         perm = _perm_prefix(g, reps, n, rows, rows == n)[:, :, None]
-        jitter = g.random((reps, rows, d))
-        cell = (perm * gvec + shift) % n
-        return (cell + jitter) / n
+        cell = np.empty((reps, rows, d), dtype=perm.dtype)
+        for blk in _blocks(reps, rows * d):
+            cell[blk] = (np.multiply(perm[blk], gvec[blk], dtype=np.int64) + shift[blk]) % n
+        del gvec, shift, perm
+        pts = g.random(cell.shape)  # the jitter
+        pts += cell
+        return _below_one(np.divide(pts, n, out=pts))
 
 
 def corner_cells(n: int, counts) -> np.ndarray:
@@ -551,7 +594,7 @@ class LatinHypercube(SchemeSpec):
         # jitter each point within its strata
         pts = g.random(perm.shape)
         pts += perm
-        return np.swapaxes(np.divide(pts, n, out=pts), 1, 2)
+        return np.swapaxes(_below_one(np.divide(pts, n, out=pts)), 1, 2)
 
     def anchored_prob(self, n, box, t):
         return lhs_anchored_prob_exact(n, box.upper, t)
@@ -601,14 +644,13 @@ def _cell_map(g: np.random.Generator, b: int, m: int, reps: int) -> np.ndarray:
     consecutive prefixes (`_KEY_BLOCK`).
     """
     sigma = np.zeros((reps, 1), dtype=np.int32)
-    step = max(1, _KEY_BLOCK // (reps * b))
     for r in range(m):
         prefixes = b**r
         grown = np.empty((reps, prefixes, b), dtype=np.int32)
-        for lo in range(0, prefixes, step):
-            hi = min(lo + step, prefixes)
-            perms = np.argsort(g.random((hi - lo, reps, b)), axis=2)
-            grown[:, lo:hi] = sigma[:, lo:hi, None] * b + perms.transpose(1, 0, 2)
+        for blk in _blocks(prefixes, reps * b):
+            block = grown[:, blk]
+            block[...] = np.argsort(g.random((block.shape[1], reps, b)), axis=2).transpose(1, 0, 2)
+            block += sigma[:, blk, None] * b
         sigma = grown.reshape(reps, prefixes * b)
     return sigma
 
@@ -621,7 +663,8 @@ class ScrambledNet(SchemeSpec):
     Per coordinate, the scrambling is a cell map (`_cell_map`): it sends each
     cell of the b^-m grid to a cell, and a base point takes the value of the
     cell its own cell is sent to, plus jitter. The draw holds the result in one
-    coordinate-major buffer, beside about one more result-sized buffer.
+    coordinate-major buffer, beside one coordinate's cell map (and, while it
+    grows, its previous level) and one block of keys or jitter.
     """
 
     b: int
@@ -652,13 +695,19 @@ class ScrambledNet(SchemeSpec):
         # each cell's value: its digits, most significant first, times their weights
         value = (np.arange(n)[:, None] // place % b) @ (b ** -(np.arange(m, dtype=float) + 1))
         out = np.empty((s, reps, n))
+        blocks = _blocks(reps, n)
         for l, coord in enumerate(out):
-            coord[...] = value[_cell_map(g, b, m, reps)[:, cells[:, l]]]
-            coord += g.random((reps, n)) * b ** (-m)
-        rp = _row_perms(g, reps, n)
-        rp += n * np.arange(reps)[:, None]
-        for coord in out:
-            coord[...] = coord.reshape(-1)[rp]
+            sigma = _cell_map(g, b, m, reps)
+            for blk in blocks:
+                block = coord[blk]
+                np.take(value, sigma[blk][:, cells[:, l]], out=block)
+                block += g.random(block.shape) * b ** (-m)
+            _below_one(coord)
+            del sigma
+        for blk in blocks:
+            order = _row_perms(g, len(out[0, blk]), n)
+            for coord in out:
+                coord[blk] = np.take_along_axis(coord[blk], order, axis=1)
         return out.transpose(1, 2, 0)
 
 
@@ -666,7 +715,8 @@ class ScrambledNet(SchemeSpec):
 class Mixed(SchemeSpec):
     """Independent concatenation: left scheme on the first d_left coordinates,
     right scheme on the remaining d_right. It draws prefixes when both factors
-    do, and its anchored-box law is the product of theirs."""
+    do, and its anchored-box law is the product of theirs. Each factor is
+    copied into the result as it is drawn."""
 
     left: SchemeSpec
     d_left: int
@@ -687,9 +737,18 @@ class Mixed(SchemeSpec):
 
     def draw(self, n, d, rows, reps, rng):
         rows = self.prefix_rows(n, rows)
-        left = sample_batch(self.left, n, self.d_left, reps, rng.split(0), rows)
-        right = sample_batch(self.right, n, self.d_right, reps, rng.split(1), rows)
-        return np.concatenate([left, right], axis=2)
+        factors = [(self.left, 0, slice(0, self.d_left)), (self.right, 1, slice(self.d_left, d))]
+        # factor k draws from rng.split(k) alone, so the order is free: the wider
+        # factor goes first, and the result is allocated once it is drawn
+        factors.sort(key=lambda f: f[2].start - f[2].stop)
+        out = None
+        for spec, k, cols in factors:
+            part = sample_batch(spec, n, cols.stop - cols.start, reps, rng.split(k), rows)
+            if out is None:
+                out = np.empty(part.shape[:2] + (d,))
+            out[:, :, cols] = part
+            del part
+        return out
 
     @property
     def draws_prefix(self):
@@ -792,7 +851,7 @@ class FourSlot(_TwoPoint):
         pick = g.choice(len(pairs), size=reps, p=probs)
         slot = np.array(pairs)[pick]  # (reps, 2)
         u = g.random((reps, 2, 2)) * 0.5
-        return _FOURSLOT_LOWER[slot] + u
+        return _below_one(_FOURSLOT_LOWER[slot] + u)
 
     def pair_prob(self, rect1, rect2):
         w1 = _fourslot_weights(rect1)
@@ -904,8 +963,9 @@ def map_chunks(spec: SchemeSpec, n: int, d: int, reps: int, rng: RngStream, fn,
 
     `rows` is passed on to `sample_batch`. A chunk holds about 4e6 scalars of
     the rows really drawn, and chunk k draws from rng.split(k); the results
-    are returned in chunk order. Drawing a chunk costs the chunk plus, for
-    `ScrambledNet`, about one more chunk-sized buffer at its peak.
+    are returned in chunk order. Drawing a chunk costs, at its peak, the chunk
+    plus its integer strata or cell map and one block of keys (README, "What
+    a chunk costs").
     """
     if reps < 1:
         raise ValidationError("need at least one replication")

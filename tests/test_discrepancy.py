@@ -1,7 +1,6 @@
 """Exact star discrepancy, cover brackets, weighted variant, and budgets."""
 
 import re
-import tracemalloc
 from contextlib import contextmanager, nullcontext
 from functools import reduce
 from itertools import product
@@ -33,6 +32,7 @@ from negdep_qmc import (
     star_discrepancy_exact,
     weighted_star_discrepancy,
 )
+from conftest import traced_peak
 
 
 def centered_grid(n: int) -> PointSet:
@@ -389,30 +389,20 @@ def test_slab_walk_matches_the_whole_histogram(case):
     assert star_discrepancy_cover(ps, delta)[0] == whole_hist_cover_lower(ps, delta)
 
 
-def _peak_bytes(f) -> int:
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_exact_holds_one_block_of_slabs():
     # the whole padded histogram of this set alone is 4098^2 int32 cells, 64 MiB
     ps = sample(LatinHypercube(), 4096, 2, RngStream(97))
-    assert _peak_bytes(lambda: star_discrepancy_exact(ps)) <= 8 * 2**20
+    assert traced_peak(lambda: star_discrepancy_exact(ps))[1] <= 8 * 2**20
 
 
 def _refusal(f) -> tuple[str, int]:
     """The BudgetExceededError message of f() and the peak bytes traced until it."""
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(BudgetExceededError) as info:
             f()
-        return str(info.value), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return str(info.value)
+
+    return traced_peak(refused)
 
 
 def _flat_axis_0():
@@ -508,7 +498,7 @@ def test_the_coarse_pass_is_charged_for_what_it_holds(make):
     def coarse():
         return discrepancy_module._kept_tiles(pts, cands, w)
 
-    held = _peak_bytes(coarse)
+    held = traced_peak(coarse)[1]
     with patch.object(discrepancy_module, "_NODE_CAP", held // 8 - 1):
         message, peak = _refusal(coarse)
     assert "cells in memory" in message
@@ -552,10 +542,10 @@ def test_exact_holds_no_more_than_the_memory_cap(make, budget):
         except BudgetExceededError:
             outcomes.append(None)
 
-    held = _peak_bytes(exact) // 8
+    held = traced_peak(exact)[1] // 8
     for cap in np.linspace(min(block, held), 2 * max(block, held), 3).astype(int).tolist():
         with patch.object(discrepancy_module, "_NODE_CAP", cap):
-            peak = _peak_bytes(exact)
+            peak = traced_peak(exact)[1]
         assert outcomes[-1] is None or outcomes[-1] == outcomes[0], cap
         assert peak <= 8 * cap + 2 * 2**20, cap
     assert outcomes[-1] == outcomes[0]  # the largest cap lets the pass finish as uncapped
@@ -567,7 +557,7 @@ def test_a_large_latin_hypercube_is_pruned_within_the_memory_cap():
     # lists are trimmed whenever they double, so they hold about twice what the best keeps
     ps = PointSet(_lhs_2048x3())
     found = []
-    peak = _peak_bytes(lambda: found.append(star_discrepancy_exact(ps, budget=10**10)))
+    peak = traced_peak(lambda: found.append(star_discrepancy_exact(ps, budget=10**10)))[1]
     assert peak <= 10 * 2**20
     res = found[0]
     assert res.cells < _grid_cells(ps) // 100
@@ -607,7 +597,7 @@ def test_a_block_and_its_temporaries_stay_within_the_memory_cap_count(dense):
     ps = PointSet(np.column_stack([first, rest]))
     slab = 302**2  # one slab per block
     held = discrepancy_module._BLOCK_COPIES * 2 * slab * 8
-    assert _peak_bytes(lambda: star_discrepancy_exact(ps)) <= held + 2**16
+    assert traced_peak(lambda: star_discrepancy_exact(ps))[1] <= held + 2**16
 
 
 # ---------------------------------------------------------------------------

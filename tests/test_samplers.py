@@ -5,7 +5,6 @@ determinism."""
 import hashlib
 import math
 import re
-import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -51,10 +50,12 @@ from negdep_qmc import (
 from negdep_qmc.samplers import (
     SCHEMES,
     _CHUNK_SCALARS,
+    _KEY_BLOCK,
     _WRITE_BLOCK,
     _net_base_digits,
     _perm_prefix,
 )
+from conftest import traced_peak
 
 ALL_SAMPLERS = [
     (MonteCarlo(), 8, 2),
@@ -120,12 +121,7 @@ def test_save_pointset_holds_one_block_whatever_n(tmp_path):
     peaks = []
     for blocks in (1, 8):
         ps = PointSet(RngStream(3).gen.random((blocks * _WRITE_BLOCK // 2, 2)))
-        tracemalloc.start()
-        try:
-            save_pointset(ps, tmp_path / "pts.txt")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: save_pointset(ps, tmp_path / "pts.txt"))[1])
     # eight blocks of text are about 5 MiB
     assert peaks[1] <= peaks[0] + 2**16 <= 3 * 2**20
 
@@ -144,12 +140,7 @@ def test_pointset_never_aliases_an_array_a_caller_can_write():
 def test_load_pointset_holds_the_points_once(tmp_path):
     data = RngStream(4).gen.random((20_000, 10))
     save_pointset(PointSet(data), tmp_path / "pts.txt")
-    tracemalloc.start()
-    try:
-        ps = load_pointset(tmp_path / "pts.txt")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ps, peak = traced_peak(lambda: load_pointset(tmp_path / "pts.txt"))
     assert np.array_equal(ps.data, data)
     # the parsed array is the point set's: a second copy would make the peak 2x
     assert peak <= 1.5 * ps.data.nbytes
@@ -627,19 +618,6 @@ def test_whole_permutation_draws_over_several_key_blocks_are_pinned(spec, n, d, 
     assert hashlib.sha256(batch.tobytes()).hexdigest()[:16] == digest
 
 
-def test_lhs_draw_holds_about_two_results():
-    # rows^2 > n, so whole permutations are sorted; only their first rows are kept
-    tracemalloc.start()
-    try:
-        batch = sample_batch(LatinHypercube(), 6, 2, 100_000, RngStream(73), rows=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert batch.shape == (100_000, 3, 2)
-    # the kept permutation entries and the jittered points, one result each
-    assert peak <= 2.5 * batch.nbytes
-
-
 def _draw(spec, n, d):
     return lambda: sample_batch(spec, n, d, 1, RngStream(0))
 
@@ -730,17 +708,87 @@ def test_net_scrambling_matches_the_per_prefix_loop(b, m, s, reps):
     assert np.array_equal(sample_batch(spec, b**m, s, reps, RngStream(73)), expected)
 
 
-@pytest.mark.parametrize("b, m, s, reps", [
-    pytest.param(5, 2, 2, 20_000, id="net25-20000-reps"),
-    pytest.param(2, 12, 2, _CHUNK_SCALARS // (2**12 * 2), id="net4096-one-chunk"),
-])
-def test_net_draw_peaks_at_a_few_times_its_result(b, m, s, reps):
-    spec = ScrambledNet(b, m, s)
-    tracemalloc.start()
-    try:
-        batch = sample_batch(spec, b**m, s, reps, RngStream(79))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the result plus, at the peak, about one more result-sized buffer
-    assert peak <= 3.5 * batch.nbytes
+# Whole and prefix draws of every samplable scheme, each of a few MiB or more:
+# (spec, n, d, reps, rows), rows None for a whole draw.
+DRAW_MEMORY = [
+    pytest.param(MonteCarlo(), 8, 2, 100_000, None, id="mc"),
+    pytest.param(MonteCarlo(), 8, 2, 100_000, 3, id="mc-prefix"),
+    pytest.param(LatinHypercube(), 6, 2, 100_000, None, id="lhs"),
+    # rows^2 > n: whole permutations are sorted and their first rows kept
+    pytest.param(LatinHypercube(), 6, 2, 100_000, 3, id="lhs-prefix-sorted"),
+    # rows^2 <= n: permutation prefixes are drawn one entry at a time
+    pytest.param(LatinHypercube(), 256, 2, 100_000, 3, id="lhs-prefix-by-entry"),
+    pytest.param(SimpleStratified(), 16, 1, 100_000, None, id="sss"),
+    pytest.param(SimpleStratified(), 16, 1, 100_000, 4, id="sss-prefix"),
+    pytest.param(GeneralizedStratified(31, Stripes(31)), 3, 2, 100_000, None, id="gss-stripes"),
+    pytest.param(GeneralizedStratified(31, Stripes(31)), 12, 2, 100_000, 2,
+                 id="gss-stripes-prefix"),
+    pytest.param(GeneralizedStratified(31, LatticeCells((1, 12), 31)), 3, 2, 100_000, None,
+                 id="gss-cells"),
+    pytest.param(GeneralizedStratified(31, LatticeCells((1, 12), 31)), 12, 2, 100_000, 2,
+                 id="gss-cells-prefix"),
+    pytest.param(RsjLattice(), 17, 2, 50_000, None, id="rsj"),
+    pytest.param(RsjLattice(), 101, 2, 100_000, 2, id="rsj-prefix"),
+    pytest.param(ScrambledNet(5, 2, 2), 25, 2, 20_000, None, id="net25-20000-reps"),
+    pytest.param(ScrambledNet(2, 12, 2), 4096, 2, _CHUNK_SCALARS // (2**12 * 2), None,
+                 id="net4096-one-chunk"),
+    pytest.param(Mixed(LatinHypercube(), 2, LatinHypercube(), 1), 6, 3, 100_000, None,
+                 id="mixed-lhs-lhs"),
+    pytest.param(Mixed(LatinHypercube(), 2, LatinHypercube(), 1), 6, 3, 100_000, 3,
+                 id="mixed-lhs-lhs-prefix"),
+    # the net draws whole sets, so a mixed draw with a net factor is always whole
+    pytest.param(Mixed(LatinHypercube(), 1, ScrambledNet(5, 2, 2), 2), 25, 3, 20_000, 2,
+                 id="mixed-lhs-net"),
+]
+
+
+@pytest.mark.parametrize("spec, n, d, reps, rows", DRAW_MEMORY)
+def test_a_draw_holds_its_result_and_one_key_block(spec, n, d, reps, rows):
+    batch, peak = traced_peak(lambda: sample_batch(spec, n, d, reps, RngStream(79), rows))
+    assert batch.shape == (reps, spec.prefix_rows(n, rows or n), d)
+    # the result, its integer strata or cell map, and one block of float64 keys
+    assert peak <= 1.75 * batch.nbytes + 8 * _KEY_BLOCK
+
+
+class _TopGenerator:
+    """Every uniform is 1 - 2^-53, the largest `Generator.random` returns;
+    integers and choices come from a real generator."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def random(self, size=None):
+        return np.full(size, 1 - 2**-53)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class _TopStream(RngStream):
+    def __init__(self, seed, _path=()):
+        super().__init__(seed, _path)
+        self.gen = _TopGenerator(self.gen)
+
+    def split(self, child_index):
+        return _TopStream(self.seed, self.path + (child_index,))
+
+
+# each scheme at a size whose whole draw puts a point in its top stratum, cell or slot
+@pytest.mark.parametrize("spec, n, d", [
+    (MonteCarlo(), 4, 2),
+    (SimpleStratified(), 3, 1),
+    (LatinHypercube(), 3, 2),
+    (GeneralizedStratified(3, Stripes(3)), 3, 2),
+    (GeneralizedStratified(5, LatticeCells((1, 2), 5)), 5, 2),
+    (RsjLattice(), 5, 2),
+    (ScrambledNet(2, 3, 2), 8, 2),
+    (ScrambledNet(3, 2, 2), 9, 2),
+    (Mixed(LatinHypercube(), 1, ScrambledNet(2, 3, 2), 2), 8, 3),
+    (FourSlot(), 2, 2),
+    (SwapScheme(), 2, 2),
+], ids=lambda v: v.label() if hasattr(v, "kind") else None)
+def test_the_largest_uniform_places_no_point_at_1(spec, n, d):
+    batch = sample_batch(spec, n, d, 20, _TopStream(83))
+    assert np.all(batch >= 0.0) and np.all(batch < 1.0)
+    for points in batch:
+        PointSet(points)
