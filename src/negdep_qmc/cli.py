@@ -74,6 +74,10 @@ from .integrate import (
 from .negdep import (
     DependenceReport,
     FactorizationCheck,
+    _check_ci_args,
+    _check_conditional_args,
+    _check_joint_args,
+    _check_pairwise_args,
     check_ci_nqd,
     check_conditional_nqd,
     check_lower_nd,
@@ -429,25 +433,37 @@ def cmd_negdep(cfg: dict) -> int:
     rows = []  # report fields, plus "oracle" where asked for
     factor_rows = []
 
+    # each row's arguments go through the tester's own checks before the first row draws
     if test in ("upper", "lower"):
         fn = check_upper_nd if test == "upper" else check_lower_nd
-        for k, (anchor, t) in enumerate(product(c.anchors, c.t_values)):
-            box = CornerBox0(anchor)
+        cases = [(CornerBox0(anchor), t) for anchor, t in product(c.anchors, c.t_values)]
+        for box, t in cases:
+            _check_joint_args(c.n, c.d, box, t, c.gamma)
+        for k, (box, t) in enumerate(cases):
             rep = fn(c.scheme, c.n, c.d, box, t, c.reps, rng.split(k), c.gamma, c.confidence)
             oracle = c.scheme.anchored_prob(c.n, box, t) if getattr(c, "oracle", False) else None
             rows.append({**asdict(rep), "oracle": oracle})
     elif test == "pairwise":
-        for k, (qa, ra) in enumerate(product(c.q_anchors, c.r_anchors)):
-            pair = check_pairwise_nd(c.scheme, c.n, c.d, CornerBox1(qa), CornerBox1(ra), c.reps,
-                                     rng.split(k), c.confidence)
+        cases = [(CornerBox1(qa), CornerBox1(ra)) for qa, ra in product(c.q_anchors, c.r_anchors)]
+        for q_box, r_box in cases:
+            _check_pairwise_args(c.n, c.d, q_box, r_box)
+        for k, (q_box, r_box) in enumerate(cases):
+            pair = check_pairwise_nd(c.scheme, c.n, c.d, q_box, r_box, c.reps, rng.split(k),
+                                     c.confidence)
             rows += [asdict(rep) for rep in pair]
     elif test == "conditional":
-        for k, (alpha, beta) in enumerate(product(c.alphas, c.betas)):
+        cases = list(product(c.alphas, c.betas))
+        for alpha, beta in cases:
+            _check_conditional_args(c.n, c.d, c.i, c.a_box, c.b_box, alpha, beta)
+        for k, (alpha, beta) in enumerate(cases):
             rep = check_conditional_nqd(c.scheme, c.n, c.d, c.i, c.a_box, c.b_box, alpha, beta,
                                         c.reps, rng.split(k), c.confidence)
             rows.append(asdict(rep))
     else:  # "ci"
-        for k, (q, r) in enumerate(product(c.q_values, c.r_values)):
+        cases = list(product(c.q_values, c.r_values))
+        for q, r in cases:
+            _check_ci_args(c.n, c.d, c.i, q, r)
+        for k, (q, r) in enumerate(cases):
             res = check_ci_nqd(c.scheme, c.n, c.d, c.i, q, r, c.reps, rng.split(k), c.confidence)
             rows.append(asdict(res.primary))
             factor_rows += [{"scheme": res.primary.scheme, "n": c.n, "d": c.d, **asdict(f)}

@@ -244,13 +244,19 @@ def _report(notion, spec, n, d, event, lhs, rhs, ci, tally: _Tally, gamma=1.0):
 # Joint orthant testers
 
 
-def _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, complement):
+# Each tester's argument checks are one function, which the tester runs and the CLI
+# runs over every row of a config before the first row draws.
+def _check_joint_args(n, d, box, t, gamma) -> None:
     if not (1 <= t <= n):
         raise ValidationError("need 1 <= t <= n")
     if box.d != d:
         raise ValidationError("box dimension must equal d")
     if not (gamma > 0):
         raise ValidationError("gamma must be positive")
+
+
+def _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, complement):
+    _check_joint_args(n, d, box, t, gamma)
     vol = box.volume()
     notion = "lower_nd" if complement else "upper_nd"
     marginal = (1.0 - vol) if complement else vol
@@ -297,6 +303,15 @@ def check_lower_nd(
     return _test_joint_nd(spec, n, d, box, t, reps, rng, gamma, confidence, True)
 
 
+def _check_pairwise_args(n, d, q_box, r_box) -> None:
+    if n < 2:
+        raise ValidationError("pairwise tests need n >= 2")
+    if not isinstance(q_box, CornerBox1) or not isinstance(r_box, CornerBox1):
+        raise ValidationError("pairwise boxes must be anchored at the upper corner")
+    if q_box.d != d or r_box.d != d:
+        raise ValidationError("box dimension must equal d")
+
+
 def check_pairwise_nd(
     spec: SchemeSpec,
     n: int,
@@ -314,12 +329,7 @@ def check_pairwise_nd(
     origin-anchored boxes [0, Q.lower) and [0, R.lower), which is reported
     alongside. n must be at least 2; points 1 and 2 are used.
     """
-    if n < 2:
-        raise ValidationError("pairwise tests need n >= 2")
-    if not isinstance(q_box, CornerBox1) or not isinstance(r_box, CornerBox1):
-        raise ValidationError("pairwise boxes must be anchored at the upper corner")
-    if q_box.d != d or r_box.d != d:
-        raise ValidationError("box dimension must equal d")
+    _check_pairwise_args(n, d, q_box, r_box)
     pairs = [(q_box, r_box), (CornerBox0(q_box.lower), CornerBox0(r_box.lower))]
     tally = _tally(spec, n, d, [(pair, False) for pair in pairs], reps, rng, confidence)
     return tuple(
@@ -335,13 +345,23 @@ def check_pairwise_nd(
 # Conditional and coordinatewise NQD
 
 
-def _check_pair_test(n: int, d: int, i: int, *levels: float) -> None:
+def _check_ci_args(n: int, d: int, i: int, *levels: float) -> None:
     if n < 2:
         raise ValidationError("pair tests need n >= 2")
     if not (1 <= i <= d):
         raise ValidationError("coordinate index i must satisfy 1 <= i <= d")
     if not all(0.0 <= level < 1.0 for level in levels):
         raise ValidationError("thresholds must lie in [0, 1)")
+
+
+def _check_conditional_args(n, d, i, a_box, b_box, alpha, beta) -> None:
+    _check_ci_args(n, d, i, alpha, beta)
+    if i == 1 and (a_box is not None or b_box is not None):
+        raise ValidationError("i = 1 is unconditional; conditioning boxes must be None")
+    if i > 1:
+        for name, box in (("a_box", a_box), ("b_box", b_box)):
+            if box is not None and box.d != i - 1:
+                raise ValidationError(f"{name} must live in dimension i-1 = {i - 1}")
 
 
 def _coordinate_box(d: int, i: int, level: float, head=None):
@@ -377,13 +397,7 @@ def check_conditional_nqd(
     at least about 1 - 3(1 - confidence) (0.97 at 0.99), up to the
     second-order product of the two marginal halfwidths, which the sum omits.
     """
-    _check_pair_test(n, d, i, alpha, beta)
-    if i == 1 and (a_box is not None or b_box is not None):
-        raise ValidationError("i = 1 is unconditional; conditioning boxes must be None")
-    if i > 1:
-        for name, box in (("a_box", a_box), ("b_box", b_box)):
-            if box is not None and box.d != i - 1:
-                raise ValidationError(f"{name} must live in dimension i-1 = {i - 1}")
+    _check_conditional_args(n, d, i, a_box, b_box, alpha, beta)
     cond_desc = "unconditioned" if i == 1 else (
         f"p1[1:{i - 1}] in {a_box.label() if a_box is not None else 'full'}, "
         f"p2[1:{i - 1}] in {b_box.label() if b_box is not None else 'full'}"
@@ -430,7 +444,7 @@ def check_ci_nqd(
     condition for cross-coordinate independence only: consistent probes do
     not prove it.
     """
-    _check_pair_test(n, d, i, q, r)
+    _check_ci_args(n, d, i, q, r)
     rhs = (1.0 - q) * (1.0 - r)
     event = f"coord {i}: p1 >= {q:g} and p2 >= {r:g}"
     probes = [(j, g) for j in range(1, d + 1) if j != i for g in _FACTOR_GRID]

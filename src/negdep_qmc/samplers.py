@@ -215,7 +215,7 @@ class Stripes:
         first, rest = pts[..., 0], pts[..., 1:]
         for blk in _blocks(len(chosen), chosen.shape[1]):
             np.add(chosen[blk], g.random(chosen[blk].shape), out=first[blk])
-        _below_one(np.divide(first, self.count, out=first))
+        np.divide(first, self.count, out=first)
         # coordinates 2..d are uniform; at d = 1 the empty draw takes no randomness
         for blk in _blocks(len(chosen), chosen.shape[1] * (d - 1)):
             rest[blk] = g.random(rest[blk].shape)
@@ -297,9 +297,7 @@ class LatticeCells:
         for step in (v / self.n for v in self.basis()):
             for blk in _blocks(len(chosen), pts[0].size):
                 pts[blk] += g.random(chosen[blk].shape + (1,)) * step
-        np.mod(pts, 1.0, out=pts)
-        pts[pts >= 1.0] = 0.0  # fp guard: mod of a tiny negative can round to 1.0
-        return pts
+        return np.mod(pts, 1.0, out=pts)
 
 
 StrataSpec = Union[Stripes, LatticeCells]
@@ -338,11 +336,13 @@ class SchemeSpec:
     `SCHEMES` entry.
 
     A scheme owns its JSON `kind`, its `label()` (the CSV `scheme` column),
-    `validate(n, d)`, and `draw(n, d, rows, reps, rng)`, which draws points
-    1..rows (1 <= rows <= n) of `reps` replications once `validate` has
-    passed. A scheme that sets `draws_prefix` returns exactly those rows,
-    with the joint law of the first rows of a whole draw; the others return
-    all n, and `prefix_rows` says how many come back. Two-point analytic
+    `validate(n, d)`, and `draw(n, d, rows, reps, rng)`, its construction
+    alone: it returns points 1..rows of `reps` replications, shape (reps,
+    rows, d). `sample_batch` calls it once `validate` has passed, passes it
+    `prefix_rows(n, rows)`, and clamps the result below 1. A scheme that sets
+    `draws_prefix` is passed any 1 <= rows <= n and draws those rows alone,
+    with the joint law of the first rows of a whole draw; the others are
+    passed n. Two-point analytic
     schemes set `pair_dim` and give `pair_prob(rect1, rect2)`, the exact
     P(p1 in rect1, p2 in rect2) for rectangles given as per-axis (lo, hi)
     ranges. Schemes with an exact anchored-box law give
@@ -398,16 +398,6 @@ def _integers(g: np.random.Generator, low: int, high: int, shape: tuple) -> np.n
     for blk in _blocks(shape[0], math.prod(shape[1:])):
         out[blk] = g.integers(low, high, size=out[blk].shape)
     return out
-
-
-# The largest double below 1. A stratum's point (k + u) / count rounds up to 1.0 at
-# k = count - 1 when u = 1 - 2^-53, the largest value `Generator.random` returns, and
-# so does a net's top cell plus its jitter: such coordinates are clamped to it.
-_BELOW_ONE = np.nextafter(1.0, 0.0)
-
-
-def _below_one(pts: np.ndarray) -> np.ndarray:
-    return np.minimum(pts, _BELOW_ONE, out=pts)
 
 
 def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bool) -> np.ndarray:
@@ -512,8 +502,9 @@ def gss_anchored_prob_exact(beta: int, strata: StrataSpec, box: CornerBox0, n: i
 class RsjLattice(SchemeSpec):
     """Rank-1 lattice with random generator, random digital shift, and jitter.
 
-    N must be prime. N = 2 is accepted: the generator group degenerates to a
-    single element, which keeps the construction valid but trivial.
+    N must be prime. N = 2 is accepted: the generator group degenerates to
+    the single generator 1, which the generator draw returns without
+    consuming randomness.
     """
 
     kind = "rsj"
@@ -525,7 +516,7 @@ class RsjLattice(SchemeSpec):
 
     def draw(self, n, d, rows, reps, rng):
         g = rng.gen
-        gvec = _integers(g, 1, n, (reps, 1, d)) if n > 2 else np.ones((reps, 1, d), dtype=np.int32)
+        gvec = _integers(g, 1, n, (reps, 1, d))
         shift = _integers(g, 0, n, (reps, 1, d))
         perm = _perm_prefix(g, reps, n, rows, rows == n)[:, :, None]
         cell = np.empty((reps, rows, d), dtype=perm.dtype)
@@ -534,7 +525,7 @@ class RsjLattice(SchemeSpec):
         del gvec, shift, perm
         pts = g.random(cell.shape)  # the jitter
         pts += cell
-        return _below_one(np.divide(pts, n, out=pts))
+        return np.divide(pts, n, out=pts)
 
 
 def corner_cells(n: int, counts) -> np.ndarray:
@@ -594,7 +585,7 @@ class LatinHypercube(SchemeSpec):
         # jitter each point within its strata
         pts = g.random(perm.shape)
         pts += perm
-        return np.swapaxes(_below_one(np.divide(pts, n, out=pts)), 1, 2)
+        return np.swapaxes(np.divide(pts, n, out=pts), 1, 2)
 
     def anchored_prob(self, n, box, t):
         return lhs_anchored_prob_exact(n, box.upper, t)
@@ -702,7 +693,6 @@ class ScrambledNet(SchemeSpec):
                 block = coord[blk]
                 np.take(value, sigma[blk][:, cells[:, l]], out=block)
                 block += g.random(block.shape) * b ** (-m)
-            _below_one(coord)
             del sigma
         for blk in blocks:
             order = _row_perms(g, len(out[0, blk]), n)
@@ -715,7 +705,8 @@ class ScrambledNet(SchemeSpec):
 class Mixed(SchemeSpec):
     """Independent concatenation: left scheme on the first d_left coordinates,
     right scheme on the remaining d_right. It draws prefixes when both factors
-    do, and its anchored-box law is the product of theirs. Each factor is
+    do, and its anchored-box law is the product of theirs. `validate` checks
+    both factors, so each factor's `draw` is called directly, and its part is
     copied into the result as it is drawn."""
 
     left: SchemeSpec
@@ -736,16 +727,15 @@ class Mixed(SchemeSpec):
         _validate(self.right, n, self.d_right)
 
     def draw(self, n, d, rows, reps, rng):
-        rows = self.prefix_rows(n, rows)
         factors = [(self.left, 0, slice(0, self.d_left)), (self.right, 1, slice(self.d_left, d))]
         # factor k draws from rng.split(k) alone, so the order is free: the wider
         # factor goes first, and the result is allocated once it is drawn
         factors.sort(key=lambda f: f[2].start - f[2].stop)
         out = None
         for spec, k, cols in factors:
-            part = sample_batch(spec, n, cols.stop - cols.start, reps, rng.split(k), rows)
+            part = spec.draw(n, cols.stop - cols.start, rows, reps, rng.split(k))
             if out is None:
-                out = np.empty(part.shape[:2] + (d,))
+                out = np.empty((reps, rows, d))
             out[:, :, cols] = part
             del part
         return out
@@ -764,8 +754,9 @@ class Mixed(SchemeSpec):
 
 def mixed_anchored_prob_exact(n: int, q_left, q_right, t: int) -> float:
     """Exact anchored-box probability for a concatenation of two independent
-    n-point Latin hypercube factors: the factor probabilities multiply."""
-    return lhs_anchored_prob_exact(n, q_left, t) * lhs_anchored_prob_exact(n, q_right, t)
+    n-point Latin hypercube factors: `Mixed`'s product of the factor laws."""
+    spec = Mixed(LatinHypercube(), len(q_left), LatinHypercube(), len(q_right))
+    return spec.anchored_prob(n, CornerBox0(np.concatenate([q_left, q_right])), t)
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +842,7 @@ class FourSlot(_TwoPoint):
         pick = g.choice(len(pairs), size=reps, p=probs)
         slot = np.array(pairs)[pick]  # (reps, 2)
         u = g.random((reps, 2, 2)) * 0.5
-        return _below_one(_FOURSLOT_LOWER[slot] + u)
+        return _FOURSLOT_LOWER[slot] + u
 
     def pair_prob(self, rect1, rect2):
         w1 = _fourslot_weights(rect1)
@@ -936,6 +927,12 @@ def net_points(b: int, m: int, s: int) -> PointSet:
     return PointSet(digits @ weights)
 
 
+# The largest double below 1. `Generator.random` returns at most 1 - 2^-53, and with it
+# a stratum's top point (k + u) / count rounds up to 1.0, as do a net's top cell plus its
+# jitter and a lattice cell's point wrapped by `np.mod`: every draw is clamped to it.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def sample_batch(
     spec: SchemeSpec, n: int, d: int, reps: int, rng: RngStream, rows: Optional[int] = None
 ) -> np.ndarray:
@@ -944,6 +941,7 @@ def sample_batch(
     With `rows` < n, only points 1..rows of each replication are needed:
     schemes that set `draws_prefix` draw exactly those (shape (reps, rows,
     d)), the others all n. `rows` None or >= n draws whole replications.
+    Every coordinate is then clamped in place to the largest double below 1.
     """
     if reps < 1:
         raise ValidationError("need reps >= 1")
@@ -951,7 +949,8 @@ def sample_batch(
     rows = n if rows is None else min(rows, n)
     if rows < 1:
         raise ValidationError("need rows >= 1")
-    return spec.draw(n, d, rows, reps, rng)
+    pts = spec.draw(n, d, spec.prefix_rows(n, rows), reps, rng)
+    return np.minimum(pts, _BELOW_ONE, out=pts)
 
 
 _CHUNK_SCALARS = 4_000_000

@@ -7,6 +7,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+import negdep_qmc.negdep as negdep_module
 from negdep_qmc import (
     SCHEMES,
     ValidationError,
@@ -190,6 +191,37 @@ def test_negdep_ci_writes_factorization_sidecar(tmp_path, capsys):
     factor = (tmp_path / "ci.csv.factorization.csv").read_text().strip().split("\n")
     assert factor[0].startswith("scheme,n,d,")
     assert len(factor) > 1
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a row was drawn before the config's last row was checked")
+
+
+_LHS_ROWS = {"scheme": {"kind": "lhs"}, "n": 4, "d": 2, "reps": 100}
+
+
+# each config's last row is invalid, and its error line is the tester's own
+@pytest.mark.parametrize("cfg, error", [
+    pytest.param({"test": "upper", "anchors": [[0.5, 0.5]], "t_values": [1, 2, 9]},
+                 "need 1 <= t <= n", id="upper-t-above-n"),
+    pytest.param({"test": "upper", "anchors": [[0.5, 0.5], [0.5, 1.5]], "t_values": [1]},
+                 "upper coordinates must lie in [0,1]", id="upper-anchor-above-1"),
+    pytest.param({"test": "lower", "anchors": [[0.5, 0.5], [0.5]], "t_values": [1]},
+                 "box dimension must equal d", id="lower-anchor-1-d"),
+    pytest.param({"test": "pairwise", "q_anchors": [[0.5, 0.5]],
+                  "r_anchors": [[0.5, 0.5], [0.5]]},
+                 "box dimension must equal d", id="pairwise-r-anchor-1-d"),
+    pytest.param({"test": "conditional", "i": 2, "alphas": [0.5], "betas": [0.5, 1.5]},
+                 "thresholds must lie in [0, 1)", id="conditional-beta-above-1"),
+    pytest.param({"test": "ci", "i": 1, "q_values": [0.5], "r_values": [0.5, 1.0]},
+                 "thresholds must lie in [0, 1)", id="ci-r-at-1"),
+])
+def test_negdep_refuses_a_bad_last_row_before_any_draw(tmp_path, capsys, monkeypatch, cfg,
+                                                       error):
+    monkeypatch.setattr(negdep_module, "map_chunks", _no_draw)
+    code, text, err = run(["negdep", write_json(tmp_path / "n.json", {**_LHS_ROWS, **cfg})],
+                          capsys)
+    assert (code, text, err) == (2, "", f"error: {error}\n")
 
 
 # ---------------------------------------------------------------------------

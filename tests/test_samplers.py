@@ -27,6 +27,7 @@ from negdep_qmc import (
     PointSet,
     RngStream,
     RsjLattice,
+    SchemeSpec,
     ScrambledNet,
     SimpleStratified,
     Stripes,
@@ -792,3 +793,38 @@ def test_the_largest_uniform_places_no_point_at_1(spec, n, d):
     assert np.all(batch >= 0.0) and np.all(batch < 1.0)
     for points in batch:
         PointSet(points)
+
+
+class _AtOne(SchemeSpec):
+    """A scheme outside `SCHEMES` whose every coordinate is 1.0; it records the
+    rows each draw is asked for."""
+
+    kind = "at-one"
+
+    def __init__(self, draws_prefix):
+        self.draws_prefix = draws_prefix
+        self.asked = []
+
+    def draw(self, n, d, rows, reps, rng):
+        self.asked.append(rows)
+        return np.ones((reps, rows, d))
+
+
+# the draw contract, held by sample_batch alone: a scheme is asked for the rows it
+# returns and its points are clamped below 1, also as a factor of a mixed scheme
+@pytest.mark.parametrize("draws_prefix", [True, False])
+@pytest.mark.parametrize("rows", [None, 1, 3, 4, 9])
+def test_sample_batch_asks_for_the_rows_returned_and_clamps_below_1(draws_prefix, rows):
+    n = 4
+    for make, d in [(lambda stub: stub, 2),
+                    (lambda stub: Mixed(stub, 1, LatinHypercube(), 2), 3),
+                    (lambda stub: Mixed(MonteCarlo(), 2, stub, 1), 3),
+                    (lambda stub: Mixed(stub, 1, ScrambledNet(2, 2, 2), 2), 3)]:
+        stub = _AtOne(draws_prefix)
+        spec = make(stub)
+        batch = sample_batch(spec, n, d, 3, RngStream(89), rows)
+        drawn = spec.prefix_rows(n, min(rows or n, n))
+        assert stub.asked == [drawn]
+        assert batch.shape == (3, drawn, d)
+        for points in batch:
+            PointSet(points)
