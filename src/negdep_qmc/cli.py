@@ -58,6 +58,7 @@ from .discrepancy import (
     DEFAULT_BUDGET,
     ExplicitWeights,
     ProductWeights,
+    _charge_request,
     star_discrepancy_cover,
     star_discrepancy_exact,
     weighted_star_discrepancy,
@@ -384,6 +385,8 @@ def cmd_discrepancy(cfg: dict) -> int:
     ps = c.points if source is _POINTS else sample(c.scheme, c.n, c.d, RngStream(c.seed))
     if c.weights is not None:
         c.weights.check(ps.d)
+    # every quantity asked for is charged before the first is computed
+    _charge_request(ps, c.budget, c.exact, c.delta, c.weights)
     rows = []
     if c.exact:
         res = star_discrepancy_exact(ps, c.budget)

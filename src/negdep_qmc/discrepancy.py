@@ -441,6 +441,13 @@ def weighted_star_discrepancy(
     is evaluated, and the call is refused at the first projection that takes
     the sum past it.
     """
+    terms = _weighted_terms(ps, weights, budget)
+    values = (g * star_discrepancy_exact(PointSet(ps.data[:, u]), budget).value for g, u in terms)
+    return max(values, default=0.0)
+
+
+def _weighted_terms(ps: PointSet, weights: Weights, budget: int) -> list[tuple[float, list[int]]]:
+    """(gamma_u, u) for each nonzero-weight projection u, once all are charged."""
     d = ps.d
     if d < 1:
         raise ValidationError("point set must have dimension >= 1")
@@ -453,5 +460,16 @@ def weighted_star_discrepancy(
             continue
         cells = _charge([sizes[a] for a in u], budget, cells)
         terms.append((g, list(u)))
-    values = (g * star_discrepancy_exact(PointSet(ps.data[:, u]), budget).value for g, u in terms)
-    return max(values, default=0.0)
+    return terms
+
+
+def _charge_request(ps: PointSet, budget: int, exact: bool, delta, weights) -> None:
+    """Charge each quantity asked for (exact, the cover when `delta` is given,
+    the weighted sum when `weights` are) against `budget`, as its own call
+    charges it, before any is computed."""
+    if exact:
+        _charge([c.size for c in _axis_candidates(ps.data)], budget)
+    if delta is not None:
+        _charge([_cover_nodes(ps.d, delta)] * ps.d, budget)
+    if weights is not None:
+        _weighted_terms(ps, weights, budget)

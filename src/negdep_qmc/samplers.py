@@ -297,7 +297,10 @@ class LatticeCells:
         for step in (v / self.n for v in self.basis()):
             for blk in _blocks(len(chosen), pts[0].size):
                 pts[blk] += g.random(chosen[blk].shape + (1,)) * step
-        return np.mod(pts, 1.0, out=pts)
+        # wrap into [0, 1): x - floor(x) equals np.mod(x, 1.0) for every finite double
+        for blk in _blocks(len(chosen), pts[0].size):
+            pts[blk] -= np.floor(pts[blk])
+        return pts
 
 
 StrataSpec = Union[Stripes, LatticeCells]
@@ -519,7 +522,8 @@ class RsjLattice(SchemeSpec):
         gvec = _integers(g, 1, n, (reps, 1, d))
         shift = _integers(g, 0, n, (reps, 1, d))
         perm = _perm_prefix(g, reps, n, rows, rows == n)[:, :, None]
-        cell = np.empty((reps, rows, d), dtype=perm.dtype)
+        # at rows = 1 each cell overwrites its own generator
+        cell = gvec if rows == 1 else np.empty((reps, rows, d), dtype=perm.dtype)
         for blk in _blocks(reps, rows * d):
             cell[blk] = (np.multiply(perm[blk], gvec[blk], dtype=np.int64) + shift[blk]) % n
         del gvec, shift, perm
@@ -545,10 +549,11 @@ def rsj_small_prob(n: int, qcells, t: int) -> float:
     such as `corner_cells` returns; the jitter never crosses cell
     boundaries and the row order is exchangeable, so conditioning on the
     generator and shift gives (K)_t / (n)_t with K the number of lattice
-    cells inside Q. For prime n the lattice of generator (a, b) is the line
-    of slope c = b/a mod n, so the (n-1)^2 generators reduce to the n-1
-    slopes, each taken n-1 times; every slope and all n^2 shifts are
-    enumerated, and the falling factorials are summed as exact integers. n
+    cells inside Q. For prime n the lattice of generator (a, b) and shift
+    (x, y) is the line of slope c = b/a mod n and offset y' = (y - c*x) mod n,
+    with cells (u, (y' + c*u) mod n): each of the (n-1)*n lines is taken by
+    n-1 generators and n shifts alike. Every line is enumerated, and the
+    falling factorials of its cell counts are summed as exact integers. n
     must be prime and at most 31.
     """
     if not is_prime(n):
@@ -561,15 +566,12 @@ def rsj_small_prob(n: int, qcells, t: int) -> float:
     if mask.dtype != bool or mask.shape != (n, n):
         raise ValidationError(f"cells must be a boolean ({n}, {n}) mask")
     k = np.arange(n)
-    x = (k[:, None, None] + k[None, None, :]) % n  # shift x, step k
-    slopes = range(1, n)  # for n = 2 the only generator is (1, 1)
-    # hist[K]: number of (slope, shift) pairs whose line has K cells in Q
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for c in slopes:
-        y = (k[None, :, None] + c * k[None, None, :]) % n  # shift y, step k
-        hist += np.bincount(mask[x, y].sum(axis=2).ravel(), minlength=n + 1)
+    slopes = np.arange(1, n)[:, None, None]  # for n = 2 the only generator is (1, 1)
+    # K(c, y') = sum_u Q[u, (y' + c*u) mod n], over slopes c, offsets y' = k[:, None], steps u = k
+    lines = mask[k, (k[:, None] + slopes * k) % n].sum(axis=2)
+    hist = np.bincount(lines.ravel(), minlength=n + 1)
     total = sum(int(h) * math.perm(K, t) for K, h in enumerate(hist))
-    return total / (len(slopes) * n * n * math.perm(n, t))
+    return total / (len(slopes) * n * math.perm(n, t))
 
 
 @dataclass(frozen=True)
@@ -632,17 +634,21 @@ def _cell_map(g: np.random.Generator, b: int, m: int, reps: int) -> np.ndarray:
     Level r permutes the b digits after each of the b^r prefixes, so the map
     grows one digit at a time: sigma[:, p*b + a] = sigma_r[:, p]*b + perm_p(a).
     The keys of level r form one (b^r, reps, b) array, drawn in blocks of
-    consecutive prefixes (`_KEY_BLOCK`).
+    consecutive prefixes (`_KEY_BLOCK`). Each level fills the tail of the one
+    result array: level r + 1 is written over level r from the front, and
+    prefix p's digits land before any later prefix's entry.
     """
-    sigma = np.zeros((reps, 1), dtype=np.int32)
+    n = b**m
+    sigma = np.zeros((reps, n), dtype=np.int32)
     for r in range(m):
         prefixes = b**r
-        grown = np.empty((reps, prefixes, b), dtype=np.int32)
+        level = sigma[:, n - prefixes:]
+        grown = sigma[:, n - prefixes * b:].reshape(reps, prefixes, b)
         for blk in _blocks(prefixes, reps * b):
+            high = level[:, blk, None] * b  # read before this block overwrites it
             block = grown[:, blk]
             block[...] = np.argsort(g.random((block.shape[1], reps, b)), axis=2).transpose(1, 0, 2)
-            block += sigma[:, blk, None] * b
-        sigma = grown.reshape(reps, prefixes * b)
+            block += high
     return sigma
 
 

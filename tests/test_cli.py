@@ -7,6 +7,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+import negdep_qmc.discrepancy as discrepancy_module
 import negdep_qmc.negdep as negdep_module
 from negdep_qmc import (
     SCHEMES,
@@ -108,6 +109,28 @@ def test_discrepancy_schema_sidecar(tmp_path, capsys):
     assert sidecar["subcommand"] == "discrepancy"
     assert sidecar["columns"][0] == "quantity"
     assert "version" in sidecar
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the exact search ran")
+
+
+# the 8-point net's exact grid has 10 x 10 cells; its weighted sum charges 10 + 10 + 100
+@pytest.mark.parametrize("cfg", [
+    pytest.param({"delta": 0.01, "budget": 1000}, id="cover-of-201x201-cells"),
+    pytest.param({"weights": {"kind": "product", "gamma": [1.0, 1.0]}, "budget": 110},
+                 id="weighted-of-120-cells"),
+])
+def test_discrepancy_charges_every_quantity_before_the_exact_search(tmp_path, capsys,
+                                                                    monkeypatch, cfg):
+    monkeypatch.setattr(cli, "star_discrepancy_exact", _no_search)
+    monkeypatch.setattr(discrepancy_module, "star_discrepancy_exact", _no_search)
+    save_pointset(net_points(2, 3, 2), tmp_path / "p.txt")
+    dcfg = write_json(tmp_path / "d.json", {"points": str(tmp_path / "p.txt"), "exact": True,
+                                            **cfg})
+    code, text, err = run(["discrepancy", dcfg], capsys)
+    assert (code, text) == (3, "")
+    assert err.startswith("budget exceeded: discrepancy needs ")
 
 
 # ---------------------------------------------------------------------------

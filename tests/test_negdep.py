@@ -221,29 +221,9 @@ def test_rsj_small_prob_validation():
         rsj_small_prob(5, corner_cells(5, (2, 2)).astype(int), 1)  # a 0/1 integer mask
 
 
-def _rsj_small_prob_loop(n, qcells, t):
-    """rsj_small_prob as a float sum over every generator pair (a, b): the
-    reference for the enumeration by slopes."""
-    mask = np.asarray(qcells).astype(np.int64)
-    denom = float(math.perm(n, t))
-    gens = range(1, n) if n > 2 else [1]
-    total = 0.0
-    for a in gens:
-        for b in gens:
-            hits = np.zeros((n, n), dtype=np.int64)
-            for j in range(n):
-                hits += np.roll(mask, shift=(-(j * a) % n, -(j * b) % n), axis=(0, 1))
-            falling = np.ones(hits.shape, dtype=float)
-            for k in range(t):
-                falling *= hits - k
-            total += float(np.sum(falling)) / denom
-    n_gen = len(list(gens))
-    return total / (n_gen * n_gen * n * n)
-
-
 def _rsj_small_prob_fraction(n, qcells):
-    """The same enumeration over every generator pair, as exact fractions:
-    a function of t."""
+    """The enumeration over every generator pair and shift, as exact
+    fractions: a function of t."""
     mask = np.asarray(qcells).astype(np.int64)
     gens = range(1, n) if n > 2 else [1]
     hist = np.zeros(n + 1, dtype=np.int64)  # lattice cells in Q -> (generator, shift) pairs
@@ -258,16 +238,46 @@ def _rsj_small_prob_fraction(n, qcells):
     )
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 31])
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_rsj_small_prob_matches_the_generator_enumeration(n):
     rng = np.random.default_rng(n)
-    for _ in range(1 if n == 31 else 3):
+    for _ in range(1 if n > 19 else 3):
         mask = rng.random((n, n)) < rng.uniform(0.2, 0.9)
         exact = _rsj_small_prob_fraction(n, mask)
         for t in range(1, min(n, 3) + 1):
-            p = rsj_small_prob(n, mask, t)
-            assert abs(Fraction(p) - exact(t)) <= Fraction(1e-13) * exact(t)
-            assert p == pytest.approx(_rsj_small_prob_loop(n, mask, t), rel=1e-13, abs=0.0)
+            # int true division rounds correctly, so the law is the nearest double
+            assert rsj_small_prob(n, mask, t) == float(exact(t))
+
+
+def _rsj_corner_block_fractions(n):
+    """Exact P(points 1..t in the k1 x k2 corner block) for every block: a
+    function of t giving an (n + 1, n + 1) table of fractions. It counts the
+    lattice cells (x + j, y + c*j) mod n of every slope c, shift (x, y) and
+    step j, to which the generator pairs above reduce; the shifts that land on
+    one line are counted apart."""
+    j = np.arange(n)
+    k = np.arange(n + 1)[:, None]
+    # below[x, k, j]: the first coordinate of step j from shift x lies below k
+    below = (((j[None, :] + j[:, None]) % n)[:, None, :] < k).reshape(-1, n).astype(float)
+    totals = np.zeros((4, n + 1, n + 1), dtype=np.int64)  # (K)_t summed over (c, x, y), t <= 3
+    for c in range(1, n):
+        beside = (((j[:, None] + c * j[None, :]) % n)[:, None, :] < k).reshape(-1, n)
+        cells = (below @ beside.T).astype(np.int64).reshape(n, n + 1, n, n + 1)
+        falling = np.ones_like(cells)
+        for t in range(1, 4):
+            falling *= cells - (t - 1)
+            totals[t] += falling.sum(axis=(0, 2))
+    return lambda t: [[Fraction(int(v), (n - 1) * n * n * math.perm(n, t)) for v in row]
+                      for row in totals[t]]
+
+
+@pytest.mark.parametrize("n", [5, 11, 31])
+def test_rsj_small_prob_is_exact_on_every_corner_block(n):
+    exact = _rsj_corner_block_fractions(n)
+    for t in range(1, 4):
+        table = exact(t)
+        for k1, k2 in product(range(n + 1), repeat=2):
+            assert rsj_small_prob(n, corner_cells(n, (k1, k2)), t) == float(table[k1][k2])
 
 
 # Bonferroni family error rate of each statistical test below

@@ -730,9 +730,13 @@ DRAW_MEMORY = [
                  id="gss-cells-prefix"),
     pytest.param(RsjLattice(), 17, 2, 50_000, None, id="rsj"),
     pytest.param(RsjLattice(), 101, 2, 100_000, 2, id="rsj-prefix"),
+    # one row: the generators and shifts are as large as the result
+    pytest.param(RsjLattice(), 101, 2, 100_000, 1, id="rsj-prefix-1"),
     pytest.param(ScrambledNet(5, 2, 2), 25, 2, 20_000, None, id="net25-20000-reps"),
     pytest.param(ScrambledNet(2, 12, 2), 4096, 2, _CHUNK_SCALARS // (2**12 * 2), None,
                  id="net4096-one-chunk"),
+    # one base-2 coordinate: the cell map is half the result
+    pytest.param(ScrambledNet(2, 10, 1), 1024, 1, 2_000, None, id="net1024-one-coordinate"),
     pytest.param(Mixed(LatinHypercube(), 2, LatinHypercube(), 1), 6, 3, 100_000, None,
                  id="mixed-lhs-lhs"),
     pytest.param(Mixed(LatinHypercube(), 2, LatinHypercube(), 1), 6, 3, 100_000, 3,
