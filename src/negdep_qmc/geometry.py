@@ -156,15 +156,14 @@ def contains_points(box, pts) -> np.ndarray:
 def _cover_nodes(d: int, delta: float) -> int:
     """The node count m per axis of the delta-cover grid in dimension d.
 
-    d = 1 uses the exact minimal grid with m = ceil(1/delta). d > 1 uses
-    m = ceil(d/delta), whose floor/ceil brackets in the product grid have
-    volume gap at most d/m <= delta.
+    m = ceil(d/delta): the floor/ceil brackets in the product grid have
+    volume gap at most d/m <= delta, and d = 1 gives the exact minimal grid.
     """
     if d < 1:
         raise ValidationError("dimension must be >= 1")
     if not (0.0 < delta <= 1.0):
         raise ValidationError("delta must lie in (0, 1]")
-    return math.ceil(1.0 / delta) if d == 1 else math.ceil(d / delta)
+    return math.ceil(d / delta)
 
 
 def delta_cover_axis(d: int, delta: float) -> np.ndarray:

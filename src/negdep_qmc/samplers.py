@@ -161,6 +161,8 @@ def load_pointset(path) -> PointSet:
             d, n = int(header[0]), int(header[1])
         except ValueError as exc:
             raise ValidationError("point-set header must contain two integers") from exc
+        if d < 1 or n < 1:
+            raise ValidationError("point-set header must be two integers d >= 1 and n >= 1")
         with warnings.catch_warnings():
             # a file with no rows is refused below, by its row count
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -419,11 +421,18 @@ def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bo
             out[blk] = _row_perms(g, len(out[blk]), n)[:, :rows]
         return out
     for k in range(rows):
-        v = _integers(g, 0, n - k, (reps,))
-        for taken in np.sort(out[:, :k], axis=1).T:
-            v += taken <= v
-        out[:, k] = v
+        for blk in _blocks(reps, 1):  # `_integers`' blocks, so the same draws
+            out[blk, k] = _next_perm_entry(g, n, out[blk, :k])
     return out
+
+
+def _next_perm_entry(g: np.random.Generator, n: int, head: np.ndarray) -> np.ndarray:
+    """The next (int64) entry of each permutation of 0..n-1 that begins with a row of `head`,
+    drawn as `_perm_prefix` says. Its temporaries are freed before the next block draws."""
+    entry = g.integers(0, n - head.shape[1], size=len(head))
+    for taken in np.sort(head, axis=1).T:
+        entry += taken <= entry
+    return entry
 
 
 @dataclass(frozen=True)
@@ -899,28 +908,19 @@ def _validate(spec, n: int, d: int) -> None:
 # Digital nets
 
 
-def _pascal_matrix_powers(b: int, m: int, s: int) -> list[np.ndarray]:
-    pascal = np.zeros((m, m), dtype=np.int64)
-    for r in range(m):
-        for c in range(r, m):
-            pascal[r, c] = math.comb(c, r) % b
-    mats = []
-    cur = np.eye(m, dtype=np.int64)
-    for _ in range(s):
-        mats.append(cur.copy())
-        cur = (cur @ pascal) % b
-    return mats
-
-
 def _net_base_digits(b: int, m: int, s: int) -> np.ndarray:
-    """Digits of the deterministic base net: shape (n, s, m), digit r has weight b^-(r+1)."""
+    """Digits of the deterministic base net: shape (n, s, m), digit r has weight b^-(r+1).
+
+    Coordinate l maps the base-b digits a of i (least significant first) to P^l a mod b, P
+    the Pascal matrix: (P^l)[r, c] = C(c, r) l^(c-r), 0 below the diagonal (Faure 1982).
+    """
     n = b**m
     i = np.arange(n)
     a = np.stack([(i // b**c) % b for c in range(m)], axis=1)  # LSB first
-    mats = _pascal_matrix_powers(b, m, s)
     digs = np.empty((n, s, m), dtype=np.int64)
-    for l in range(s):
-        digs[:, l, :] = (a @ mats[l].T) % b
+    for l in range(s):  # math.comb(c, r) is 0 below the diagonal, where c < r
+        power = [[math.comb(c, r) * l ** max(c - r, 0) % b for c in range(m)] for r in range(m)]
+        digs[:, l, :] = a @ np.array(power, dtype=np.int64).T % b
     return digs
 
 

@@ -707,6 +707,7 @@ BAD_POINTS = [
     pytest.param("2 0\n", id="zero-rows"),
     pytest.param("0 2\n\n\n", id="zero-dimension"),
     pytest.param("-2 2\n0.5 0.25\n0.25 0.75\n", id="negative-dimension"),
+    pytest.param("2 -1\n", id="negative-rows"),
     pytest.param("2 2\n0.5 abc\n0.25 0.75\n", id="non-numeric"),
     pytest.param("2 2\n0.5 #\n0.25 0.75\n", id="hash-token"),
     pytest.param("2 2\n# a comment\n0.5 0.25\n0.25 0.75\n", id="comment-line"),
@@ -736,6 +737,19 @@ def test_malformed_points_file_exits_2(tmp_path, capsys, monkeypatch, command, c
     assert err.startswith("error: cannot read points file: ") and err.count("\n") == 1
     with pytest.raises(ValidationError):
         load_pointset("p.txt")
+
+
+@pytest.mark.parametrize("command, cfg", _POINTS_COMMANDS)
+@pytest.mark.parametrize("text", [p for p in BAD_POINTS if p.id in (
+    "zero-rows", "zero-dimension", "negative-dimension", "negative-rows")])
+def test_points_header_below_1_is_refused_by_the_header_rule(tmp_path, capsys, monkeypatch,
+                                                              command, cfg, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.txt").write_text(text)
+    code, out, err = run([command, write_json(tmp_path / "c.json", cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot read points file: "
+                   "point-set header must be two integers d >= 1 and n >= 1\n")
 
 
 @pytest.mark.parametrize("command, cfg", _POINTS_COMMANDS)

@@ -193,8 +193,9 @@ def test_cover_rejects_bad_delta():
 
 
 def test_raw_net_has_net_property():
-    for b, m, s in [(2, 3, 1), (2, 4, 2), (3, 2, 2), (5, 2, 3)]:
-        assert is_net(net_points(b, m, s), b, m, s)
+    for b, m, s in [(2, 4, 2)] + [(b, m, s) for b in (2, 3, 5, 7)
+                                  for m in (1, 2, 3) for s in range(1, b + 1)]:
+        assert is_net(net_points(b, m, s), b, m, s), (b, m, s)
 
 
 def test_shifted_points_lose_net_property():

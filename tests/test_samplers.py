@@ -394,6 +394,29 @@ def test_scrambled_net_requires_matching_point_count():
         sample_batch(ScrambledNet(2, 3, 2), 8, 3, 1, RngStream(0))
 
 
+def _net_digits_by_repeated_products(b, m, s):
+    """The base net's digits, coordinate l's matrix built as l products by the
+    Pascal matrix mod b."""
+    pascal = np.array([[math.comb(c, r) % b for c in range(m)] for r in range(m)], dtype=np.int64)
+    i = np.arange(b**m)
+    a = np.stack([(i // b**c) % b for c in range(m)], axis=1)
+    digits = np.empty((b**m, s, m), dtype=np.int64)
+    power = np.eye(m, dtype=np.int64)
+    for l in range(s):
+        digits[:, l, :] = a @ power.T % b
+        power = power @ pascal % b
+    return digits
+
+
+def test_net_digits_match_the_pascal_matrix_powers():
+    for b in (2, 3, 5, 7, 11, 13):
+        for m in [m for m in range(1, 14) if b**m <= 10**4]:
+            for s in range(1, b + 1):
+                digits = _net_base_digits(b, m, s)
+                assert digits.dtype == np.int64
+                assert np.array_equal(digits, _net_digits_by_repeated_products(b, m, s)), (b, m, s)
+
+
 def test_raw_net_points_are_deterministic():
     a = net_points(3, 2, 2)
     b = net_points(3, 2, 2)
@@ -515,6 +538,14 @@ def test_perm_prefix_is_uniform_over_ordered_tuples(n, t):
     counts = np.bincount(codes, minlength=n**t)[tuples]
     assert counts.sum() == reps  # every draw is an ordered tuple of distinct values
     assert chisquare(counts).pvalue > FAMILY_ALPHA / 2
+
+
+def test_perm_prefix_draws_each_entry_into_its_column():
+    # one entry at a time: the result and one block of int64 integers, no second copy
+    heads, peak = traced_peak(lambda: _perm_prefix(np.random.default_rng(83), 100_000, 101, 1,
+                                                   False))
+    assert heads.shape == (100_000, 1)
+    assert peak <= heads.nbytes + 8 * _KEY_BLOCK + 16 * 2**10
 
 
 PREFIX_SCHEMES = [
