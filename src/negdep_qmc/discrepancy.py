@@ -251,17 +251,17 @@ def _walk_exact(pts: np.ndarray, cands: list[np.ndarray], rows: int):
     return best, best_node, best_side
 
 
-def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int):
+def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int, floor: float = -1.0):
     """The coarse pass: the tiles of w nodes per axis that can hold the maximum.
 
     Walks the histogram over each tile's low corner; its strict slice gives
     H(Lo)/n and its closed slice H(Hi + 1)/n. Returns ((flat tile indices,
     H(Lo) counts) of the tiles whose bound reaches the best value found, or
-    None once they would pass one cap, set before the walk: 1/_FINE_SHARE of
-    the grid's cells, and what the coarse block leaves of _NODE_CAP at 4d + 3
-    cells a tile; the coarse cells computed). The lists drop the tiles that
-    the best excludes whenever they double, so they hold about twice what it
-    keeps.
+    `floor` when that is higher, or None once they would pass one cap, set
+    before the walk: 1/_FINE_SHARE of the grid's cells, and what the coarse
+    block leaves of _NODE_CAP at 4d + 3 cells a tile; the coarse cells
+    computed). The lists drop the tiles that the best excludes whenever they
+    double, so they hold about twice what it keeps.
     """
     n, d = pts.shape
     lo = [c[::w] for c in cands]
@@ -273,7 +273,7 @@ def _kept_tiles(pts: np.ndarray, cands: list[np.ndarray], w: int):
     rest_hi = reduce(np.multiply, np.ix_(*hi[1:]), np.float64(1.0))
     vol_lo, vol_hi, gap, ub = (np.empty((rows,) + rest_lo.shape) for _ in range(4))
     strict, closed = (slice(0, -1),) * d, (slice(1, None),) * d
-    best, ids, ubs, fracs, held, trimmed = -1.0, [], [], [], 0, 0
+    best, ids, ubs, fracs, held, trimmed = floor, [], [], [], 0, 0
     for j0, frac in _slabs(pts, lo, rows):
         m = frac.shape[0] - 1
         done = (j0 + m + 1) * rest_lo.size
@@ -377,7 +377,8 @@ def _tiles_exact(pts: np.ndarray, cands: list[np.ndarray], w: int, tiles, base):
     return best, (i0, *rest), side
 
 
-def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> DiscrepancyResult:
+def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET, *,
+                           _floor: float = -1.0) -> DiscrepancyResult | None:
     """Exact star discrepancy by critical-grid enumeration.
 
     The walk costs O(d) passes over the histogram's prod(s_a + 1) cells, s_a
@@ -387,6 +388,11 @@ def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> Discre
     or when the pass it runs would hold more than `_NODE_CAP` cells, before
     that pass allocates anything. Ties go to the first node in the order
     (axis-0 index, open before closed, index over the other axes).
+
+    `_floor` is private to `weighted_star_discrepancy`: the pruned search also
+    skips the tiles whose bound is below it. The result is then exact when it
+    reaches the floor and below the floor otherwise, and None when no tile is
+    kept, as every value is below the floor.
     """
     pts = ps.data
     n, d = pts.shape
@@ -397,8 +403,10 @@ def star_discrepancy_exact(ps: PointSet, budget: int = DEFAULT_BUDGET) -> Discre
     found, cells = None, 0
     if grid > _SMALL_GRID * 4 ** min(d, 4):
         w = max(2, round(n**0.25))
-        kept, cells = _kept_tiles(pts, cands, w)
+        kept, cells = _kept_tiles(pts, cands, w, _floor)
         if kept is not None:
+            if kept[0].size == 0:
+                return None
             found = _tiles_exact(pts, cands, w, *kept)
             cells += kept[0].size * (w + 1) ** d
     if found is None:
@@ -439,11 +447,23 @@ def weighted_star_discrepancy(
     the coordinates of positive weight. `budget` covers the whole call: the
     histogram cells of every nonzero-weight projection are summed before any
     is evaluated, and the call is refused at the first projection that takes
-    the sum past it.
+    the sum past it. The projections go in descending gamma_u, and each one's
+    pruned search skips the tiles that cannot lift gamma_u * D* above the
+    largest term so far, so a projection that cannot win costs its coarse pass.
     """
-    terms = _weighted_terms(ps, weights, budget)
-    values = (g * star_discrepancy_exact(PointSet(ps.data[:, u]), budget).value for g, u in terms)
-    return max(values, default=0.0)
+    best = 0.0
+    for g, u in sorted(_weighted_terms(ps, weights, budget), key=lambda term: -term[0]):
+        found = star_discrepancy_exact(PointSet(ps.data[:, u]), budget, _floor=_floor(best, g))
+        if found is not None:
+            best = max(best, g * found.value)
+    return best
+
+
+def _floor(best: float, gamma: float) -> float:
+    """A value f with gamma * f <= best as doubles, just below best / gamma: every
+    D <= f, rounding being monotone, gives gamma * D <= best. -1 if there is none."""
+    floor = math.nextafter(best / gamma, 0.0)
+    return floor if gamma * floor <= best else -1.0
 
 
 def _weighted_terms(ps: PointSet, weights: Weights, budget: int) -> list[tuple[float, list[int]]]:

@@ -18,6 +18,7 @@ the same seed and call sequence reproduce the same output bit for bit, and
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -372,16 +373,11 @@ class SchemeSpec:
         return rows if self.draws_prefix else n
 
 
-def _row_perms(g: np.random.Generator, reps: int, n: int) -> np.ndarray:
-    """(reps, n) array of independent uniform permutations of 0..n-1."""
-    return np.argsort(g.random((reps, n)), axis=1)
-
-
 # Random values drawn at once: sort keys, jitter and integers come in blocks of
 # whole rows of the array a single call would fill, at most this many values, or
-# one row if that is more (a net level's keys: one digit prefix's reps * b). The
-# generator fills arrays in C order, so the blocks draw exactly that call's values,
-# and a draw holds its result plus one block.
+# one row if that is more (a net level's permutations: one digit prefix's reps * b
+# entries). The generator fills arrays in C order, so the blocks draw exactly that
+# call's values, and a draw holds its result plus one block.
 _KEY_BLOCK = 1 << 16
 
 
@@ -405,6 +401,26 @@ def _integers(g: np.random.Generator, low: int, high: int, shape: tuple) -> np.n
     return out
 
 
+# The most ordered prefixes `_perm_prefix` draws from a table, 7!: a table holds at
+# most 5040 rows of at most 7 entries (141 KiB), and the 64 kept hold at most 9 MiB.
+_PERM_TABLE_MAX = 5040
+
+
+@functools.lru_cache(maxsize=64)
+def _perm_table(n: int, rows: int) -> np.ndarray:
+    """Read-only (n!/(n - rows)!, rows) int32 array of the ordered `rows`-prefixes
+    of the permutations of 0..n-1, in `itertools.permutations(range(n), rows)` order."""
+    values = np.arange(n, dtype=np.int32)
+    table = np.empty((1, 0), dtype=np.int32)
+    for k in range(rows):
+        # each prefix, in order, followed by each value it has not taken, ascending
+        free = (table[:, :, None] != values).all(axis=1)
+        table = np.column_stack([np.repeat(table, n - k, axis=0),
+                                 np.broadcast_to(values, free.shape)[free]])
+    table.setflags(write=False)
+    return table
+
+
 def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bool) -> np.ndarray:
     """(reps, rows) int32 array (`_index_dtype(n)`): the first `rows` entries
     of independent uniform permutations of 0..n-1.
@@ -412,14 +428,22 @@ def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bo
     Entry k is drawn uniformly from the n - k values not yet taken: an index
     into them is drawn, then raised past each taken value, in ascending
     order, that it reaches. That is O(rows^2) per replication, so when
-    rows^2 > n, or the scheme draws its `whole` point set, whole permutations
-    are drawn by argsort instead, a block of them at a time.
+    rows^2 > n, or the scheme draws its `whole` point set, each replication
+    draws instead one uniform index into the table of all n!/(n - rows)!
+    ordered prefixes (`_perm_table`) while they number at most
+    `_PERM_TABLE_MAX`, else whole permutations by argsort of n uniform keys,
+    a block of them at a time.
     """
-    out = np.empty((reps, rows), dtype=_index_dtype(n))
     if whole or rows * rows > n:
+        # past 7 rows there are at least 8! > _PERM_TABLE_MAX prefixes
+        count = math.perm(n, rows) if rows <= 7 else _PERM_TABLE_MAX + 1
+        if count <= _PERM_TABLE_MAX:
+            return np.take(_perm_table(n, rows), _integers(g, 0, count, (reps,)), axis=0)
+        out = np.empty((reps, rows), dtype=_index_dtype(n))
         for blk in _blocks(reps, n):
-            out[blk] = _row_perms(g, len(out[blk]), n)[:, :rows]
+            out[blk] = np.argsort(g.random((len(out[blk]), n)), axis=1)[:, :rows]
         return out
+    out = np.empty((reps, rows), dtype=_index_dtype(n))
     for k in range(rows):
         for blk in _blocks(reps, 1):  # `_integers`' blocks, so the same draws
             out[blk, k] = _next_perm_entry(g, n, out[blk, :k])
@@ -642,10 +666,11 @@ def _cell_map(g: np.random.Generator, b: int, m: int, reps: int) -> np.ndarray:
 
     Level r permutes the b digits after each of the b^r prefixes, so the map
     grows one digit at a time: sigma[:, p*b + a] = sigma_r[:, p]*b + perm_p(a).
-    The keys of level r form one (b^r, reps, b) array, drawn in blocks of
-    consecutive prefixes (`_KEY_BLOCK`). Each level fills the tail of the one
-    result array: level r + 1 is written over level r from the front, and
-    prefix p's digits land before any later prefix's entry.
+    The permutations of level r are drawn prefix by prefix, each prefix's
+    `reps` of them by `_perm_prefix`, in blocks of consecutive prefixes
+    (`_KEY_BLOCK`). Each level fills the tail of the one result array: level
+    r + 1 is written over level r from the front, and prefix p's digits land
+    before any later prefix's entry.
     """
     n = b**m
     sigma = np.zeros((reps, n), dtype=np.int32)
@@ -656,8 +681,8 @@ def _cell_map(g: np.random.Generator, b: int, m: int, reps: int) -> np.ndarray:
         for blk in _blocks(prefixes, reps * b):
             high = level[:, blk, None] * b  # read before this block overwrites it
             block = grown[:, blk]
-            block[...] = np.argsort(g.random((block.shape[1], reps, b)), axis=2).transpose(1, 0, 2)
-            block += high
+            perms = _perm_prefix(g, block.shape[1] * reps, b, b, True)
+            np.add(perms.reshape(block.shape[1], reps, b).transpose(1, 0, 2), high, out=block)
     return sigma
 
 
@@ -668,9 +693,11 @@ class ScrambledNet(SchemeSpec):
 
     Per coordinate, the scrambling is a cell map (`_cell_map`): it sends each
     cell of the b^-m grid to a cell, and a base point takes the value of the
-    cell its own cell is sent to, plus jitter. The draw holds the result in one
+    cell its own cell is sent to, plus jitter; the rows are then put in one
+    uniform order (`_perm_prefix`). The draw holds the result in one
     coordinate-major buffer, beside one coordinate's cell map (and, while it
-    grows, its previous level) and one block of keys or jitter.
+    grows, its previous level) or the row order, and one block of
+    permutations, keys or jitter.
     """
 
     b: int
@@ -706,13 +733,16 @@ class ScrambledNet(SchemeSpec):
             sigma = _cell_map(g, b, m, reps)
             for blk in blocks:
                 block = coord[blk]
-                np.take(value, sigma[blk][:, cells[:, l]], out=block)
+                # every index is in range: "clip" only spares `take` a buffered copy of `out`
+                np.take(value, sigma[blk][:, cells[:, l]], out=block, mode="clip")
                 block += g.random(block.shape) * b ** (-m)
             del sigma
+        order = _perm_prefix(g, reps, n, n, True)
         for blk in blocks:
-            order = _row_perms(g, len(out[0, blk]), n)
+            # each row's order as flat indices into the block
+            flat = order[blk] + np.arange(0, order[blk].size, n)[:, None]
             for coord in out:
-                coord[blk] = np.take_along_axis(coord[blk], order, axis=1)
+                coord[blk] = np.take(coord[blk], flat)
         return out.transpose(1, 2, 0)
 
 

@@ -425,12 +425,13 @@ PINNED = [
         + "lhs,8,3,1,3,0.5,0.5,0.75,0.75,0.01,0.0101,-9.99999999999994e-05,"
           "0.033891078867290494,true\n",
         id="negdep-lhs-ci-empirical"),
+    # a whole draw: one index into the table of the 60 ordered 3-prefixes of 5 strata
     pytest.param(
         "sample", {"scheme": _GSS_CELLS, "n": 3, "d": 2, "seed": 3},
         "2 3\n"
-        "0.7927945274836089 0.32016620637643245\n"
-        "0.85034145165960551 0.81435492324061431\n"
-        "0.075456506729150885 0.54214120395396381\n",
+        "0.80971064442306029 0.71354993108651976\n"
+        "0.98700411694668988 0.40713517412985351\n"
+        "0.12481188795653997 0.72867507405391396\n",
         id="sample-gss-cells"),
     pytest.param(
         "negdep", {"scheme": _GSS_CELLS, "n": 3, "d": 2, "test": "upper",

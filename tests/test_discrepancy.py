@@ -3,7 +3,7 @@
 import re
 from contextlib import contextmanager, nullcontext
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from unittest.mock import patch
 
 import numpy as np
@@ -158,6 +158,43 @@ def test_weighted_equals_max_over_projections():
     d01 = star_discrepancy_exact(ps).value
     expected = max(0.5 * d0, 2.0 * d1, 1.0 * d01)
     assert weighted_star_discrepancy(ps, w) == pytest.approx(expected, abs=1e-15)
+
+
+def _weighted_by_full_searches(ps, weights):
+    """max of gamma_u * D*_u over the nonzero-weight subsets u, every projection searched
+    in full: the reference for the search that skips the projections that cannot win."""
+    subsets = [list(u) for k in range(1, ps.d + 1) for u in combinations(range(ps.d), k)]
+    values = [weights.of(u) * star_discrepancy_exact(PointSet(ps.data[:, u]), 10**10).value
+              for u in subsets if weights.of(u) > 0]
+    return max(values, default=0.0)
+
+
+def test_weighted_skips_only_the_projections_that_cannot_win(monkeypatch):
+    exact, skipped = discrepancy_module.star_discrepancy_exact, []
+
+    def recorded(*args, **kwargs):
+        found = exact(*args, **kwargs)
+        skipped.append(found is None)
+        return found
+
+    pick = np.random.default_rng(97)
+    for k in range(16):
+        n, d = int(pick.integers(8, 81)), int(pick.integers(1, 6))
+        ps = sample((MonteCarlo(), LatinHypercube())[k % 2], n, d, RngStream(k))
+        if k % 2 == 0:
+            gamma = pick.uniform(0.1, 1.5, d)
+            gamma[0] *= k % 4 != 0  # every other product set has a zero weight
+            weights = ProductWeights(gamma)
+        else:
+            subsets = [frozenset(u) for j in range(1, d + 1) for u in combinations(range(d), j)]
+            table = dict(zip(subsets, pick.uniform(0.1, 1.5, len(subsets)) ** 2))
+            table[subsets[-1]] = 0.0  # the whole set weighs nothing
+            weights = ExplicitWeights(table)
+        expected = _weighted_by_full_searches(ps, weights)
+        monkeypatch.setattr(discrepancy_module, "star_discrepancy_exact", recorded)
+        assert weighted_star_discrepancy(ps, weights, budget=10**10) == expected, k
+        monkeypatch.undo()
+    assert any(skipped)
 
 
 def test_explicit_weights_drive_subset_selection():

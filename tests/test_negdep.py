@@ -285,7 +285,7 @@ FAMILY_ALPHA = 1e-6
 
 
 def test_prefix_draws_match_the_exact_oracles():
-    # t^2 <= n draws the prefix one row at a time, t^2 > n by argsort
+    # t^2 <= n draws the prefix one row at a time, t^2 > n one index into a table of prefixes
     cases = [
         (LatinHypercube(), 16, 2, (0.55, 0.8)),
         (LatinHypercube(), 5, 3, (0.5, 0.7, 0.9)),

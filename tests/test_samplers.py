@@ -47,6 +47,7 @@ from negdep_qmc import (
     sample_batch,
     save_pointset,
     stratum_corner_overlap,
+    wilson_interval,
 )
 from negdep_qmc.samplers import (
     SCHEMES,
@@ -525,9 +526,11 @@ def test_validation_rejects_nonpositive_sizes():
 FAMILY_ALPHA = 1e-6
 
 
-@pytest.mark.parametrize("n, t", [(5, 2), (5, 3)], ids=["sequential", "argsort"])
+@pytest.mark.parametrize("n, t", [(5, 2), (5, 3), (8, 5)],
+                         ids=["sequential", "argsort", "sorted-keys"])
 def test_perm_prefix_is_uniform_over_ordered_tuples(n, t):
-    # t^2 <= n draws without replacement one entry at a time, t^2 > n by argsort
+    # t^2 <= n draws without replacement one entry at a time; t^2 > n draws one index into
+    # the table of the 60 ordered prefixes at n = 5, and sorts 8 keys past 5040 at n = 8
     reps = 60_000
     heads = _perm_prefix(np.random.default_rng(4001), reps, n, t, False)
     assert heads.shape == (reps, t)
@@ -546,6 +549,46 @@ def test_perm_prefix_draws_each_entry_into_its_column():
                                                    False))
     assert heads.shape == (100_000, 1)
     assert peak <= heads.nbytes + 8 * _KEY_BLOCK + 16 * 2**10
+
+
+def test_perm_table_lists_every_ordered_prefix_in_itertools_order():
+    for n in range(1, 9):
+        for rows in [r for r in range(1, n + 1) if math.perm(n, r) <= 5040]:
+            table = samplers_module._perm_table(n, rows)
+            assert table.dtype == np.int32 and not table.flags.writeable, (n, rows)
+            assert table.tolist() == [list(p) for p in permutations(range(n), rows)], (n, rows)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+
+
+class _CountingGenerator:
+    """`integers(low, high, size)` returns low, low + 1, ..., high - 1; nothing else is drawn."""
+
+    def integers(self, low, high, size):
+        assert size == (high - low,)
+        return np.arange(low, high)
+
+
+# n = 8 at rows 4 has 1680 prefixes and 16 <= 8 fails, so its partial draw takes the table
+@pytest.mark.parametrize("n, rows, whole", [(1, 1, True), (2, 2, True), (5, 5, True),
+                                            (6, 3, False), (7, 7, True), (8, 4, False),
+                                            (31, 1, True)])
+def test_perm_prefix_reads_the_table_at_the_drawn_index(n, rows, whole):
+    heads = _perm_prefix(_CountingGenerator(), math.perm(n, rows), n, rows, whole)
+    assert heads.dtype == np.int32
+    assert heads.tolist() == [list(p) for p in permutations(range(n), rows)]
+
+
+def test_table_draws_hit_every_permutation_of_5_uniformly():
+    reps, count = 10**6, math.factorial(5)
+    heads = _perm_prefix(np.random.default_rng(4003), reps, 5, 5, True)
+    code = 5 ** np.arange(5)
+    hits = np.bincount(heads @ code, minlength=5**5)[np.array(list(permutations(range(5)))) @ code]
+    assert hits.sum() == reps  # every row is a permutation
+    # each count's Wilson interval, at 99.9% over all 120 together, holds 1/120
+    for k in hits.tolist():
+        lo, hi = wilson_interval(k, reps, 1 - 1e-3 / count)
+        assert lo <= 1 / count <= hi, k
 
 
 PREFIX_SCHEMES = [
@@ -587,12 +630,15 @@ def test_sample_batch_whole_rows_is_the_batch_stream(spec, n, d):
 
 # sha256 prefixes of the bytes of sample_batch(spec, n, d, 5, RngStream(67), rows), recorded
 # when whole and prefix draws were two methods per scheme: (spec, n, d, {rows: digest}).
-# Whole draws of lhs at n = 1 and of gss with n^2 <= beta sort whole permutations; the
-# nets have base 2, whose digit sums are exact whatever order a BLAS adds them in.
+# The draws that take one index into a table of small permutations were recorded again
+# when that table came in: whole sss and lhs at n <= 7, gss at beta = 5 and rsj at n = 2,
+# and every net (its cell maps). Whole gss at beta = 31 with n^2 <= beta sorts whole
+# permutations; the nets have base 2, whose digit sums are exact whatever order a BLAS
+# adds them in.
 STREAM_PINS = [
     (MonteCarlo(), 9, 2, {None: "2ed38cfe6ff88a70", 3: "fba4cbd747377910"}),
     (SimpleStratified(), 10, 1, {None: "f3273e9ddc4f5fff", 3: "a98f7e15d24e34d3"}),
-    (SimpleStratified(), 1, 1, {None: "31b67e6b37ead38b"}),
+    (SimpleStratified(), 1, 1, {None: "d41700c29b24e992"}),
     (GeneralizedStratified(31, Stripes(31)), 12, 2,
      {None: "2fbcaa8cf2089d18", 2: "fd1b007e75d1630d", 6: "8d4b675e7840f3c9"}),
     (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 12, 2,
@@ -601,17 +647,17 @@ STREAM_PINS = [
      {None: "2cc16e29b78fb3f1", 2: "fd1b007e75d1630d"}),
     (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 5, 2,
      {None: "79f3a2714ee4d2c8", 2: "52cbb83a57eacf86"}),
-    (GeneralizedStratified(5, Stripes(5)), 2, 3, {None: "bd3ea378158df6d3", 1: "0864b2782c459729"}),
+    (GeneralizedStratified(5, Stripes(5)), 2, 3, {None: "ea714c065afaf16c", 1: "0864b2782c459729"}),
     (RsjLattice(), 11, 2, {None: "f8df3353c84926c1", 3: "d0de4fc5e51e5eea"}),
-    (RsjLattice(), 2, 3, {None: "e75da5e0467f70d0", 1: "f9bc9cd607108f05"}),
+    (RsjLattice(), 2, 3, {None: "ea22e46f901b03a1", 1: "f9bc9cd607108f05"}),
     (LatinHypercube(), 16, 3,
      {None: "f4eb562432b60ad0", 3: "c8de3a764299454b", 5: "42210a416419c84c"}),
-    (LatinHypercube(), 1, 2, {None: "702f99348e336852"}),
-    (ScrambledNet(2, 3, 2), 8, 2, {None: "e9dcb957bac92f96", 2: "e9dcb957bac92f96"}),
+    (LatinHypercube(), 1, 2, {None: "ce6431cf32b0e4a3"}),
+    (ScrambledNet(2, 3, 2), 8, 2, {None: "b33d15edff992b73", 2: "b33d15edff992b73"}),
     (Mixed(LatinHypercube(), 2, RsjLattice(), 1), 7, 3,
-     {None: "4cb01901c758f28b", 2: "fa50dc2852521647"}),
+     {None: "4bd548f14a946da5", 2: "fa50dc2852521647"}),
     (Mixed(LatinHypercube(), 1, ScrambledNet(2, 3, 2), 2), 8, 3,
-     {None: "d2a3dfcf9eebaa9f", 2: "d2a3dfcf9eebaa9f"}),
+     {None: "19f53b9c1abc562f", 2: "19f53b9c1abc562f"}),
     (FourSlot(), 2, 2, {None: "19bc1816a74993b4", 1: "19bc1816a74993b4"}),
     (SwapScheme(), 2, 2, {None: "7b6b95677f00643b", 1: "7b6b95677f00643b"}),
 ]
@@ -632,11 +678,13 @@ def test_whole_and_prefix_draws_are_pinned(spec, n, d, pins):
 
 
 # sha256 prefixes of the bytes of sample_batch(spec, n, d, reps, RngStream(67), rows), recorded
-# when whole permutations were sorted in one call: lhs at n = 6 and rows = 3 sorts 12,000
-# permutations of 6 keys, and whole gss at beta = 31 sorts 5,000 of 31, so each draw
-# spans more than one block of 2^16 keys: (spec, n, d, reps, rows, digest).
+# when whole permutations were sorted in one call: whole gss at beta = 31 sorts 5,000
+# permutations of 31 keys, so its draw spans more than one block of 2^16 keys. lhs at n = 6
+# and rows = 3 sorted 12,000 permutations of 6 keys; it now draws 12,000 indices into the
+# table of the 120 ordered 3-prefixes, and was recorded again then: (spec, n, d, reps,
+# rows, digest).
 MULTI_BLOCK_PINS = [
-    (LatinHypercube(), 6, 2, 6_000, 3, "d04a9baf29250f0a"),
+    (LatinHypercube(), 6, 2, 6_000, 3, "42cb70ae9ded3055"),
     (GeneralizedStratified(31, Stripes(31)), 3, 2, 5_000, None, "fa9fe1ebd958cd9c"),
     (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 3, 2, 5_000, None, "365f5cbf6b4fffdc"),
 ]
@@ -706,9 +754,18 @@ def test_map_chunks_sizes_chunks_by_the_rows_drawn():
     assert all(s[1] == 4096 and s[0] * s[1] * s[2] <= 4_000_000 for s in shapes)
 
 
+def _uniform_perms(g, reps, n):
+    """(reps, n) uniform permutations of 0..n-1: while n <= 7, each one index into the
+    list of all n! of them in itertools order, else by sorting n uniform keys."""
+    if n <= 7:
+        perms = np.array(list(permutations(range(n))))
+        return perms[g.integers(0, len(perms), reps)]
+    return np.argsort(g.random((reps, n)), axis=1)
+
+
 def _net_batch_loop(spec, n, reps, rng):
-    """ScrambledNet.draw as one permutation draw per digit prefix: the
-    reference for the vectorized sampler."""
+    """ScrambledNet.draw as one permutation draw per digit prefix, in ascending
+    prefix order: the reference for the vectorized sampler."""
     b, m, s = spec.b, spec.m, spec.s
     g = rng.gen
     base = _net_base_digits(b, m, s)
@@ -721,18 +778,19 @@ def _net_batch_loop(spec, n, reps, rng):
         for r in range(m):
             for pid in np.unique(prefix):
                 members = np.nonzero(prefix == pid)[0]
-                perms = np.argsort(g.random((reps, b)), axis=1)
+                perms = _uniform_perms(g, reps, b)
                 digits[:, members, r] = perms[rows, base[members, l, r][None, :]]
             prefix = prefix * b + base[:, l, r]
         out[:, :, l] = digits @ weights + g.random((reps, n)) * b ** (-m)
-    rp = np.argsort(g.random((reps, n)), axis=1)
+    rp = _uniform_perms(g, reps, n)
     return np.take_along_axis(out, rp[:, :, None], axis=1)
 
 
-# at 100 replications the last scrambling level of (2, 10, 2) holds 102,400 keys and
-# that of (2, 12, 2) 409,600, so the cell map draws them in several blocks of 2^16
+# at 100 replications the last scrambling level of (2, 10, 2) holds 102,400 digits and
+# that of (2, 12, 2) 409,600, so the cell map draws them in several blocks of 2^16; base
+# 11 takes the sorted-keys path, for the cell map and the row order alike
 @pytest.mark.parametrize("b, m, s", [(2, 1, 1), (2, 3, 1), (2, 5, 2), (3, 2, 2), (3, 3, 3),
-                                     (5, 2, 2), (5, 2, 5), (2, 12, 2), (2, 10, 2)])
+                                     (5, 2, 2), (5, 2, 5), (2, 12, 2), (2, 10, 2), (11, 1, 2)])
 @pytest.mark.parametrize("reps", [1, 7, 100])
 def test_net_scrambling_matches_the_per_prefix_loop(b, m, s, reps):
     spec = ScrambledNet(b, m, s)
@@ -746,7 +804,7 @@ DRAW_MEMORY = [
     pytest.param(MonteCarlo(), 8, 2, 100_000, None, id="mc"),
     pytest.param(MonteCarlo(), 8, 2, 100_000, 3, id="mc-prefix"),
     pytest.param(LatinHypercube(), 6, 2, 100_000, None, id="lhs"),
-    # rows^2 > n: whole permutations are sorted and their first rows kept
+    # rows^2 > n: one index a replication into the table of the 120 ordered prefixes
     pytest.param(LatinHypercube(), 6, 2, 100_000, 3, id="lhs-prefix-sorted"),
     # rows^2 <= n: permutation prefixes are drawn one entry at a time
     pytest.param(LatinHypercube(), 256, 2, 100_000, 3, id="lhs-prefix-by-entry"),
@@ -780,6 +838,7 @@ DRAW_MEMORY = [
 
 @pytest.mark.parametrize("spec, n, d, reps, rows", DRAW_MEMORY)
 def test_a_draw_holds_its_result_and_one_key_block(spec, n, d, reps, rows):
+    samplers_module._perm_table.cache_clear()  # as if alone: the draw builds its tables
     batch, peak = traced_peak(lambda: sample_batch(spec, n, d, reps, RngStream(79), rows))
     assert batch.shape == (reps, spec.prefix_rows(n, rows or n), d)
     # the result, its integer strata or cell map, and one block of float64 keys
