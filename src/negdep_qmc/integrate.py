@@ -193,8 +193,8 @@ def simplex_max_check(
     if xi <= 0:
         raise ValidationError("xi must be positive")
     g = rng.gen
-    e = g.exponential(1.0, size=(trials, n_vars))
-    x = xi * e / e.sum(axis=1, keepdims=True)
+    e = g.exponential(1.0, size=(n_vars, trials))
+    x = xi * e / e.sum(axis=0)
     vals = _esp_batch(x, t)
     centroid = math.comb(n_vars, t) * (xi / n_vars) ** t
     max_obs = float(vals.max())

@@ -10,6 +10,9 @@ and `Mixed` multiplies those of its factors. `sample_batch` draws many
 independent replications at once as an (R, N, d) array, or only their first
 rows where the scheme draws them alone; `map_chunks` applies a function to
 chunked batches, and `sample` is the single-draw wrapper returning a PointSet.
+The schemes that draw prefixes fill a (d, rows, reps) buffer and return it seen
+as (R, rows, d), so each coordinate of each row is contiguous over the
+replications.
 
 All randomness flows through RngStream, a splittable deterministic stream:
 the same seed and call sequence reproduce the same output bit for bit, and
@@ -187,7 +190,7 @@ def load_pointset(path) -> PointSet:
 # `count` equal-measure strata, `label()`, `validate(d)`, `index(pts)` (the
 # stratum of each point), `corner_overlap(upper)` (the measure of [0, upper)
 # in each stratum) and `place(chosen, d, g)` (a uniform point in each stratum of
-# the (reps, rows) index array `chosen`).
+# the (rows, reps) index array `chosen`, as a (d, rows, reps) array).
 
 
 @dataclass(frozen=True)
@@ -214,14 +217,10 @@ class Stripes:
         return first * float(np.prod(upper[1:]))
 
     def place(self, chosen: np.ndarray, d: int, g: np.random.Generator) -> np.ndarray:
-        pts = np.empty(chosen.shape + (d,))
-        first, rest = pts[..., 0], pts[..., 1:]
-        for blk in _blocks(len(chosen), chosen.shape[1]):
-            np.add(chosen[blk], g.random(chosen[blk].shape), out=first[blk])
-        np.divide(first, self.count, out=first)
-        # coordinates 2..d are uniform; at d = 1 the empty draw takes no randomness
-        for blk in _blocks(len(chosen), chosen.shape[1] * (d - 1)):
-            rest[blk] = g.random(rest[blk].shape)
+        # coordinate 1 is jittered within its stripe, coordinates 2..d are uniform
+        pts = g.random((d,) + chosen.shape)
+        pts[0] += chosen
+        pts[0] /= self.count
         return pts
 
 
@@ -295,14 +294,23 @@ class LatticeCells:
         return out
 
     def place(self, chosen: np.ndarray, d: int, g: np.random.Generator) -> np.ndarray:
-        pts = self._origins()[chosen]
+        pts = np.empty((2,) + chosen.shape)
+        flat, index = pts.reshape(2, -1), chosen.reshape(-1)
+        blocks = _blocks(index.size, 1)
+        for origin, axis in zip(self._origins().T, flat):
+            for blk in blocks:
+                # every index is in range: "clip" only spares `take` a buffered copy of `out`
+                np.take(origin, index[blk], out=axis[blk], mode="clip")
         # every point's offset along b1 is drawn before any along b2
         for step in (v / self.n for v in self.basis()):
-            for blk in _blocks(len(chosen), pts[0].size):
-                pts[blk] += g.random(chosen[blk].shape + (1,)) * step
+            for blk in blocks:
+                offset = g.random(flat[0, blk].shape)
+                for axis, length in zip(flat, step):
+                    axis[blk] += offset * length
         # wrap into [0, 1): x - floor(x) equals np.mod(x, 1.0) for every finite double
-        for blk in _blocks(len(chosen), pts[0].size):
-            pts[blk] -= np.floor(pts[blk])
+        for axis in flat:
+            for blk in blocks:
+                axis[blk] -= np.floor(axis[blk])
         return pts
 
 
@@ -373,11 +381,12 @@ class SchemeSpec:
         return rows if self.draws_prefix else n
 
 
-# Random values drawn at once: sort keys, jitter and integers come in blocks of
-# whole rows of the array a single call would fill, at most this many values, or
-# one row if that is more (a net level's permutations: one digit prefix's reps * b
-# entries). The generator fills arrays in C order, so the blocks draw exactly that
-# call's values, and a draw holds its result plus one block.
+# Random values drawn at once: sort keys, lattice-cell offsets and integers come in
+# blocks of whole rows of the array a single call would fill, at most this many values,
+# or one row if that is more (a net level's permutations: one digit prefix's reps * b
+# entries); jitter drawn straight into the result needs none. The generator fills
+# arrays in C order, so the blocks draw exactly that call's values, and a draw holds
+# its result plus one block.
 _KEY_BLOCK = 1 << 16
 
 
@@ -396,17 +405,19 @@ def _index_dtype(n: int):
 def _integers(g: np.random.Generator, low: int, high: int, shape: tuple) -> np.ndarray:
     """g.integers(low, high, size=shape), drawn in blocks into the index type of `high`."""
     out = np.empty(shape, dtype=_index_dtype(high))
-    for blk in _blocks(shape[0], math.prod(shape[1:])):
-        out[blk] = g.integers(low, high, size=out[blk].shape)
+    flat = out.reshape(-1)
+    for blk in _blocks(flat.size, 1):
+        flat[blk] = g.integers(low, high, size=flat[blk].shape)
     return out
 
 
-# The most ordered prefixes `_perm_prefix` draws from a table, 7!: a table holds at
-# most 5040 rows of at most 7 entries (141 KiB), and the 64 kept hold at most 9 MiB.
-_PERM_TABLE_MAX = 5040
+# The most entries of a table of ordered prefixes that `_perm_prefix` reads, 2^17
+# (512 KiB of int32): past 7 rows a table holds at least 8! * 8 of them, so every
+# row order of n >= 8 points is sorted. The 16 tables kept hold at most 8 MiB.
+_PERM_TABLE_ENTRIES = 1 << 17
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def _perm_table(n: int, rows: int) -> np.ndarray:
     """Read-only (n!/(n - rows)!, rows) int32 array of the ordered `rows`-prefixes
     of the permutations of 0..n-1, in `itertools.permutations(range(n), rows)` order."""
@@ -422,39 +433,46 @@ def _perm_table(n: int, rows: int) -> np.ndarray:
 
 
 def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bool) -> np.ndarray:
-    """(reps, rows) int32 array (`_index_dtype(n)`): the first `rows` entries
-    of independent uniform permutations of 0..n-1.
+    """(rows, reps) int32 array (`_index_dtype(n)`): column r holds the first
+    `rows` entries of replication r's uniform permutation of 0..n-1.
 
-    Entry k is drawn uniformly from the n - k values not yet taken: an index
-    into them is drawn, then raised past each taken value, in ascending
-    order, that it reaches. That is O(rows^2) per replication, so when
-    rows^2 > n, or the scheme draws its `whole` point set, each replication
-    draws instead one uniform index into the table of all n!/(n - rows)!
-    ordered prefixes (`_perm_table`) while they number at most
-    `_PERM_TABLE_MAX`, else whole permutations by argsort of n uniform keys,
-    a block of them at a time.
+    One row is one uniform integer below n. Otherwise each replication draws
+    one uniform index into the table of all n!/(n - rows)! ordered prefixes
+    (`_perm_table`) while it holds at most `_PERM_TABLE_ENTRIES` entries.
+    Past that, entry k is drawn uniformly from the n - k values not yet
+    taken: an index into them is drawn, then raised past each taken value,
+    in ascending order, that it reaches. That is O(rows^2) per replication,
+    so when rows^2 > n, or the scheme draws its `whole` point set, whole
+    permutations are sorted instead from n uniform keys, a block of them at
+    a time.
     """
-    if whole or rows * rows > n:
-        # past 7 rows there are at least 8! > _PERM_TABLE_MAX prefixes
-        count = math.perm(n, rows) if rows <= 7 else _PERM_TABLE_MAX + 1
-        if count <= _PERM_TABLE_MAX:
-            return np.take(_perm_table(n, rows), _integers(g, 0, count, (reps,)), axis=0)
-        out = np.empty((reps, rows), dtype=_index_dtype(n))
+    if rows == 1:  # the table of one-entry prefixes is the identity
+        return _integers(g, 0, n, (1, reps))
+    count = math.perm(n, rows) if rows <= 7 else _PERM_TABLE_ENTRIES  # past 7: too many
+    out = np.empty((rows, reps), dtype=_index_dtype(n))
+    if count * rows <= _PERM_TABLE_ENTRIES:
+        table = _perm_table(n, rows)
+        index = _integers(g, 0, count, (reps,))
+        for column, entries in zip(table.T, out):
+            # every index is in range: "clip" only spares `take` a buffered copy of `out`
+            np.take(column, index, out=entries, mode="clip")
+    elif whole or rows * rows > n:
         for blk in _blocks(reps, n):
-            out[blk] = np.argsort(g.random((len(out[blk]), n)), axis=1)[:, :rows]
-        return out
-    out = np.empty((reps, rows), dtype=_index_dtype(n))
-    for k in range(rows):
-        for blk in _blocks(reps, 1):  # `_integers`' blocks, so the same draws
-            out[blk, k] = _next_perm_entry(g, n, out[blk, :k])
+            keys = g.random((out[:, blk].shape[1], n))
+            out[:, blk] = np.argsort(keys, axis=1)[:, :rows].T
+    else:
+        for k in range(rows):
+            for blk in _blocks(reps, 1):  # `_integers`' blocks, so the same draws
+                out[k, blk] = _next_perm_entry(g, n, out[:k, blk])
     return out
 
 
 def _next_perm_entry(g: np.random.Generator, n: int, head: np.ndarray) -> np.ndarray:
-    """The next (int64) entry of each permutation of 0..n-1 that begins with a row of `head`,
-    drawn as `_perm_prefix` says. Its temporaries are freed before the next block draws."""
-    entry = g.integers(0, n - head.shape[1], size=len(head))
-    for taken in np.sort(head, axis=1).T:
+    """The next (int64) entry of each permutation of 0..n-1 that begins with a column of
+    `head`, drawn as `_perm_prefix` says. Its temporaries are freed before the next block
+    draws."""
+    entry = g.integers(0, n - len(head), size=head.shape[1])
+    for taken in np.sort(head, axis=0):
         entry += taken <= entry
     return entry
 
@@ -467,7 +485,7 @@ class MonteCarlo(SchemeSpec):
     draws_prefix = True
 
     def draw(self, n, d, rows, reps, rng):
-        return rng.gen.random((reps, rows, d))
+        return rng.gen.random((d, rows, reps)).transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -491,7 +509,7 @@ class GeneralizedStratified(SchemeSpec):
 
     def draw(self, n, d, rows, reps, rng):
         chosen = _perm_prefix(rng.gen, reps, self.beta, rows, rows == n)
-        return self.strata.place(chosen, d, rng.gen)
+        return self.strata.place(chosen, d, rng.gen).transpose(2, 1, 0)
 
     def anchored_prob(self, n, box, t):
         return gss_anchored_prob_exact(self.beta, self.strata, box, n, t)
@@ -502,14 +520,14 @@ def elementary_symmetric(x, t: int) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not (0 <= t <= x.size):
         raise ValidationError("need 0 <= t <= len(x)")
-    return float(_esp_batch(x[None, :], t)[0])
+    return float(_esp_batch(x[:, None], t)[0])
 
 
 def _esp_batch(x: np.ndarray, t: int) -> np.ndarray:
-    """e_t per row of an (M, n) array."""
-    e = np.zeros((t + 1, x.shape[0]))
+    """e_t per column of an (n, M) array."""
+    e = np.zeros((t + 1, x.shape[1]))
     e[0] = 1.0
-    for i, xi in enumerate(np.ascontiguousarray(x.T)):
+    for i, xi in enumerate(x):
         for j in range(min(t, i + 1), 0, -1):
             e[j] += xi * e[j - 1]
     return e[t]
@@ -552,17 +570,20 @@ class RsjLattice(SchemeSpec):
 
     def draw(self, n, d, rows, reps, rng):
         g = rng.gen
-        gvec = _integers(g, 1, n, (reps, 1, d))
-        shift = _integers(g, 0, n, (reps, 1, d))
-        perm = _perm_prefix(g, reps, n, rows, rows == n)[:, :, None]
+        gvec = _integers(g, 1, n, (d, 1, reps))
+        shift = _integers(g, 0, n, (d, 1, reps))
+        perm = _perm_prefix(g, reps, n, rows, rows == n)
         # at rows = 1 each cell overwrites its own generator
-        cell = gvec if rows == 1 else np.empty((reps, rows, d), dtype=perm.dtype)
-        for blk in _blocks(reps, rows * d):
-            cell[blk] = (np.multiply(perm[blk], gvec[blk], dtype=np.int64) + shift[blk]) % n
+        cell = gvec if rows == 1 else np.empty((d, rows, reps), dtype=perm.dtype)
+        for a in range(d):
+            for blk in _blocks(reps, rows):
+                value = np.multiply(perm[:, blk], gvec[a, :, blk], dtype=np.int64)
+                value += shift[a, :, blk]
+                np.remainder(value, n, out=cell[a, :, blk])
         del gvec, shift, perm
         pts = g.random(cell.shape)  # the jitter
         pts += cell
-        return np.divide(pts, n, out=pts)
+        return np.divide(pts, n, out=pts).transpose(2, 1, 0)
 
 
 def corner_cells(n: int, counts) -> np.ndarray:
@@ -616,11 +637,11 @@ class LatinHypercube(SchemeSpec):
 
     def draw(self, n, d, rows, reps, rng):
         g = rng.gen
-        perm = _perm_prefix(g, reps * d, n, rows, rows == n).reshape(reps, d, rows)
+        perm = _perm_prefix(g, reps * d, n, rows, rows == n).reshape(rows, d, reps)
         # jitter each point within its strata
-        pts = g.random(perm.shape)
-        pts += perm
-        return np.swapaxes(np.divide(pts, n, out=pts), 1, 2)
+        pts = g.random((d, rows, reps))
+        pts += perm.transpose(1, 0, 2)
+        return np.divide(pts, n, out=pts).transpose(2, 1, 0)
 
     def anchored_prob(self, n, box, t):
         return lhs_anchored_prob_exact(n, box.upper, t)
@@ -670,7 +691,9 @@ def _cell_map(g: np.random.Generator, b: int, m: int, reps: int) -> np.ndarray:
     `reps` of them by `_perm_prefix`, in blocks of consecutive prefixes
     (`_KEY_BLOCK`). Each level fills the tail of the one result array: level
     r + 1 is written over level r from the front, and prefix p's digits land
-    before any later prefix's entry.
+    before any later prefix's entry. A block is summed prefix-major, one
+    (digit, replication) plane per prefix, and copied into the map by one
+    transpose.
     """
     n = b**m
     sigma = np.zeros((reps, n), dtype=np.int32)
@@ -679,10 +702,11 @@ def _cell_map(g: np.random.Generator, b: int, m: int, reps: int) -> np.ndarray:
         level = sigma[:, n - prefixes:]
         grown = sigma[:, n - prefixes * b:].reshape(reps, prefixes, b)
         for blk in _blocks(prefixes, reps * b):
-            high = level[:, blk, None] * b  # read before this block overwrites it
-            block = grown[:, blk]
-            perms = _perm_prefix(g, block.shape[1] * reps, b, b, True)
-            np.add(perms.reshape(block.shape[1], reps, b).transpose(1, 0, 2), high, out=block)
+            high = level[:, blk].T * b  # read before this block overwrites it
+            perms = _perm_prefix(g, high.size, b, b, True).reshape(b, len(high), reps)
+            summed = np.empty((len(high), b, reps), dtype=np.int32)
+            np.add(perms.transpose(1, 0, 2), high[:, None, :], out=summed)
+            grown[:, blk] = summed.transpose(2, 0, 1)
     return sigma
 
 
@@ -737,7 +761,7 @@ class ScrambledNet(SchemeSpec):
                 np.take(value, sigma[blk][:, cells[:, l]], out=block, mode="clip")
                 block += g.random(block.shape) * b ** (-m)
             del sigma
-        order = _perm_prefix(g, reps, n, n, True)
+        order = _perm_prefix(g, reps, n, n, True).T
         for blk in blocks:
             # each row's order as flat indices into the block
             flat = order[blk] + np.arange(0, order[blk].size, n)[:, None]
@@ -752,7 +776,7 @@ class Mixed(SchemeSpec):
     right scheme on the remaining d_right. It draws prefixes when both factors
     do, and its anchored-box law is the product of theirs. `validate` checks
     both factors, so each factor's `draw` is called directly, and its part is
-    copied into the result as it is drawn."""
+    copied into the result's (d, rows, reps) planes as it is drawn."""
 
     left: SchemeSpec
     d_left: int
@@ -780,10 +804,10 @@ class Mixed(SchemeSpec):
         for spec, k, cols in factors:
             part = spec.draw(n, cols.stop - cols.start, rows, reps, rng.split(k))
             if out is None:
-                out = np.empty((reps, rows, d))
-            out[:, :, cols] = part
+                out = np.empty((d, rows, reps))
+            out[cols] = part.transpose(2, 1, 0)
             del part
-        return out
+        return out.transpose(2, 1, 0)
 
     @property
     def draws_prefix(self):

@@ -130,13 +130,14 @@ def _esp_rows(x, t):
 @pytest.mark.parametrize("m", [1, 7, 2000])
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_esp_batch_matches_the_row_major_recurrence(m, n):
+    # _esp_batch takes (n, M): one variable per row, one point per column
     g = RngStream(m * 10 + n).gen
-    e = g.exponential(1.0, size=(m, n))
-    simplex = 0.7 * e / e.sum(axis=1, keepdims=True)  # as simplex_max_check draws them
-    wide = g.random((n, m)).T  # column-major input
-    for x in (simplex, wide, 1e3 * g.standard_normal((m, n))):
+    e = g.exponential(1.0, size=(n, m))
+    simplex = 0.7 * e / e.sum(axis=0)  # as simplex_max_check draws them
+    wide = g.random((m, n)).T  # column-major input
+    for x in (simplex, wide, 1e3 * g.standard_normal((n, m))):
         for t in range(1, n + 1):
-            assert np.array_equal(_esp_batch(x, t), _esp_rows(x, t))
+            assert np.array_equal(_esp_batch(x, t), _esp_rows(x.T, t))
 
 
 def test_simplex_max_attained_at_centroid():

@@ -292,7 +292,9 @@ def _strata(draw):
 def test_strata_place_index_and_overlap_agree(strata, seed, upper):
     g = np.random.default_rng(seed)
     chosen = np.argsort(g.random((3, strata.count)), axis=1)  # every stratum, three orders
-    assert np.array_equal(strata.index(strata.place(chosen, 2, g)), chosen)
+    # `place` takes (rows, reps) strata and returns (d, rows, reps) points
+    pts = strata.place(np.ascontiguousarray(chosen.T), 2, g)
+    assert np.array_equal(strata.index(pts.transpose(2, 1, 0)), chosen)
     overlaps = stratum_corner_overlap(strata, upper, 2)
     assert overlaps.shape == (strata.count,)
     assert float(overlaps.sum()) == pytest.approx(upper[0] * upper[1], abs=1e-12)
@@ -341,12 +343,14 @@ def test_cell_overlap_clips_only_the_box_shifts_each_cell_meets(monkeypatch):
 
 def _cells_place_per_point(cells, chosen, g):
     """LatticeCells.place with each point's cell origin computed from its own
-    index: the reference for the lookup in a table of the n origins."""
-    b1, b2 = (v / cells.n for v in cells.basis())
-    u = g.random(chosen.shape + (1,))
-    w = g.random(chosen.shape + (1,))
-    origins = np.stack([(chosen * cells.g[0]) % cells.n, (chosen * cells.g[1]) % cells.n],
-                       axis=-1) / cells.n
+    index: the reference for the lookup in a table of the n origins. `chosen`
+    is (rows, reps), the result (2, rows, reps); every offset along b1 is drawn,
+    in the order of `chosen`'s entries, before any along b2."""
+    b1, b2 = (v[:, None, None] / cells.n for v in cells.basis())
+    u = g.random(chosen.shape)
+    w = g.random(chosen.shape)
+    origins = np.stack([(chosen * cells.g[0]) % cells.n, (chosen * cells.g[1]) % cells.n]
+                       ) / cells.n
     pts = np.mod(origins + u * b1 + w * b2, 1.0)
     pts[pts >= 1.0] = 0.0
     return pts
@@ -358,8 +362,10 @@ def _cells_place_per_point(cells, chosen, g):
 def test_lattice_cells_place_matches_the_per_point_origins(generator, n, seed):
     cells = LatticeCells(generator, n)
     pick = np.random.default_rng(seed + 1)
-    for shape in [(1, 1), (3, n), (200, min(n, 12))]:
-        chosen = np.argsort(pick.random((shape[0], n)), axis=1)[:, :shape[1]]
+    # 20,000 replications of 5 rows take two blocks of offsets
+    for shape in [(1, 1), (3, n), (200, min(n, 12)), (20_000, 5)]:
+        # (rows, reps): the strata of `shape[0]` replications of `shape[1]` rows each
+        chosen = np.argsort(pick.random((shape[0], n)), axis=1)[:, :shape[1]].T.copy()
         expected = _cells_place_per_point(cells, chosen, np.random.default_rng(seed))
         assert np.array_equal(cells.place(chosen, 2, np.random.default_rng(seed)), expected)
 
@@ -526,13 +532,15 @@ def test_validation_rejects_nonpositive_sizes():
 FAMILY_ALPHA = 1e-6
 
 
-@pytest.mark.parametrize("n, t", [(5, 2), (5, 3), (8, 5)],
-                         ids=["sequential", "argsort", "sorted-keys"])
-def test_perm_prefix_is_uniform_over_ordered_tuples(n, t):
-    # t^2 <= n draws without replacement one entry at a time; t^2 > n draws one index into
-    # the table of the 60 ordered prefixes at n = 5, and sorts 8 keys past 5040 at n = 8
-    reps = 60_000
-    heads = _perm_prefix(np.random.default_rng(4001), reps, n, t, False)
+@pytest.mark.parametrize("n, t, reps", [(5, 2, 60_000), (5, 3, 60_000), (8, 5, 60_000),
+                                        (16, 3, 60_000), (10, 5, 600_000), (37, 3, 600_000)],
+                         ids=["sequential", "argsort", "sorted-keys", "table-rows-squared-at-most-n",
+                              "sorted-keys-past-the-table", "by-entry-past-the-table"])
+def test_perm_prefix_is_uniform_over_ordered_tuples(n, t, reps):
+    # a table of at most 2^17 entries serves (5, 2), (5, 3), (8, 5) and (16, 3), whose
+    # t^2 <= n drew one entry at a time before; past it, (10, 5) sorts 10 keys, and
+    # (37, 3), with t^2 <= n, draws one entry at a time
+    heads = _perm_prefix(np.random.default_rng(4001), reps, n, t, False).T
     assert heads.shape == (reps, t)
     assert np.all((heads >= 0) & (heads < n))
     assert np.all(np.diff(np.sort(heads, axis=1), axis=1) > 0)  # distinct within a row
@@ -544,21 +552,36 @@ def test_perm_prefix_is_uniform_over_ordered_tuples(n, t):
 
 
 def test_perm_prefix_draws_each_entry_into_its_column():
-    # one entry at a time: the result and one block of int64 integers, no second copy
+    # one row: the result and one block of int64 integers, no second copy
     heads, peak = traced_peak(lambda: _perm_prefix(np.random.default_rng(83), 100_000, 101, 1,
                                                    False))
-    assert heads.shape == (100_000, 1)
+    assert heads.shape == (1, 100_000)
     assert peak <= heads.nbytes + 8 * _KEY_BLOCK + 16 * 2**10
 
 
+def _reads_a_table(n, rows, whole):
+    """Whether `_perm_prefix` builds or reads a table for this draw."""
+    samplers_module._perm_table.cache_clear()
+    _perm_prefix(np.random.default_rng(0), 3, n, rows, whole)
+    return samplers_module._perm_table.cache_info().currsize == 1
+
+
 def test_perm_table_lists_every_ordered_prefix_in_itertools_order():
-    for n in range(1, 9):
-        for rows in [r for r in range(1, n + 1) if math.perm(n, r) <= 5040]:
-            table = samplers_module._perm_table(n, rows)
-            assert table.dtype == np.int32 and not table.flags.writeable, (n, rows)
-            assert table.tolist() == [list(p) for p in permutations(range(n), rows)], (n, rows)
-            with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 0
+    # every table of at most 2^17 entries up to n = 8, and the largest n at rows 2 and 3;
+    # a draw reads each of them but the one-row tables, as it draws one row directly
+    cases = [(n, rows) for n in range(1, 9) for rows in range(1, n + 1)
+             if math.perm(n, rows) * rows <= 2**17] + [(256, 2), (31, 3), (16, 3), (36, 3)]
+    for n, rows in cases:
+        table = samplers_module._perm_table(n, rows)
+        assert table.dtype == np.int32 and not table.flags.writeable, (n, rows)
+        assert table.tolist() == [list(p) for p in permutations(range(n), rows)], (n, rows)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+        assert _reads_a_table(n, rows, whole=rows == n) == (rows > 1), (n, rows)
+    # 174,720 entries at (16, 4) and 8! * 8 for the whole permutations of 8: past 2^17, as
+    # are (257, 2) and (37, 3); one row is drawn directly, whatever n is
+    for n, rows in [(16, 4), (8, 8), (257, 2), (37, 3), (31, 1), (101, 1)]:
+        assert not _reads_a_table(n, rows, whole=rows == n), (n, rows)
 
 
 class _CountingGenerator:
@@ -569,19 +592,22 @@ class _CountingGenerator:
         return np.arange(low, high)
 
 
-# n = 8 at rows 4 has 1680 prefixes and 16 <= 8 fails, so its partial draw takes the table
+# n = 8 at rows 4 has 1680 prefixes, a table of 6720 entries. One row is drawn directly:
+# its table would be the identity, so the counting draw lists 0..n-1 in order all the same.
 @pytest.mark.parametrize("n, rows, whole", [(1, 1, True), (2, 2, True), (5, 5, True),
                                             (6, 3, False), (7, 7, True), (8, 4, False),
                                             (31, 1, True)])
 def test_perm_prefix_reads_the_table_at_the_drawn_index(n, rows, whole):
+    samplers_module._perm_table.cache_clear()
     heads = _perm_prefix(_CountingGenerator(), math.perm(n, rows), n, rows, whole)
-    assert heads.dtype == np.int32
-    assert heads.tolist() == [list(p) for p in permutations(range(n), rows)]
+    assert heads.dtype == np.int32 and heads.shape == (rows, math.perm(n, rows))
+    assert heads.T.tolist() == [list(p) for p in permutations(range(n), rows)]
+    assert samplers_module._perm_table.cache_info().currsize == (rows > 1)
 
 
 def test_table_draws_hit_every_permutation_of_5_uniformly():
     reps, count = 10**6, math.factorial(5)
-    heads = _perm_prefix(np.random.default_rng(4003), reps, 5, 5, True)
+    heads = _perm_prefix(np.random.default_rng(4003), reps, 5, 5, True).T
     code = 5 ** np.arange(5)
     hits = np.bincount(heads @ code, minlength=5**5)[np.array(list(permutations(range(5)))) @ code]
     assert hits.sum() == reps  # every row is a permutation
@@ -630,34 +656,34 @@ def test_sample_batch_whole_rows_is_the_batch_stream(spec, n, d):
 
 # sha256 prefixes of the bytes of sample_batch(spec, n, d, 5, RngStream(67), rows), recorded
 # when whole and prefix draws were two methods per scheme: (spec, n, d, {rows: digest}).
-# The draws that take one index into a table of small permutations were recorded again
-# when that table came in: whole sss and lhs at n <= 7, gss at beta = 5 and rsj at n = 2,
-# and every net (its cell maps). Whole gss at beta = 31 with n^2 <= beta sorts whole
-# permutations; the nets have base 2, whose digit sums are exact whatever order a BLAS
-# adds them in.
+# Every net (its cell maps) was recorded again when small permutations came to be read
+# from a table. Every draw of mc, sss, lhs, gss, rsj and mixed was recorded again when the
+# prefix schemes came to draw in (d, rows, reps) order; the net's streams did not move. Whole
+# gss at beta = 31 reads a table at n = 3 and sorts whole permutations at n = 5 and 12; the
+# nets have base 2, whose digit sums are exact whatever order a BLAS adds them in.
 STREAM_PINS = [
-    (MonteCarlo(), 9, 2, {None: "2ed38cfe6ff88a70", 3: "fba4cbd747377910"}),
-    (SimpleStratified(), 10, 1, {None: "f3273e9ddc4f5fff", 3: "a98f7e15d24e34d3"}),
+    (MonteCarlo(), 9, 2, {None: "6de82b816ad0852b", 3: "c6f3c8f0a08788a2"}),
+    (SimpleStratified(), 10, 1, {None: "0d22fa668e3c59fe", 3: "2eb47ceab6a810c9"}),
     (SimpleStratified(), 1, 1, {None: "d41700c29b24e992"}),
     (GeneralizedStratified(31, Stripes(31)), 12, 2,
-     {None: "2fbcaa8cf2089d18", 2: "fd1b007e75d1630d", 6: "8d4b675e7840f3c9"}),
+     {None: "acac26c5a9225425", 2: "aaf91f4f0d9e19e2", 6: "84dd567e4bc7a131"}),
     (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 12, 2,
-     {None: "288c05de3d8a4c9c", 3: "368af92bf53613fc"}),
+     {None: "8408c39d2f2a5f3f", 3: "7cffb5378021be07"}),
     (GeneralizedStratified(31, Stripes(31)), 3, 2,
-     {None: "2cc16e29b78fb3f1", 2: "fd1b007e75d1630d"}),
+     {None: "a3d256f41123d6e2", 2: "aaf91f4f0d9e19e2"}),
     (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 5, 2,
-     {None: "79f3a2714ee4d2c8", 2: "52cbb83a57eacf86"}),
-    (GeneralizedStratified(5, Stripes(5)), 2, 3, {None: "ea714c065afaf16c", 1: "0864b2782c459729"}),
-    (RsjLattice(), 11, 2, {None: "f8df3353c84926c1", 3: "d0de4fc5e51e5eea"}),
-    (RsjLattice(), 2, 3, {None: "ea22e46f901b03a1", 1: "f9bc9cd607108f05"}),
+     {None: "bdcfaf88149c9101", 2: "7b83d1777347ab3c"}),
+    (GeneralizedStratified(5, Stripes(5)), 2, 3, {None: "6c2a7611e24f5a8e", 1: "e7af1c2ebdc6e7c8"}),
+    (RsjLattice(), 11, 2, {None: "05b93c27b020483e", 3: "f503e505a76ab9cb"}),
+    (RsjLattice(), 2, 3, {None: "9b75df12fb4e85c9", 1: "39b465b822cd715d"}),
     (LatinHypercube(), 16, 3,
-     {None: "f4eb562432b60ad0", 3: "c8de3a764299454b", 5: "42210a416419c84c"}),
-    (LatinHypercube(), 1, 2, {None: "ce6431cf32b0e4a3"}),
+     {None: "1d88fdac018e898f", 3: "78693d781fabcb48", 5: "151a89a955137354"}),
+    (LatinHypercube(), 1, 2, {None: "7903654db39955db"}),
     (ScrambledNet(2, 3, 2), 8, 2, {None: "b33d15edff992b73", 2: "b33d15edff992b73"}),
     (Mixed(LatinHypercube(), 2, RsjLattice(), 1), 7, 3,
-     {None: "4bd548f14a946da5", 2: "fa50dc2852521647"}),
+     {None: "3a0c58e392bc0fb9", 2: "f1a2af457673f50e"}),
     (Mixed(LatinHypercube(), 1, ScrambledNet(2, 3, 2), 2), 8, 3,
-     {None: "19f53b9c1abc562f", 2: "19f53b9c1abc562f"}),
+     {None: "46bcf738456f1693", 2: "46bcf738456f1693"}),
     (FourSlot(), 2, 2, {None: "19bc1816a74993b4", 1: "19bc1816a74993b4"}),
     (SwapScheme(), 2, 2, {None: "7b6b95677f00643b", 1: "7b6b95677f00643b"}),
 ]
@@ -666,6 +692,20 @@ STREAM_PINS = [
 def test_stream_pins_cover_every_scheme_kind():
     # the min-copula has no sampler (test_min_copula_has_no_sampler)
     assert {spec.kind for spec, *_ in STREAM_PINS} | {"mincopula"} == set(SCHEMES)
+
+
+# the prefix schemes draw (d, rows, reps) buffers: each coordinate of each row is one
+# contiguous run over the replications, which the event counts read
+@pytest.mark.parametrize("spec, n, d", PREFIX_SCHEMES + [
+    (Mixed(GeneralizedStratified(31, Stripes(31)), 2, MonteCarlo(), 1), 12, 3),
+    (Mixed(SimpleStratified(), 1, GeneralizedStratified(31, LatticeCells((1, 12), 31)), 2), 12, 3),
+], ids=lambda v: v.label() if hasattr(v, "kind") else None)
+def test_prefix_draws_are_contiguous_over_the_replications(spec, n, d):
+    for rows in (2, 3, None):
+        batch = sample_batch(spec, n, d, 6, RngStream(97), rows)
+        for j in range(batch.shape[1]):
+            for a in range(d):
+                assert batch[:, j, a].strides == (8,), (rows, j, a)
 
 
 @pytest.mark.parametrize("spec, n, d, pins", STREAM_PINS,
@@ -678,15 +718,20 @@ def test_whole_and_prefix_draws_are_pinned(spec, n, d, pins):
 
 
 # sha256 prefixes of the bytes of sample_batch(spec, n, d, reps, RngStream(67), rows), recorded
-# when whole permutations were sorted in one call: whole gss at beta = 31 sorts 5,000
-# permutations of 31 keys, so its draw spans more than one block of 2^16 keys. lhs at n = 6
-# and rows = 3 sorted 12,000 permutations of 6 keys; it now draws 12,000 indices into the
-# table of the 120 ordered 3-prefixes, and was recorded again then: (spec, n, d, reps,
-# rows, digest).
+# when whole permutations were sorted in one call: whole gss at beta = 31 sorted 5,000
+# permutations of 31 keys, so its draw spanned more than one block of 2^16 keys. lhs at n = 6
+# and rows = 3 sorted 12,000 permutations of 6 keys; it then drew 12,000 indices into the
+# table of the 120 ordered 3-prefixes, and was recorded again. All three were recorded again
+# when the prefix schemes came to draw in (d, rows, reps) order, and whole gss at n = 3 to
+# read the table of 26,970 ordered 3-prefixes of 31 strata. The n = 8 rows were added then:
+# whole gss at n = 8 sorts 31 keys per permutation, over three blocks, and the lattice
+# cells of 10,000 replications draw their offsets in two: (spec, n, d, reps, rows, digest).
 MULTI_BLOCK_PINS = [
-    (LatinHypercube(), 6, 2, 6_000, 3, "42cb70ae9ded3055"),
-    (GeneralizedStratified(31, Stripes(31)), 3, 2, 5_000, None, "fa9fe1ebd958cd9c"),
-    (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 3, 2, 5_000, None, "365f5cbf6b4fffdc"),
+    (LatinHypercube(), 6, 2, 6_000, 3, "68aa4b21646327b2"),
+    (GeneralizedStratified(31, Stripes(31)), 3, 2, 5_000, None, "83d8eb10e6bf742a"),
+    (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 3, 2, 5_000, None, "b600bdb059a153e5"),
+    (GeneralizedStratified(31, Stripes(31)), 8, 2, 5_000, None, "7654c6796139ac01"),
+    (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 8, 2, 10_000, None, "ede3735b0b4d4a3a"),
 ]
 
 
@@ -806,8 +851,10 @@ DRAW_MEMORY = [
     pytest.param(LatinHypercube(), 6, 2, 100_000, None, id="lhs"),
     # rows^2 > n: one index a replication into the table of the 120 ordered prefixes
     pytest.param(LatinHypercube(), 6, 2, 100_000, 3, id="lhs-prefix-sorted"),
-    # rows^2 <= n: permutation prefixes are drawn one entry at a time
+    # rows^2 <= n, past the table's 2^17 entries: prefixes are drawn one entry at a time
     pytest.param(LatinHypercube(), 256, 2, 100_000, 3, id="lhs-prefix-by-entry"),
+    # rows = 2: one index a replication into the table of 65,280 ordered prefixes (510 KiB)
+    pytest.param(LatinHypercube(), 256, 2, 100_000, 2, id="lhs-prefix-table"),
     pytest.param(SimpleStratified(), 16, 1, 100_000, None, id="sss"),
     pytest.param(SimpleStratified(), 16, 1, 100_000, 4, id="sss-prefix"),
     pytest.param(GeneralizedStratified(31, Stripes(31)), 3, 2, 100_000, None, id="gss-stripes"),
@@ -817,6 +864,9 @@ DRAW_MEMORY = [
                  id="gss-cells"),
     pytest.param(GeneralizedStratified(31, LatticeCells((1, 12), 31)), 12, 2, 100_000, 2,
                  id="gss-cells-prefix"),
+    # rows = 3: the table of the 26,970 ordered 3-prefixes of 31 strata (316 KiB)
+    pytest.param(GeneralizedStratified(31, LatticeCells((1, 12), 31)), 12, 2, 100_000, 3,
+                 id="gss-cells-prefix-table"),
     pytest.param(RsjLattice(), 17, 2, 50_000, None, id="rsj"),
     pytest.param(RsjLattice(), 101, 2, 100_000, 2, id="rsj-prefix"),
     # one row: the generators and shifts are as large as the result
