@@ -45,6 +45,7 @@ import numpy as np
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_all
 from .bounds import (
+    BoundResult,
     boxdiff_bound,
     boxdiff_bound_theta,
     corner_bound,
@@ -73,6 +74,7 @@ from .integrate import (
     variance_study,
 )
 from .negdep import (
+    CiNqdResult,
     DependenceReport,
     FactorizationCheck,
     _check_ci_args,
@@ -418,59 +420,49 @@ _NEGDEP = {  # the keys of every negdep test
 _ORTHANT = {"anchors": (_of([[float]]), _REQUIRED), "t_values": (_axis(int), _REQUIRED), **_GAMMA}
 _COORD = {"i": (_of(int), _REQUIRED)}  # 1-based
 _BOX = (lambda v, what: None if v is None else parse_box(v), None)
-_NEGDEP_TESTS = {  # the keys each test reads besides _NEGDEP
-    "upper": {**_ORTHANT, "oracle": (_of(bool), False)},
-    "lower": _ORTHANT,
-    "pairwise": {"q_anchors": (_of([[float]]), _REQUIRED),
-                 "r_anchors": (_of([[float]]), _REQUIRED)},
-    "conditional": {**_COORD, "a_box": _BOX, "b_box": _BOX, "alphas": (_axis(float), _REQUIRED),
-                    "betas": (_axis(float), _REQUIRED)},
-    "ci": {**_COORD, "q_values": (_axis(float), _REQUIRED), "r_values": (_axis(float), _REQUIRED)},
+_PAIRWISE = {"q_anchors": (_of([[float]]), _REQUIRED), "r_anchors": (_of([[float]]), _REQUIRED)}
+_CONDITIONAL = {**_COORD, "a_box": _BOX, "b_box": _BOX, "alphas": (_axis(float), _REQUIRED),
+                "betas": (_axis(float), _REQUIRED)}
+_CI = {**_COORD, "q_values": (_axis(float), _REQUIRED), "r_values": (_axis(float), _REQUIRED)}
+_ORTHANT_CASES = lambda c: [(CornerBox0(a), t) for a, t in product(c.anchors, c.t_values)]
+
+# test -> (keys it reads besides _NEGDEP, its cases, argument check, tester). A case is
+# the tester's arguments between d and reps.
+_NEGDEP_TESTS = {
+    "upper": ({**_ORTHANT, "oracle": (_of(bool), False)}, _ORTHANT_CASES, _check_joint_args,
+              check_upper_nd),
+    "lower": (_ORTHANT, _ORTHANT_CASES, _check_joint_args, check_lower_nd),
+    "pairwise": (_PAIRWISE, lambda c: [(CornerBox1(q), CornerBox1(r))
+                                       for q, r in product(c.q_anchors, c.r_anchors)],
+                 _check_pairwise_args, check_pairwise_nd),
+    "conditional": (_CONDITIONAL, lambda c: [(c.i, c.a_box, c.b_box, *ab)
+                                             for ab in product(c.alphas, c.betas)],
+                    _check_conditional_args, check_conditional_nqd),
+    "ci": (_CI, lambda c: [(c.i, *qr) for qr in product(c.q_values, c.r_values)],
+           _check_ci_args, check_ci_nqd),
 }
 
 
 def cmd_negdep(cfg: dict) -> int:
     test = _choice(cfg, "test", _NEGDEP_TESTS, "negdep test", "negdep config")
-    c = _read(cfg, {**_NEGDEP, **_NEGDEP_TESTS[test]}, f"negdep '{test}' config")
+    keys, cases, check, tester = _NEGDEP_TESTS[test]
+    c = _read(cfg, {**_NEGDEP, **keys}, f"negdep '{test}' config")
+    gamma = {"gamma": c.gamma} if "gamma" in keys else {}
+    cases = cases(c)
+    for case in cases:  # every case is checked before the first one draws
+        check(c.n, c.d, *case, **gamma)
     rng = RngStream(c.seed)
-    rows = []  # report fields, plus "oracle" where asked for
-    factor_rows = []
-
-    # each row's arguments go through the tester's own checks before the first row draws
-    if test in ("upper", "lower"):
-        fn = check_upper_nd if test == "upper" else check_lower_nd
-        cases = [(CornerBox0(anchor), t) for anchor, t in product(c.anchors, c.t_values)]
-        for box, t in cases:
-            _check_joint_args(c.n, c.d, box, t, c.gamma)
-        for k, (box, t) in enumerate(cases):
-            rep = fn(c.scheme, c.n, c.d, box, t, c.reps, rng.split(k), c.gamma, c.confidence)
-            oracle = c.scheme.anchored_prob(c.n, box, t) if getattr(c, "oracle", False) else None
-            rows.append({**asdict(rep), "oracle": oracle})
-    elif test == "pairwise":
-        cases = [(CornerBox1(qa), CornerBox1(ra)) for qa, ra in product(c.q_anchors, c.r_anchors)]
-        for q_box, r_box in cases:
-            _check_pairwise_args(c.n, c.d, q_box, r_box)
-        for k, (q_box, r_box) in enumerate(cases):
-            pair = check_pairwise_nd(c.scheme, c.n, c.d, q_box, r_box, c.reps, rng.split(k),
-                                     c.confidence)
-            rows += [asdict(rep) for rep in pair]
-    elif test == "conditional":
-        cases = list(product(c.alphas, c.betas))
-        for alpha, beta in cases:
-            _check_conditional_args(c.n, c.d, c.i, c.a_box, c.b_box, alpha, beta)
-        for k, (alpha, beta) in enumerate(cases):
-            rep = check_conditional_nqd(c.scheme, c.n, c.d, c.i, c.a_box, c.b_box, alpha, beta,
-                                        c.reps, rng.split(k), c.confidence)
-            rows.append(asdict(rep))
-    else:  # "ci"
-        cases = list(product(c.q_values, c.r_values))
-        for q, r in cases:
-            _check_ci_args(c.n, c.d, c.i, q, r)
-        for k, (q, r) in enumerate(cases):
-            res = check_ci_nqd(c.scheme, c.n, c.d, c.i, q, r, c.reps, rng.split(k), c.confidence)
-            rows.append(asdict(res.primary))
+    rows, factor_rows = [], []  # report fields, plus "oracle" where asked for
+    for k, case in enumerate(cases):
+        res = tester(c.scheme, c.n, c.d, *case, c.reps, rng.split(k), confidence=c.confidence,
+                     **gamma)
+        if isinstance(res, CiNqdResult):
             factor_rows += [{"scheme": res.primary.scheme, "n": c.n, "d": c.d, **asdict(f)}
                             for f in res.factorization]
+            res = res.primary
+        oracle = c.scheme.anchored_prob(c.n, *case) if getattr(c, "oracle", False) else None
+        rows += [{**asdict(rep), "oracle": oracle}
+                 for rep in (res if isinstance(res, tuple) else (res,))]  # a pair, or one
 
     _write_csv(c.out, "negdep", _NEGDEP_COLUMNS, rows)
     if factor_rows:
@@ -481,48 +473,45 @@ def cmd_negdep(cfg: dict) -> int:
     return 4 if c.expect_holds and any(row["verdict"] == "violated" for row in rows) else 0
 
 
-_BOUND_FNS = {
-    "boxdiff": (boxdiff_bound, "c"),
-    "boxdiff_theta": (boxdiff_bound_theta, "theta"),
-    "mixed_theta": (mixed_bound_theta, "theta"),
-    "corner": (corner_bound, "c"),
-    "corner_theta": (corner_bound_theta, "theta"),
-    "weighted": (weighted_bound, "c"),
-    "weighted_theta": (weighted_bound_theta, "theta"),
-}
-
 _BOUNDS_COLUMNS = (
     "formula", "n", "d", "rho", "c", "theta", "t", "gamma", "bound_value",
     "success_prob", "clamped", "raw_success_prob", "xi", "eta", "c_effective",
 )
+_N_AXIS = {"n": (_axis(int), _REQUIRED)}
+_D_RHO = {"d": (_axis(int), _REQUIRED), "rho": (_axis(float), (0.0,))}
+_C_GRID = {**_N_AXIS, "c": (_axis(float), _REQUIRED), **_D_RHO}
+_THETA_GRID = {**_N_AXIS, "theta": (_axis(float), _REQUIRED), **_D_RHO}
+_WEIGHTED = {"weights": (_WEIGHTS, _REQUIRED)}
+
+# formula -> (function, its grid axes, its top-level keys); it takes each by name
+_BOUND_FNS = {
+    "hoeffding": (hoeffding_tail, {**_N_AXIS, "t": (_axis(float), _REQUIRED)}, _GAMMA),
+    "boxdiff": (boxdiff_bound, _C_GRID, {}),
+    "boxdiff_theta": (boxdiff_bound_theta, _THETA_GRID, {}),
+    "mixed_theta": (mixed_bound_theta, _THETA_GRID, {}),
+    "corner": (corner_bound, _C_GRID, {}),
+    "corner_theta": (corner_bound_theta, _THETA_GRID, {}),
+    "weighted": (weighted_bound, _C_GRID, _WEIGHTED),
+    "weighted_theta": (weighted_bound_theta, _THETA_GRID, _WEIGHTED),
+}
 
 
 def cmd_bounds(cfg: dict) -> int:
-    formula = _choice(cfg, "formula", {"hoeffding", *_BOUND_FNS}, "bound formula",
-                      "bounds config")
-    free = "t" if formula == "hoeffding" else _BOUND_FNS[formula][1]
-    axes = {"n": (_axis(int), _REQUIRED), free: (_axis(float), _REQUIRED)}
-    if formula == "hoeffding":
-        extra = _GAMMA
-    else:
-        axes.update(d=(_axis(int), _REQUIRED), rho=(_axis(float), (0.0,)))
-        extra = {"weights": (_WEIGHTS, _REQUIRED)} if formula.startswith("weighted") else {}
+    formula = _choice(cfg, "formula", _BOUND_FNS, "bound formula", "bounds config")
+    fn, axes, keys = _BOUND_FNS[formula]
     grid = (lambda v, what: _read(_typed(v, dict, what), axes, f"bounds '{formula}' grid"),
             _REQUIRED)
-    c = _read(cfg, {"formula": (_of(str), _REQUIRED), "grid": grid, **extra, **_OUT},
+    c = _read(cfg, {"formula": (_of(str), _REQUIRED), "grid": grid, **keys, **_OUT},
               f"bounds '{formula}' config")
-    g = c.grid
+    names = sorted(axes, key=_BOUNDS_COLUMNS.index)  # rows vary the last column fastest
     rows = []
-    if formula == "hoeffding":
-        for n, t in product(g.n, g.t):
-            rows.append({"formula": "hoeffding", "n": n, "t": t, "gamma": c.gamma,
-                         "bound_value": hoeffding_tail(n, t, c.gamma)})
-    else:
-        fn = _BOUND_FNS[formula][0]
-        weights = (c.weights,) if extra else ()
-        for n, d, rho, x in product(g.n, g.d, g.rho, getattr(g, free)):
-            res = fn(n, d, x, *weights, rho=rho)
-            rows.append({"n": n, "d": d, "rho": rho, free: x, **asdict(res), **res.details})
+    for point in product(*(getattr(c.grid, name) for name in names)):
+        args = {**dict(zip(names, point)), **{key: getattr(c, key) for key in keys}}
+        res = fn(**args)
+        if isinstance(res, BoundResult):  # it names its own formula
+            rows.append({**args, **asdict(res), **res.details})
+        else:  # hoeffding_tail returns the bare value
+            rows.append({"formula": formula, **args, "bound_value": res})
     _write_csv(c.out, "bounds", _BOUNDS_COLUMNS, rows)
     return 0
 

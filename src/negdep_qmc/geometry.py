@@ -202,7 +202,9 @@ def is_net(points, b: int, m: int, s: int, t: int = 0) -> bool:
     the b^m points. `points` is an (N, s) array or anything with a `.data`
     attribute holding one. Digit extraction adds _NET_SNAP before flooring so
     that raw net coordinates sitting exactly on cell boundaries (not binary-
-    representable for odd b) are classified consistently; desk-scale safe.
+    representable for odd b) are classified consistently; desk-scale safe. A
+    coordinate the snap lifts to 1 stays in the last cell; one outside [0, 1)
+    is refused.
     """
     pts = np.asarray(getattr(points, "data", points), dtype=float)
     if b < 2:
@@ -214,13 +216,15 @@ def is_net(points, b: int, m: int, s: int, t: int = 0) -> bool:
     n = b**m
     if pts.ndim != 2 or pts.shape != (n, s):
         raise ValidationError(f"expected a point set of shape ({n}, {s})")
+    if not np.all((pts >= 0.0) & (pts < 1.0)):
+        raise ValidationError("point coordinates must lie in [0,1)")
     q = m - t
     target = b**t
     for j in _compositions(q, s):
         dims = [b**jl for jl in j]
-        cells = [
-            np.floor(pts[:, l] * dims[l] + _NET_SNAP).astype(np.int64) for l in range(s)
-        ]
+        cells = [np.floor(pts[:, l] * dims[l] + _NET_SNAP).astype(np.int64) for l in range(s)]
+        for cell, dim in zip(cells, dims):
+            np.minimum(cell, dim - 1, out=cell)
         ids = np.ravel_multi_index(cells, dims)
         counts = np.bincount(ids, minlength=b**q)
         if not np.all(counts == target):

@@ -190,8 +190,10 @@ def simplex_max_check(
         raise ValidationError("need 1 <= t <= n_vars")
     if n_vars > 8:
         raise ValidationError("n_vars limited to 8 at desk scale")
-    if xi <= 0:
-        raise ValidationError("xi must be positive")
+    if not (0 < xi < math.inf):
+        raise ValidationError("xi must be positive and finite")
+    if trials < 1:
+        raise ValidationError("need at least one trial")
     g = rng.gen
     e = g.exponential(1.0, size=(n_vars, trials))
     x = xi * e / e.sum(axis=0)

@@ -119,6 +119,8 @@ def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CON
     """Wilson score interval for a binomial proportion; returns (lo, hi)."""
     if trials < 1:
         raise ValidationError("wilson interval needs at least one trial")
+    if not (0 <= successes <= trials):
+        raise ValidationError(f"successes must lie in [0, trials], got {successes} of {trials}")
     if not (0.0 < confidence < 1.0):
         raise ValidationError("confidence must lie in (0, 1)")
     z = NormalDist().inv_cdf(0.5 * (1.0 + confidence))

@@ -432,7 +432,7 @@ def _perm_table(n: int, rows: int) -> np.ndarray:
     return table
 
 
-def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bool) -> np.ndarray:
+def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int) -> np.ndarray:
     """(rows, reps) int32 array (`_index_dtype(n)`): column r holds the first
     `rows` entries of replication r's uniform permutation of 0..n-1.
 
@@ -442,9 +442,8 @@ def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bo
     Past that, entry k is drawn uniformly from the n - k values not yet
     taken: an index into them is drawn, then raised past each taken value,
     in ascending order, that it reaches. That is O(rows^2) per replication,
-    so when rows^2 > n, or the scheme draws its `whole` point set, whole
-    permutations are sorted instead from n uniform keys, a block of them at
-    a time.
+    so when rows^2 > n, whole permutations are sorted instead from n uniform
+    keys, a block of them at a time.
     """
     if rows == 1:  # the table of one-entry prefixes is the identity
         return _integers(g, 0, n, (1, reps))
@@ -456,7 +455,7 @@ def _perm_prefix(g: np.random.Generator, reps: int, n: int, rows: int, whole: bo
         for column, entries in zip(table.T, out):
             # every index is in range: "clip" only spares `take` a buffered copy of `out`
             np.take(column, index, out=entries, mode="clip")
-    elif whole or rows * rows > n:
+    elif rows * rows > n:
         for blk in _blocks(reps, n):
             keys = g.random((out[:, blk].shape[1], n))
             out[:, blk] = np.argsort(keys, axis=1)[:, :rows].T
@@ -508,7 +507,7 @@ class GeneralizedStratified(SchemeSpec):
             raise ValidationError("need beta >= n strata")
 
     def draw(self, n, d, rows, reps, rng):
-        chosen = _perm_prefix(rng.gen, reps, self.beta, rows, rows == n)
+        chosen = _perm_prefix(rng.gen, reps, self.beta, rows)
         return self.strata.place(chosen, d, rng.gen).transpose(2, 1, 0)
 
     def anchored_prob(self, n, box, t):
@@ -572,7 +571,7 @@ class RsjLattice(SchemeSpec):
         g = rng.gen
         gvec = _integers(g, 1, n, (d, 1, reps))
         shift = _integers(g, 0, n, (d, 1, reps))
-        perm = _perm_prefix(g, reps, n, rows, rows == n)
+        perm = _perm_prefix(g, reps, n, rows)
         # at rows = 1 each cell overwrites its own generator
         cell = gvec if rows == 1 else np.empty((d, rows, reps), dtype=perm.dtype)
         for a in range(d):
@@ -637,7 +636,7 @@ class LatinHypercube(SchemeSpec):
 
     def draw(self, n, d, rows, reps, rng):
         g = rng.gen
-        perm = _perm_prefix(g, reps * d, n, rows, rows == n).reshape(rows, d, reps)
+        perm = _perm_prefix(g, reps * d, n, rows).reshape(rows, d, reps)
         # jitter each point within its strata
         pts = g.random((d, rows, reps))
         pts += perm.transpose(1, 0, 2)
@@ -703,7 +702,7 @@ def _cell_map(g: np.random.Generator, b: int, m: int, reps: int) -> np.ndarray:
         grown = sigma[:, n - prefixes * b:].reshape(reps, prefixes, b)
         for blk in _blocks(prefixes, reps * b):
             high = level[:, blk].T * b  # read before this block overwrites it
-            perms = _perm_prefix(g, high.size, b, b, True).reshape(b, len(high), reps)
+            perms = _perm_prefix(g, high.size, b, b).reshape(b, len(high), reps)
             summed = np.empty((len(high), b, reps), dtype=np.int32)
             np.add(perms.transpose(1, 0, 2), high[:, None, :], out=summed)
             grown[:, blk] = summed.transpose(2, 0, 1)
@@ -761,7 +760,7 @@ class ScrambledNet(SchemeSpec):
                 np.take(value, sigma[blk][:, cells[:, l]], out=block, mode="clip")
                 block += g.random(block.shape) * b ** (-m)
             del sigma
-        order = _perm_prefix(g, reps, n, n, True).T
+        order = _perm_prefix(g, reps, n, n).T
         for blk in blocks:
             # each row's order as flat indices into the block
             flat = order[blk] + np.arange(0, order[blk].size, n)[:, None]

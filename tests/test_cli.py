@@ -295,6 +295,16 @@ def test_net_check_raw_and_scrambled(tmp_path, capsys):
     assert code == 0 and ",true" in text
 
 
+def test_net_check_keeps_a_coordinate_just_below_1_in_the_last_cell(tmp_path, capsys):
+    # the digit snap lifts 0.99999999999 * 2 past 2: its cell is still the last one
+    (tmp_path / "p.txt").write_text("1 2\n0.25\n0.99999999999\n")
+    cfg = write_json(tmp_path / "nc.json", {"points": str(tmp_path / "p.txt"), "b": 2, "m": 1,
+                                            "s": 1})
+    code, text, err = run(["net-check", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert text == "source,b,m,s,t,n,is_net\nfile,2,1,1,0,2,true\n"
+
+
 # ---------------------------------------------------------------------------
 # output bytes: every deterministic layout, empty columns included
 
@@ -344,6 +354,30 @@ PINNED = [
         + "weighted_theta,256,2,0.0,,0.9,,,0.17895479358230804,0.9,false,0.9,,,"
           "2.8632766973169286\n",
         id="bounds-weighted-theta"),
+    pytest.param(
+        "bounds", {"formula": "boxdiff", "grid": {"n": [64, 256], "d": 2, "c": [1, 2]}},
+        _BOUNDS_HEADER
+        + "boxdiff_c,64,2,0.0,1.0,,,,0.1767766952966369,0.0,true,-69734099.30052912,,,\n"
+        + "boxdiff_c,64,2,0.0,2.0,,,,0.3535533905932738,0.0,true,-3026.8255481459105,,,\n"
+        + "boxdiff_c,256,2,0.0,1.0,,,,0.08838834764831845,0.0,true,-69734099.30052912,,,\n"
+        + "boxdiff_c,256,2,0.0,2.0,,,,0.1767766952966369,0.0,true,-3026.8255481459105,,,\n",
+        id="bounds-boxdiff"),
+    pytest.param(
+        "bounds", {"formula": "boxdiff_theta", "grid": {"n": 256, "d": [2, 3], "rho": [0, 0.5],
+                                                        "theta": 0.9}},
+        _BOUNDS_HEADER
+        + "boxdiff_theta,256,2,0.0,,0.9,,,0.2352221002521981,0.9,false,0.9,,,\n"
+        + "boxdiff_theta,256,2,0.5,,0.9,,,0.2401310688688943,0.9,false,0.9,,,\n"
+        + "boxdiff_theta,256,3,0.0,,0.9,,,0.2833859923566052,0.9,false,0.9,,,\n"
+        + "boxdiff_theta,256,3,0.5,,0.9,,,0.2894958744913849,0.9,false,0.9,,,\n",
+        id="bounds-boxdiff-theta"),
+    pytest.param(
+        "bounds", {"formula": "weighted", "grid": {"n": [64, 256], "d": 2, "c": 1.5},
+                   "weights": _PRODUCT_WEIGHTS},
+        _BOUNDS_HEADER
+        + "weighted_c,64,2,0.0,1.5,,,,0.1875,0.0,true,-1063778.9536936898,,,\n"
+        + "weighted_c,256,2,0.0,1.5,,,,0.09375,0.0,true,-1063778.9536936898,,,\n",
+        id="bounds-weighted"),
     pytest.param(
         "discrepancy", {"points": "p.txt", "exact": True, "delta": 0.25,
                         "weights": _PRODUCT_WEIGHTS},
@@ -427,6 +461,48 @@ PINNED = [
         + "lhs,8,3,1,3,0.5,0.5,0.75,0.75,0.005,0.00523125,-0.00023124999999999968,"
           "0.02806671394357404,true\n",
         id="negdep-lhs-ci-empirical"),
+    pytest.param(
+        "negdep", {"scheme": {"kind": "lhs"}, "n": 8, "d": 2, "test": "lower",
+                   "anchors": [[0.5, 0.5], [0.3, 0.8]], "t_values": [1, 3], "gamma": 1.5,
+                   "reps": 200, "seed": 6},
+        _NEGDEP_HEADER
+        + 'lower_nd,lhs,8,2,"points 1..1 all outside [0,(0.5,0.5))",0.785,1.125,'
+          "0.08333325839693217,holds,200,1.5,0.99,empirical,\n"
+        + 'lower_nd,lhs,8,2,"points 1..3 all outside [0,(0.5,0.5))",0.42,0.6328125,'
+          "0.09104708781050314,holds,200,1.5,0.99,empirical,\n"
+        + 'lower_nd,lhs,8,2,"points 1..1 all outside [0,(0.3,0.8))",0.78,1.1400000000000001,'
+          "0.08376213101574992,holds,200,1.5,0.99,empirical,\n"
+        + 'lower_nd,lhs,8,2,"points 1..3 all outside [0,(0.3,0.8))",0.38,0.658464,'
+          "0.09091511115143353,holds,200,1.5,0.99,empirical,\n",
+        id="negdep-lhs-lower-gamma"),
+    pytest.param(
+        "negdep", {"scheme": {"kind": "rsj"}, "n": 5, "d": 2, "test": "pairwise",
+                   "q_anchors": [[0.5, 0.5]], "r_anchors": [[0.25, 0.75], [0.6, 0.4]],
+                   "reps": 300, "seed": 2},
+        _NEGDEP_HEADER
+        + 'pairwise_nd,rsj,5,2,"p1 in [(0.5,0.5),1), p2 in [(0.25,0.75),1)",0.04,0.046875,'
+          "0.04044862514753458,inconclusive,300,1.0,0.99,empirical,\n"
+        + 'pairwise_nd,rsj,5,2,"p1 in [0,(0.5,0.5)), p2 in [0,(0.25,0.75))",'
+          "0.016666666666666666,0.046875,0.03199878258113244,inconclusive,300,1.0,0.99,"
+          "empirical,\n"
+        + 'pairwise_nd,rsj,5,2,"p1 in [(0.5,0.5),1), p2 in [(0.6,0.4),1)",0.03333333333333333,'
+          "0.06,0.03836738648782665,inconclusive,300,1.0,0.99,empirical,\n"
+        + 'pairwise_nd,rsj,5,2,"p1 in [0,(0.5,0.5)), p2 in [0,(0.6,0.4))",'
+          "0.013333333333333334,0.06,0.030418719437922667,holds,300,1.0,0.99,empirical,\n",
+        id="negdep-rsj-pairwise-empirical"),
+    pytest.param(
+        "negdep", {"scheme": {"kind": "mincopula"}, "n": 2, "d": 1, "test": "upper",
+                   "anchors": [[0.5], [0.8]], "t_values": [1, 2], "reps": 1},
+        _NEGDEP_HEADER
+        + 'upper_nd,mincopula,2,1,"points 1..1 all in [0,(0.5))",0.5,0.5,0.0,holds,0,1.0,0.99,'
+          "exact,\n"
+        + 'upper_nd,mincopula,2,1,"points 1..2 all in [0,(0.5))",0.25,0.25,0.0,holds,0,1.0,'
+          "0.99,exact,\n"
+        + 'upper_nd,mincopula,2,1,"points 1..1 all in [0,(0.8))",0.8,0.8,0.0,holds,0,1.0,0.99,'
+          "exact,\n"
+        + 'upper_nd,mincopula,2,1,"points 1..2 all in [0,(0.8))",0.6400000000000001,'
+          "0.6400000000000001,0.0,holds,0,1.0,0.99,exact,\n",
+        id="negdep-mincopula-upper-exact"),
     # a whole draw: one index into the table of the 60 ordered 3-prefixes of 5 strata
     pytest.param(
         "sample", {"scheme": _GSS_CELLS, "n": 3, "d": 2, "seed": 3},
@@ -916,7 +992,8 @@ def test_an_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("kept\n")
-    monkeypatch.setitem(cli._BOUND_FNS, "corner", (_no_work, "c"))
+    _, axes, keys = cli._BOUND_FNS["corner"]
+    monkeypatch.setitem(cli._BOUND_FNS, "corner", (_no_work, axes, keys))
     monkeypatch.setattr(cli, "run_all", _no_work)
     code, text, err = run([command, write_json(tmp_path / "c.json", cfg), "--out", out], capsys)
     assert code == 2 and text == ""

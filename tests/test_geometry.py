@@ -204,6 +204,16 @@ def test_shifted_points_lose_net_property():
     assert not is_net(broken, 2, 4, 2)
 
 
+def test_is_net_keeps_coordinates_the_snap_lifts_to_1_in_the_last_cell():
+    # within _NET_SNAP * b^-j of 1, floor(x b^j + snap) is b^j: one past the last cell
+    for b, m in [(2, 1), (2, 3), (3, 2)]:
+        pts = np.asarray(net_points(b, m, 1).data).copy()
+        pts[np.argmax(pts[:, 0])] = 1.0 - 1e-11
+        assert is_net(pts, b, m, 1), (b, m)
+    assert is_net(np.array([[0.25], [0.99999999999]]), 2, 1, 1)
+    assert not is_net(np.array([[0.75], [0.99999999999]]), 2, 1, 1)
+
+
 def test_uniform_points_are_a_trivial_net_only_at_t_equals_m():
     rng = RngStream(5)
     ps = sample(MonteCarlo(), 8, 2, rng)
@@ -237,6 +247,12 @@ GEOMETRY_REFUSALS = [
     pytest.param(lambda: is_net(net_points(2, 2, 1), 2, 2, 1, t=3), "0 <= t <= m",
                  id="net-t-above-m"),
     pytest.param(lambda: is_net(np.zeros((3, 1)), 2, 2, 1), "shape (4, 1)", id="net-shape"),
+    pytest.param(lambda: is_net(np.array([[0.25], [1.5]]), 2, 1, 1), "must lie in [0,1)",
+                 id="net-coordinate-above-1"),
+    pytest.param(lambda: is_net(np.array([[-0.25], [0.5]]), 2, 1, 1), "must lie in [0,1)",
+                 id="net-coordinate-below-0"),
+    pytest.param(lambda: is_net(np.array([[np.nan], [0.5]]), 2, 1, 1), "must lie in [0,1)",
+                 id="net-coordinate-nan"),
 ]
 
 

@@ -158,6 +158,13 @@ def test_simplex_max_check_validates_inputs():
         simplex_max_check(4, 2, -1.0, 100, RngStream(0))
 
 
+@pytest.mark.parametrize("xi, trials", [(1.0, 0), (1.0, -3), (math.inf, 100), (math.nan, 100),
+                                        (-math.inf, 100)])
+def test_simplex_max_check_refuses_no_trials_and_non_finite_xi(xi, trials):
+    with pytest.raises(ValidationError):
+        simplex_max_check(4, 2, xi, trials, RngStream(0))
+
+
 def test_variance_study_refuses_a_zero_monte_carlo_variance():
     # no point reaches the corner at 1, so every estimate is 0
     with pytest.raises(ValidationError, match="Monte Carlo variance is zero"):

@@ -88,6 +88,12 @@ def test_wilson_validation():
         wilson_interval(1, 10, 1.0)
 
 
+@pytest.mark.parametrize("successes, trials", [(4, 3), (-1, 3), (5, 3)])
+def test_wilson_refuses_successes_outside_0_to_trials(successes, trials):
+    with pytest.raises(ValidationError):
+        wilson_interval(successes, trials)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form oracles
 

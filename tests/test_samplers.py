@@ -540,7 +540,7 @@ def test_perm_prefix_is_uniform_over_ordered_tuples(n, t, reps):
     # a table of at most 2^17 entries serves (5, 2), (5, 3), (8, 5) and (16, 3), whose
     # t^2 <= n drew one entry at a time before; past it, (10, 5) sorts 10 keys, and
     # (37, 3), with t^2 <= n, draws one entry at a time
-    heads = _perm_prefix(np.random.default_rng(4001), reps, n, t, False).T
+    heads = _perm_prefix(np.random.default_rng(4001), reps, n, t).T
     assert heads.shape == (reps, t)
     assert np.all((heads >= 0) & (heads < n))
     assert np.all(np.diff(np.sort(heads, axis=1), axis=1) > 0)  # distinct within a row
@@ -553,16 +553,15 @@ def test_perm_prefix_is_uniform_over_ordered_tuples(n, t, reps):
 
 def test_perm_prefix_draws_each_entry_into_its_column():
     # one row: the result and one block of int64 integers, no second copy
-    heads, peak = traced_peak(lambda: _perm_prefix(np.random.default_rng(83), 100_000, 101, 1,
-                                                   False))
+    heads, peak = traced_peak(lambda: _perm_prefix(np.random.default_rng(83), 100_000, 101, 1))
     assert heads.shape == (1, 100_000)
     assert peak <= heads.nbytes + 8 * _KEY_BLOCK + 16 * 2**10
 
 
-def _reads_a_table(n, rows, whole):
+def _reads_a_table(n, rows):
     """Whether `_perm_prefix` builds or reads a table for this draw."""
     samplers_module._perm_table.cache_clear()
-    _perm_prefix(np.random.default_rng(0), 3, n, rows, whole)
+    _perm_prefix(np.random.default_rng(0), 3, n, rows)
     return samplers_module._perm_table.cache_info().currsize == 1
 
 
@@ -577,11 +576,11 @@ def test_perm_table_lists_every_ordered_prefix_in_itertools_order():
         assert table.tolist() == [list(p) for p in permutations(range(n), rows)], (n, rows)
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
-        assert _reads_a_table(n, rows, whole=rows == n) == (rows > 1), (n, rows)
+        assert _reads_a_table(n, rows) == (rows > 1), (n, rows)
     # 174,720 entries at (16, 4) and 8! * 8 for the whole permutations of 8: past 2^17, as
     # are (257, 2) and (37, 3); one row is drawn directly, whatever n is
     for n, rows in [(16, 4), (8, 8), (257, 2), (37, 3), (31, 1), (101, 1)]:
-        assert not _reads_a_table(n, rows, whole=rows == n), (n, rows)
+        assert not _reads_a_table(n, rows), (n, rows)
 
 
 class _CountingGenerator:
@@ -594,12 +593,14 @@ class _CountingGenerator:
 
 # n = 8 at rows 4 has 1680 prefixes, a table of 6720 entries. One row is drawn directly:
 # its table would be the identity, so the counting draw lists 0..n-1 in order all the same.
+# `whole` marks the draws a scheme makes of its whole point set; `_perm_prefix` works out
+# from n and rows alone whether to sort, so it reads the same table either way.
 @pytest.mark.parametrize("n, rows, whole", [(1, 1, True), (2, 2, True), (5, 5, True),
                                             (6, 3, False), (7, 7, True), (8, 4, False),
                                             (31, 1, True)])
 def test_perm_prefix_reads_the_table_at_the_drawn_index(n, rows, whole):
     samplers_module._perm_table.cache_clear()
-    heads = _perm_prefix(_CountingGenerator(), math.perm(n, rows), n, rows, whole)
+    heads = _perm_prefix(_CountingGenerator(), math.perm(n, rows), n, rows)
     assert heads.dtype == np.int32 and heads.shape == (rows, math.perm(n, rows))
     assert heads.T.tolist() == [list(p) for p in permutations(range(n), rows)]
     assert samplers_module._perm_table.cache_info().currsize == (rows > 1)
@@ -607,7 +608,7 @@ def test_perm_prefix_reads_the_table_at_the_drawn_index(n, rows, whole):
 
 def test_table_draws_hit_every_permutation_of_5_uniformly():
     reps, count = 10**6, math.factorial(5)
-    heads = _perm_prefix(np.random.default_rng(4003), reps, 5, 5, True).T
+    heads = _perm_prefix(np.random.default_rng(4003), reps, 5, 5).T
     code = 5 ** np.arange(5)
     hits = np.bincount(heads @ code, minlength=5**5)[np.array(list(permutations(range(5)))) @ code]
     assert hits.sum() == reps  # every row is a permutation
@@ -659,7 +660,8 @@ def test_sample_batch_whole_rows_is_the_batch_stream(spec, n, d):
 # Every net (its cell maps) was recorded again when small permutations came to be read
 # from a table. Every draw of mc, sss, lhs, gss, rsj and mixed was recorded again when the
 # prefix schemes came to draw in (d, rows, reps) order; the net's streams did not move. Whole
-# gss at beta = 31 reads a table at n = 3 and sorts whole permutations at n = 5 and 12; the
+# gss at beta = 31 reads a table at n = 3, draws one stratum at a time at n = 5 (recorded
+# again when whole draws came to sort only at n^2 > beta) and sorts 31 keys at n = 12; the
 # nets have base 2, whose digit sums are exact whatever order a BLAS adds them in.
 STREAM_PINS = [
     (MonteCarlo(), 9, 2, {None: "6de82b816ad0852b", 3: "c6f3c8f0a08788a2"}),
@@ -672,7 +674,7 @@ STREAM_PINS = [
     (GeneralizedStratified(31, Stripes(31)), 3, 2,
      {None: "a3d256f41123d6e2", 2: "aaf91f4f0d9e19e2"}),
     (GeneralizedStratified(31, LatticeCells((1, 12), 31)), 5, 2,
-     {None: "bdcfaf88149c9101", 2: "7b83d1777347ab3c"}),
+     {None: "ade3789cf46411da", 2: "7b83d1777347ab3c"}),
     (GeneralizedStratified(5, Stripes(5)), 2, 3, {None: "6c2a7611e24f5a8e", 1: "e7af1c2ebdc6e7c8"}),
     (RsjLattice(), 11, 2, {None: "05b93c27b020483e", 3: "f503e505a76ab9cb"}),
     (RsjLattice(), 2, 3, {None: "9b75df12fb4e85c9", 1: "39b465b822cd715d"}),
