@@ -10,9 +10,9 @@ and `Mixed` multiplies those of its factors. `sample_batch` draws many
 independent replications at once as an (R, N, d) array, or only their first
 rows where the scheme draws them alone; `map_chunks` applies a function to
 chunked batches, and `sample` is the single-draw wrapper returning a PointSet.
-The schemes that draw prefixes fill a (d, rows, reps) buffer and return it seen
-as (R, rows, d), so each coordinate of each row is contiguous over the
-replications.
+Every scheme's `draw` returns a (d, rows, reps) buffer, and `sample_batch`
+alone presents it as (R, rows, d), so each coordinate of each row is
+contiguous over the replications.
 
 All randomness flows through RngStream, a splittable deterministic stream:
 the same seed and call sequence reproduce the same output bit for bit, and
@@ -351,12 +351,13 @@ class SchemeSpec:
 
     A scheme owns its JSON `kind`, its `label()` (the CSV `scheme` column),
     `validate(n, d)`, and `draw(n, d, rows, reps, rng)`, its construction
-    alone: it returns points 1..rows of `reps` replications, shape (reps,
-    rows, d). `sample_batch` calls it once `validate` has passed, passes it
-    `prefix_rows(n, rows)`, and clamps the result below 1. A scheme that sets
-    `draws_prefix` is passed any 1 <= rows <= n and draws those rows alone,
-    with the joint law of the first rows of a whole draw; the others are
-    passed n. Two-point analytic
+    alone: it returns points 1..rows of `reps` replications as a (d, rows,
+    reps) array, indexed (coordinate, point, replication). `sample_batch`
+    calls it once `validate` has passed, passes it `prefix_rows(n, rows)`,
+    sees the result as (reps, rows, d) and clamps it below 1. A scheme that
+    sets `draws_prefix` is passed any 1 <= rows <= n and draws those rows
+    alone, with the joint law of the first rows of a whole draw; the others
+    are passed n. Two-point analytic
     schemes set `pair_dim` and give `pair_prob(rect1, rect2)`, the exact
     P(p1 in rect1, p2 in rect2) for rectangles given as per-axis (lo, hi)
     ranges. Schemes with an exact anchored-box law give
@@ -478,13 +479,19 @@ def _next_perm_entry(g: np.random.Generator, n: int, head: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class MonteCarlo(SchemeSpec):
-    """Independent uniform points."""
+    """Independent uniform points: points 1..t all fall in a box with
+    probability its volume to the power t."""
 
     kind = "mc"
     draws_prefix = True
 
     def draw(self, n, d, rows, reps, rng):
-        return rng.gen.random((d, rows, reps)).transpose(2, 1, 0)
+        return rng.gen.random((d, rows, reps))
+
+    def anchored_prob(self, n, box, t):
+        if not (1 <= t <= n):
+            raise ValidationError("need 1 <= t <= n")
+        return box.volume() ** t
 
 
 @dataclass(frozen=True)
@@ -508,7 +515,7 @@ class GeneralizedStratified(SchemeSpec):
 
     def draw(self, n, d, rows, reps, rng):
         chosen = _perm_prefix(rng.gen, reps, self.beta, rows)
-        return self.strata.place(chosen, d, rng.gen).transpose(2, 1, 0)
+        return self.strata.place(chosen, d, rng.gen)
 
     def anchored_prob(self, n, box, t):
         return gss_anchored_prob_exact(self.beta, self.strata, box, n, t)
@@ -582,7 +589,7 @@ class RsjLattice(SchemeSpec):
         del gvec, shift, perm
         pts = g.random(cell.shape)  # the jitter
         pts += cell
-        return np.divide(pts, n, out=pts).transpose(2, 1, 0)
+        return np.divide(pts, n, out=pts)
 
 
 def corner_cells(n: int, counts) -> np.ndarray:
@@ -640,7 +647,7 @@ class LatinHypercube(SchemeSpec):
         # jitter each point within its strata
         pts = g.random((d, rows, reps))
         pts += perm.transpose(1, 0, 2)
-        return np.divide(pts, n, out=pts).transpose(2, 1, 0)
+        return np.divide(pts, n, out=pts)
 
     def anchored_prob(self, n, box, t):
         return lhs_anchored_prob_exact(n, box.upper, t)
@@ -681,31 +688,28 @@ class SimpleStratified(LatinHypercube):
 
 
 def _cell_map(g: np.random.Generator, b: int, m: int, reps: int) -> np.ndarray:
-    """(reps, b^m) int32 array: the cell of the b^-m grid that nested uniform
+    """(b^m, reps) int32 array: the cell of the b^-m grid that nested uniform
     scrambling sends each cell to, on one coordinate of each replication.
 
     Level r permutes the b digits after each of the b^r prefixes, so the map
-    grows one digit at a time: sigma[:, p*b + a] = sigma_r[:, p]*b + perm_p(a).
+    grows one digit at a time: sigma[p*b + a] = sigma_r[p]*b + perm_p(a).
     The permutations of level r are drawn prefix by prefix, each prefix's
     `reps` of them by `_perm_prefix`, in blocks of consecutive prefixes
     (`_KEY_BLOCK`). Each level fills the tail of the one result array: level
     r + 1 is written over level r from the front, and prefix p's digits land
-    before any later prefix's entry. A block is summed prefix-major, one
-    (digit, replication) plane per prefix, and copied into the map by one
-    transpose.
+    before any later prefix's entry. A block is summed straight into the map,
+    one (digit, replication) plane per prefix.
     """
     n = b**m
-    sigma = np.zeros((reps, n), dtype=np.int32)
+    sigma = np.zeros((n, reps), dtype=np.int32)
     for r in range(m):
         prefixes = b**r
-        level = sigma[:, n - prefixes:]
-        grown = sigma[:, n - prefixes * b:].reshape(reps, prefixes, b)
+        level = sigma[n - prefixes:]
+        grown = sigma[n - prefixes * b:].reshape(prefixes, b, reps)
         for blk in _blocks(prefixes, reps * b):
-            high = level[:, blk].T * b  # read before this block overwrites it
+            high = level[blk] * b  # read before this block overwrites it
             perms = _perm_prefix(g, high.size, b, b).reshape(b, len(high), reps)
-            summed = np.empty((len(high), b, reps), dtype=np.int32)
-            np.add(perms.transpose(1, 0, 2), high[:, None, :], out=summed)
-            grown[:, blk] = summed.transpose(2, 0, 1)
+            np.add(perms.transpose(1, 0, 2), high[:, None, :], out=grown[blk])
     return sigma
 
 
@@ -714,13 +718,15 @@ class ScrambledNet(SchemeSpec):
     """Base-b digital net (b prime, s <= b), nested uniform scrambling to depth
     m plus uniform jitter below b^-m, rows shuffled.
 
-    Per coordinate, the scrambling is a cell map (`_cell_map`): it sends each
-    cell of the b^-m grid to a cell, and a base point takes the value of the
-    cell its own cell is sent to, plus jitter; the rows are then put in one
-    uniform order (`_perm_prefix`). The draw holds the result in one
-    coordinate-major buffer, beside one coordinate's cell map (and, while it
-    grows, its previous level) or the row order, and one block of
-    permutations, keys or jitter.
+    Drawn as the Latin hypercube is: cell indices plus jitter, over n = b^m.
+    Base point i lies in cell c_l(i) of the b^-m grid on coordinate l, the
+    cell map sigma_l (`_cell_map`) scrambles the cells, and one uniform row
+    order pi (`_perm_prefix`) shuffles the points: row j's coordinate l is
+    (sigma_l(c_l(pi(j))) + u_l(c_l(pi(j)))) / n. The jitter is drawn per cell;
+    it is independent per point because each c_l is a bijection, as each
+    generating matrix P^l is unit upper triangular. The draw holds its (s, n,
+    reps) result beside one cell map (and, while it grows, its previous level)
+    or one block's row order, and one block of permutations or keys.
     """
 
     b: int
@@ -746,27 +752,17 @@ class ScrambledNet(SchemeSpec):
     def draw(self, n, d, rows, reps, rng):
         b, m, s = self.b, self.m, self.s
         g = rng.gen
-        place = b ** np.arange(m - 1, -1, -1)
-        cells = _net_base_digits(b, m, s) @ place  # (n, s): each base point's cell
-        # each cell's value: its digits, most significant first, times their weights
-        value = (np.arange(n)[:, None] // place % b) @ (b ** -(np.arange(m, dtype=float) + 1))
-        out = np.empty((s, reps, n))
-        blocks = _blocks(reps, n)
-        for l, coord in enumerate(out):
-            sigma = _cell_map(g, b, m, reps)
-            for blk in blocks:
-                block = coord[blk]
-                # every index is in range: "clip" only spares `take` a buffered copy of `out`
-                np.take(value, sigma[blk][:, cells[:, l]], out=block, mode="clip")
-                block += g.random(block.shape) * b ** (-m)
-            del sigma
-        order = _perm_prefix(g, reps, n, n).T
-        for blk in blocks:
-            # each row's order as flat indices into the block
-            flat = order[blk] + np.arange(0, order[blk].size, n)[:, None]
-            for coord in out:
-                coord[blk] = np.take(coord[blk], flat)
-        return out.transpose(1, 2, 0)
+        cells = _net_base_digits(b, m, s) @ b ** np.arange(m - 1, -1, -1)  # (n, s)
+        pts = g.random((s, n, reps))  # the jitter of each cell
+        for coord in pts:
+            coord += _cell_map(g, b, m, reps)
+        for blk in _blocks(reps, n):
+            width = min(blk.stop, reps) - blk.start
+            order = _perm_prefix(g, width, n, n)
+            for cell, coord in zip(cells.T, pts):
+                # row j of a replication reads the cell its base point order[j] lies in
+                coord[:, blk] = np.take(coord[:, blk], cell[order] * width + np.arange(width))
+        return np.divide(pts, n, out=pts)
 
 
 @dataclass(frozen=True)
@@ -804,9 +800,9 @@ class Mixed(SchemeSpec):
             part = spec.draw(n, cols.stop - cols.start, rows, reps, rng.split(k))
             if out is None:
                 out = np.empty((d, rows, reps))
-            out[cols] = part.transpose(2, 1, 0)
+            out[cols] = part
             del part
-        return out.transpose(2, 1, 0)
+        return out
 
     @property
     def draws_prefix(self):
@@ -910,7 +906,7 @@ class FourSlot(_TwoPoint):
         pick = g.choice(len(pairs), size=reps, p=probs)
         slot = np.array(pairs)[pick]  # (reps, 2)
         u = g.random((reps, 2, 2)) * 0.5
-        return _FOURSLOT_LOWER[slot] + u
+        return (_FOURSLOT_LOWER[slot] + u).transpose(2, 1, 0)
 
     def pair_prob(self, rect1, rect2):
         w1 = _fourslot_weights(rect1)
@@ -929,7 +925,7 @@ class SwapScheme(_TwoPoint):
         g = rng.gen
         x = g.random(reps)
         y = g.random(reps)
-        return np.stack([np.stack([x, y], axis=1), np.stack([y, x], axis=1)], axis=1)
+        return np.array([[x, y], [y, x]])  # (coordinate, point, replication)
 
     def pair_prob(self, rect1, rect2):
         # X must fall in rect1_x intersect rect2_y, Y in rect1_y intersect rect2_x
@@ -1000,7 +996,8 @@ def sample_batch(
     With `rows` < n, only points 1..rows of each replication are needed:
     schemes that set `draws_prefix` draw exactly those (shape (reps, rows,
     d)), the others all n. `rows` None or >= n draws whole replications.
-    Every coordinate is then clamped in place to the largest double below 1.
+    The scheme's (d, rows, reps) draw is returned through one transpose, and
+    every coordinate is clamped in place to the largest double below 1.
     """
     if reps < 1:
         raise ValidationError("need reps >= 1")
@@ -1008,7 +1005,7 @@ def sample_batch(
     rows = n if rows is None else min(rows, n)
     if rows < 1:
         raise ValidationError("need rows >= 1")
-    pts = spec.draw(n, d, spec.prefix_rows(n, rows), reps, rng)
+    pts = spec.draw(n, d, spec.prefix_rows(n, rows), reps, rng).transpose(2, 1, 0)
     return np.minimum(pts, _BELOW_ONE, out=pts)
 
 

@@ -12,6 +12,7 @@ import negdep_qmc.negdep as negdep_module
 from negdep_qmc import (
     SCHEMES,
     ValidationError,
+    lhs_anchored_prob_exact,
     load_pointset,
     net_points,
     save_pointset,
@@ -153,6 +154,23 @@ def test_negdep_upper_with_oracle_column(tmp_path, capsys):
     assert len(rows) == 2
     oracle_t2 = float(rows[1][header.index("oracle")])
     assert 0 < oracle_t2 < 0.0625
+
+
+def test_negdep_oracle_column_of_a_latin_hypercube_padded_with_monte_carlo(tmp_path, capsys):
+    cfg = write_json(tmp_path / "m.json", {
+        "scheme": {"kind": "mixed", "left": {"kind": "lhs"}, "d_left": 2,
+                   "right": {"kind": "mc"}, "d_right": 1},
+        "n": 6, "d": 3, "test": "upper", "anchors": [[0.55, 0.8, 0.7]], "t_values": [1, 2, 3],
+        "reps": 2000, "seed": 12, "oracle": True,
+    })
+    code, text, _ = run(["negdep", cfg], capsys)
+    assert code == 0
+    import csv as csvmod
+    import io
+
+    rows = list(csvmod.DictReader(io.StringIO(text)))
+    assert [float(row["oracle"]) for row in rows] == [
+        lhs_anchored_prob_exact(6, (0.55, 0.8), t) * 0.7**t for t in (1, 2, 3)]
 
 
 def test_negdep_expect_holds_exit_code_on_violation(tmp_path, capsys):

@@ -342,11 +342,30 @@ def test_a_mixed_scheme_multiplies_the_laws_of_its_factors(spec, n, upper):
 
 
 def test_a_mixed_scheme_has_a_law_only_when_both_factors_do():
+    # the lattice has no anchored-box law
     box = CornerBox0((0.5, 0.5, 0.5))
-    assert Mixed(LatinHypercube(), 2, MonteCarlo(), 1).anchored_prob(4, box, 2) is None
-    assert Mixed(MonteCarlo(), 1, LatinHypercube(), 2).anchored_prob(4, box, 2) is None
+    assert Mixed(LatinHypercube(), 2, RsjLattice(), 1).anchored_prob(5, box, 2) is None
+    assert Mixed(RsjLattice(), 1, LatinHypercube(), 2).anchored_prob(5, box, 2) is None
     assert Mixed(LatinHypercube(), 1, LatinHypercube(), 2).anchored_prob(4, box, 2) == (
         mixed_anchored_prob_exact(4, (0.5,), (0.5, 0.5), 2))
+
+
+def test_a_latin_hypercube_padded_with_monte_carlo_has_the_product_law():
+    # the paper's mixed sequence: mc's law is the box's volume to the power t
+    spec, n, upper = Mixed(LatinHypercube(), 2, MonteCarlo(), 1), 6, (0.55, 0.8, 0.7)
+    for t in range(1, n + 1):
+        assert MonteCarlo().anchored_prob(n, CornerBox0(upper), t) == (0.55 * 0.8 * 0.7) ** t
+        assert spec.anchored_prob(n, CornerBox0(upper), t) == (
+            lhs_anchored_prob_exact(n, upper[:2], t) * 0.7**t)
+    for t in (0, n + 1):  # refused as the lhs law refuses them
+        with pytest.raises(ValidationError, match=re.escape("need 1 <= t <= n")):
+            MonteCarlo().anchored_prob(n, CornerBox0(upper), t)
+    confidence = 1.0 - FAMILY_ALPHA / 3  # t = 1..3
+    for t in (1, 2, 3):
+        oracle = spec.anchored_prob(n, CornerBox0(upper), t)
+        rep = check_upper_nd(spec, n, 3, CornerBox0(upper), t, 100_000,
+                             RngStream(4300 + t), confidence=confidence)
+        assert abs(rep.lhs - oracle) <= rep.ci_halfwidth, (t, rep.lhs, oracle)
 
 
 def test_corner_cells_mask_shape():

@@ -422,6 +422,11 @@ def test_net_digits_match_the_pascal_matrix_powers():
                 digits = _net_base_digits(b, m, s)
                 assert digits.dtype == np.int64
                 assert np.array_equal(digits, _net_digits_by_repeated_products(b, m, s)), (b, m, s)
+                # each coordinate sends the base points to distinct cells: the per-cell
+                # jitter of ScrambledNet.draw is independent per point
+                cells = digits @ b ** np.arange(m - 1, -1, -1)
+                assert np.array_equal(np.sort(cells, axis=0),
+                                      np.broadcast_to(np.arange(b**m)[:, None], cells.shape))
 
 
 def test_raw_net_points_are_deterministic():
@@ -650,7 +655,7 @@ def test_sample_batch_rows_shape_contract(spec, n, d):
 @pytest.mark.parametrize("spec, n, d", ALL_SAMPLERS + PREFIX_SCHEMES + FULL_SCHEMES,
                          ids=lambda v: v.label() if hasattr(v, "kind") else None)
 def test_sample_batch_whole_rows_is_the_batch_stream(spec, n, d):
-    reference = spec.draw(n, d, n, 5, RngStream(67))
+    reference = spec.draw(n, d, n, 5, RngStream(67)).transpose(2, 1, 0)
     for rows in (None, n, n + 3):
         assert np.array_equal(sample_batch(spec, n, d, 5, RngStream(67), rows=rows), reference)
 
@@ -659,10 +664,12 @@ def test_sample_batch_whole_rows_is_the_batch_stream(spec, n, d):
 # when whole and prefix draws were two methods per scheme: (spec, n, d, {rows: digest}).
 # Every net (its cell maps) was recorded again when small permutations came to be read
 # from a table. Every draw of mc, sss, lhs, gss, rsj and mixed was recorded again when the
-# prefix schemes came to draw in (d, rows, reps) order; the net's streams did not move. Whole
-# gss at beta = 31 reads a table at n = 3, draws one stratum at a time at n = 5 (recorded
-# again when whole draws came to sort only at n^2 > beta) and sorts 31 keys at n = 12; the
-# nets have base 2, whose digit sums are exact whatever order a BLAS adds them in.
+# prefix schemes came to draw in (d, rows, reps) order; the net's streams did not move then.
+# The net and the mixed scheme with a net factor were recorded again when the net came to
+# draw its jitter per cell, as (cell + u) / n, and its row order per block of replications.
+# Whole gss at beta = 31 reads a table at n = 3, draws one stratum at a time at n = 5
+# (recorded again when whole draws came to sort only at n^2 > beta) and sorts 31 keys at
+# n = 12; the net's cells are integer digit sums, exact whatever order a BLAS adds them in.
 STREAM_PINS = [
     (MonteCarlo(), 9, 2, {None: "6de82b816ad0852b", 3: "c6f3c8f0a08788a2"}),
     (SimpleStratified(), 10, 1, {None: "0d22fa668e3c59fe", 3: "2eb47ceab6a810c9"}),
@@ -681,11 +688,11 @@ STREAM_PINS = [
     (LatinHypercube(), 16, 3,
      {None: "1d88fdac018e898f", 3: "78693d781fabcb48", 5: "151a89a955137354"}),
     (LatinHypercube(), 1, 2, {None: "7903654db39955db"}),
-    (ScrambledNet(2, 3, 2), 8, 2, {None: "b33d15edff992b73", 2: "b33d15edff992b73"}),
+    (ScrambledNet(2, 3, 2), 8, 2, {None: "3532d80fdae644fb", 2: "3532d80fdae644fb"}),
     (Mixed(LatinHypercube(), 2, RsjLattice(), 1), 7, 3,
      {None: "3a0c58e392bc0fb9", 2: "f1a2af457673f50e"}),
     (Mixed(LatinHypercube(), 1, ScrambledNet(2, 3, 2), 2), 8, 3,
-     {None: "46bcf738456f1693", 2: "46bcf738456f1693"}),
+     {None: "e8754d3a448a7bc0", 2: "e8754d3a448a7bc0"}),
     (FourSlot(), 2, 2, {None: "19bc1816a74993b4", 1: "19bc1816a74993b4"}),
     (SwapScheme(), 2, 2, {None: "7b6b95677f00643b", 1: "7b6b95677f00643b"}),
 ]
@@ -696,11 +703,13 @@ def test_stream_pins_cover_every_scheme_kind():
     assert {spec.kind for spec, *_ in STREAM_PINS} | {"mincopula"} == set(SCHEMES)
 
 
-# the prefix schemes draw (d, rows, reps) buffers: each coordinate of each row is one
+# every scheme draws a (d, rows, reps) buffer: each coordinate of each row is one
 # contiguous run over the replications, which the event counts read
 @pytest.mark.parametrize("spec, n, d", PREFIX_SCHEMES + [
     (Mixed(GeneralizedStratified(31, Stripes(31)), 2, MonteCarlo(), 1), 12, 3),
     (Mixed(SimpleStratified(), 1, GeneralizedStratified(31, LatticeCells((1, 12), 31)), 2), 12, 3),
+    (ScrambledNet(5, 2, 2), 25, 2),
+    (Mixed(LatinHypercube(), 1, ScrambledNet(2, 3, 2), 2), 8, 3),
 ], ids=lambda v: v.label() if hasattr(v, "kind") else None)
 def test_prefix_draws_are_contiguous_over_the_replications(spec, n, d):
     for rows in (2, 3, None):
@@ -812,11 +821,13 @@ def _uniform_perms(g, reps, n):
 
 def _net_batch_loop(spec, n, reps, rng):
     """ScrambledNet.draw as one permutation draw per digit prefix, in ascending
-    prefix order: the reference for the vectorized sampler."""
+    prefix order, and one row order per block of replications: the reference
+    for the vectorized sampler."""
     b, m, s = spec.b, spec.m, spec.s
     g = rng.gen
     base = _net_base_digits(b, m, s)
-    weights = b ** -(np.arange(m, dtype=float) + 1)
+    place = b ** np.arange(m - 1, -1, -1)
+    jitter = g.random((s, n, reps))  # indexed by the cell each base point lies in
     out = np.empty((reps, n, s))
     rows = np.arange(reps)[:, None]
     for l in range(s):
@@ -828,8 +839,10 @@ def _net_batch_loop(spec, n, reps, rng):
                 perms = _uniform_perms(g, reps, b)
                 digits[:, members, r] = perms[rows, base[members, l, r][None, :]]
             prefix = prefix * b + base[:, l, r]
-        out[:, :, l] = digits @ weights + g.random((reps, n)) * b ** (-m)
-    rp = _uniform_perms(g, reps, n)
+        out[:, :, l] = (digits @ place + jitter[l, base[:, l, :] @ place].T) / n
+    width = max(1, 2**16 // n)
+    rp = np.concatenate([_uniform_perms(g, min(width, reps - lo), n)
+                         for lo in range(0, reps, width)])
     return np.take_along_axis(out, rp[:, :, None], axis=1)
 
 
@@ -878,6 +891,8 @@ DRAW_MEMORY = [
                  id="net4096-one-chunk"),
     # one base-2 coordinate: the cell map is half the result
     pytest.param(ScrambledNet(2, 10, 1), 1024, 1, 2_000, None, id="net1024-one-coordinate"),
+    # ten coordinates: one cell map alive at a time, 1/20 of the result
+    pytest.param(ScrambledNet(11, 2, 10), 121, 10, 2_000, None, id="net121-ten-coordinates"),
     pytest.param(Mixed(LatinHypercube(), 2, LatinHypercube(), 1), 6, 3, 100_000, None,
                  id="mixed-lhs-lhs"),
     pytest.param(Mixed(LatinHypercube(), 2, LatinHypercube(), 1), 6, 3, 100_000, 3,
@@ -953,7 +968,7 @@ class _AtOne(SchemeSpec):
 
     def draw(self, n, d, rows, reps, rng):
         self.asked.append(rows)
-        return np.ones((reps, rows, d))
+        return np.ones((d, rows, reps))
 
 
 # the draw contract, held by sample_batch alone: a scheme is asked for the rows it
